@@ -22,6 +22,7 @@
 #include "common/thread_pool.h"
 #include "core/greedy_planner.h"
 #include "core/ilp_planner.h"
+#include "core/query_template.h"
 #include "db/executor.h"
 #include "exec/engine.h"
 #include "exec/merger.h"
@@ -34,6 +35,7 @@
 #include "phonetics/double_metaphone.h"
 #include "phonetics/phonetic_index.h"
 #include "phonetics/similarity.h"
+#include "speech/speech_simulator.h"
 #include "workload/datasets.h"
 #include "workload/query_generator.h"
 
@@ -386,6 +388,90 @@ void BM_GreedyPlanner(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GreedyPlanner)->Arg(10)->Arg(20)->Arg(50);
+
+/// The serving front half on real candidate sets: fixed nyc311
+/// transcripts (random §9.2 queries, verbalized and passed through the
+/// simulated recognizer), translated, and expanded by the candidate
+/// generator with default options. Such sets group into hundreds of
+/// mostly singleton templates, unlike the synthetic sets above.
+struct Nyc311FrontHalf {
+  std::shared_ptr<nlq::SchemaIndex> index;
+  std::vector<nlq::Translation> translations;
+  std::vector<core::CandidateSet> candidates;
+};
+
+const Nyc311FrontHalf& Nyc311Front() {
+  static const Nyc311FrontHalf front = [] {
+    Nyc311FrontHalf out;
+    Rng table_rng(7);
+    auto table = workload::Make311Table(4000, &table_rng);
+    out.index = std::make_shared<nlq::SchemaIndex>(table);
+    const nlq::Translator translator(out.index);
+    const nlq::CandidateGenerator generator(out.index);
+    std::vector<std::string> lexicon = workload::BuildVocabulary(*table);
+    for (const char* word : {"how", "many", "average", "where", "and"}) {
+      lexicon.emplace_back(word);
+    }
+    const speech::SpeechSimulator speech(lexicon);
+    Rng rng(11);
+    while (out.translations.size() < 64) {
+      auto truth = workload::RandomQuery(*table, &rng);
+      if (!truth.ok()) continue;
+      auto translation = translator.Translate(
+          speech.Transcribe(nlq::VerbalizeQuery(*truth), &rng));
+      if (!translation.ok()) continue;
+      out.candidates.push_back(
+          generator.Generate(translation->query, translation->confidence));
+      out.translations.push_back(std::move(translation).value());
+    }
+    return out;
+  }();
+  return front;
+}
+
+/// Template grouping (Algorithm 2's first loop) over the nyc311 sets,
+/// one set per iteration.
+void BM_GroupByTemplate(benchmark::State& state) {
+  const Nyc311FrontHalf& front = Nyc311Front();
+  size_t i = 0;
+  size_t instantiations = 0;
+  size_t groups = 0;
+  for (auto _ : state) {
+    const core::CandidateSet& set =
+        front.candidates[i++ % front.candidates.size()];
+    const core::TemplateGroups grouped = core::GroupByTemplate(set);
+    groups += grouped.size();
+    for (const core::CandidateQuery& candidate : set.candidates()) {
+      instantiations += 1 + (candidate.query.aggregate_column.empty() ? 0 : 1) +
+                        2 * candidate.query.predicates.size();
+    }
+    benchmark::DoNotOptimize(grouped);
+  }
+  const double n = static_cast<double>(state.iterations());
+  state.counters["instantiations"] = static_cast<double>(instantiations) / n;
+  state.counters["groups"] = static_cast<double>(groups) / n;
+}
+BENCHMARK(BM_GroupByTemplate);
+
+/// Candidate generation (no session cache) for the nyc311 translations,
+/// one base query per iteration.
+void BM_GenerateCandidates(benchmark::State& state) {
+  const Nyc311FrontHalf& front = Nyc311Front();
+  const nlq::CandidateGenerator generator(front.index);
+  size_t i = 0;
+  size_t candidates = 0;
+  for (auto _ : state) {
+    const nlq::Translation& translation =
+        front.translations[i++ % front.translations.size()];
+    const core::CandidateSet set =
+        generator.Generate(translation.query, translation.confidence);
+    candidates += set.size();
+    benchmark::DoNotOptimize(set);
+  }
+  state.counters["candidates"] =
+      static_cast<double>(candidates) / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_GenerateCandidates);
 
 void BM_IlpFormulationBuild(benchmark::State& state) {
   core::CandidateSet set = Candidates(static_cast<size_t>(state.range(0)));

@@ -8,8 +8,10 @@
 #
 # The default run builds Release, runs tier1, then rebuilds with
 # ThreadSanitizer and runs tier1 again to catch data races in the
-# parallel executor / engine / planner / cache paths. --full adds the
-# slow label to both passes.
+# parallel executor / engine / planner / cache paths, then rebuilds with
+# AddressSanitizer + UndefinedBehaviorSanitizer and runs tier1 a third
+# time to catch memory errors (use after free, overflows, dangling views)
+# and undefined behaviour. --full adds the slow label to every pass.
 #
 # Usage: scripts/check.sh [--skip-tsan] [--full]
 set -euo pipefail
@@ -94,13 +96,20 @@ fi
 
 if [[ "$SKIP_TSAN" == "1" ]]; then
   echo "==> Skipping ThreadSanitizer pass (--skip-tsan)"
-  exit 0
+else
+  echo "==> ThreadSanitizer build + tests"
+  cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DMUVE_SANITIZE=thread >/dev/null
+  cmake --build build-tsan -j "$(nproc)"
+  (cd build-tsan && ctest --output-on-failure -j "$(nproc)" "${LABELS[@]+"${LABELS[@]}"}")
 fi
 
-echo "==> ThreadSanitizer build + tests"
-cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  -DMUVE_SANITIZE=thread >/dev/null
-cmake --build build-tsan -j "$(nproc)"
-(cd build-tsan && ctest --output-on-failure -j "$(nproc)" "${LABELS[@]+"${LABELS[@]}"}")
+echo "==> AddressSanitizer + UndefinedBehaviorSanitizer build + tests"
+cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DMUVE_SANITIZE=address+undefined >/dev/null
+cmake --build build-asan -j "$(nproc)"
+(cd build-asan && ASAN_OPTIONS=abort_on_error=1 \
+  UBSAN_OPTIONS=print_stacktrace=1 \
+  ctest --output-on-failure -j "$(nproc)" "${LABELS[@]+"${LABELS[@]}"}")
 
 echo "==> All checks passed"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/clock.h"
@@ -16,7 +17,7 @@ constexpr uint64_t kMaxNodes = 50'000'000;
 
 struct SearchState {
   const CandidateSet* candidates = nullptr;
-  const std::vector<TemplateGroup>* groups = nullptr;
+  const TemplateGroups* groups = nullptr;
   const UserCostModel* cost_model = nullptr;
   std::vector<int> base_width;
   std::vector<int> remaining;  // Per row.
@@ -63,8 +64,8 @@ void Search(SearchState* state, size_t group_index) {
   state->choices[group_index] = {};
   Search(state, group_index + 1);
 
-  const TemplateGroup& group = (*state->groups)[group_index];
-  const size_t members = group.member_queries.size();
+  const std::span<const size_t> group = state->groups->members(group_index);
+  const size_t members = group.size();
   const uint32_t full = (1u << members) - 1u;
 
   for (uint32_t shown_mask = 1; shown_mask <= full; ++shown_mask) {
@@ -74,7 +75,7 @@ void Search(SearchState* state, size_t group_index) {
     for (size_t m = 0; m < members; ++m) {
       if (!(shown_mask & (1u << m))) continue;
       ++bars;
-      if (state->shown[group.member_queries[m]]) {
+      if (state->shown[group[m]]) {
         conflict = true;
         break;
       }
@@ -89,7 +90,7 @@ void Search(SearchState* state, size_t group_index) {
       state->remaining[row] -= width;
       for (size_t m = 0; m < members; ++m) {
         if (shown_mask & (1u << m)) {
-          state->shown[group.member_queries[m]] = 1;
+          state->shown[group[m]] = 1;
         }
       }
       state->stats.num_plots += 1;
@@ -104,7 +105,7 @@ void Search(SearchState* state, size_t group_index) {
         for (size_t m = 0; m < members; ++m) {
           if (!(shown_mask & (1u << m))) continue;
           const double prob =
-              (*state->candidates)[group.member_queries[m]].probability;
+              (*state->candidates)[group[m]].probability;
           if (red_mask & (1u << m)) {
             ++red_bars;
             red_prob += prob;
@@ -135,7 +136,7 @@ void Search(SearchState* state, size_t group_index) {
       state->stats.num_bars -= static_cast<size_t>(bars);
       for (size_t m = 0; m < members; ++m) {
         if (shown_mask & (1u << m)) {
-          state->shown[group.member_queries[m]] = 0;
+          state->shown[group[m]] = 0;
         }
       }
       state->remaining[row] += width;
@@ -162,9 +163,9 @@ Result<PlanResult> BruteForcePlanner::Plan(const CandidateSet& candidates,
     return result;
   }
 
-  std::vector<TemplateGroup> groups = GroupByTemplate(candidates);
-  for (const TemplateGroup& group : groups) {
-    if (group.member_queries.size() > kMaxMembersPerGroup) {
+  const TemplateGroups groups = GroupByTemplate(candidates);
+  for (size_t g = 0; g < groups.size(); ++g) {
+    if (groups.members(g).size() > kMaxMembersPerGroup) {
       return Status::InvalidArgument(
           "brute force: template group too large");
     }
@@ -177,7 +178,7 @@ Result<PlanResult> BruteForcePlanner::Plan(const CandidateSet& candidates,
   state.base_width.resize(groups.size());
   for (size_t g = 0; g < groups.size(); ++g) {
     state.base_width[g] =
-        config.geometry.PlotBaseUnits(groups[g].query_template);
+        config.geometry.PlotBaseUnits(groups.title_size(g));
   }
   state.remaining.assign(num_rows, screen_width);
   state.shown.assign(candidates.size(), 0);
@@ -196,12 +197,12 @@ Result<PlanResult> BruteForcePlanner::Plan(const CandidateSet& candidates,
                                       : SearchState::Choice{};
     if (choice.row < 0 || choice.shown_mask == 0) continue;
     Plot plot;
-    plot.query_template = groups[g].query_template;
-    for (size_t m = 0; m < groups[g].member_queries.size(); ++m) {
+    plot.query_template = groups.Template(g);
+    for (size_t m = 0; m < groups.members(g).size(); ++m) {
       if (!(choice.shown_mask & (1u << m))) continue;
       PlotBar bar;
-      bar.candidate_index = groups[g].member_queries[m];
-      bar.label = groups[g].member_labels[m];
+      bar.candidate_index = groups.members(g)[m];
+      bar.label = groups.label(g, m);
       bar.highlighted = (choice.red_mask & (1u << m)) != 0;
       plot.bars.push_back(std::move(bar));
     }

@@ -1,7 +1,6 @@
 #include "core/candidate.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 namespace muve::core {
 
@@ -10,23 +9,6 @@ void CandidateSet::SortByProbability() {
                    [](const CandidateQuery& a, const CandidateQuery& b) {
                      return a.probability > b.probability;
                    });
-}
-
-void CandidateSet::Deduplicate() {
-  std::unordered_map<std::string, size_t> index_of_key;
-  std::vector<CandidateQuery> unique;
-  unique.reserve(candidates_.size());
-  for (CandidateQuery& candidate : candidates_) {
-    const std::string key = candidate.query.CanonicalKey();
-    auto it = index_of_key.find(key);
-    if (it == index_of_key.end()) {
-      index_of_key.emplace(key, unique.size());
-      unique.push_back(std::move(candidate));
-    } else {
-      unique[it->second].probability += candidate.probability;
-    }
-  }
-  candidates_ = std::move(unique);
 }
 
 }  // namespace muve::core

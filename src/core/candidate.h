@@ -55,10 +55,6 @@ class CandidateSet {
     return total;
   }
 
-  /// Removes duplicate queries (same canonical key), keeping the highest
-  /// probability occurrence and summing duplicates' mass into it.
-  void Deduplicate();
-
  private:
   std::vector<CandidateQuery> candidates_;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "common/clock.h"
@@ -47,7 +48,7 @@ double CostOf(const UserCostModel& model, const MultiplotStats& stats) {
 /// upgraded from visualized to highlighted moves its mass).
 MultiplotStats StatsAfterAdd(const State& state,
                              const ColoredCandidate& plot,
-                             const TemplateGroup& group,
+                             std::span<const size_t> members,
                              const CandidateSet& candidates) {
   MultiplotStats stats = state.stats;
   stats.num_bars += plot.num_shown;
@@ -55,7 +56,7 @@ MultiplotStats StatsAfterAdd(const State& state,
   stats.num_red_bars += plot.num_red;
   if (plot.num_red > 0) stats.num_plots_with_red += 1;
   for (size_t pos = 0; pos < plot.num_shown; ++pos) {
-    const size_t idx = group.member_queries[pos];
+    const size_t idx = members[pos];
     const double prob = candidates[idx].probability;
     const bool red = pos < plot.num_red;
     if (!state.shown[idx]) {
@@ -111,10 +112,11 @@ ScoredPick PickBest(
 }
 
 void ApplyAdd(State* state, const ColoredCandidate& plot,
-              const TemplateGroup& group, const CandidateSet& candidates) {
-  state->stats = StatsAfterAdd(*state, plot, group, candidates);
+              std::span<const size_t> members,
+              const CandidateSet& candidates) {
+  state->stats = StatsAfterAdd(*state, plot, members, candidates);
   for (size_t pos = 0; pos < plot.num_shown; ++pos) {
-    const size_t idx = group.member_queries[pos];
+    const size_t idx = members[pos];
     state->shown[idx] = 1;
     if (pos < plot.num_red) state->highlighted[idx] = 1;
   }
@@ -124,7 +126,7 @@ void ApplyAdd(State* state, const ColoredCandidate& plot,
 /// removes redundant bars (the same candidate shown twice) and refills
 /// the freed slots with the most likely compatible unshown candidates.
 Multiplot BuildAndPolish(const std::vector<SelectedPlot>& selected,
-                         const std::vector<TemplateGroup>& groups,
+                         const TemplateGroups& groups,
                          const CandidateSet& candidates, size_t num_rows,
                          bool polish) {
   Multiplot multiplot;
@@ -133,13 +135,13 @@ Multiplot BuildAndPolish(const std::vector<SelectedPlot>& selected,
   std::vector<std::vector<size_t>> plot_groups(num_rows);
 
   for (const SelectedPlot& sel : selected) {
-    const TemplateGroup& group = groups[sel.plot.group];
+    const size_t g = sel.plot.group;
     Plot plot;
-    plot.query_template = group.query_template;
+    plot.query_template = groups.Template(g);
     for (size_t pos = 0; pos < sel.plot.num_shown; ++pos) {
       PlotBar bar;
-      bar.candidate_index = group.member_queries[pos];
-      bar.label = group.member_labels[pos];
+      bar.candidate_index = groups.members(g)[pos];
+      bar.label = groups.label(g, pos);
       bar.highlighted = pos < sel.plot.num_red;
       plot.bars.push_back(std::move(bar));
     }
@@ -196,7 +198,8 @@ Multiplot BuildAndPolish(const std::vector<SelectedPlot>& selected,
   for (size_t r = 0; r < multiplot.rows.size(); ++r) {
     for (size_t p = 0; p < multiplot.rows[r].size(); ++p) {
       Plot& plot = multiplot.rows[r][p];
-      const TemplateGroup& group = groups[plot_groups[r][p]];
+      const size_t g = plot_groups[r][p];
+      const std::span<const size_t> members = groups.members(g);
       std::vector<PlotBar> kept;
       size_t freed = 0;
       for (size_t b = 0; b < plot.bars.size(); ++b) {
@@ -207,13 +210,12 @@ Multiplot BuildAndPolish(const std::vector<SelectedPlot>& selected,
         }
       }
       // Refill: members are sorted by descending probability.
-      for (size_t pos = 0; pos < group.member_queries.size() && freed > 0;
-           ++pos) {
-        const size_t idx = group.member_queries[pos];
+      for (size_t pos = 0; pos < members.size() && freed > 0; ++pos) {
+        const size_t idx = members[pos];
         if (shown[idx]) continue;
         PlotBar bar;
         bar.candidate_index = idx;
-        bar.label = group.member_labels[pos];
+        bar.label = groups.label(g, pos);
         bar.highlighted = false;
         kept.push_back(std::move(bar));
         shown[idx] = 1;
@@ -253,16 +255,16 @@ Result<PlanResult> GreedyPlanner::Plan(const CandidateSet& candidates,
   }
 
   // Algorithm 2: plot candidates as probability prefixes per template.
-  const std::vector<TemplateGroup> groups = GroupByTemplate(candidates);
+  const TemplateGroups groups = GroupByTemplate(candidates);
 
   // Algorithm 3: expand with prefix highlighting choices.
   std::vector<ColoredCandidate> colored;
   for (size_t g = 0; g < groups.size(); ++g) {
-    const int base = geometry.PlotBaseUnits(groups[g].query_template);
+    const int base = geometry.PlotBaseUnits(groups.title_size(g));
     const int max_bars = screen_width - base;
     if (max_bars < 1) continue;
-    const size_t limit = std::min<size_t>(
-        groups[g].member_queries.size(), static_cast<size_t>(max_bars));
+    const size_t limit = std::min<size_t>(groups.members(g).size(),
+                                          static_cast<size_t>(max_bars));
     // Enumerate larger and more-highlighted versions first: the greedy
     // selection keeps the FIRST candidate on score ties, and a tie
     // between a colored and an uncolored version must resolve toward
@@ -329,7 +331,8 @@ Result<PlanResult> GreedyPlanner::Plan(const CandidateSet& candidates,
           }
           if (!fits) continue;
           const MultiplotStats stats =
-              StatsAfterAdd(state, plot, groups[plot.group], candidates);
+              StatsAfterAdd(state, plot, groups.members(plot.group),
+                            candidates);
           const double next_cost = CostOf(model, stats);
           const double gain = cost - next_cost;
           if (gain <= 1e-12) continue;
@@ -366,7 +369,7 @@ Result<PlanResult> GreedyPlanner::Plan(const CandidateSet& candidates,
       }
       remaining[best_row] -= plot.width;
       group_used[plot.group] = 1;
-      ApplyAdd(&state, plot, groups[plot.group], candidates);
+      ApplyAdd(&state, plot, groups.members(plot.group), candidates);
       out->push_back({plot, best_row});
       cost = best_cost;
     }
@@ -419,8 +422,9 @@ Result<PlanResult> GreedyPlanner::Plan(const CandidateSet& candidates,
       pick.score = -empty_cost;
       for (size_t c = begin; c < end; ++c) {
         if (colored[c].width > screen_width) continue;
-        const MultiplotStats stats = StatsAfterAdd(
-            fresh, colored[c], groups[colored[c].group], candidates);
+        const MultiplotStats stats =
+            StatsAfterAdd(fresh, colored[c],
+                          groups.members(colored[c].group), candidates);
         const double cost = CostOf(model, stats);
         if (-cost > pick.score) {
           pick.score = -cost;

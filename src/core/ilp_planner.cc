@@ -17,16 +17,16 @@ Multiplot ExtractMultiplot(const IlpFormulation& formulation,
   multiplot.rows.resize(num_rows);
   const auto is_one = [&](int var) { return x[var] > 0.5; };
   for (size_t g = 0; g < formulation.groups.size(); ++g) {
-    const TemplateGroup& group = formulation.groups[g];
+    const TemplateGroups& groups = formulation.groups;
     for (size_t k = 0; k < num_rows; ++k) {
       if (!is_one(formulation.plot_var[g][k])) continue;
       Plot plot;
-      plot.query_template = group.query_template;
-      for (size_t m = 0; m < group.member_queries.size(); ++m) {
+      plot.query_template = groups.Template(g);
+      for (size_t m = 0; m < groups.members(g).size(); ++m) {
         if (!is_one(formulation.bar_var[g][k][m])) continue;
         PlotBar bar;
-        bar.candidate_index = group.member_queries[m];
-        bar.label = group.member_labels[m];
+        bar.candidate_index = groups.members(g)[m];
+        bar.label = groups.label(g, m);
         bar.highlighted = is_one(formulation.red_var[g][k][m]);
         plot.bars.push_back(std::move(bar));
       }
@@ -61,7 +61,7 @@ Result<IlpFormulation> BuildFormulation(const CandidateSet& candidates,
   std::vector<int> base_width(num_groups, 0);
   int min_plot_width = INT32_MAX;
   for (size_t g = 0; g < num_groups; ++g) {
-    base_width[g] = geometry.PlotBaseUnits(f.groups[g].query_template);
+    base_width[g] = geometry.PlotBaseUnits(f.groups.title_size(g));
     if (base_width[g] + 1 <= screen_width) {
       min_plot_width = std::min(min_plot_width, base_width[g] + 1);
     }
@@ -85,7 +85,7 @@ Result<IlpFormulation> BuildFormulation(const CandidateSet& candidates,
   f.red_plot_var.assign(num_groups, std::vector<int>(num_rows, -1));
   std::vector<std::vector<int>>& red_plot_var = f.red_plot_var;
   for (size_t g = 0; g < num_groups; ++g) {
-    const size_t members = f.groups[g].member_queries.size();
+    const size_t members = f.groups.members(g).size();
     f.bar_var[g].assign(num_rows, std::vector<int>(members, -1));
     f.red_var[g].assign(num_rows, std::vector<int>(members, -1));
     for (size_t k = 0; k < num_rows; ++k) {
@@ -128,7 +128,7 @@ Result<IlpFormulation> BuildFormulation(const CandidateSet& candidates,
 
   // --- Constraints (paper §5.2) ---
   for (size_t g = 0; g < num_groups; ++g) {
-    const size_t members = f.groups[g].member_queries.size();
+    const size_t members = f.groups.members(g).size();
     // Plots that cannot fit even one bar are never displayed.
     const bool can_fit = base_width[g] + 1 <= screen_width;
     // A template appears at most once across rows.
@@ -176,7 +176,7 @@ Result<IlpFormulation> BuildFormulation(const CandidateSet& candidates,
     ilp::LinearExpr width;
     for (size_t g = 0; g < num_groups; ++g) {
       width.Add(f.plot_var[g][k], static_cast<double>(base_width[g]));
-      for (size_t m = 0; m < f.groups[g].member_queries.size(); ++m) {
+      for (size_t m = 0; m < f.groups.members(g).size(); ++m) {
         width.Add(f.bar_var[g][k][m], 1.0);
       }
     }
@@ -192,8 +192,8 @@ Result<IlpFormulation> BuildFormulation(const CandidateSet& candidates,
     ilp::LinearExpr red_def;
     red_def.Add(red_var[i], 1.0);
     for (size_t g = 0; g < num_groups; ++g) {
-      for (size_t m = 0; m < f.groups[g].member_queries.size(); ++m) {
-        if (f.groups[g].member_queries[m] != i) continue;
+      for (size_t m = 0; m < f.groups.members(g).size(); ++m) {
+        if (f.groups.members(g)[m] != i) continue;
         for (size_t k = 0; k < num_rows; ++k) {
           shown_def.Add(f.bar_var[g][k][m], -1.0);
           red_def.Add(f.red_var[g][k][m], -1.0);
@@ -224,7 +224,7 @@ Result<IlpFormulation> BuildFormulation(const CandidateSet& candidates,
       for (size_t k = 0; k < num_rows; ++k) {
         plots_def.Add(f.plot_var[g][k], -1.0);
         red_plots_def.Add(red_plot_var[g][k], -1.0);
-        for (size_t m = 0; m < f.groups[g].member_queries.size(); ++m) {
+        for (size_t m = 0; m < f.groups.members(g).size(); ++m) {
           bars_def.Add(f.bar_var[g][k][m], -1.0);
           red_bars_def.Add(f.red_var[g][k][m], -1.0);
         }
@@ -332,7 +332,7 @@ std::vector<double> EncodeWarmStart(const IlpFormulation& formulation,
   // Map template key -> group index.
   auto find_group = [&](const std::string& key) -> int {
     for (size_t g = 0; g < num_groups; ++g) {
-      if (formulation.groups[g].query_template.key == key) {
+      if (formulation.groups.key(g) == key) {
         return static_cast<int>(g);
       }
     }
@@ -347,7 +347,7 @@ std::vector<double> EncodeWarmStart(const IlpFormulation& formulation,
       bool any_red = false;
       for (const PlotBar& bar : plot.bars) {
         // Member index of this candidate within the group.
-        const auto& members = formulation.groups[g].member_queries;
+        const auto members = formulation.groups.members(g);
         int m = -1;
         for (size_t i = 0; i < members.size(); ++i) {
           if (members[i] == bar.candidate_index) {

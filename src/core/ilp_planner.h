@@ -17,7 +17,8 @@ namespace muve::core {
 /// from decision variables back to plots/queries for solution extraction.
 struct IlpFormulation {
   ilp::Model model;
-  std::vector<TemplateGroup> groups;
+  /// Views into the candidate set the formulation was built from.
+  TemplateGroups groups;
   /// plot_var[g][k]: p variable of group g in row k.
   std::vector<std::vector<int>> plot_var;
   /// bar_var[g][k][m] / red_var[g][k][m]: q and h variables of member m of

@@ -51,12 +51,17 @@ struct ScreenGeometry {
     return static_cast<int>(width_px / bar_width_px);
   }
 
+  /// Minimal width (units) of a plot whose title has `title_size`
+  /// characters, without bars.
+  int PlotBaseUnits(size_t title_size) const {
+    const double px =
+        plot_padding_px + char_width_px * static_cast<double>(title_size);
+    return static_cast<int>(std::ceil(px / bar_width_px));
+  }
+
   /// Minimal width (units) of a plot showing this template, without bars.
   int PlotBaseUnits(const QueryTemplate& query_template) const {
-    const double px = plot_padding_px +
-                      char_width_px *
-                          static_cast<double>(query_template.title.size());
-    return static_cast<int>(std::ceil(px / bar_width_px));
+    return PlotBaseUnits(query_template.title.size());
   }
 
   /// Width (units) of a plot with `num_bars` bars.

@@ -1,7 +1,7 @@
 #include "core/query_template.h"
 
 #include <algorithm>
-#include <map>
+#include <unordered_map>
 
 #include "common/strings.h"
 
@@ -9,163 +9,250 @@ namespace muve::core {
 
 namespace {
 
-/// Canonical text of one predicate, with an optional placeholder for its
-/// value or column.
-std::string PredicateText(const db::Predicate& predicate, bool mask_value,
-                          bool mask_column) {
-  const std::string column = mask_column ? "?" : ToLower(predicate.column);
-  std::string value = "?";
-  if (!mask_value) {
-    value = predicate.values.empty() ? ""
-                                     : predicate.values.front().ToString();
-  }
-  return column + " = " + value;
-}
-
-/// Builds key and title for a template derived from `query` where
-/// predicate texts are produced by `predicate_text(i)` and the aggregate
-/// part by `aggregate_text`. Keys sort predicates for order independence;
-/// titles keep the original order for readability.
-QueryTemplate MakeTemplate(const db::AggregateQuery& query,
-                           const std::string& aggregate_text,
-                           const std::vector<std::string>& predicate_texts,
-                           SlotKind slot) {
-  QueryTemplate out;
-  out.slot = slot;
-  std::vector<std::string> sorted = predicate_texts;
-  std::sort(sorted.begin(), sorted.end());
-  out.key = ToLower(query.table) + "|" + aggregate_text + "|" +
-            Join(sorted, " & ");
-  out.title = aggregate_text;
-  if (!predicate_texts.empty()) {
-    out.title += " WHERE " + Join(predicate_texts, " AND ");
-  }
-  return out;
-}
+constexpr uint32_t kFunctionSlot = 0;
+constexpr uint32_t kColumnSlot = 1;
 
 }  // namespace
 
-std::vector<TemplateInstantiation> DeriveTemplates(
-    const db::AggregateQuery& query) {
-  std::vector<TemplateInstantiation> out;
-
-  // Plain predicate texts, reused by every slot choice.
-  std::vector<std::string> plain_predicates;
-  plain_predicates.reserve(query.predicates.size());
-  for (const db::Predicate& predicate : query.predicates) {
-    plain_predicates.push_back(PredicateText(predicate, false, false));
-  }
-  const std::string aggregate_target =
-      query.aggregate_column.empty() ? "*" : ToLower(query.aggregate_column);
-
-  // Slot: aggregate function, "?(col) WHERE ...".
-  {
-    TemplateInstantiation inst;
-    inst.query_template =
-        MakeTemplate(query, "?(" + aggregate_target + ")", plain_predicates,
-                     SlotKind::kAggregateFunction);
-    inst.slot_label = db::AggregateFunctionName(query.function);
-    out.push_back(std::move(inst));
-  }
-
-  // Slot: aggregate column, "SUM(?) WHERE ..." (only when aggregating a
-  // real column; COUNT(*) has no column to vary).
-  if (!query.aggregate_column.empty()) {
-    TemplateInstantiation inst;
-    inst.query_template = MakeTemplate(
-        query,
-        std::string(db::AggregateFunctionName(query.function)) + "(?)",
-        plain_predicates, SlotKind::kAggregateColumn);
-    inst.slot_label = ToLower(query.aggregate_column);
-    out.push_back(std::move(inst));
-  }
-
-  const std::string full_aggregate =
-      std::string(db::AggregateFunctionName(query.function)) + "(" +
-      aggregate_target + ")";
-
-  // Slots: each predicate's value and column.
-  for (size_t i = 0; i < query.predicates.size(); ++i) {
-    std::vector<std::string> texts = plain_predicates;
-
-    texts[i] = PredicateText(query.predicates[i], /*mask_value=*/true,
-                             /*mask_column=*/false);
-    TemplateInstantiation value_inst;
-    value_inst.query_template = MakeTemplate(
-        query, full_aggregate, texts, SlotKind::kPredicateValue);
-    value_inst.slot_label =
-        query.predicates[i].values.empty()
-            ? ""
-            : query.predicates[i].values.front().ToString();
-    out.push_back(std::move(value_inst));
-
-    texts[i] = PredicateText(query.predicates[i], /*mask_value=*/false,
-                             /*mask_column=*/true);
-    TemplateInstantiation column_inst;
-    column_inst.query_template = MakeTemplate(
-        query, full_aggregate, texts, SlotKind::kPredicateColumn);
-    column_inst.slot_label = ToLower(query.predicates[i].column);
-    out.push_back(std::move(column_inst));
-  }
-  return out;
+TemplateGroups GroupByTemplate(const CandidateSet& candidates) {
+  return TemplateGroups(candidates);
 }
 
-std::vector<TemplateGroup> GroupByTemplate(const CandidateSet& candidates) {
-  // Map template key -> group. std::map keeps deterministic ordering
-  // before the final sort.
-  std::map<std::string, TemplateGroup> groups;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    for (TemplateInstantiation& inst :
-         DeriveTemplates(candidates[i].query)) {
-      TemplateGroup& group = groups[inst.query_template.key];
-      if (group.member_queries.empty()) {
-        group.query_template = inst.query_template;
+TemplateGroups::TemplateGroups(const CandidateSet& candidates) {
+  // Each candidate's texts, and its aggregate and predicate phrases with
+  // and without the placeholder: keys, labels and titles are assembled
+  // from these.
+  const auto add = [&](std::initializer_list<std::string_view> parts) {
+    Text out{static_cast<uint32_t>(texts_.size()), 0};
+    for (std::string_view part : parts) texts_.append(part);
+    out.size = static_cast<uint32_t>(texts_.size()) - out.begin;
+    return out;
+  };
+  tokens_.reserve(candidates.size());
+  for (const CandidateQuery& candidate : candidates.candidates()) {
+    const db::AggregateQuery& query = candidate.query;
+    Tokens tokens;
+    tokens.table = add({ToLower(query.table)});
+    tokens.has_column = !query.aggregate_column.empty();
+    const std::string target =
+        tokens.has_column ? ToLower(query.aggregate_column) : "*";
+    const std::string_view function =
+        db::AggregateFunctionName(query.function);
+    tokens.function = add({function});
+    tokens.target = add({target});
+    tokens.aggregate[kFunctionSlot] = add({"?(", target, ")"});
+    tokens.aggregate[kColumnSlot] = add({function, "(?)"});
+    tokens.aggregate[2] = add({function, "(", target, ")"});
+    tokens.predicate_begin = static_cast<uint32_t>(predicates_.size());
+    for (const db::Predicate& predicate : query.predicates) {
+      const std::string column = ToLower(predicate.column);
+      std::string number;
+      std::string_view value;
+      if (!predicate.values.empty()) {
+        if (predicate.values.front().is_string()) {
+          value = predicate.values.front().AsString();
+        } else {
+          number = predicate.values.front().ToString();
+          value = number;
+        }
       }
-      // The same query may instantiate a template only once.
-      if (std::find(group.member_queries.begin(),
-                    group.member_queries.end(),
-                    i) != group.member_queries.end()) {
-        continue;
-      }
-      group.member_queries.push_back(i);
-      group.member_labels.push_back(std::move(inst.slot_label));
+      PredicateTexts texts;
+      texts.column = add({column});
+      texts.value = add({value});
+      texts.phrase[0] = add({column, " = ", value});
+      texts.phrase[1] = add({column, " = ?"});
+      texts.phrase[2] = add({"? = ", value});
+      predicates_.push_back(texts);
     }
+    tokens.predicate_end = static_cast<uint32_t>(predicates_.size());
+    tokens_.push_back(tokens);
   }
 
-  std::vector<TemplateGroup> out;
-  out.reserve(groups.size());
-  for (auto& [key, group] : groups) {
-    // Sort members by descending probability (Algorithm 2 prefers the
-    // most likely queries when building prefix plots).
-    std::vector<size_t> order(group.member_queries.size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](size_t a, size_t b) {
-                       return candidates[group.member_queries[a]].probability >
-                              candidates[group.member_queries[b]].probability;
-                     });
-    TemplateGroup sorted_group;
-    sorted_group.query_template = group.query_template;
-    sorted_group.member_queries.reserve(order.size());
-    sorted_group.member_labels.reserve(order.size());
-    for (size_t idx : order) {
-      sorted_group.member_queries.push_back(group.member_queries[idx]);
-      sorted_group.member_labels.push_back(group.member_labels[idx]);
+  // Every instantiation and its key, "table|aggregate|c = v & c = v",
+  // with the predicate texts sorted as strings for order independence.
+  std::vector<Instance> instances;
+  std::vector<uint32_t> key_begin;
+  std::vector<std::string_view> predicate_texts;
+  for (uint32_t i = 0; i < tokens_.size(); ++i) {
+    const Tokens& tokens = tokens_[i];
+    const uint32_t num_predicates =
+        tokens.predicate_end - tokens.predicate_begin;
+    for (uint32_t position = 0; position < 2 + 2 * num_predicates;
+         ++position) {
+      if (position == kColumnSlot && !tokens.has_column) continue;
+      const Instance instance{i, position};
+      instances.push_back(instance);
+      key_begin.push_back(static_cast<uint32_t>(keys_.size()));
+      keys_.append(text(tokens.table));
+      keys_.push_back('|');
+      keys_.append(AggregateText(instance));
+      keys_.push_back('|');
+      predicate_texts.clear();
+      for (uint32_t p = 0; p < num_predicates; ++p) {
+        predicate_texts.push_back(PredicateText(instance, p));
+      }
+      std::sort(predicate_texts.begin(), predicate_texts.end());
+      for (size_t p = 0; p < predicate_texts.size(); ++p) {
+        if (p > 0) keys_.append(" & ");
+        keys_.append(predicate_texts[p]);
+      }
     }
-    out.push_back(std::move(sorted_group));
   }
-  std::stable_sort(out.begin(), out.end(),
-                   [&](const TemplateGroup& a, const TemplateGroup& b) {
-                     double pa = 0.0;
-                     double pb = 0.0;
-                     for (size_t i : a.member_queries) {
-                       pa += candidates[i].probability;
-                     }
-                     for (size_t i : b.member_queries) {
-                       pb += candidates[i].probability;
-                     }
-                     return pa > pb;
-                   });
+  key_begin.push_back(static_cast<uint32_t>(keys_.size()));
+  const size_t num_instances = instances.size();
+  const auto key_of_instance = [&](size_t k) {
+    return std::string_view(keys_).substr(key_begin[k],
+                                          key_begin[k + 1] - key_begin[k]);
+  };
+
+  // Group on key bytes, numbering groups in order of creation. The key
+  // buffer is complete, so the views the map holds stay valid.
+  std::unordered_map<std::string_view, uint32_t> group_of;
+  group_of.reserve(num_instances);
+  std::vector<uint32_t> instance_group(num_instances);
+  std::vector<uint32_t> first_instance;
+  std::vector<uint32_t> count;
+  for (size_t k = 0; k < num_instances; ++k) {
+    const auto [it, inserted] = group_of.try_emplace(
+        key_of_instance(k), static_cast<uint32_t>(first_instance.size()));
+    if (inserted) {
+      first_instance.push_back(static_cast<uint32_t>(k));
+      count.push_back(0);
+    }
+    instance_group[k] = it->second;
+    ++count[it->second];
+  }
+  const size_t num_groups = first_instance.size();
+
+  // Members as instance indices, in instantiation order. A candidate
+  // joins a group once, with its first instantiation of it (a query with
+  // a repeated predicate instantiates some templates twice); its
+  // instantiations are consecutive, so only the last member can repeat it.
+  std::vector<uint32_t> member_begin(num_groups, 0);
+  for (size_t g = 1; g < num_groups; ++g) {
+    member_begin[g] = member_begin[g - 1] + count[g - 1];
+  }
+  std::vector<uint32_t> member_end = member_begin;
+  std::vector<uint32_t> member_instances(num_instances);
+  for (uint32_t k = 0; k < num_instances; ++k) {
+    const uint32_t g = instance_group[k];
+    uint32_t& end = member_end[g];
+    if (end > member_begin[g] &&
+        instances[member_instances[end - 1]].candidate ==
+            instances[k].candidate) {
+      continue;
+    }
+    member_instances[end++] = k;
+  }
+
+  // Members by descending probability (a stable insertion sort: groups
+  // are small), then each group's mass, summed in that order.
+  const auto probability = [&](uint32_t instance) {
+    return candidates[instances[instance].candidate].probability;
+  };
+  std::vector<double> mass(num_groups, 0.0);
+  std::vector<uint32_t> order(num_groups);
+  for (uint32_t g = 0; g < num_groups; ++g) {
+    uint32_t* const first = member_instances.data() + member_begin[g];
+    uint32_t* const last = member_instances.data() + member_end[g];
+    for (uint32_t* it = first + 1; it < last; ++it) {
+      const uint32_t moving = *it;
+      uint32_t* hole = it;
+      for (; hole > first && probability(hole[-1]) < probability(moving);
+           --hole) {
+        *hole = hole[-1];
+      }
+      *hole = moving;
+    }
+    for (const uint32_t* it = first; it != last; ++it) {
+      mass[g] += probability(*it);
+    }
+    order[g] = g;
+  }
+  // Keys are unique, so this order is total.
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    if (mass[a] != mass[b]) return mass[a] > mass[b];
+    return key_of_instance(first_instance[a]) <
+           key_of_instance(first_instance[b]);
+  });
+
+  groups_.reserve(num_groups);
+  members_.reserve(num_instances);
+  labels_.reserve(num_instances);
+  for (uint32_t g : order) {
+    const uint32_t k = first_instance[g];
+    Group group;
+    group.member_begin = static_cast<uint32_t>(members_.size());
+    group.member_count = member_end[g] - member_begin[g];
+    group.key_begin = key_begin[k];
+    group.key_size = key_begin[k + 1] - key_begin[k];
+    group.first = instances[k];
+    for (uint32_t m = member_begin[g]; m < member_end[g]; ++m) {
+      const Instance& member = instances[member_instances[m]];
+      members_.push_back(member.candidate);
+      labels_.push_back(Label(member));
+    }
+    groups_.push_back(group);
+  }
+}
+
+TemplateGroups::Text TemplateGroups::Label(const Instance& instance) const {
+  const Tokens& tokens = tokens_[instance.candidate];
+  if (instance.position == kFunctionSlot) return tokens.function;
+  if (instance.position == kColumnSlot) return tokens.target;
+  const PredicateTexts& predicate =
+      predicates_[tokens.predicate_begin + (instance.position - 2) / 2];
+  return instance.position % 2 == 0 ? predicate.value : predicate.column;
+}
+
+std::string_view TemplateGroups::AggregateText(
+    const Instance& instance) const {
+  return text(
+      tokens_[instance.candidate].aggregate[std::min(instance.position, 2u)]);
+}
+
+std::string_view TemplateGroups::PredicateText(const Instance& instance,
+                                               uint32_t p) const {
+  const PredicateTexts& predicate =
+      predicates_[tokens_[instance.candidate].predicate_begin + p];
+  if (instance.position == 2 + 2 * p) return text(predicate.phrase[1]);
+  if (instance.position == 3 + 2 * p) return text(predicate.phrase[2]);
+  return text(predicate.phrase[0]);
+}
+
+SlotKind TemplateGroups::slot(size_t g) const {
+  const uint32_t position = groups_[g].first.position;
+  if (position == kFunctionSlot) return SlotKind::kAggregateFunction;
+  if (position == kColumnSlot) return SlotKind::kAggregateColumn;
+  return position % 2 == 0 ? SlotKind::kPredicateValue
+                           : SlotKind::kPredicateColumn;
+}
+
+size_t TemplateGroups::title_size(size_t g) const {
+  const Instance& first = groups_[g].first;
+  const Tokens& tokens = tokens_[first.candidate];
+  size_t size = AggregateText(first).size();
+  for (uint32_t p = 0; p < tokens.predicate_end - tokens.predicate_begin;
+       ++p) {
+    size += (p == 0 ? 7 : 5) + PredicateText(first, p).size();
+  }
+  return size;
+}
+
+QueryTemplate TemplateGroups::Template(size_t g) const {
+  const Instance& first = groups_[g].first;
+  const Tokens& tokens = tokens_[first.candidate];
+  QueryTemplate out;
+  out.key = std::string(key(g));
+  out.slot = slot(g);
+  // Predicates keep the query's order in the title, for readability.
+  out.title.reserve(title_size(g));
+  out.title.append(AggregateText(first));
+  for (uint32_t p = 0; p < tokens.predicate_end - tokens.predicate_begin;
+       ++p) {
+    out.title.append(p == 0 ? " WHERE " : " AND ");
+    out.title.append(PredicateText(first, p));
+  }
   return out;
 }
 

@@ -1,7 +1,10 @@
 #ifndef MUVE_CORE_QUERY_TEMPLATE_H_
 #define MUVE_CORE_QUERY_TEMPLATE_H_
 
+#include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/candidate.h"
@@ -36,32 +39,120 @@ struct QueryTemplate {
   }
 };
 
-/// One template instantiation: the template plus the concrete label a
-/// particular query substitutes for the placeholder.
-struct TemplateInstantiation {
-  QueryTemplate query_template;
-  std::string slot_label;  ///< x-axis label for this query's bar.
+class TemplateGroups;
+
+/// Groups candidates by template: the first loop of Algorithm 2, applying
+/// the function T(q) to every candidate. Each query instantiates one
+/// template per aggregate-function slot, one per aggregate-column slot
+/// (when it aggregates a column), and two per predicate (its value slot
+/// and its column slot).
+TemplateGroups GroupByTemplate(const CandidateSet& candidates);
+
+/// The template groups of one candidate set. Group g holds the candidates
+/// (indices into the CandidateSet) that instantiate one template, by
+/// descending probability, each with the x label it substitutes for the
+/// placeholder. Groups are ordered by descending total member probability,
+/// ties by template key.
+///
+/// Every instantiation's key is written once into one buffer and
+/// instantiations group on those bytes. The texts keys, labels and
+/// titles are made of (lowered names, value texts, aggregate and
+/// predicate phrases) are built once per candidate into another buffer;
+/// titles are assembled only on request, for shown plots.
+class TemplateGroups {
+ public:
+  TemplateGroups() = default;  ///< No groups.
+  TemplateGroups(TemplateGroups&&) = default;
+  TemplateGroups& operator=(TemplateGroups&&) = default;
+  TemplateGroups(const TemplateGroups&) = delete;
+  TemplateGroups& operator=(const TemplateGroups&) = delete;
+
+  size_t size() const { return groups_.size(); }
+  bool empty() const { return groups_.empty(); }
+
+  /// Candidate indices of group g's members, most probable first.
+  std::span<const size_t> members(size_t g) const {
+    return {members_.data() + groups_[g].member_begin,
+            groups_[g].member_count};
+  }
+  /// The x label member m of group g substitutes for the placeholder.
+  std::string_view label(size_t g, size_t m) const {
+    return text(labels_[groups_[g].member_begin + m]);
+  }
+  /// Canonical identity: equal keys <=> same template.
+  std::string_view key(size_t g) const {
+    return std::string_view(keys_).substr(groups_[g].key_begin,
+                                          groups_[g].key_size);
+  }
+  SlotKind slot(size_t g) const;
+  /// Length of the title Template(g) would build.
+  size_t title_size(size_t g) const;
+  /// Group g's template with its title, for a plot being shown.
+  QueryTemplate Template(size_t g) const;
+
+ private:
+  friend TemplateGroups GroupByTemplate(const CandidateSet& candidates);
+  explicit TemplateGroups(const CandidateSet& candidates);
+
+  /// A text in texts_.
+  struct Text {
+    uint32_t begin = 0;
+    uint32_t size = 0;
+  };
+  /// The texts of one candidate query.
+  struct Tokens {
+    Text table;     ///< Lowered.
+    Text function;  ///< "COUNT", "AVG", ...
+    Text target;    ///< Lowered aggregate column, or "*".
+    bool has_column = false;
+    /// "?(x)", "FN(?)" and "FN(x)": the aggregate text of its function
+    /// slot (position 0), its column slot (1) and its predicate slots.
+    Text aggregate[3];
+    /// Range of its predicates in predicates_.
+    uint32_t predicate_begin = 0;
+    uint32_t predicate_end = 0;
+  };
+  /// The texts of one predicate "c = v".
+  struct PredicateTexts {
+    Text column;  ///< Lowered.
+    Text value;   ///< First value's text; empty without values.
+    /// "c = v", "c = ?" (its value slot) and "? = v" (its column slot).
+    Text phrase[3];
+  };
+  /// One template of one candidate: its slot position is 0 for the
+  /// aggregate function, 1 for the aggregate column, 2 + 2p for predicate
+  /// p's value and 3 + 2p for its column.
+  struct Instance {
+    uint32_t candidate = 0;
+    uint32_t position = 0;
+  };
+  struct Group {
+    uint32_t member_begin = 0;
+    uint32_t member_count = 0;
+    uint32_t key_begin = 0;
+    uint32_t key_size = 0;
+    Instance first;  ///< The instantiation that created the group.
+  };
+
+  std::string_view text(Text t) const {
+    return std::string_view(texts_).substr(t.begin, t.size);
+  }
+  /// The x label of an instantiation.
+  Text Label(const Instance& instance) const;
+  /// The aggregate text of an instantiation.
+  std::string_view AggregateText(const Instance& instance) const;
+  /// Predicate p of an instantiation as text, "c = v", with the
+  /// placeholder substituted.
+  std::string_view PredicateText(const Instance& instance, uint32_t p) const;
+
+  std::string texts_;
+  std::vector<Tokens> tokens_;  ///< Per candidate.
+  std::vector<PredicateTexts> predicates_;
+  std::vector<Group> groups_;
+  std::vector<size_t> members_;
+  std::vector<Text> labels_;  ///< Parallel to members_.
+  std::string keys_;  ///< Every instantiation's key, back to back.
 };
-
-/// Derives all templates instantiated by `query`: one per aggregate
-/// function slot, aggregate column slot (when the query aggregates a
-/// column), and per predicate (value slot and column slot). This is the
-/// function T(q) of Algorithm 2.
-std::vector<TemplateInstantiation> DeriveTemplates(
-    const db::AggregateQuery& query);
-
-/// A group of candidate queries (indices into a CandidateSet) that
-/// instantiate a common template, with per-query x labels.
-struct TemplateGroup {
-  QueryTemplate query_template;
-  std::vector<size_t> member_queries;       ///< Candidate indices.
-  std::vector<std::string> member_labels;   ///< Parallel to member_queries.
-};
-
-/// Groups candidates by template (the first loop of Algorithm 2). Members
-/// within each group are sorted by descending candidate probability.
-/// Groups are sorted by descending total member probability.
-std::vector<TemplateGroup> GroupByTemplate(const CandidateSet& candidates);
 
 }  // namespace muve::core
 

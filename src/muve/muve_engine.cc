@@ -101,16 +101,15 @@ core::Multiplot MuveEngine::BaseOnlyMultiplot(
   // same template/title/label the full planner would have shown for the
   // base query. Groups are ordered by descending member mass, so the
   // first group containing candidate #0 is its most representative home.
-  const std::vector<core::TemplateGroup> groups =
-      core::GroupByTemplate(candidates);
-  for (const core::TemplateGroup& group : groups) {
-    for (size_t m = 0; m < group.member_queries.size(); ++m) {
-      if (group.member_queries[m] != 0) continue;
+  const core::TemplateGroups groups = core::GroupByTemplate(candidates);
+  for (size_t g = 0; g < groups.size(); ++g) {
+    for (size_t m = 0; m < groups.members(g).size(); ++m) {
+      if (groups.members(g)[m] != 0) continue;
       core::Plot plot;
-      plot.query_template = group.query_template;
+      plot.query_template = groups.Template(g);
       core::PlotBar bar;
       bar.candidate_index = 0;
-      bar.label = group.member_labels[m];
+      bar.label = groups.label(g, m);
       bar.highlighted = true;
       plot.bars.push_back(std::move(bar));
       multiplot.rows.resize(1);

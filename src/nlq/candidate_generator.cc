@@ -1,13 +1,14 @@
 #include "nlq/candidate_generator.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/strings.h"
-#include "phonetics/similarity.h"
+#include "nlq/replacements.h"
 
 namespace muve::nlq {
 
@@ -21,77 +22,201 @@ std::string ExactDouble(double value) {
   return buffer;
 }
 
-/// One single-element replacement applicable to the base query.
-struct Replacement {
-  enum class Site {
-    kAggregateFunction,
-    kAggregateColumn,
-    kAggregateBoth,    // Function and column at once (COUNT(*) bases).
-    kPredicateValue,   // May move the predicate to another column.
-    kPredicateColumn,  // Same value, different owning column.
-    kDropPredicate,    // Remove a (possibly spurious) predicate.
-  };
-  Site site = Site::kPredicateValue;
-  size_t predicate_index = 0;
-  db::AggregateFunction function = db::AggregateFunction::kCount;
-  std::string column;
-  std::string value;
-  double weight = 0.0;
-  int site_id = 0;  ///< Replacements at the same site are exclusive.
+/// One enumerated candidate before it is materialized: the base query
+/// with up to two replacements applied (-1 = none), and its weight.
+struct Descriptor {
+  int a = -1;
+  int b = -1;
+  double probability = 0.0;
 };
 
-/// Applies a replacement to a copy of the query. Returns false when the
+/// The shape of a candidate query as the base query plus replacements:
+/// its aggregate and its predicates, each a base predicate (whose
+/// operator it keeps) optionally rewired by a replacement.
+struct Edit {
+  db::AggregateFunction function = db::AggregateFunction::kCount;
+  int aggregate_column = -1;  ///< Replacement supplying it; -1 = base.
+  struct Slot {
+    size_t base = 0;
+    int replacement = -1;  ///< Supplies column and value; -1 = base.
+  };
+  std::vector<Slot> predicates;
+};
+
+/// Applies replacement `index` to `edit`. Returns false when the
 /// replacement conflicts with the query (e.g. duplicate predicate column).
-bool Apply(const Replacement& replacement, db::AggregateQuery* query) {
+bool Apply(const db::AggregateQuery& base,
+           const std::vector<Replacement>& replacements, int index,
+           Edit* edit) {
+  const Replacement& replacement = replacements[index];
+  const auto column_of = [&](const Edit::Slot& slot) -> const std::string& {
+    return slot.replacement >= 0 ? replacements[slot.replacement].column
+                                 : base.predicates[slot.base].column;
+  };
   switch (replacement.site) {
     case Replacement::Site::kAggregateFunction:
       // COUNT keeps the aggregate column (COUNT(col) == COUNT(*) in this
       // fragment) so the candidate shares the "?(col)" function-slot
       // template with its siblings.
-      query->function = replacement.function;
+      edit->function = replacement.function;
       return true;
     case Replacement::Site::kAggregateColumn:
-      query->aggregate_column = replacement.column;
+      edit->aggregate_column = index;
       return true;
     case Replacement::Site::kAggregateBoth:
-      query->function = replacement.function;
-      query->aggregate_column = replacement.column;
+      edit->function = replacement.function;
+      edit->aggregate_column = index;
       return true;
     case Replacement::Site::kDropPredicate: {
-      for (size_t i = 0; i < query->predicates.size(); ++i) {
-        if (EqualsIgnoreCase(query->predicates[i].column,
+      for (size_t i = 0; i < edit->predicates.size(); ++i) {
+        if (EqualsIgnoreCase(column_of(edit->predicates[i]),
                              replacement.column)) {
-          query->predicates.erase(query->predicates.begin() +
-                                  static_cast<long>(i));
-          return !query->predicates.empty();
+          edit->predicates.erase(edit->predicates.begin() +
+                                 static_cast<long>(i));
+          return !edit->predicates.empty();
         }
       }
       return false;  // Another replacement already rewired this column.
     }
     case Replacement::Site::kPredicateValue:
     case Replacement::Site::kPredicateColumn: {
-      if (replacement.predicate_index >= query->predicates.size()) {
+      if (replacement.predicate_index >= edit->predicates.size()) {
         return false;
       }
       // The replacement may move the predicate onto another column; a
       // query with two predicates on one column is contradictory (both
       // are equalities), so reject those.
-      for (size_t i = 0; i < query->predicates.size(); ++i) {
+      for (size_t i = 0; i < edit->predicates.size(); ++i) {
         if (i == replacement.predicate_index) continue;
-        if (EqualsIgnoreCase(query->predicates[i].column,
+        if (EqualsIgnoreCase(column_of(edit->predicates[i]),
                              replacement.column)) {
           return false;
         }
       }
-      db::Predicate& predicate =
-          query->predicates[replacement.predicate_index];
-      predicate.column = replacement.column;
-      predicate.values = {db::Value(replacement.value)};
+      edit->predicates[replacement.predicate_index].replacement = index;
       return true;
     }
   }
   return false;
 }
+
+/// Resets `edit` to the base query and applies the descriptor's
+/// replacements in order. Returns false when one of them conflicts.
+bool MakeEdit(const db::AggregateQuery& base,
+              const std::vector<Replacement>& replacements,
+              const Descriptor& descriptor, Edit* edit) {
+  edit->function = base.function;
+  edit->aggregate_column = -1;
+  edit->predicates.resize(base.predicates.size());
+  for (size_t i = 0; i < base.predicates.size(); ++i) {
+    edit->predicates[i] = {i, -1};
+  }
+  return (descriptor.a < 0 ||
+          Apply(base, replacements, descriptor.a, edit)) &&
+         (descriptor.b < 0 || Apply(base, replacements, descriptor.b, edit));
+}
+
+/// Builds the candidate query `edit` describes: the base query with the
+/// edit's aggregate and predicates.
+db::AggregateQuery Materialize(const db::AggregateQuery& base,
+                               const std::vector<Replacement>& replacements,
+                               const Edit& edit) {
+  db::AggregateQuery query = base;
+  query.function = edit.function;
+  if (edit.aggregate_column >= 0) {
+    query.aggregate_column = replacements[edit.aggregate_column].column;
+  }
+  std::vector<db::Predicate> predicates;
+  predicates.reserve(edit.predicates.size());
+  for (const Edit::Slot& slot : edit.predicates) {
+    predicates.push_back(base.predicates[slot.base]);
+    if (slot.replacement >= 0) {
+      const Replacement& replacement = replacements[slot.replacement];
+      predicates.back().column = replacement.column;
+      predicates.back().values = {db::Value(replacement.value)};
+    }
+  }
+  query.predicates = std::move(predicates);
+  return query;
+}
+
+/// Writes candidates' AggregateQuery::CanonicalKey bytes without
+/// building the queries: lowered names and value texts are computed once
+/// per base predicate and replacement, not once per candidate. The
+/// output must match CanonicalKey byte for byte.
+class CanonicalKeyWriter {
+ public:
+  CanonicalKeyWriter(const db::AggregateQuery& base,
+                     const std::vector<Replacement>& replacements)
+      : replacements_(replacements) {
+    prefix_ = ToLower(base.table);
+    prefix_.push_back('|');
+    base_column_ = ToLower(base.aggregate_column);
+    for (const db::Predicate& predicate : base.predicates) {
+      std::vector<std::string> values;
+      for (const db::Value& value : predicate.values) {
+        values.push_back(value.ToString());
+      }
+      std::sort(values.begin(), values.end());
+      const char* op = predicate.op == db::PredicateOp::kEq ? "=" : " in ";
+      base_operators_.push_back(op);
+      base_predicates_.push_back(ToLower(predicate.column) + op +
+                                 Join(values, ","));
+    }
+    for (const Replacement& replacement : replacements) {
+      lower_columns_.push_back(ToLower(replacement.column));
+    }
+  }
+
+  /// Appends the canonical key of `edit` to `out`.
+  void Append(const Edit& edit, std::string* out) {
+    out->append(prefix_);
+    out->append(db::AggregateFunctionName(edit.function));
+    out->push_back('|');
+    // COUNT(col) and COUNT(*) are equivalent in this fragment.
+    if (edit.function != db::AggregateFunction::kCount) {
+      out->append(edit.aggregate_column < 0
+                      ? base_column_
+                      : lower_columns_[edit.aggregate_column]);
+    }
+    out->push_back('|');
+    // Predicate texts sort as strings, for order independence.
+    scratch_.clear();
+    ends_.clear();
+    for (const Edit::Slot& slot : edit.predicates) {
+      if (slot.replacement < 0) {
+        scratch_.append(base_predicates_[slot.base]);
+      } else {
+        scratch_.append(lower_columns_[slot.replacement]);
+        scratch_.append(base_operators_[slot.base]);
+        scratch_.append(replacements_[slot.replacement].value);
+      }
+      ends_.push_back(scratch_.size());
+    }
+    parts_.clear();
+    for (size_t p = 0; p < ends_.size(); ++p) {
+      const size_t begin = p == 0 ? 0 : ends_[p - 1];
+      parts_.push_back(
+          std::string_view(scratch_).substr(begin, ends_[p] - begin));
+    }
+    std::sort(parts_.begin(), parts_.end());
+    for (size_t p = 0; p < parts_.size(); ++p) {
+      if (p > 0) out->push_back('&');
+      out->append(parts_[p]);
+    }
+  }
+
+ private:
+  const std::vector<Replacement>& replacements_;
+  std::string prefix_;        ///< "table|".
+  std::string base_column_;   ///< Lowered base aggregate column.
+  std::vector<std::string> base_predicates_;  ///< Canonical parts.
+  std::vector<const char*> base_operators_;
+  std::vector<std::string> lower_columns_;  ///< Per replacement.
+  std::string scratch_;
+  std::vector<size_t> ends_;
+  std::vector<std::string_view> parts_;
+};
 
 /// Length-prefixed string: immune to delimiter injection.
 void AppendString(const std::string& s, std::string* key) {
@@ -203,186 +328,73 @@ core::CandidateSet CandidateGenerator::Generate(
     return expansion_capped;
   };
 
-  std::vector<Replacement> replacements;
-  int next_site_id = 0;
+  const ReplacementSet replacement_set =
+      EnumerateReplacements(*index_, base, options, out_of_time);
+  const std::vector<Replacement>& replacements = replacement_set.replacements;
 
-  // Site: aggregate function (only meaningful when a column is
-  // aggregated; COUNT(*) has no alternative target).
-  if (!out_of_time() && !base.aggregate_column.empty()) {
-    const int site = next_site_id++;
-    const std::string base_name =
-        ToLower(db::AggregateFunctionName(base.function));
-    for (db::AggregateFunction fn : db::AllAggregateFunctions()) {
-      if (fn == base.function) continue;
-      const std::string name = ToLower(db::AggregateFunctionName(fn));
-      Replacement r;
-      r.site = Replacement::Site::kAggregateFunction;
-      r.function = fn;
-      r.weight = std::max(
-          options.aggregate_alternative_floor,
-          std::pow(phonetics::PhoneticSimilarity(base_name, name),
-                   options.sharpen));
-      r.site_id = site;
-      replacements.push_back(std::move(r));
-    }
-  }
-
-  // Site: COUNT(*) bases may stem from a misrecognized aggregate
-  // keyword — propose every (function, numeric column) combination.
-  if (!out_of_time() && base.aggregate_column.empty() &&
-      base.function == db::AggregateFunction::kCount &&
-      options.count_star_alternative_weight > 0.0) {
-    const int site = next_site_id++;
-    for (const std::string& column :
-         index_->table().ColumnNamesOfType(db::ValueType::kInt64)) {
-      for (db::AggregateFunction fn : db::AllAggregateFunctions()) {
-        if (fn == db::AggregateFunction::kCount) continue;
-        Replacement r;
-        r.site = Replacement::Site::kAggregateBoth;
-        r.function = fn;
-        r.column = column;
-        r.weight = options.count_star_alternative_weight;
-        r.site_id = site;
-        replacements.push_back(std::move(r));
-      }
-    }
-    for (const std::string& column :
-         index_->table().ColumnNamesOfType(db::ValueType::kDouble)) {
-      for (db::AggregateFunction fn : db::AllAggregateFunctions()) {
-        if (fn == db::AggregateFunction::kCount) continue;
-        Replacement r;
-        r.site = Replacement::Site::kAggregateBoth;
-        r.function = fn;
-        r.column = column;
-        r.weight = options.count_star_alternative_weight;
-        r.site_id = site;
-        replacements.push_back(std::move(r));
-      }
-    }
-  }
-
-  // Site: aggregate column.
-  if (!out_of_time() && !base.aggregate_column.empty()) {
-    const int site = next_site_id++;
-    for (const ColumnMatch& match : index_->TopColumns(
-             base.aggregate_column, options.k_similar + 1,
-             /*numeric_only=*/true)) {
-      if (EqualsIgnoreCase(match.column, base.aggregate_column)) continue;
-      Replacement r;
-      r.site = Replacement::Site::kAggregateColumn;
-      r.column = match.column;
-      r.weight = std::pow(match.similarity, options.sharpen);
-      r.site_id = site;
-      replacements.push_back(std::move(r));
-    }
-  }
-
-  // Sites: predicate values and predicate columns.
-  for (size_t p = 0; p < base.predicates.size(); ++p) {
-    if (out_of_time()) break;
-    const db::Predicate& predicate = base.predicates[p];
-    if (predicate.op != db::PredicateOp::kEq || predicate.values.empty() ||
-        !predicate.values.front().is_string()) {
-      continue;
-    }
-    const std::string value = predicate.values.front().AsString();
-
-    const int value_site = next_site_id++;
-    for (const ValueMatch& match :
-         index_->TopValues(value, options.k_similar + 1)) {
-      if (EqualsIgnoreCase(match.value, value) &&
-          EqualsIgnoreCase(match.column, predicate.column)) {
-        continue;
-      }
-      Replacement r;
-      r.site = Replacement::Site::kPredicateValue;
-      r.predicate_index = p;
-      r.column = match.column;
-      r.value = match.value;
-      r.weight = std::pow(match.similarity, options.sharpen);
-      r.site_id = value_site;
-      replacements.push_back(std::move(r));
-    }
-
-    const int column_site = next_site_id++;
-    for (const std::string& owner : index_->ColumnsOfValue(value)) {
-      if (EqualsIgnoreCase(owner, predicate.column)) continue;
-      Replacement r;
-      r.site = Replacement::Site::kPredicateColumn;
-      r.predicate_index = p;
-      r.column = owner;
-      r.value = value;
-      r.weight =
-          std::pow(phonetics::PhoneticSimilarity(predicate.column, owner),
-                   options.sharpen);
-      r.site_id = column_site;
-      replacements.push_back(std::move(r));
-    }
-  }
-
-  // Sites: dropping one of multiple predicates (spurious insertions).
-  if (!out_of_time() && base.predicates.size() >= 2 &&
-      options.drop_predicate_weight > 0.0) {
-    for (const db::Predicate& predicate : base.predicates) {
-      Replacement r;
-      r.site = Replacement::Site::kDropPredicate;
-      r.column = predicate.column;
-      r.weight = options.drop_predicate_weight;
-      r.site_id = next_site_id++;
-      replacements.push_back(std::move(r));
-    }
-  }
-
-  // Assemble weighted candidates: the base, all single replacements, and
-  // (optionally) pairs of replacements at distinct sites.
-  core::CandidateSet candidates;
-  candidates.Add(base, std::max(base_confidence, 1e-9));
-
-  for (const Replacement& r : replacements) {
-    db::AggregateQuery query = base;
-    if (!Apply(r, &query)) continue;
-    candidates.Add(std::move(query), base_confidence * r.weight);
+  // Enumerate weighted candidates as descriptors: the base, all single
+  // replacements, and (optionally) pairs of replacements at distinct
+  // sites. Each one's canonical key goes into one buffer.
+  std::vector<Descriptor> descriptors;
+  CanonicalKeyWriter key_writer(base, replacements);
+  std::string keys;
+  std::vector<size_t> key_end;
+  Edit edit;
+  const auto add = [&](const Descriptor& descriptor) {
+    if (!MakeEdit(base, replacements, descriptor, &edit)) return;
+    descriptors.push_back(descriptor);
+    key_writer.Append(edit, &keys);
+    key_end.push_back(keys.size());
+  };
+  add({-1, -1, std::max(base_confidence, 1e-9)});
+  for (size_t r = 0; r < replacements.size(); ++r) {
+    add({static_cast<int>(r), -1, base_confidence * replacements[r].weight});
   }
 
   if (options.include_pairs && !replacements.empty() && !out_of_time()) {
-    // Use only the strongest alternatives per site for pair enumeration.
-    std::vector<size_t> order(replacements.size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return replacements[a].weight > replacements[b].weight;
-    });
-    std::vector<size_t> picked;
-    std::vector<int> per_site_count(next_site_id, 0);
-    for (size_t idx : order) {
-      if (per_site_count[replacements[idx].site_id] >=
-          static_cast<int>(options.pair_fanout)) {
-        continue;
-      }
-      ++per_site_count[replacements[idx].site_id];
-      picked.push_back(idx);
-    }
-    for (size_t a = 0; a < picked.size(); ++a) {
-      for (size_t b = a + 1; b < picked.size(); ++b) {
-        const Replacement& ra = replacements[picked[a]];
-        const Replacement& rb = replacements[picked[b]];
-        if (ra.site_id == rb.site_id) continue;
-        db::AggregateQuery query = base;
-        if (!Apply(ra, &query) || !Apply(rb, &query)) continue;
-        candidates.Add(std::move(query),
-                       base_confidence * ra.weight * rb.weight);
-      }
+    for (const auto& [a, b] :
+         ReplacementPairs(replacement_set, options.pair_fanout)) {
+      add({static_cast<int>(a), static_cast<int>(b),
+           base_confidence * replacements[a].weight *
+               replacements[b].weight});
     }
   }
 
-  candidates.Deduplicate();
-  candidates.SortByProbability();
-  if (candidates.size() > options.max_candidates) {
-    std::vector<core::CandidateQuery> trimmed(
-        candidates.candidates().begin(),
-        candidates.candidates().begin() +
-            static_cast<long>(options.max_candidates));
-    candidates = core::CandidateSet(std::move(trimmed));
+  // Merge duplicates (equal canonical keys): the first occurrence stays,
+  // the others add their mass to it in order. The key buffer is
+  // complete, so the views the map holds stay valid.
+  std::unordered_map<std::string_view, size_t> index_of_key;
+  index_of_key.reserve(descriptors.size());
+  std::vector<Descriptor> unique;
+  unique.reserve(descriptors.size());
+  for (size_t k = 0; k < descriptors.size(); ++k) {
+    const size_t begin = k == 0 ? 0 : key_end[k - 1];
+    const auto [it, inserted] = index_of_key.try_emplace(
+        std::string_view(keys).substr(begin, key_end[k] - begin),
+        unique.size());
+    if (inserted) {
+      unique.push_back(descriptors[k]);
+    } else {
+      unique[it->second].probability += descriptors[k].probability;
+    }
   }
+
+  // Keep the most likely, and build queries for those only.
+  std::stable_sort(unique.begin(), unique.end(),
+                   [](const Descriptor& a, const Descriptor& b) {
+                     return a.probability > b.probability;
+                   });
+  if (unique.size() > options.max_candidates) {
+    unique.resize(options.max_candidates);
+  }
+  std::vector<core::CandidateQuery> survivors;
+  survivors.reserve(unique.size());
+  for (const Descriptor& descriptor : unique) {
+    MakeEdit(base, replacements, descriptor, &edit);
+    survivors.push_back(
+        {Materialize(base, replacements, edit), descriptor.probability});
+  }
+  core::CandidateSet candidates(std::move(survivors));
   candidates.Normalize();
   // Capped sets are never cached: a later unconstrained call must not
   // replay a degraded distribution from the session cache.

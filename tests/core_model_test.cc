@@ -7,6 +7,7 @@
 #include "core/multiplot.h"
 #include "core/query_template.h"
 #include "db/query.h"
+#include "testing/template_oracle.h"
 
 namespace muve::core {
 namespace {
@@ -47,7 +48,7 @@ TEST(CandidateSetTest, DeduplicateMergesMass) {
   set.Add(query, 0.4);
   set.Add(query, 0.2);
   set.Add(MakeQuery(db::AggregateFunction::kCount, "", {{"a", "y"}}), 0.4);
-  set.Deduplicate();
+  testing::ReferenceDeduplicate(&set);
   EXPECT_EQ(set.size(), 2u);
   EXPECT_NEAR(set[0].probability, 0.6, 1e-12);
 }
@@ -62,53 +63,55 @@ TEST(CandidateSetTest, NormalizeEmptyIsNoop) {
 // Templates (function T(q), Algorithm 2).
 // ---------------------------------------------------------------------
 
+CandidateSet SetOf(const std::vector<db::AggregateQuery>& queries) {
+  CandidateSet set;
+  for (const db::AggregateQuery& query : queries) set.Add(query, 0.5);
+  return set;
+}
+
 TEST(TemplateTest, DeriveCountStarTemplates) {
   // COUNT(*) with 2 predicates: 1 function slot + 2 value + 2 column
   // slots = 5 (no aggregate-column slot).
-  const auto query = MakeQuery(db::AggregateFunction::kCount, "",
-                               {{"city", "boston"}, {"kind", "bus"}});
-  const auto templates = DeriveTemplates(query);
-  EXPECT_EQ(templates.size(), 5u);
+  const CandidateSet set =
+      SetOf({MakeQuery(db::AggregateFunction::kCount, "",
+                       {{"city", "boston"}, {"kind", "bus"}})});
+  EXPECT_EQ(GroupByTemplate(set).size(), 5u);
 }
 
 TEST(TemplateTest, DeriveAggColumnTemplates) {
   // AVG(delay) with 1 predicate: function + agg column + value + column
   // slots = 4.
-  const auto query = MakeQuery(db::AggregateFunction::kAvg, "delay",
-                               {{"city", "boston"}});
-  const auto templates = DeriveTemplates(query);
-  EXPECT_EQ(templates.size(), 4u);
+  const CandidateSet set = SetOf({MakeQuery(
+      db::AggregateFunction::kAvg, "delay", {{"city", "boston"}})});
+  const TemplateGroups groups = GroupByTemplate(set);
+  EXPECT_EQ(groups.size(), 4u);
 
   bool has_value_slot = false;
-  for (const auto& inst : templates) {
-    if (inst.query_template.slot == SlotKind::kPredicateValue) {
+  for (size_t g = 0; g < groups.size(); ++g) {
+    if (groups.slot(g) == SlotKind::kPredicateValue) {
       has_value_slot = true;
-      EXPECT_EQ(inst.slot_label, "boston");
-      EXPECT_NE(inst.query_template.title.find("city = ?"),
-                std::string::npos);
+      EXPECT_EQ(groups.label(g, 0), "boston");
+      const QueryTemplate query_template = groups.Template(g);
+      EXPECT_EQ(query_template.title, "AVG(delay) WHERE city = ?");
+      EXPECT_EQ(query_template.title.size(), groups.title_size(g));
     }
   }
   EXPECT_TRUE(has_value_slot);
 }
 
 TEST(TemplateTest, QueriesDifferingInValueShareValueTemplate) {
-  const auto a = MakeQuery(db::AggregateFunction::kCount, "",
-                           {{"city", "boston"}});
-  const auto b = MakeQuery(db::AggregateFunction::kCount, "",
-                           {{"city", "austin"}});
-  std::string key_a;
-  std::string key_b;
-  for (const auto& inst : DeriveTemplates(a)) {
-    if (inst.query_template.slot == SlotKind::kPredicateValue) {
-      key_a = inst.query_template.key;
-    }
+  const CandidateSet set = SetOf(
+      {MakeQuery(db::AggregateFunction::kCount, "", {{"city", "boston"}}),
+       MakeQuery(db::AggregateFunction::kCount, "", {{"city", "austin"}})});
+  const TemplateGroups groups = GroupByTemplate(set);
+  size_t shared = 0;
+  for (size_t g = 0; g < groups.size(); ++g) {
+    if (groups.slot(g) != SlotKind::kPredicateValue) continue;
+    ++shared;
+    EXPECT_EQ(groups.members(g).size(), 2u);
+    EXPECT_EQ(groups.key(g), "t|COUNT(*)|city = ?");
   }
-  for (const auto& inst : DeriveTemplates(b)) {
-    if (inst.query_template.slot == SlotKind::kPredicateValue) {
-      key_b = inst.query_template.key;
-    }
-  }
-  EXPECT_EQ(key_a, key_b);
+  EXPECT_EQ(shared, 1u);
 }
 
 TEST(TemplateTest, TemplateKeyIsPredicateOrderInsensitive) {
@@ -116,10 +119,12 @@ TEST(TemplateTest, TemplateKeyIsPredicateOrderInsensitive) {
                            {{"city", "boston"}, {"kind", "bus"}});
   auto b = a;
   std::swap(b.predicates[0], b.predicates[1]);
-  const auto ta = DeriveTemplates(a);
-  const auto tb = DeriveTemplates(b);
-  // The function-slot templates must agree.
-  EXPECT_EQ(ta[0].query_template.key, tb[0].query_template.key);
+  // Both queries instantiate the same five templates.
+  const TemplateGroups groups = GroupByTemplate(SetOf({a, b}));
+  ASSERT_EQ(groups.size(), 5u);
+  for (size_t g = 0; g < groups.size(); ++g) {
+    EXPECT_EQ(groups.members(g).size(), 2u) << groups.key(g);
+  }
 }
 
 TEST(TemplateTest, GroupByTemplateGroupsAndSorts) {
@@ -130,14 +135,13 @@ TEST(TemplateTest, GroupByTemplateGroupsAndSorts) {
           0.3);
   set.Add(MakeQuery(db::AggregateFunction::kCount, "", {{"kind", "bus"}}),
           0.1);
-  const auto groups = GroupByTemplate(set);
+  const TemplateGroups groups = GroupByTemplate(set);
   ASSERT_FALSE(groups.empty());
   // The largest-mass group holds the two city queries (value slot).
-  const TemplateGroup& top = groups.front();
-  EXPECT_EQ(top.member_queries.size(), 2u);
+  EXPECT_EQ(groups.members(0).size(), 2u);
   // Members sorted by probability: boston (0.6) first.
-  EXPECT_EQ(top.member_queries[0], 0u);
-  EXPECT_EQ(top.member_labels[0], "boston");
+  EXPECT_EQ(groups.members(0)[0], 0u);
+  EXPECT_EQ(groups.label(0, 0), "boston");
 }
 
 TEST(TemplateTest, SameQueryNotDuplicatedInGroup) {
@@ -145,8 +149,9 @@ TEST(TemplateTest, SameQueryNotDuplicatedInGroup) {
   const auto query =
       MakeQuery(db::AggregateFunction::kCount, "", {{"city", "boston"}});
   set.Add(query, 0.5);
-  for (const auto& group : GroupByTemplate(set)) {
-    EXPECT_EQ(group.member_queries.size(), 1u);
+  const TemplateGroups groups = GroupByTemplate(set);
+  for (size_t g = 0; g < groups.size(); ++g) {
+    EXPECT_EQ(groups.members(g).size(), 1u);
   }
 }
 

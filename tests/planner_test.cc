@@ -9,6 +9,7 @@
 #include "core/ilp_planner.h"
 #include "core/query_template.h"
 #include "testing/sanitizer.h"
+#include "testing/template_oracle.h"
 
 namespace muve::core {
 namespace {
@@ -44,7 +45,7 @@ CandidateSet SmallInstance(Rng* rng, size_t num_candidates) {
     set.Add(MakeQuery(fn, agg, {{column, value}}),
             rng->UniformDouble(0.05, 1.0));
   }
-  set.Deduplicate();
+  testing::ReferenceDeduplicate(&set);
   set.Normalize();
   set.SortByProbability();
   return set;
@@ -370,12 +371,12 @@ TEST(ReductionTest, MultiplotSelectionSolvesKnapsack) {
   config.timeout_ms = 60000.0;
 
   // Effective weight of item i: the cheapest template it instantiates.
-  const std::vector<TemplateGroup> groups = GroupByTemplate(set);
+  const TemplateGroups groups = GroupByTemplate(set);
   std::vector<int> weight(num_items, INT32_MAX);
-  for (const TemplateGroup& group : groups) {
+  for (size_t g = 0; g < groups.size(); ++g) {
     const int width =
-        config.geometry.PlotBaseUnits(group.query_template) + 1;
-    for (size_t idx : group.member_queries) {
+        config.geometry.PlotBaseUnits(groups.Template(g)) + 1;
+    for (size_t idx : groups.members(g)) {
       weight[idx] = std::min(weight[idx], width);
     }
   }

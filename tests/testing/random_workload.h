@@ -14,9 +14,11 @@
 
 #include "common/rng.h"
 #include "core/candidate.h"
+#include "db/executor.h"
 #include "db/query.h"
 #include "db/table.h"
 #include "db/value.h"
+#include "testing/template_oracle.h"
 
 namespace muve::testing {
 
@@ -380,7 +382,7 @@ inline core::CandidateSet RandomCandidateSet(const db::Table& table,
     query.predicates.clear();
     set.Add(std::move(query), rng->UniformDouble(0.05, 0.5));
   }
-  set.Deduplicate();
+  ReferenceDeduplicate(&set);
   set.Normalize();
   set.SortByProbability();
   return set;
@@ -404,7 +406,7 @@ inline core::CandidateSet TinyCandidateSet(const db::Table& table,
     member.predicates.front().values = {db::Value(domain[m])};
     set.Add(std::move(member), rng->UniformDouble(0.05, 1.0));
   }
-  set.Deduplicate();
+  ReferenceDeduplicate(&set);
   set.Normalize();
   set.SortByProbability();
   return set;
