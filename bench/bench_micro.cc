@@ -36,6 +36,7 @@
 #include "phonetics/phonetic_index.h"
 #include "phonetics/similarity.h"
 #include "speech/speech_simulator.h"
+#include "tests/testing/reference_executor.h"
 #include "workload/datasets.h"
 #include "workload/query_generator.h"
 
@@ -116,25 +117,6 @@ void BM_ScanAggregate(benchmark::State& state) {
 }
 BENCHMARK(BM_ScanAggregate)->Arg(10000)->Arg(100000)->Arg(1000000);
 
-/// Scalar-oracle counterpart of BM_ScanAggregate (vectorize = false):
-/// the value-at-a-time loop the differential suite compares against.
-/// The gap between the two is the batch executor's speedup.
-void BM_ScanAggregateScalar(benchmark::State& state) {
-  auto table = Flights(static_cast<size_t>(state.range(0)));
-  db::ExecutorOptions options;
-  options.vectorize = false;
-  db::AggregateQuery query;
-  query.table = "flights";
-  query.function = db::AggregateFunction::kAvg;
-  query.aggregate_column = "arr_delay";
-  query.predicates = {db::Predicate::Equals("origin", db::Value("boston"))};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(db::Executor::Execute(*table, query, options));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_ScanAggregateScalar)->Arg(100000)->Arg(1000000);
-
 void BM_GroupedScan(benchmark::State& state) {
   auto table = Flights(static_cast<size_t>(state.range(0)));
   db::GroupByQuery query;
@@ -149,26 +131,6 @@ void BM_GroupedScan(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_GroupedScan)->Arg(100000)->Arg(1000000);
-
-/// Scalar-oracle counterpart of BM_GroupedScan (hash-map group lookup
-/// per row instead of the dense dictionary table).
-void BM_GroupedScanScalar(benchmark::State& state) {
-  auto table = Flights(static_cast<size_t>(state.range(0)));
-  db::ExecutorOptions options;
-  options.vectorize = false;
-  db::GroupByQuery query;
-  query.table = "flights";
-  query.group_column = "origin";
-  query.group_values = table->StringValues("origin");
-  query.aggregates = {{db::AggregateFunction::kCount, ""},
-                      {db::AggregateFunction::kAvg, "arr_delay"}};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        db::Executor::ExecuteGrouped(*table, query, options));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_GroupedScanScalar)->Arg(100000)->Arg(1000000);
 
 /// Serial vs. parallel scans at fixed table size: range(0) is the row
 /// count, range(1) the thread count (1 = serial executor path). On a
@@ -737,11 +699,12 @@ int RunServeJsonReport(const std::string& path) {
 }
 
 /// Vectorized-executor smoke run behind `--muve_vec_json=PATH`: times
-/// the scalar and batch paths on identical scan+aggregate and grouped
-/// workloads at 100k and 1M rows (best of several repetitions each),
-/// verifies the two paths return bitwise-identical values, and writes
-/// the per-workload times and speedups (consumed by scripts/check.sh as
-/// the tier1 vectorization benchmark).
+/// the value-at-a-time reference executor (tests/testing/, reported as
+/// "scalar") and db::Executor's batch scans on identical scan+aggregate
+/// and grouped workloads at 100k and 1M rows (best of several
+/// repetitions each), verifies the two return bitwise-identical values,
+/// and writes the per-workload times and speedups (consumed by
+/// scripts/check.sh as the tier1 vectorization benchmark).
 int RunVecJsonReport(const std::string& path) {
   struct Entry {
     std::string name;
@@ -765,9 +728,6 @@ int RunVecJsonReport(const std::string& path) {
   for (const size_t rows : kRowCounts) {
     auto table = Flights(rows);
     const int reps = rows >= 1000000 ? 5 : 9;
-    db::ExecutorOptions scalar;
-    scalar.vectorize = false;
-    db::ExecutorOptions vec;  // vectorize defaults to true.
 
     db::AggregateQuery count;
     count.table = "flights";
@@ -784,41 +744,47 @@ int RunVecJsonReport(const std::string& path) {
     grouped.aggregates = {{db::AggregateFunction::kCount, ""},
                           {db::AggregateFunction::kAvg, "arr_delay"}};
 
-    // The smoke run doubles as a sanity check: both paths must return
-    // bitwise-identical values (the differential suite's invariant).
-    const auto check = [](const Result<db::AggregateResult>& a,
-                          const Result<db::AggregateResult>& b) {
-      if (!a.ok() || !b.ok() || a->value != b->value ||
-          a->rows_matched != b->rows_matched) {
-        std::fprintf(stderr, "scalar/vector mismatch\n");
+    // The smoke run doubles as a sanity check: the executor must return
+    // the reference's bitwise-identical values (the differential suite's
+    // invariant).
+    const auto check = [](const db::AggregateResult& reference,
+                          const Result<db::AggregateResult>& vec) {
+      if (!vec.ok() || reference.value != vec->value ||
+          reference.rows_matched != vec->rows_matched) {
+        std::fprintf(stderr, "reference/vector mismatch\n");
         std::exit(1);
       }
     };
-    check(db::Executor::Execute(*table, count, scalar),
-          db::Executor::Execute(*table, count, vec));
-    check(db::Executor::Execute(*table, avg, scalar),
-          db::Executor::Execute(*table, avg, vec));
+    check(testing::ReferenceExecute(*table, count),
+          db::Executor::Execute(*table, count));
+    check(testing::ReferenceExecute(*table, avg),
+          db::Executor::Execute(*table, avg));
 
-    const auto time_pair = [&](const std::string& name, const auto& run) {
+    const auto time_pair = [&](const std::string& name,
+                               const auto& reference, const auto& vec) {
       Entry e;
       e.name = name;
       e.rows = rows;
-      e.scalar_ms = best_of(reps, [&] { run(scalar); });
-      e.vec_ms = best_of(reps, [&] { run(vec); });
+      e.scalar_ms = best_of(reps, [&] {
+        auto r = reference();
+        benchmark::DoNotOptimize(r);
+      });
+      e.vec_ms = best_of(reps, [&] {
+        auto r = vec();
+        benchmark::DoNotOptimize(r);
+      });
       entries.push_back(e);
     };
-    time_pair("count_eq", [&](const db::ExecutorOptions& options) {
-      auto r = db::Executor::Execute(*table, count, options);
-      benchmark::DoNotOptimize(r);
-    });
-    time_pair("avg_eq", [&](const db::ExecutorOptions& options) {
-      auto r = db::Executor::Execute(*table, avg, options);
-      benchmark::DoNotOptimize(r);
-    });
-    time_pair("grouped_count_avg", [&](const db::ExecutorOptions& options) {
-      auto r = db::Executor::ExecuteGrouped(*table, grouped, options);
-      benchmark::DoNotOptimize(r);
-    });
+    time_pair(
+        "count_eq", [&] { return testing::ReferenceExecute(*table, count); },
+        [&] { return db::Executor::Execute(*table, count); });
+    time_pair(
+        "avg_eq", [&] { return testing::ReferenceExecute(*table, avg); },
+        [&] { return db::Executor::Execute(*table, avg); });
+    time_pair(
+        "grouped_count_avg",
+        [&] { return testing::ReferenceExecuteGrouped(*table, grouped); },
+        [&] { return db::Executor::ExecuteGrouped(*table, grouped); });
   }
 
   std::ofstream out(path);
@@ -858,7 +824,7 @@ int RunVecJsonReport(const std::string& path) {
 /// BENCHMARK_MAIN with three extra flags: `--muve_ilp_json=PATH` skips
 /// the google-benchmark suite and emits the solver smoke report instead;
 /// `--muve_serve_json=PATH` likewise emits the serving smoke report and
-/// `--muve_vec_json=PATH` the scalar-vs-vectorized executor report. The
+/// `--muve_vec_json=PATH` the reference-vs-vectorized executor report. The
 /// flags are stripped before benchmark::Initialize, which rejects
 /// unknown arguments.
 int main(int argc, char** argv) {

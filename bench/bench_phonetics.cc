@@ -1,10 +1,10 @@
 // Phonetic top-k benchmark: builds the candidate index over synthetic
 // pronounceable vocabularies of 1k / 10k / 100k distinct values, checks
 // the indexed path returns bit-identical top-k to the brute-force scan
-// on the bench workload, and emits BENCH_phonetics.json with the index
-// build time, brute vs indexed lookups/sec (k = 20), the resulting
-// speedup, and the fraction of the vocabulary the pruning bounds
-// discarded without scoring.
+// (PhoneticIndex::TopKExhaustive) on the bench workload, and emits
+// BENCH_phonetics.json with the index build time, brute vs indexed
+// lookups/sec (k = 20), the resulting speedup, and the fraction of the
+// vocabulary the pruning bounds discarded without scoring.
 //
 // Sanitizer builds shrink the vocabulary ladder (instrumentation slows
 // string scoring ~10x); the Release run carries the acceptance numbers:
@@ -28,24 +28,12 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "phonetics/phonetic_index.h"
-
-// Mirrors tests/testing/sanitizer.h (benches do not see tests/).
-#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
-#define MUVE_BENCH_SANITIZER 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
-#define MUVE_BENCH_SANITIZER 1
-#endif
-#endif
+#include "tests/testing/sanitizer.h"
 
 namespace muve {
 namespace {
 
-#ifdef MUVE_BENCH_SANITIZER
-constexpr bool kSanitizerBuild = true;
-#else
-constexpr bool kSanitizerBuild = false;
-#endif
+using testing::kSanitizerBuild;
 
 using Clock = std::chrono::steady_clock;
 
@@ -145,11 +133,6 @@ int RunBench(const std::string& json_path) {
     const std::vector<std::string> queries =
         MakeQueries(vocab, num_queries, &rng);
 
-    phonetics::PhoneticIndexOptions brute_options;
-    brute_options.brute_force = true;
-    phonetics::PhoneticIndex brute(brute_options);
-    brute.AddAll(vocab);
-
     phonetics::PhoneticIndexOptions indexed_options;
     indexed_options.pool = &pool;
     const Clock::time_point build_start = Clock::now();
@@ -164,7 +147,7 @@ int RunBench(const std::string& json_path) {
     const size_t verify_count = std::min(num_brute_queries, queries.size());
     for (size_t qi = 0; qi < verify_count; ++qi) {
       const std::string& query = queries[qi];
-      const auto expected = brute.TopK(query, kTopK);
+      const auto expected = indexed.TopKExhaustive(query, kTopK);
       const auto actual = indexed.TopK(query, kTopK);
       if (actual.size() != expected.size()) {
         return Fail("verify", "top-k size mismatch for '" + query + "'");
@@ -187,7 +170,7 @@ int RunBench(const std::string& json_path) {
     for (size_t r = 0; r < repeats; ++r) {
       Clock::time_point start = Clock::now();
       for (size_t qi = 0; qi < brute_count; ++qi) {
-        brute.TopK(queries[qi], kTopK);
+        indexed.TopKExhaustive(queries[qi], kTopK);
       }
       brute_ms = std::min(brute_ms, MillisSince(start));
 

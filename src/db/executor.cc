@@ -25,7 +25,7 @@ namespace {
 // Logical compilation: predicates and aggregates resolved against the
 // schema once per query. Runs dictionary-encode strings independently, so
 // string constants stay as strings here and are re-bound to each run's
-// dictionary at scan time (BindPredicates below).
+// dictionary at scan time (BindFilters below).
 // ---------------------------------------------------------------------------
 
 struct LogicalPredicate {
@@ -202,12 +202,24 @@ GroupedPartial MakeGrid(size_t groups, size_t aggregates) {
   return grid;
 }
 
-void MergeGrids(const GroupedPartial& src, GroupedPartial* dst) {
+/// Cell-wise MergeInto over two grids of equal dimensions.
+void MergeInto(const GroupedPartial& src, GroupedPartial* dst) {
   for (size_t g = 0; g < dst->cells.size(); ++g) {
     for (size_t a = 0; a < dst->cells[g].size(); ++a) {
       MergeInto(src.cells[g][a], &dst->cells[g][a]);
     }
   }
+}
+
+Result<std::vector<LogicalPredicate>> CompilePredicates(
+    const Table& table, const std::vector<Predicate>& predicates) {
+  std::vector<LogicalPredicate> compiled;
+  compiled.reserve(predicates.size());
+  for (const Predicate& predicate : predicates) {
+    MUVE_ASSIGN_OR_RETURN(LogicalPredicate c, Compile(table, predicate));
+    compiled.push_back(std::move(c));
+  }
+  return compiled;
 }
 
 // ---------------------------------------------------------------------------
@@ -238,96 +250,20 @@ std::vector<Segment> MakeSegments(const TableSnapshot& snapshot) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-run binding: predicates lowered to this run's dictionary codes and
-// column pointers.
+// Per-run binding: each predicate lowered once per run to a kernel
+// dispatch over that run's columns. String constants become this run's
+// dictionary codes.
 // ---------------------------------------------------------------------------
 
-struct BoundPredicate {
-  const Column* column = nullptr;
-  // String columns: this run's dictionary codes for the accepted
-  // strings. Empty means no accepted constant appears in this run.
-  std::vector<uint32_t> accepted_codes;
-  // Numeric columns: the logical value lists (stable for the scan).
-  const std::vector<int64_t>* ints = nullptr;
-  const std::vector<double>* doubles = nullptr;
-
-  bool Matches(size_t row) const {
-    switch (column->type()) {
-      case ValueType::kString: {
-        const uint32_t code = column->codes()[row];
-        for (uint32_t accepted : accepted_codes) {
-          if (code == accepted) return true;
-        }
-        return false;
-      }
-      case ValueType::kInt64: {
-        const int64_t v = column->int_data()[row];
-        for (int64_t accepted : *ints) {
-          if (v == accepted) return true;
-        }
-        return false;
-      }
-      case ValueType::kDouble: {
-        const double v = column->double_data()[row];
-        for (double accepted : *doubles) {
-          if (v == accepted) return true;
-        }
-        return false;
-      }
-    }
-    return false;
-  }
-};
-
-std::vector<BoundPredicate> BindPredicates(
-    const std::vector<LogicalPredicate>& logical, const lsm::Run& run) {
-  std::vector<BoundPredicate> bound;
-  bound.reserve(logical.size());
-  for (const LogicalPredicate& p : logical) {
-    BoundPredicate b;
-    b.column = &run.column(p.column);
-    b.ints = &p.accepted_ints;
-    b.doubles = &p.accepted_doubles;
-    if (p.type == ValueType::kString) {
-      for (const std::string& text : p.accepted_strings) {
-        const uint32_t code = b.column->CodeFor(text);
-        if (code != kInvalidCode) b.accepted_codes.push_back(code);
-      }
-    }
-    bound.push_back(std::move(b));
-  }
-  return bound;
-}
-
-bool MatchesAll(const std::vector<BoundPredicate>& bound, size_t row) {
-  for (const BoundPredicate& predicate : bound) {
-    if (!predicate.Matches(row)) return false;
-  }
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// Vectorized scan machinery (options.vectorize), applied to run segments
-// only — the memtable tail is row-oriented and always scanned
-// value-at-a-time. Same row order, partition boundaries, accumulation
-// order, cancellation points and cache interaction as the scalar loops —
-// the batch path only changes *how* each row range is traversed, so
-// results are byte-identical (the differential suite pins this down with
-// the scalar path as oracle).
-// ---------------------------------------------------------------------------
-
-/// One bound predicate lowered to a kernel dispatch: a kind tag, the run
-/// column's raw data pointer, and the constant(s) in kernel-ready form
-/// (single key, dictionary accept mask, or a pointer into the logical
-/// predicate's value list). `int_keys`/`double_keys` alias the logical
-/// predicate vectors, so the compiled predicates must outlive the
-/// filters; everything else is self-contained.
+/// One predicate bound to a run: a kind tag, the run column's raw data
+/// pointer, and the constant(s) in kernel-ready form (single key,
+/// dictionary accept mask, or a pointer into the logical predicate's
+/// value list). `int_keys`/`double_keys` alias the logical predicate
+/// vectors, so the compiled predicates must outlive the filters;
+/// everything else is self-contained.
 struct VecFilter {
   enum class Kind {
     kNever,      // String constant(s) absent from this run's dictionary.
-                 // Kept as a per-batch kernel (not hoisted out of the
-                 // scan loop) so deadline checks fire exactly as in the
-                 // scalar path.
     kCodeEq,     // Dictionary code == single accepted code.
     kCodeMask,   // Dictionary code accepted by a mask (IN list).
     kIntEq,
@@ -349,45 +285,52 @@ struct VecFilter {
   size_t num_keys = 0;
 };
 
-std::vector<VecFilter> VectorizeFilters(
-    const std::vector<BoundPredicate>& bound) {
+std::vector<VecFilter> BindFilters(const std::vector<LogicalPredicate>& logical,
+                                   const lsm::Run& run) {
   std::vector<VecFilter> filters;
-  filters.reserve(bound.size());
-  for (const BoundPredicate& p : bound) {
+  filters.reserve(logical.size());
+  for (const LogicalPredicate& p : logical) {
+    const Column& column = run.column(p.column);
     VecFilter f;
-    switch (p.column->type()) {
-      case ValueType::kString:
-        f.codes = p.column->codes_raw();
-        if (p.accepted_codes.empty()) {
+    switch (p.type) {
+      case ValueType::kString: {
+        f.codes = column.codes_raw();
+        std::vector<uint32_t> accepted;
+        for (const std::string& text : p.accepted_strings) {
+          const uint32_t code = column.CodeFor(text);
+          if (code != kInvalidCode) accepted.push_back(code);
+        }
+        if (accepted.empty()) {
           f.kind = VecFilter::Kind::kNever;
-        } else if (p.accepted_codes.size() == 1) {
+        } else if (accepted.size() == 1) {
           f.kind = VecFilter::Kind::kCodeEq;
-          f.code = p.accepted_codes[0];
+          f.code = accepted[0];
         } else {
           f.kind = VecFilter::Kind::kCodeMask;
-          f.mask = p.column->AcceptMask(p.accepted_codes);
+          f.mask = column.AcceptMask(accepted);
         }
         break;
+      }
       case ValueType::kInt64:
-        f.ints = p.column->int_raw();
-        if (p.ints->size() == 1) {
+        f.ints = column.int_raw();
+        if (p.accepted_ints.size() == 1) {
           f.kind = VecFilter::Kind::kIntEq;
-          f.int_key = (*p.ints)[0];
+          f.int_key = p.accepted_ints[0];
         } else {
           f.kind = VecFilter::Kind::kIntIn;
-          f.int_keys = p.ints->data();
-          f.num_keys = p.ints->size();
+          f.int_keys = p.accepted_ints.data();
+          f.num_keys = p.accepted_ints.size();
         }
         break;
       case ValueType::kDouble:
-        f.doubles = p.column->double_raw();
-        if (p.doubles->size() == 1) {
+        f.doubles = column.double_raw();
+        if (p.accepted_doubles.size() == 1) {
           f.kind = VecFilter::Kind::kDoubleEq;
-          f.double_key = (*p.doubles)[0];
+          f.double_key = p.accepted_doubles[0];
         } else {
           f.kind = VecFilter::Kind::kDoubleIn;
-          f.double_keys = p.doubles->data();
-          f.num_keys = p.doubles->size();
+          f.double_keys = p.accepted_doubles.data();
+          f.num_keys = p.accepted_doubles.size();
         }
         break;
     }
@@ -492,69 +435,10 @@ void AccumulateBatch(const Column* column, size_t base, const uint32_t* sel,
   }
 }
 
-/// Vectorized scan of run rows [begin, end): tiles the range into
-/// kBatchSize batches, filters each into a selection vector and folds it
-/// into the partial.
-void VecScanRange(const std::vector<VecFilter>& filters,
-                  const Column* agg_column, size_t begin, size_t end,
-                  vec::BatchScratch* scratch, AggregatePartial* p) {
-  for (size_t base = begin; base < end; base += vec::kBatchSize) {
-    const size_t count = std::min(vec::kBatchSize, end - base);
-    const uint32_t* sel = nullptr;
-    const size_t n = RunFilters(filters, base, count, scratch, &sel);
-    if (n == 0) continue;
-    AccumulateBatch(agg_column, base, sel, n, p);
-  }
-}
-
-/// Scalar scan of run rows [begin, end).
-void ScalarScanRange(const std::vector<BoundPredicate>& bound,
-                     const Column* agg_column, size_t begin, size_t end,
-                     AggregatePartial* p) {
-  for (size_t row = begin; row < end; ++row) {
-    if (!MatchesAll(bound, row)) continue;
-    if (agg_column == nullptr) {
-      AcceptCount(p);
-    } else {
-      AcceptNumeric(agg_column->NumericAt(row), p);
-    }
-  }
-}
-
-/// Row-at-a-time scan of memtable rows [begin, end). Identical in both
-/// vectorize modes: the memtable holds materialized values, not columnar
-/// arrays, so there is nothing for the kernels to run over — and the
-/// sequential fold makes the result independent of the traversal shape
-/// anyway.
-void MemScanRange(const std::vector<LogicalPredicate>& logical,
-                  const CompiledAggregate& agg,
-                  const lsm::MemTable::View& mem, size_t begin, size_t end,
-                  AggregatePartial* p) {
-  for (size_t row = begin; row < end; ++row) {
-    bool matched = true;
-    for (const LogicalPredicate& predicate : logical) {
-      if (!predicate.MatchesValue(mem.At(row, predicate.column))) {
-        matched = false;
-        break;
-      }
-    }
-    if (!matched) continue;
-    if (agg.column == SIZE_MAX) {
-      AcceptCount(p);
-    } else {
-      AcceptNumeric(mem.At(row, agg.column).AsDouble(), p);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Grouped-scan counterparts.
-// ---------------------------------------------------------------------------
-
 /// Folds one group-mapped batch into the grid for aggregate slot `a`:
 /// sel/groups are parallel arrays from MapGroups (ascending row offsets
-/// plus each row's group index). Per-row work matches AcceptNumeric for
-/// the scalar grouped loop exactly.
+/// plus each row's group index). Per-row work matches AcceptNumeric
+/// exactly.
 void AccumulateGroupedBatch(const Column* column, size_t base,
                             const uint32_t* sel, const uint32_t* groups,
                             size_t n, size_t a, GroupedPartial* grid) {
@@ -585,103 +469,275 @@ void AccumulateGroupedBatch(const Column* column, size_t base,
   }
 }
 
-/// Vectorized grouped scan of run rows [begin, end): filter each batch on
-/// the shared predicates, map survivors to groups through the dense
-/// dictionary lookup, then fold each aggregate column over the compacted
-/// selection. The scalar loop tests group membership before the
-/// predicates and this path tests predicates first; both are conjunctive
-/// on the same row, so the accepted row set — and every accumulator
-/// update — is identical.
-void VecGroupedScanRange(const std::vector<VecFilter>& filters,
-                         const uint32_t* codes,
-                         const std::vector<uint32_t>& lookup,
-                         const std::vector<const Column*>& agg_columns,
-                         size_t begin, size_t end,
-                         vec::BatchScratch* scratch, GroupedPartial* grid) {
-  if (grid->cells.empty()) return;  // No groups: nothing can accumulate.
-  for (size_t base = begin; base < end; base += vec::kBatchSize) {
-    const size_t count = std::min(vec::kBatchSize, end - base);
-    const uint32_t* sel = nullptr;
-    const size_t n = RunFilters(filters, base, count, scratch, &sel);
-    if (n == 0) continue;
-    const size_t m =
-        sel == nullptr
-            ? vec::MapGroupsDense(codes + base, n, lookup.data(),
-                                  scratch->c, scratch->groups)
-            : vec::MapGroups(codes + base, sel, n, lookup.data(),
-                             scratch->c, scratch->groups);
-    if (m == 0) continue;
-    for (size_t a = 0; a < agg_columns.size(); ++a) {
-      AccumulateGroupedBatch(agg_columns[a], base, scratch->c,
-                             scratch->groups, m, a, grid);
-    }
+inline bool MatchesAllValues(const std::vector<LogicalPredicate>& logical,
+                             const lsm::MemTable::View& mem, size_t row) {
+  for (const LogicalPredicate& predicate : logical) {
+    if (!predicate.MatchesValue(mem.At(row, predicate.column))) return false;
   }
-}
-
-/// Scalar grouped scan of run rows [begin, end).
-void ScalarGroupedScanRange(
-    const std::vector<BoundPredicate>& bound,
-    const std::vector<uint32_t>& codes,
-    const std::unordered_map<uint32_t, size_t>& group_of_code,
-    const std::vector<const Column*>& agg_columns, size_t begin, size_t end,
-    GroupedPartial* grid) {
-  for (size_t row = begin; row < end; ++row) {
-    auto it = group_of_code.find(codes[row]);
-    if (it == group_of_code.end()) continue;
-    if (!MatchesAll(bound, row)) continue;
-    for (size_t a = 0; a < agg_columns.size(); ++a) {
-      AggregatePartial& p = grid->cells[it->second][a];
-      if (agg_columns[a] == nullptr) {
-        AcceptCount(&p);
-      } else {
-        AcceptNumeric(agg_columns[a]->NumericAt(row), &p);
-      }
-    }
-  }
-}
-
-/// Row-at-a-time grouped scan of memtable rows [begin, end); identical
-/// in both vectorize modes (see MemScanRange).
-void MemGroupedScanRange(
-    const std::vector<LogicalPredicate>& logical,
-    const std::vector<CompiledAggregate>& aggs, size_t group_column,
-    const std::unordered_map<std::string, size_t>& group_of_value,
-    const lsm::MemTable::View& mem, size_t begin, size_t end,
-    GroupedPartial* grid) {
-  for (size_t row = begin; row < end; ++row) {
-    auto it = group_of_value.find(mem.At(row, group_column).AsString());
-    if (it == group_of_value.end()) continue;
-    bool matched = true;
-    for (const LogicalPredicate& predicate : logical) {
-      if (!predicate.MatchesValue(mem.At(row, predicate.column))) {
-        matched = false;
-        break;
-      }
-    }
-    if (!matched) continue;
-    for (size_t a = 0; a < aggs.size(); ++a) {
-      AggregatePartial& p = grid->cells[it->second][a];
-      if (aggs[a].column == SIZE_MAX) {
-        AcceptCount(&p);
-      } else {
-        AcceptNumeric(mem.At(row, aggs[a].column).AsDouble(), &p);
-      }
-    }
-  }
+  return true;
 }
 
 // ---------------------------------------------------------------------------
-// Slice planning for the parallel path: every uncached segment is cut
-// into fixed grain-sized slices (relative to the segment start), and one
-// ParallelFor covers the global slice list — cross-run parallelism with
-// no barrier at run boundaries.
+// Per-shape scanners: what ScanSnapshot needs to know about one query
+// shape — the merge identity of its partial, the per-run binding, and
+// the two scan ranges. Runs are scanned as vec::kBatchSize-row column
+// batches tiled from the range start (filters fill selection vectors,
+// aggregates fold the selected offsets); the row-oriented memtable tail
+// has no columnar arrays and is scanned value-at-a-time. Both fold rows
+// in ascending order, the order tests/testing/reference_executor.h
+// reproduces one value at a time. A scanner is compiled once per query
+// and read-only afterwards, so pool workers share it.
+// ---------------------------------------------------------------------------
+
+/// SELECT fn(column) ... WHERE predicates.
+struct AggregateScanner {
+  using Partial = AggregatePartial;
+  struct Bound {
+    std::vector<VecFilter> filters;
+    const Column* agg_column = nullptr;  ///< null for COUNT.
+  };
+
+  std::vector<LogicalPredicate> predicates;
+  CompiledAggregate agg;
+
+  Partial Identity() const { return {}; }
+
+  Bound Bind(const lsm::Run& run) const {
+    Bound bound;
+    bound.filters = BindFilters(predicates, run);
+    if (agg.column != SIZE_MAX) bound.agg_column = &run.column(agg.column);
+    return bound;
+  }
+
+  void ScanRun(const Bound& bound, size_t begin, size_t end,
+               vec::BatchScratch* scratch, Partial* p) const {
+    for (size_t base = begin; base < end; base += vec::kBatchSize) {
+      const size_t count = std::min(vec::kBatchSize, end - base);
+      const uint32_t* sel = nullptr;
+      const size_t n = RunFilters(bound.filters, base, count, scratch, &sel);
+      if (n == 0) continue;
+      AccumulateBatch(bound.agg_column, base, sel, n, p);
+    }
+  }
+
+  void ScanMemTable(const lsm::MemTable::View& mem, size_t begin, size_t end,
+                    Partial* p) const {
+    for (size_t row = begin; row < end; ++row) {
+      if (!MatchesAllValues(predicates, mem, row)) continue;
+      if (agg.column == SIZE_MAX) {
+        AcceptCount(p);
+      } else {
+        AcceptNumeric(mem.At(row, agg.column).AsDouble(), p);
+      }
+    }
+  }
+};
+
+/// A merged query (paper §8.1): shared predicates plus an IN-list group
+/// column, one partial per (group value, aggregate) cell. Duplicate
+/// group values resolve first-wins on both scan ranges.
+struct GroupedScanner {
+  using Partial = GroupedPartial;
+  struct Bound {
+    std::vector<VecFilter> filters;
+    const uint32_t* group_codes = nullptr;
+    std::vector<uint32_t> group_lookup;  ///< Run code -> group index.
+    std::vector<const Column*> agg_columns;  ///< null for COUNT.
+  };
+
+  std::vector<LogicalPredicate> predicates;
+  std::vector<CompiledAggregate> aggs;
+  size_t group_column = 0;
+  const std::vector<std::string>* group_values = nullptr;
+  std::unordered_map<std::string, size_t> group_of_value;
+
+  Partial Identity() const {
+    return MakeGrid(group_values->size(), aggs.size());
+  }
+
+  Bound Bind(const lsm::Run& run) const {
+    Bound bound;
+    bound.filters = BindFilters(predicates, run);
+    const Column& group = run.column(group_column);
+    bound.group_codes = group.codes_raw();
+    bound.group_lookup = vec::BuildGroupLookup(group, *group_values);
+    bound.agg_columns.reserve(aggs.size());
+    for (const CompiledAggregate& agg : aggs) {
+      bound.agg_columns.push_back(
+          agg.column == SIZE_MAX ? nullptr : &run.column(agg.column));
+    }
+    return bound;
+  }
+
+  /// Filters each batch on the shared predicates, maps the survivors to
+  /// groups through the dense dictionary lookup, then folds each
+  /// aggregate column over the compacted selection.
+  void ScanRun(const Bound& bound, size_t begin, size_t end,
+               vec::BatchScratch* scratch, Partial* grid) const {
+    if (grid->cells.empty()) return;  // No groups: nothing can accumulate.
+    for (size_t base = begin; base < end; base += vec::kBatchSize) {
+      const size_t count = std::min(vec::kBatchSize, end - base);
+      const uint32_t* sel = nullptr;
+      const size_t n = RunFilters(bound.filters, base, count, scratch, &sel);
+      if (n == 0) continue;
+      const uint32_t* codes = bound.group_codes + base;
+      const uint32_t* lookup = bound.group_lookup.data();
+      const size_t m =
+          sel == nullptr
+              ? vec::MapGroupsDense(codes, n, lookup, scratch->c,
+                                    scratch->groups)
+              : vec::MapGroups(codes, sel, n, lookup, scratch->c,
+                               scratch->groups);
+      for (size_t a = 0; a < bound.agg_columns.size(); ++a) {
+        AccumulateGroupedBatch(bound.agg_columns[a], base, scratch->c,
+                               scratch->groups, m, a, grid);
+      }
+    }
+  }
+
+  void ScanMemTable(const lsm::MemTable::View& mem, size_t begin, size_t end,
+                    Partial* grid) const {
+    for (size_t row = begin; row < end; ++row) {
+      auto it = group_of_value.find(mem.At(row, group_column).AsString());
+      if (it == group_of_value.end()) continue;
+      if (!MatchesAllValues(predicates, mem, row)) continue;
+      for (size_t a = 0; a < aggs.size(); ++a) {
+        AggregatePartial& p = grid->cells[it->second][a];
+        if (aggs[a].column == SIZE_MAX) {
+          AcceptCount(&p);
+        } else {
+          AcceptNumeric(mem.At(row, aggs[a].column).AsDouble(), &p);
+        }
+      }
+    }
+  }
+};
+
+// ---------------------------------------------------------------------------
+// ScanSnapshot: the one scan loop both query shapes share.
 // ---------------------------------------------------------------------------
 
 struct Slice {
-  size_t ctx = 0;   ///< Index into the per-segment context list.
-  size_t begin = 0; ///< Segment-local row range.
+  size_t segment = 0;  ///< Index into the segment list.
+  size_t begin = 0;    ///< Segment-local row range.
   size_t end = 0;
 };
+
+/// Scans `snapshot` for `query` through `scanner`:
+///   1. cut the snapshot into segments; a cached run partial stands in
+///      for its run's scan;
+///   2. bind every uncached run once;
+///   3. cut every uncached segment into fixed `parallel_grain` slices,
+///      measured from the segment start;
+///   4. scan every slice into a partial that starts at the identity,
+///      checking the deadline before each slice — on the pool when it
+///      has >= 2 threads and the snapshot more than one grain of rows,
+///      otherwise inline on the caller;
+///   5. fold the slice partials into their segment's in slice order, then
+///      the segment partials into the total in segment order;
+///   6. store the run partials in the cache, only after the whole scan
+///      succeeded (a timed-out scan stores nothing).
+/// Steps 3 and 5 do not depend on how step 4 runs, so the result is
+/// bitwise the same at every thread count and pool size. `shape` names
+/// the query shape in Timeout messages.
+template <typename Scanner, typename Query>
+Result<typename Scanner::Partial> ScanSnapshot(const TableSnapshot& snapshot,
+                                               const Query& query,
+                                               const Scanner& scanner,
+                                               const ExecutorOptions& options,
+                                               const std::string& shape) {
+  using Partial = typename Scanner::Partial;
+  const Table& table = snapshot.table();
+  const size_t n = snapshot.num_rows();
+  const size_t grain = std::max<size_t>(1, options.parallel_grain);
+  const std::vector<Segment> segments = MakeSegments(snapshot);
+  Partial identity = scanner.Identity();
+
+  std::vector<Partial> seg_partials(segments.size(), identity);
+  std::vector<char> cached(segments.size(), 0);
+  std::vector<typename Scanner::Bound> bound(segments.size());
+  std::vector<Slice> slices;
+  for (size_t s = 0; s < segments.size(); ++s) {
+    const Segment& seg = segments[s];
+    if (seg.run != nullptr) {  // The memtable is never cached or bound.
+      if (options.cache != nullptr &&
+          options.cache->LookupRun(table, seg.run->id(), query,
+                                   &seg_partials[s])) {
+        cached[s] = 1;
+        continue;
+      }
+      bound[s] = scanner.Bind(*seg.run);
+    }
+    for (size_t begin = 0; begin < seg.rows; begin += grain) {
+      slices.push_back({s, begin, std::min(seg.rows, begin + grain)});
+    }
+  }
+
+  // A pooled scan gives every slice its own partial and folds them after
+  // the scan; an inline scan reuses one, folding it into its segment as
+  // soon as the slice ends (one chunk, one BatchScratch per call).
+  ThreadPool* pool = options.pool != nullptr &&
+                             options.pool->num_threads() >= 2 && n > grain
+                         ? options.pool
+                         : nullptr;
+  std::vector<Partial> slice_partials(pool != nullptr ? slices.size() : 1,
+                                      identity);
+  const auto fold = [&](size_t i, const Partial& partial) {
+    MergeInto(partial, &seg_partials[slices[i].segment]);
+  };
+  const bool finite = options.deadline.IsFinite();
+  // The first slice the deadline cut; a pooled worker stops its own
+  // chunk, the others skip theirs as they reach the check.
+  std::atomic<size_t> cut{slices.size()};
+  ParallelFor(
+      pool, slices.size(), pool != nullptr ? 1 : slices.size(),
+      [&](size_t /*chunk*/, size_t first, size_t last) {
+        auto scratch = std::make_unique<vec::BatchScratch>();
+        for (size_t i = first; i < last; ++i) {
+          if (finite && options.deadline.Expired()) {
+            cut.store(i, std::memory_order_relaxed);
+            return;
+          }
+          const Slice& slice = slices[i];
+          Partial& partial = slice_partials[pool != nullptr ? i : 0];
+          if (pool == nullptr) partial = identity;
+          if (segments[slice.segment].run == nullptr) {
+            scanner.ScanMemTable(snapshot.memtable(), slice.begin, slice.end,
+                                 &partial);
+          } else {
+            scanner.ScanRun(bound[slice.segment], slice.begin, slice.end,
+                            scratch.get(), &partial);
+          }
+          if (pool == nullptr) fold(i, partial);
+        }
+      });
+  const size_t stopped = cut.load(std::memory_order_relaxed);
+  if (stopped < slices.size()) {
+    if (pool != nullptr) {
+      return Status::Timeout("parallel " + shape + " scan cancelled (" +
+                             std::to_string(n) + " rows)");
+    }
+    const Slice& slice = slices[stopped];
+    return Status::Timeout(
+        shape + " scan cancelled at row " +
+        std::to_string(segments[slice.segment].begin + slice.begin) + "/" +
+        std::to_string(n));
+  }
+  if (pool != nullptr) {
+    for (size_t i = 0; i < slices.size(); ++i) fold(i, slice_partials[i]);
+  }
+
+  Partial total = std::move(identity);  // Not needed past the scan.
+  for (const Partial& partial : seg_partials) MergeInto(partial, &total);
+  if (options.cache != nullptr) {
+    for (size_t s = 0; s < segments.size(); ++s) {
+      if (segments[s].run == nullptr || cached[s]) continue;
+      options.cache->StoreRun(table, segments[s].run->id(), query,
+                              seg_partials[s]);
+    }
+  }
+  return total;
+}
 
 }  // namespace
 
@@ -713,161 +769,13 @@ Result<AggregatePartial> Executor::ExecutePartial(
     return Status::InvalidArgument("executor needs a valid snapshot");
   }
   const Table& table = snapshot.table();
-
-  std::vector<LogicalPredicate> compiled;
-  compiled.reserve(query.predicates.size());
-  for (const Predicate& predicate : query.predicates) {
-    MUVE_ASSIGN_OR_RETURN(LogicalPredicate c, Compile(table, predicate));
-    compiled.push_back(std::move(c));
-  }
+  AggregateScanner scanner;
+  MUVE_ASSIGN_OR_RETURN(scanner.predicates,
+                        CompilePredicates(table, query.predicates));
   MUVE_ASSIGN_OR_RETURN(
-      CompiledAggregate agg,
+      scanner.agg,
       CompileAggregate(table, query.function, query.aggregate_column));
-
-  const size_t n = snapshot.num_rows();
-  const size_t grain = std::max<size_t>(1, options.parallel_grain);
-  const std::vector<Segment> segments = MakeSegments(snapshot);
-
-  // Per-segment partials: cache hits fill immediately, the rest scan.
-  std::vector<AggregatePartial> seg_partials(segments.size());
-  std::vector<char> cached(segments.size(), 0);
-  if (options.cache != nullptr) {
-    for (size_t s = 0; s < segments.size(); ++s) {
-      if (segments[s].run == nullptr) continue;  // Memtable never cached.
-      cached[s] = options.cache->LookupRun(table, segments[s].run->id(),
-                                           query, &seg_partials[s])
-                      ? 1
-                      : 0;
-    }
-  }
-
-  const bool finite = options.deadline.IsFinite();
-  if (!options.ShouldParallelize(n)) {
-    std::unique_ptr<vec::BatchScratch> scratch;
-    if (options.vectorize && n > 0) {
-      scratch = std::make_unique<vec::BatchScratch>();
-    }
-    for (size_t s = 0; s < segments.size(); ++s) {
-      if (cached[s]) continue;
-      const Segment& seg = segments[s];
-      AggregatePartial* p = &seg_partials[s];
-      std::vector<BoundPredicate> bound;
-      std::vector<VecFilter> filters;
-      const Column* agg_column = nullptr;
-      if (seg.run != nullptr) {
-        bound = BindPredicates(compiled, *seg.run);
-        if (agg.column != SIZE_MAX) agg_column = &seg.run->column(agg.column);
-        if (options.vectorize) filters = VectorizeFilters(bound);
-      }
-      for (size_t begin = 0; begin < seg.rows; begin += grain) {
-        if (finite && options.deadline.Expired()) {
-          return Status::Timeout("aggregate scan cancelled at row " +
-                                 std::to_string(seg.begin + begin) + "/" +
-                                 std::to_string(n));
-        }
-        const size_t end = std::min(seg.rows, begin + grain);
-        if (seg.run == nullptr) {
-          MemScanRange(compiled, agg, snapshot.memtable(), begin, end, p);
-        } else if (options.vectorize) {
-          VecScanRange(filters, agg_column, begin, end, scratch.get(), p);
-        } else {
-          ScalarScanRange(bound, agg_column, begin, end, p);
-        }
-      }
-    }
-  } else {
-    // Per-segment scan contexts (bound predicates, lowered filters) plus
-    // the global slice list.
-    struct SliceCtx {
-      size_t seg_index = 0;
-      std::vector<BoundPredicate> bound;
-      std::vector<VecFilter> filters;
-      const Column* agg_column = nullptr;
-      size_t first_slice = 0;
-      size_t num_slices = 0;
-    };
-    std::vector<SliceCtx> ctxs;
-    std::vector<Slice> slices;
-    for (size_t s = 0; s < segments.size(); ++s) {
-      if (cached[s]) continue;
-      const Segment& seg = segments[s];
-      SliceCtx ctx;
-      ctx.seg_index = s;
-      if (seg.run != nullptr) {
-        ctx.bound = BindPredicates(compiled, *seg.run);
-        if (agg.column != SIZE_MAX) {
-          ctx.agg_column = &seg.run->column(agg.column);
-        }
-        if (options.vectorize) ctx.filters = VectorizeFilters(ctx.bound);
-      }
-      ctx.first_slice = slices.size();
-      for (size_t begin = 0; begin < seg.rows; begin += grain) {
-        slices.push_back(
-            {ctxs.size(), begin, std::min(seg.rows, begin + grain)});
-      }
-      ctx.num_slices = slices.size() - ctx.first_slice;
-      ctxs.push_back(std::move(ctx));
-    }
-    std::vector<AggregatePartial> slice_partials(slices.size());
-    // Workers skip slices not yet started when the deadline expires; a
-    // partial scan never merges into a result (Timeout below).
-    std::atomic<bool> cancelled{false};
-    if (!slices.empty()) {
-      ParallelFor(options.pool, slices.size(), 1,
-                  [&](size_t chunk, size_t sbegin, size_t send) {
-                    (void)chunk;
-                    for (size_t i = sbegin; i < send; ++i) {
-                      if (finite && options.deadline.Expired()) {
-                        cancelled.store(true, std::memory_order_relaxed);
-                        return;
-                      }
-                      const Slice& slice = slices[i];
-                      const SliceCtx& ctx = ctxs[slice.ctx];
-                      const Segment& seg = segments[ctx.seg_index];
-                      AggregatePartial* p = &slice_partials[i];
-                      if (seg.run == nullptr) {
-                        MemScanRange(compiled, agg, snapshot.memtable(),
-                                     slice.begin, slice.end, p);
-                      } else if (options.vectorize) {
-                        auto scratch = std::make_unique<vec::BatchScratch>();
-                        VecScanRange(ctx.filters, ctx.agg_column,
-                                     slice.begin, slice.end, scratch.get(),
-                                     p);
-                      } else {
-                        ScalarScanRange(ctx.bound, ctx.agg_column,
-                                        slice.begin, slice.end, p);
-                      }
-                    }
-                  });
-    }
-    if (cancelled.load(std::memory_order_relaxed)) {
-      return Status::Timeout("parallel aggregate scan cancelled (" +
-                             std::to_string(n) + " rows)");
-    }
-    for (const SliceCtx& ctx : ctxs) {
-      AggregatePartial seg_total;
-      for (size_t i = ctx.first_slice;
-           i < ctx.first_slice + ctx.num_slices; ++i) {
-        MergeInto(slice_partials[i], &seg_total);
-      }
-      seg_partials[ctx.seg_index] = seg_total;
-    }
-  }
-
-  AggregatePartial total;
-  for (const AggregatePartial& partial : seg_partials) {
-    MergeInto(partial, &total);
-  }
-  if (options.cache != nullptr) {
-    // Store only after the whole scan succeeded: a timed-out execution
-    // never populates the cache, even for runs it finished.
-    for (size_t s = 0; s < segments.size(); ++s) {
-      if (segments[s].run == nullptr || cached[s]) continue;
-      options.cache->StoreRun(table, segments[s].run->id(), query,
-                              seg_partials[s]);
-    }
-  }
-  return total;
+  return ScanSnapshot(snapshot, query, scanner, options, "aggregate");
 }
 
 Result<AggregateResult> Executor::Execute(const TableSnapshot& snapshot,
@@ -901,201 +809,22 @@ Result<GroupedPartial> Executor::ExecuteGroupedPartial(
     return Status::InvalidArgument("GROUP BY requires a string column");
   }
 
-  std::vector<LogicalPredicate> compiled;
-  compiled.reserve(query.shared_predicates.size());
-  for (const Predicate& predicate : query.shared_predicates) {
-    MUVE_ASSIGN_OR_RETURN(LogicalPredicate c, Compile(table, predicate));
-    compiled.push_back(std::move(c));
-  }
-
-  std::vector<CompiledAggregate> aggs;
-  aggs.reserve(query.aggregates.size());
+  GroupedScanner scanner;
+  MUVE_ASSIGN_OR_RETURN(scanner.predicates,
+                        CompilePredicates(table, query.shared_predicates));
+  scanner.aggs.reserve(query.aggregates.size());
   for (const AggregateSpec& spec : query.aggregates) {
     MUVE_ASSIGN_OR_RETURN(
         CompiledAggregate agg,
         CompileAggregate(table, spec.function, spec.column));
-    aggs.push_back(agg);
+    scanner.aggs.push_back(agg);
   }
-
-  // Group value -> group index for the memtable path; duplicate group
-  // values resolve first-wins, matching the per-run code maps.
-  std::unordered_map<std::string, size_t> group_of_value;
+  scanner.group_column = *group_index;
+  scanner.group_values = &query.group_values;
   for (size_t g = 0; g < query.group_values.size(); ++g) {
-    group_of_value.emplace(query.group_values[g], g);
+    scanner.group_of_value.emplace(query.group_values[g], g);
   }
-
-  const size_t n = snapshot.num_rows();
-  const size_t grain = std::max<size_t>(1, options.parallel_grain);
-  const std::vector<Segment> segments = MakeSegments(snapshot);
-  const size_t num_groups = query.group_values.size();
-  const size_t num_aggs = aggs.size();
-
-  std::vector<GroupedPartial> seg_partials(segments.size());
-  std::vector<char> cached(segments.size(), 0);
-  for (size_t s = 0; s < segments.size(); ++s) {
-    bool hit = false;
-    if (options.cache != nullptr && segments[s].run != nullptr) {
-      hit = options.cache->LookupRun(table, segments[s].run->id(), query,
-                                     &seg_partials[s]);
-    }
-    cached[s] = hit ? 1 : 0;
-    if (!hit) seg_partials[s] = MakeGrid(num_groups, num_aggs);
-  }
-
-  /// Per-run grouped scan context: the group column binding on top of
-  /// the shared predicate binding.
-  struct GroupedCtx {
-    size_t seg_index = 0;
-    std::vector<BoundPredicate> bound;
-    std::vector<VecFilter> filters;
-    const Column* group_column = nullptr;
-    std::unordered_map<uint32_t, size_t> group_of_code;
-    std::vector<uint32_t> group_lookup;
-    std::vector<const Column*> agg_columns;
-    size_t first_slice = 0;
-    size_t num_slices = 0;
-  };
-  auto bind_ctx = [&](size_t s) {
-    GroupedCtx ctx;
-    ctx.seg_index = s;
-    const Segment& seg = segments[s];
-    if (seg.run == nullptr) return ctx;
-    ctx.bound = BindPredicates(compiled, *seg.run);
-    ctx.group_column = &seg.run->column(*group_index);
-    // Map this run's dictionary code -> group index for the IN list: a
-    // dense lookup table indexed by code on the vectorized path, a hash
-    // map on the scalar path. Both resolve duplicate group values
-    // first-wins.
-    if (options.vectorize) {
-      ctx.filters = VectorizeFilters(ctx.bound);
-      ctx.group_lookup =
-          vec::BuildGroupLookup(*ctx.group_column, query.group_values);
-    } else {
-      for (size_t g = 0; g < query.group_values.size(); ++g) {
-        const uint32_t code =
-            ctx.group_column->CodeFor(query.group_values[g]);
-        if (code != kInvalidCode) ctx.group_of_code.emplace(code, g);
-      }
-    }
-    ctx.agg_columns.reserve(aggs.size());
-    for (const CompiledAggregate& agg : aggs) {
-      ctx.agg_columns.push_back(
-          agg.column == SIZE_MAX ? nullptr : &seg.run->column(agg.column));
-    }
-    return ctx;
-  };
-
-  const bool finite = options.deadline.IsFinite();
-  if (!options.ShouldParallelize(n)) {
-    std::unique_ptr<vec::BatchScratch> scratch;
-    if (options.vectorize && n > 0) {
-      scratch = std::make_unique<vec::BatchScratch>();
-    }
-    for (size_t s = 0; s < segments.size(); ++s) {
-      if (cached[s]) continue;
-      const Segment& seg = segments[s];
-      GroupedPartial* grid = &seg_partials[s];
-      const GroupedCtx ctx = bind_ctx(s);
-      for (size_t begin = 0; begin < seg.rows; begin += grain) {
-        if (finite && options.deadline.Expired()) {
-          return Status::Timeout("grouped scan cancelled at row " +
-                                 std::to_string(seg.begin + begin) + "/" +
-                                 std::to_string(n));
-        }
-        const size_t end = std::min(seg.rows, begin + grain);
-        if (seg.run == nullptr) {
-          MemGroupedScanRange(compiled, aggs, *group_index, group_of_value,
-                              snapshot.memtable(), begin, end, grid);
-        } else if (options.vectorize) {
-          VecGroupedScanRange(ctx.filters, ctx.group_column->codes_raw(),
-                              ctx.group_lookup, ctx.agg_columns, begin, end,
-                              scratch.get(), grid);
-        } else {
-          ScalarGroupedScanRange(ctx.bound, ctx.group_column->codes(),
-                                 ctx.group_of_code, ctx.agg_columns, begin,
-                                 end, grid);
-        }
-      }
-    }
-  } else {
-    std::vector<GroupedCtx> ctxs;
-    std::vector<Slice> slices;
-    for (size_t s = 0; s < segments.size(); ++s) {
-      if (cached[s]) continue;
-      GroupedCtx ctx = bind_ctx(s);
-      ctx.first_slice = slices.size();
-      for (size_t begin = 0; begin < segments[s].rows; begin += grain) {
-        slices.push_back(
-            {ctxs.size(), begin, std::min(segments[s].rows, begin + grain)});
-      }
-      ctx.num_slices = slices.size() - ctx.first_slice;
-      ctxs.push_back(std::move(ctx));
-    }
-    // Per-slice replicas of the (group x aggregate) grid, merged
-    // cell-wise slices-then-segments in order.
-    std::vector<GroupedPartial> slice_partials(slices.size());
-    for (auto& grid : slice_partials) grid = MakeGrid(num_groups, num_aggs);
-    std::atomic<bool> cancelled{false};
-    if (!slices.empty()) {
-      ParallelFor(
-          options.pool, slices.size(), 1,
-          [&](size_t chunk, size_t sbegin, size_t send) {
-            (void)chunk;
-            for (size_t i = sbegin; i < send; ++i) {
-              if (finite && options.deadline.Expired()) {
-                cancelled.store(true, std::memory_order_relaxed);
-                return;
-              }
-              const Slice& slice = slices[i];
-              const GroupedCtx& ctx = ctxs[slice.ctx];
-              const Segment& seg = segments[ctx.seg_index];
-              GroupedPartial* grid = &slice_partials[i];
-              if (seg.run == nullptr) {
-                MemGroupedScanRange(compiled, aggs, *group_index,
-                                    group_of_value, snapshot.memtable(),
-                                    slice.begin, slice.end, grid);
-              } else if (options.vectorize) {
-                auto scratch = std::make_unique<vec::BatchScratch>();
-                VecGroupedScanRange(ctx.filters,
-                                    ctx.group_column->codes_raw(),
-                                    ctx.group_lookup, ctx.agg_columns,
-                                    slice.begin, slice.end, scratch.get(),
-                                    grid);
-              } else {
-                ScalarGroupedScanRange(ctx.bound, ctx.group_column->codes(),
-                                       ctx.group_of_code, ctx.agg_columns,
-                                       slice.begin, slice.end, grid);
-              }
-            }
-          });
-    }
-    if (cancelled.load(std::memory_order_relaxed)) {
-      return Status::Timeout("parallel grouped scan cancelled (" +
-                             std::to_string(n) + " rows)");
-    }
-    for (const GroupedCtx& ctx : ctxs) {
-      GroupedPartial seg_total = MakeGrid(num_groups, num_aggs);
-      for (size_t i = ctx.first_slice;
-           i < ctx.first_slice + ctx.num_slices; ++i) {
-        MergeGrids(slice_partials[i], &seg_total);
-      }
-      seg_partials[ctx.seg_index] = std::move(seg_total);
-    }
-  }
-
-  GroupedPartial total = MakeGrid(num_groups, num_aggs);
-  for (const GroupedPartial& partial : seg_partials) {
-    MergeGrids(partial, &total);
-  }
-  if (options.cache != nullptr) {
-    // Store only after the whole scan succeeded (see Execute).
-    for (size_t s = 0; s < segments.size(); ++s) {
-      if (segments[s].run == nullptr || cached[s]) continue;
-      options.cache->StoreRun(table, segments[s].run->id(), query,
-                              seg_partials[s]);
-    }
-  }
-  return total;
+  return ScanSnapshot(snapshot, query, scanner, options, "grouped");
 }
 
 Result<GroupByResult> Executor::ExecuteGrouped(
@@ -1118,7 +847,7 @@ void Executor::MergePartial(const AggregatePartial& src,
 }
 
 void Executor::MergePartial(const GroupedPartial& src, GroupedPartial* dst) {
-  MergeGrids(src, dst);
+  MergeInto(src, dst);
 }
 
 GroupedPartial Executor::MakeGroupedIdentity(const GroupByQuery& query) {

@@ -17,10 +17,14 @@ namespace muve::db {
 
 class ResultCache;
 
-/// Controls how the executor runs a scan.
+/// Controls how the executor runs a scan. Every scan cuts its segments
+/// into the same fixed `parallel_grain` slices and folds the slice
+/// partials in the same order whether or not a pool is attached, so
+/// results are bitwise identical at every thread count and pool size.
 struct ExecutorOptions {
-  /// Worker pool for partitioned scans; nullptr runs the exact serial
-  /// scan loop (the pre-threading code path, byte-identical results).
+  /// Worker pool for the slices of one scan. Used when it has >= 2
+  /// threads and the snapshot holds more than `parallel_grain` rows;
+  /// otherwise (and with nullptr) the slices run inline on the caller.
   ThreadPool* pool = nullptr;
   /// Session result cache of per-run partial aggregates, consulted
   /// before scanning each immutable run and filled after; nullptr (or a
@@ -29,41 +33,18 @@ struct ExecutorOptions {
   /// populated it byte-for-byte. Must be thread-safe when `pool` is set
   /// (cache::QueryCache is).
   ResultCache* cache = nullptr;
-  /// Tables smaller than this stay on the serial path even with a pool —
-  /// partitioning overhead dwarfs the scan below this size.
-  size_t min_parallel_rows = 16384;
-  /// Rows per partition. Fixed (independent of thread count), so the
-  /// per-partition aggregate states and their in-order merge — and hence
-  /// the floating-point result — are identical for every pool size.
+  /// Rows per slice, measured from each segment's start. Fixed
+  /// (independent of thread count), so the per-slice partials and their
+  /// in-order fold — and hence the floating-point result — are the same
+  /// for every pool size, including none.
   size_t parallel_grain = 16384;
-  /// Cooperative cancellation, checked at partition granularity: every
-  /// `parallel_grain` rows on the serial path, at the start of each
-  /// partition on the parallel path. On expiry the scan stops and the
-  /// executor returns Status::Timeout; a partition already underway runs
-  /// to completion, so a cancelled scan overshoots the deadline by at
-  /// most one partition grain. The default infinite deadline keeps the
-  /// original check-free scan loops (byte-identical results and timing).
-  /// A timed-out scan never stores into `cache`.
+  /// Cooperative cancellation, checked before every slice, inline or on
+  /// the pool. On expiry the scan stops and the executor returns
+  /// Status::Timeout; a slice already underway runs to completion, so a
+  /// cancelled scan overshoots the deadline by at most one slice. The
+  /// default infinite deadline never reads the clock. A timed-out scan
+  /// never stores into `cache`.
   Deadline deadline;
-  /// Batch-at-a-time columnar execution (src/db/vec/ kernels) over the
-  /// immutable runs: each partition is tiled into vec::kBatchSize-row
-  /// batches, predicates fill selection vectors with branch-light
-  /// kernels (dictionary-code compares for strings, accept masks for
-  /// long IN lists), and aggregates run tight gather/dense loops over
-  /// the selected offsets. The row-oriented memtable tail is always
-  /// scanned value-at-a-time (identically in both modes). Row order,
-  /// partition boundaries, accumulation order, cancellation points, and
-  /// cache interaction are all identical to the scalar loop, so results
-  /// are byte-identical — `false` keeps the original value-at-a-time
-  /// scan, which the differential suite uses as the oracle for the
-  /// vectorized path.
-  bool vectorize = true;
-
-  /// True when this configuration parallelizes a scan of `num_rows` rows.
-  bool ShouldParallelize(size_t num_rows) const {
-    return pool != nullptr && pool->num_threads() >= 2 &&
-           num_rows >= min_parallel_rows && num_rows > parallel_grain;
-  }
 };
 
 /// Result of executing one aggregate.
@@ -167,9 +148,12 @@ class ResultCache {
 /// state (COUNT/SUM/MIN/MAX merge directly, AVG as a sum+count pair,
 /// GROUP BY as a per-segment accumulator grid) and the partials are
 /// merged in segment order, so the result is independent of which run
-/// partials came from the cache. With `options.pool` set, uncached
-/// segments are further cut into fixed-size slices executed by the pool
-/// and merged slices-then-segments in order. Empty-input detection
+/// partials came from the cache. Uncached segments are cut into
+/// fixed-size slices, scanned inline or on `options.pool`, and merged
+/// slices-then-segments in order either way. Runs are scanned as column
+/// batches (src/db/vec/ kernels), the memtable tail value-at-a-time;
+/// tests/testing/reference_executor.h is the value-at-a-time oracle for
+/// both. Empty-input detection
 /// happens after the merge: a segment that matched nothing contributes
 /// a zero-count state, never a 0 identity value.
 ///

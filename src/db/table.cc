@@ -201,7 +201,7 @@ std::shared_ptr<Table> Table::Sample(double fraction) const {
     (void)st;  // Types match the source schema by construction.
   }
   // The sample is complete: seal it into a columnar run so scans over it
-  // take the vectorized (and cacheable) path.
+  // run as column batches (and cache per run).
   out->Flush();
   return out;
 }

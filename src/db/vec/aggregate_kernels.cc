@@ -5,8 +5,8 @@ namespace muve::db::vec {
 namespace {
 
 /// Fold shapes shared by every kernel. `load(i)` reads element i as a
-/// double; `fold` must be the scalar executor's per-row operation so the
-/// sequential accumulation is bitwise-reproducible (see header).
+/// double; `fold` must be the value-at-a-time scans' per-row operation so
+/// the sequential accumulation is bitwise-reproducible (see header).
 template <typename Load, typename Fold>
 double FoldGather(const uint32_t* sel, size_t n, double acc, Load load,
                   Fold fold) {

@@ -18,15 +18,16 @@ namespace muve::db::vec {
 ///    passed (or the query has no predicates).
 ///
 /// Bitwise-reproducibility contract: kernels accumulate sequentially in
-/// selection order, which is row order, using exactly the scalar
-/// executor's per-row operation — `acc += v` for sums (int64 widened to
-/// double per element first), `acc = v < acc ? v : acc` for min and
-/// `acc = acc < v ? v : acc` for max (the std::min/std::max identities,
-/// including their NaN behavior). A vectorized scan therefore produces
-/// the same floating-point result, bit for bit, as the scalar loop over
-/// the same row range — the property the differential suite pins down.
-/// Splitting SUM across SIMD lanes would reassociate the adds and break
-/// it; the speedup comes from filtering, not from reassociation.
+/// selection order, which is row order, using exactly the per-row
+/// operation of the value-at-a-time scans — `acc += v` for sums (int64
+/// widened to double per element first), `acc = v < acc ? v : acc` for
+/// min and `acc = acc < v ? v : acc` for max (the std::min/std::max
+/// identities, including their NaN behavior). A vectorized scan
+/// therefore produces the same floating-point result, bit for bit, as a
+/// value-at-a-time loop over the same row range — the property the
+/// differential suite pins down. Splitting SUM across SIMD lanes would
+/// reassociate the adds and break it; the speedup comes from filtering,
+/// not from reassociation.
 
 double SumGatherF64(const double* data, const uint32_t* sel, size_t n,
                     double acc);

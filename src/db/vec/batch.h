@@ -9,13 +9,13 @@ namespace muve::db::vec {
 /// Rows processed per batch by the vectorized executor. 2048 values keep
 /// one batch of every scanned column plus the selection scratch well
 /// inside L1/L2 while amortizing per-batch dispatch (predicate kind,
-/// aggregate kind) over thousands of rows. Batches tile each partition
-/// grain from its start, so partition boundaries — and therefore the
-/// per-partition accumulator states the parallel merge combines — are
-/// unchanged from the scalar executor.
+/// aggregate kind) over thousands of rows. Batches tile each scan slice
+/// from its start, so slice boundaries — and therefore the per-slice
+/// accumulator states the executor merges — do not depend on the batch
+/// size.
 inline constexpr size_t kBatchSize = 2048;
 
-/// Selection-vector scratch for one scan (or one partition of a parallel
+/// Selection-vector scratch for one scan (or one slice of a pooled
 /// scan). A selection vector holds the offsets, relative to the batch
 /// base row and in ascending order, of rows that passed every predicate
 /// applied so far; filters write `a`/`b` alternately so a refine never

@@ -4,15 +4,13 @@
 
 namespace muve::dist {
 
-ShardService::ShardService(std::shared_ptr<const db::Table> shard,
-                           ShardServiceOptions options)
-    : shard_(std::move(shard)), options_(options) {}
+ShardService::ShardService(std::shared_ptr<const db::Table> shard)
+    : shard_(std::move(shard)) {}
 
 Result<net::PartialResult> ShardService::HandlePartial(
     const net::PartialQuery& query) {
   const db::TableSnapshot snapshot = shard_->Snapshot();
   db::ExecutorOptions exec_options;
-  exec_options.vectorize = options_.vectorize;
   exec_options.deadline = query.deadline;
 
   net::PartialResult result;

@@ -11,12 +11,6 @@
 
 namespace muve::dist {
 
-/// Options of a shard-side partial executor.
-struct ShardServiceOptions {
-  /// Forwarded to db::ExecutorOptions::vectorize.
-  bool vectorize = true;
-};
-
 /// The shard server's side of the partial-aggregate protocol: executes
 /// one kPartialQuery against a fresh snapshot of the local stripe with
 /// db::Executor::ExecutePartial / ExecuteGroupedPartial — the exact scan
@@ -31,8 +25,7 @@ struct ShardServiceOptions {
 class ShardService : public net::PartialHandler {
  public:
   /// `shard` is this process's stripe (ShardedTable::shard(i)).
-  explicit ShardService(std::shared_ptr<const db::Table> shard,
-                        ShardServiceOptions options = {});
+  explicit ShardService(std::shared_ptr<const db::Table> shard);
 
   Result<net::PartialResult> HandlePartial(
       const net::PartialQuery& query) override;
@@ -47,7 +40,6 @@ class ShardService : public net::PartialHandler {
 
  private:
   const std::shared_ptr<const db::Table> shard_;
-  const ShardServiceOptions options_;
   std::atomic<uint64_t> queries_served_{0};
   std::atomic<uint64_t> queries_failed_{0};
 };

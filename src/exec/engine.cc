@@ -145,7 +145,6 @@ void Engine::Init() {
   probe.table = relation_->name();
   probe.function = db::AggregateFunction::kCount;
   db::ExecutorOptions probe_options;
-  probe_options.vectorize = options_.vectorize;
   ScanTarget target;
   if (sharded_ != nullptr) {
     target.sharded = sharded_->Snapshot();
@@ -255,7 +254,6 @@ Result<Execution> Engine::Execute(const core::CandidateSet& candidates,
     // keys racing a miss compute identical values.
     db::ExecutorOptions unit_options;
     unit_options.cache = cache;
-    unit_options.vectorize = options_.vectorize;
     for (const MergeUnit& unit : units) {
       futures.push_back(pool_->Submit([&unit, &target, &candidates,
                                        sampled, sample_fraction,
@@ -284,11 +282,9 @@ Result<Execution> Engine::Execute(const core::CandidateSet& candidates,
     // row partitioning inside each shard task's slack (sharded).
     db::ExecutorOptions db_options;
     db_options.cache = cache;
-    db_options.vectorize = options_.vectorize;
     ThreadPool* shard_pool = nullptr;
     if (units.size() == 1) {
       db_options.pool = pool_.get();
-      db_options.min_parallel_rows = options_.min_parallel_rows;
       shard_pool = pool_.get();
     }
     for (const MergeUnit& unit : units) {
@@ -338,13 +334,11 @@ Status Engine::ExecuteUnitsBounded(const std::vector<MergeUnit>& units,
 
   db::ExecutorOptions base_options;  // No deadline: uncancellable.
   base_options.cache = cache;
-  base_options.vectorize = options_.vectorize;
   db::ExecutorOptions rest_options = base_options;
   rest_options.deadline = controls.deadline;
   ThreadPool* base_shard_pool = nullptr;
   if (units.size() == 1) {
     base_options.pool = pool_.get();
-    base_options.min_parallel_rows = options_.min_parallel_rows;
     base_shard_pool = pool_.get();
   }
 

@@ -32,28 +32,19 @@ struct EngineOptions {
   /// observes in Fig. 11.
   double per_query_overhead_ms = 2.0;
   /// Worker threads for query execution: 0 picks
-  /// hardware_concurrency, 1 is the exact serial path (no pool is
-  /// created; results are byte-identical to the pre-threading engine),
-  /// >= 2 creates a fixed-size shared ThreadPool. Independent merge
-  /// units run concurrently (bit-identical to serial, as each unit's
-  /// scan is unchanged and units answer disjoint value slots); a batch
-  /// that collapses to a single unit parallelizes the scan itself by row
-  /// partitioning instead.
+  /// hardware_concurrency, 1 runs every scan on the caller (no pool is
+  /// created), >= 2 creates a fixed-size shared ThreadPool. Independent
+  /// merge units run concurrently (units answer disjoint value slots); a
+  /// batch that collapses to a single unit runs the slices of its scan on
+  /// the pool instead. Values are byte-identical at every setting.
   size_t num_threads = 0;
-  /// Minimum table rows before a single unit's scan is row-partitioned
-  /// (forwarded to db::ExecutorOptions).
-  size_t min_parallel_rows = 16384;
   /// Entries per map of the session result cache (cache::QueryCache):
   /// executor results are reused across repeated and overlapping
   /// candidate batches of the session. 0 disables the cache — no
   /// QueryCache is constructed and every scan takes the exact uncached
   /// path. Cached results are the executor's raw output, so hits are
-  /// byte-identical to recomputation at the same thread configuration.
+  /// byte-identical to recomputation.
   size_t cache_capacity = 256;
-  /// Batch-at-a-time columnar scans (forwarded to
-  /// db::ExecutorOptions::vectorize). Byte-identical results either way;
-  /// `false` runs the scalar value-at-a-time oracle path.
-  bool vectorize = true;
   /// Remote source of shard partials (dist::Coordinator). Applies only
   /// to full-fraction scans of a sharded engine's primary table — the
   /// router keeps its own copy of the data, so sampled/degraded scans

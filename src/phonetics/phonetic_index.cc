@@ -41,7 +41,7 @@ uint16_t BandKey(std::string_view primary) {
 
 /// The one scoring kernel both lookup paths share. A single out-of-line
 /// definition guarantees both paths round identically, which is what makes
-/// "indexed == brute force, bitwise" testable.
+/// "indexed == exhaustive, bitwise" testable.
 double BlendedScore(std::string_view query_lower,
                     const MetaphoneCode& query_code,
                     const MetaphoneCode& entry_code,
@@ -93,15 +93,14 @@ std::vector<PhoneticMatch> PhoneticIndex::TopK(
   const std::string query_lower = ToLower(query);
   const MetaphoneCode query_code = Encoder().Encode(query);
 
-  if (options_.brute_force) {
-    return TopKBrute(query_lower, query_code, k, include_exact, stats);
-  }
   return TopKIndexed(query_lower, query_code, k, include_exact, stats);
 }
 
-std::vector<PhoneticMatch> PhoneticIndex::TopKBrute(
-    const std::string& query_lower, const MetaphoneCode& query_code, size_t k,
-    bool include_exact, PhoneticLookupStats* stats) const {
+std::vector<PhoneticMatch> PhoneticIndex::TopKExhaustive(
+    std::string_view query, size_t k, bool include_exact) const {
+  if (k == 0 || entries_.empty()) return {};
+  const std::string query_lower = ToLower(query);
+  const MetaphoneCode query_code = Encoder().Encode(query);
   std::vector<PhoneticMatch> matches;
   matches.reserve(entries_.size());
   for (const IndexedEntry& entry : entries_) {
@@ -110,7 +109,6 @@ std::vector<PhoneticMatch> PhoneticIndex::TopKBrute(
         {entry.text,
          BlendedScore(query_lower, query_code, entry.code, entry.lower)});
   }
-  if (stats != nullptr) stats->scored = matches.size();
   std::sort(matches.begin(), matches.end(),
             [](const PhoneticMatch& a, const PhoneticMatch& b) {
               if (a.similarity != b.similarity) {
@@ -131,7 +129,7 @@ std::vector<PhoneticMatch> PhoneticIndex::TopKIndexed(
   const uint64_t q_lower_mask = ByteMask(query_lower);
   const bool q_has_secondary = query_code.secondary != query_code.primary;
 
-  // "a ranks strictly before b" — the same total order the brute path
+  // "a ranks strictly before b" — the same total order TopKExhaustive
   // sorts with (texts are unique, so it is total). Used both as the heap
   // comparator (heap top = worst kept) and for the final merge sort.
   const auto ranks_before = [this](const Candidate& a, const Candidate& b) {
@@ -313,7 +311,7 @@ std::vector<PhoneticMatch> PhoneticIndex::TopKIndexed(
   });
 
   // ---- Merge: the seed heap plus every chunk's survivors contain the
-  // true top-k; sort with the brute-force comparator and truncate.
+  // true top-k; sort with the exhaustive comparator and truncate.
   std::vector<Candidate> merged;
   merged.reserve(seed_heap.size() + k * num_chunks);
   {

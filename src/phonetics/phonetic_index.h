@@ -20,11 +20,6 @@ struct PhoneticMatch {
 
 /// Knobs for PhoneticIndex. Defaults give the pruned serial path.
 struct PhoneticIndexOptions {
-  /// Score every entry and fully sort (the pre-index linear scan). Kept as
-  /// the differential oracle for the pruned path — the indexed lookup must
-  /// return bit-identical entries, scores, and order.
-  bool brute_force = false;
-
   /// Pool for parallel candidate scoring; null scores on the caller. The
   /// sweep partitioning depends only on the vocabulary size and a fixed
   /// grain, never the pool size, so results are identical for any pool.
@@ -35,8 +30,7 @@ struct PhoneticIndexOptions {
   size_t parallel_min_entries = 4096;
 };
 
-/// Counters from one TopK lookup. On the brute-force path only
-/// `vocabulary` and `scored` are populated (nothing is pruned).
+/// Counters from one TopK lookup.
 struct PhoneticLookupStats {
   size_t vocabulary = 0;     ///< Entries in the index at lookup time.
   size_t seeded = 0;         ///< Candidates scored by the blocking seed.
@@ -63,9 +57,9 @@ struct PhoneticLookupStats {
 /// admissible Jaro-Winkler upper bounds (length-band, then symbol-mask; see
 /// bounds.h) that discard entries provably below the threshold without
 /// computing the full comparison. The sweep runs chunk-parallel on the
-/// shared ThreadPool for large vocabularies. Every path — brute force,
-/// serial pruned, parallel pruned at any thread count — returns
-/// bit-identical results (entries, scores, and tie-break order).
+/// shared ThreadPool for large vocabularies. Serial and parallel at any
+/// thread count return results bit-identical (entries, scores, and
+/// tie-break order) to TopKExhaustive, the linear scan the index replaces.
 class PhoneticIndex {
  public:
   PhoneticIndex() = default;
@@ -93,6 +87,11 @@ class PhoneticIndex {
                                   bool include_exact = true,
                                   PhoneticLookupStats* stats = nullptr) const;
 
+  /// TopK by scoring every entry and fully sorting: the linear scan the
+  /// pruned lookup must reproduce bit for bit, kept as its reference.
+  std::vector<PhoneticMatch> TopKExhaustive(std::string_view query, size_t k,
+                                            bool include_exact = true) const;
+
   /// Phonetic similarity between `query` and a specific entry (whether or
   /// not the entry is indexed).
   static double Similarity(std::string_view query, std::string_view entry);
@@ -113,11 +112,6 @@ class PhoneticIndex {
     double score = 0.0;
     uint32_t id = 0;
   };
-
-  std::vector<PhoneticMatch> TopKBrute(const std::string& query_lower,
-                                       const MetaphoneCode& query_code,
-                                       size_t k, bool include_exact,
-                                       PhoneticLookupStats* stats) const;
 
   std::vector<PhoneticMatch> TopKIndexed(const std::string& query_lower,
                                          const MetaphoneCode& query_code,

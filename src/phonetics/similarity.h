@@ -19,7 +19,7 @@ double JaroWinklerSimilarity(std::string_view a, std::string_view b,
 /// Jaro-Winkler similarity of two already-computed Double Metaphone codes:
 /// the max over the distinct primary/secondary combinations. The shared
 /// kernel behind PhoneticSimilarity and PhoneticIndex scoring, so the
-/// brute-force and indexed lookup paths round identically.
+/// exhaustive and indexed lookup paths round identically.
 double CodeSimilarity(const MetaphoneCode& a, const MetaphoneCode& b);
 
 /// Phonetic similarity of two words per the paper (§3): both words are

@@ -17,6 +17,7 @@
 #include "db/lsm/compaction.h"
 #include "db/snapshot.h"
 #include "testing/random_workload.h"
+#include "testing/reference_executor.h"
 #include "db/vec/aggregate_kernels.h"
 #include "db/vec/batch.h"
 #include "db/vec/filter_kernels.h"
@@ -257,7 +258,6 @@ TEST(ExecutorTest, EmptyInputSurvivesParallelMerge) {
   ThreadPool pool(4);
   ExecutorOptions options;
   options.pool = &pool;
-  options.min_parallel_rows = 1;
   options.parallel_grain = 257;  // Many partitions, all empty.
 
   for (const AggregateFunction fn :
@@ -299,7 +299,6 @@ TEST(ExecutorTest, GroupedEmptyCellsSurviveParallelMerge) {
   ThreadPool pool(4);
   ExecutorOptions options;
   options.pool = &pool;
-  options.min_parallel_rows = 1;
   options.parallel_grain = 257;
 
   GroupByQuery grouped;
@@ -888,7 +887,7 @@ TEST(VecKernelTest, AcceptMaskIgnoresInvalidAndOutOfRangeCodes) {
 TEST(ExecutorTest, VectorizedInListLargerThanOneBatch) {
   // An IN list longer than vec::kBatchSize (2048): the int kernel loops
   // the whole key list per row and the string path goes through a
-  // dictionary accept mask; both must agree with the scalar oracle.
+  // dictionary accept mask; both must agree with the reference executor.
   auto table = *Table::Create("t", {{"s", ValueType::kString},
                                     {"v", ValueType::kInt64}});
   constexpr int64_t kRows = 5000;
@@ -904,8 +903,6 @@ TEST(ExecutorTest, VectorizedInListLargerThanOneBatch) {
     int_list.emplace_back(k);
     string_list.emplace_back("s" + std::to_string(k));
   }
-  ExecutorOptions scalar;
-  scalar.vectorize = false;
   for (const Predicate& predicate :
        {Predicate::In("v", int_list), Predicate::In("s", string_list)}) {
     AggregateQuery query;
@@ -914,12 +911,13 @@ TEST(ExecutorTest, VectorizedInListLargerThanOneBatch) {
     query.aggregate_column = "v";
     query.predicates = {predicate};
     const auto vec_result = Executor::Execute(*table, query);
-    const auto scalar_result = Executor::Execute(*table, query, scalar);
-    ASSERT_TRUE(vec_result.ok() && scalar_result.ok());
+    const AggregateResult reference =
+        testing::ReferenceExecute(*table, query);
+    ASSERT_TRUE(vec_result.ok());
     // Rows 0..2499 and 3000..4999 (values 0..1999) match: 4500 rows.
     EXPECT_EQ(4500u, vec_result->rows_matched);
-    EXPECT_EQ(scalar_result->rows_matched, vec_result->rows_matched);
-    EXPECT_EQ(scalar_result->value, vec_result->value);
+    EXPECT_EQ(reference.rows_matched, vec_result->rows_matched);
+    EXPECT_EQ(reference.value, vec_result->value);
   }
 }
 
@@ -932,13 +930,11 @@ TEST(ExecutorTest, VectorizedSignedZeroPredicateMatchesBothZeros) {
   query.table = "t";
   query.function = AggregateFunction::kCount;
   query.predicates = {Predicate::Equals("d", Value(-0.0))};
-  ExecutorOptions scalar;
-  scalar.vectorize = false;
   const auto vec_result = Executor::Execute(*table, query);
-  const auto scalar_result = Executor::Execute(*table, query, scalar);
-  ASSERT_TRUE(vec_result.ok() && scalar_result.ok());
+  const AggregateResult reference = testing::ReferenceExecute(*table, query);
+  ASSERT_TRUE(vec_result.ok());
   EXPECT_EQ(2u, vec_result->rows_matched);
-  EXPECT_EQ(scalar_result->rows_matched, vec_result->rows_matched);
+  EXPECT_EQ(reference.rows_matched, vec_result->rows_matched);
 }
 
 }  // namespace
@@ -1207,11 +1203,12 @@ TEST(SnapshotTest, EmptySnapshotCloneFails) {
 // preserves run boundaries and per-run dictionaries, so scans over the
 // clone are bit-for-bit comparable), and requires every read through
 // the snapshot — raw ValueAt and aggregate/grouped scans at 1/2/8
-// threads, vectorized and scalar, cached cold/warm and uncached — to be
-// byte-identical to the same read over the oracle.
+// threads, cached cold/warm and uncached — to be byte-identical to the
+// same read over the oracle, scanned either by db::Executor or by the
+// value-at-a-time reference executor (testing/reference_executor.h).
 //
 // 210 configurations by default: 5 seeds x 7 memtable-boundary row
-// counts x 3 thread counts x vectorize on/off. MUVE_ORACLE_SEEDS
+// counts x 3 thread counts x the two oracle scanners. MUVE_ORACLE_SEEDS
 // scales the seed dimension (the `slow` CTest variant raises it).
 // ---------------------------------------------------------------------
 
@@ -1258,9 +1255,9 @@ TEST_F(SnapshotOracleTest, WritesRaceReadsDifferentialOracle) {
   for (int seed = 0; seed < seeds; ++seed) {
     for (const size_t initial_rows : kRowCounts) {
       for (const size_t threads : kThreadCounts) {
-        for (const bool vectorize : {false, true}) {
+        for (const bool reference : {false, true}) {
           Rng rng(0x0eac1eull + static_cast<uint64_t>(seed) * 131071 +
-                  initial_rows * 257 + threads * 17 + (vectorize ? 1 : 0));
+                  initial_rows * 257 + threads * 17 + (reference ? 1 : 0));
           TableOptions topt;
           topt.flush_threshold = kFlush;
           topt.max_runs = 3;  // Frequent background compaction churn.
@@ -1298,9 +1295,7 @@ TEST_F(SnapshotOracleTest, WritesRaceReadsDifferentialOracle) {
           });
 
           db::ExecutorOptions options;
-          options.vectorize = vectorize;
           options.pool = PoolFor(threads);
-          options.min_parallel_rows = 1;
           options.parallel_grain = 37;  // Odd grain: awkward slice cuts.
 
           for (int round = 0; round < 2; ++round) {
@@ -1312,7 +1307,7 @@ TEST_F(SnapshotOracleTest, WritesRaceReadsDifferentialOracle) {
                 "seed " + std::to_string(seed) + " rows " +
                 std::to_string(initial_rows) + " threads " +
                 std::to_string(threads) +
-                (vectorize ? " vec" : " scalar") + " round " +
+                (reference ? " reference" : " executor") + " round " +
                 std::to_string(round);
 
             // Raw reads: layout and bytes must match the frozen copy.
@@ -1338,7 +1333,10 @@ TEST_F(SnapshotOracleTest, WritesRaceReadsDifferentialOracle) {
             for (int q = 0; q < 2; ++q) {
               const AggregateQuery query =
                   testing::RandomVecAggregateQuery(**oracle, &rng);
-              const auto want = Executor::Execute(frozen, query, options);
+              const Result<AggregateResult> want =
+                  reference ? testing::ReferenceExecute(frozen, query,
+                                                        options.parallel_grain)
+                            : Executor::Execute(frozen, query, options);
               ASSERT_TRUE(want.ok()) << context;
               const auto uncached_got =
                   Executor::Execute(snapshot, query, options);
@@ -1353,8 +1351,10 @@ TEST_F(SnapshotOracleTest, WritesRaceReadsDifferentialOracle) {
             }
             const GroupByQuery grouped =
                 testing::RandomVecGroupByQuery(**oracle, &rng);
-            const auto want =
-                Executor::ExecuteGrouped(frozen, grouped, options);
+            const Result<GroupByResult> want =
+                reference ? testing::ReferenceExecuteGrouped(
+                                frozen, grouped, options.parallel_grain)
+                          : Executor::ExecuteGrouped(frozen, grouped, options);
             ASSERT_TRUE(want.ok()) << context;
             for (const db::ExecutorOptions* opts : {&options, &cached}) {
               const auto got =

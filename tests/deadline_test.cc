@@ -146,7 +146,6 @@ TEST(DeadlineExecutorTest, ExpiredDeadlineCancelsParallelScan) {
   FakeClock clock;
   db::ExecutorOptions options;
   options.pool = &pool;
-  options.min_parallel_rows = 100;
   options.parallel_grain = 256;
   options.deadline = ExpiredDeadline(&clock);
   const auto result = db::Executor::Execute(
@@ -170,7 +169,6 @@ TEST(DeadlineExecutorTest, ExpiredDeadlineCancelsGroupedScan) {
     db::ExecutorOptions options;
     if (parallel) {
       options.pool = &pool;
-      options.min_parallel_rows = 100;
       options.parallel_grain = 256;
     }
     options.deadline = ExpiredDeadline(&clock);
@@ -194,7 +192,6 @@ TEST(DeadlineExecutorTest, UnexpiredFiniteDeadlineMatchesUnbounded) {
     if (parallel) {
       for (db::ExecutorOptions* options : {&unbounded, &bounded}) {
         options->pool = &pool;
-        options->min_parallel_rows = 100;
         options->parallel_grain = 256;
       }
     }
@@ -208,32 +205,25 @@ TEST(DeadlineExecutorTest, UnexpiredFiniteDeadlineMatchesUnbounded) {
   }
 }
 
-// The vectorized batch path keeps the scalar path's cancellation
-// cadence exactly: one deadline check per partition grain, batches
-// tiling each grain from its start. A SteppingClock whose budget covers
-// 2.5 checks therefore cancels both paths mid-scan at the identical
-// row — the start of the third grain — proving batching neither skips
-// nor adds cancellation points.
-TEST(DeadlineExecutorTest, BatchPathCancelsMidScanAtSameGrainAsScalar) {
+// The batch path checks the deadline exactly once per slice, batches
+// tiling each slice from its start. A SteppingClock whose budget covers
+// 2.5 checks therefore cancels the inline scan at the start of the third
+// slice — proving batching neither skips nor adds cancellation points.
+TEST(DeadlineExecutorTest, BatchPathCancelsMidScanAtSliceStart) {
   auto table = Table311(5000);
   const db::AggregateQuery query = Query311(
       db::AggregateFunction::kCount, "", "borough", "brooklyn");
-  for (const bool vectorize : {true, false}) {
-    SteppingClock clock;
-    db::ExecutorOptions options;
-    options.vectorize = vectorize;
-    options.parallel_grain = 256;
-    // Read 1 anchors the deadline; reads 2 and 3 (grain checks at rows
-    // 0 and 256) pass; read 4 (row 512) expires.
-    options.deadline = Deadline::AfterMillis(2.5, &clock);
-    const auto result = db::Executor::Execute(*table, query, options);
-    ASSERT_FALSE(result.ok()) << (vectorize ? "vector" : "scalar");
-    EXPECT_EQ(result.status().code(), StatusCode::kTimeout)
-        << (vectorize ? "vector" : "scalar");
-    EXPECT_EQ(result.status().message(),
-              "aggregate scan cancelled at row 512/5000")
-        << (vectorize ? "vector" : "scalar");
-  }
+  SteppingClock clock;
+  db::ExecutorOptions options;
+  options.parallel_grain = 256;
+  // Read 1 anchors the deadline; reads 2 and 3 (slice checks at rows 0
+  // and 256) pass; read 4 (row 512) expires.
+  options.deadline = Deadline::AfterMillis(2.5, &clock);
+  const auto result = db::Executor::Execute(*table, query, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kTimeout);
+  EXPECT_EQ(result.status().message(),
+            "aggregate scan cancelled at row 512/5000");
 }
 
 TEST(DeadlineExecutorTest, BatchPathCancelsMidScanParallel) {
@@ -242,7 +232,6 @@ TEST(DeadlineExecutorTest, BatchPathCancelsMidScanParallel) {
   SteppingClock clock;
   db::ExecutorOptions options;
   options.pool = &pool;
-  options.min_parallel_rows = 100;
   options.parallel_grain = 256;  // 20 chunks; only 10 checks can pass.
   options.deadline = Deadline::AfterMillis(10.5, &clock);
   const auto result = db::Executor::Execute(
@@ -279,7 +268,6 @@ TEST(DeadlineExecutorTest, BatchPathCancelsGroupedScanMidScan) {
     SteppingClock clock;
     db::ExecutorOptions options;
     options.pool = &pool;
-    options.min_parallel_rows = 100;
     options.parallel_grain = 256;
     options.deadline = Deadline::AfterMillis(10.5, &clock);
     const auto result = db::Executor::ExecuteGrouped(*table, query, options);

@@ -2,8 +2,11 @@
 ///
 /// Hundreds of seeded random workloads are pushed through pairs of
 /// implementations that must agree:
-///   - db::Executor serial scan vs row-partitioned parallel scan (1, 2
-///     and 8 threads), for single aggregates and grouped queries;
+///   - db::Executor inline scan vs pooled scan (1, 2 and 8 threads), for
+///     single aggregates and grouped queries;
+///   - db::Executor vs the value-at-a-time reference executor
+///     (testing/reference_executor.h) at every thread count, cached and
+///     uncached, full and sampled;
 ///   - exec::Engine merged vs unmerged execution, serial vs parallel;
 ///   - core::GreedyPlanner serial vs parallel candidate evaluation
 ///     (plans must be structurally identical, costs bitwise equal);
@@ -17,13 +20,14 @@
 ///     replays must be byte-identical to the cache-disabled path,
 ///     including across table-version invalidation.
 ///
-/// Agreement rules: COUNT/MIN/MAX and all plan structure are exact;
-/// SUM/AVG compare within 1e-9 relative tolerance between serial and
-/// partitioned scans (partition sums associate differently), but are
-/// bitwise identical between different thread counts because partition
-/// boundaries are fixed by grain, not by pool size. Cached results are
-/// the raw output of the scan that populated them, so cached-vs-uncached
-/// comparisons are bitwise at the same thread configuration.
+/// Agreement rules: executor results, including SUM/AVG, are bitwise
+/// equal at every thread count, because every scan folds the same
+/// fixed-grain slices in the same order whether or not a pool runs them,
+/// and the reference executor folds them the same way. Cached results
+/// are the raw output of the scan that populated them, so cached and
+/// uncached results are bitwise equal too. Plan structure is exact;
+/// exec::Engine merged vs unmerged values compare within 1e-9 relative
+/// tolerance.
 ///
 /// MUVE_DIFF_SEEDS overrides the seed count (the `slow` CTest variants
 /// raise it; every seed is self-contained so any count reproduces).
@@ -49,6 +53,7 @@
 #include "nlq/translator.h"
 #include "serve/server.h"
 #include "testing/random_workload.h"
+#include "testing/reference_executor.h"
 #include "testing/sanitizer.h"
 #include "viz/render_ascii.h"
 
@@ -68,23 +73,27 @@ constexpr uint64_t kSeedBase = 9000;
 /// Thread counts every comparison runs at (1 = serial reference path).
 const size_t kThreadCounts[] = {1, 2, 8};
 
-bool SumBased(db::AggregateFunction fn) {
-  return fn == db::AggregateFunction::kSum ||
-         fn == db::AggregateFunction::kAvg;
+/// Every field bitwise equal, SUM/AVG included.
+void ExpectBitwiseEqual(const db::AggregateResult& expected,
+                        const db::AggregateResult& actual,
+                        const std::string& context) {
+  EXPECT_EQ(expected.value, actual.value) << context;
+  EXPECT_EQ(expected.rows_matched, actual.rows_matched) << context;
+  EXPECT_EQ(expected.empty_input, actual.empty_input) << context;
 }
 
-/// Exact for COUNT/MIN/MAX, 1e-9 relative for SUM/AVG.
-void ExpectAggregateAgreement(const db::AggregateResult& reference,
-                              const db::AggregateResult& other,
-                              db::AggregateFunction fn,
-                              const std::string& context) {
-  EXPECT_EQ(reference.rows_matched, other.rows_matched) << context;
-  EXPECT_EQ(reference.empty_input, other.empty_input) << context;
-  if (SumBased(fn)) {
-    const double scale = std::max(1.0, std::fabs(reference.value));
-    EXPECT_NEAR(reference.value, other.value, 1e-9 * scale) << context;
-  } else {
-    EXPECT_EQ(reference.value, other.value) << context;
+void ExpectGroupedBitwiseEqual(const db::GroupByResult& expected,
+                               const db::GroupByResult& actual,
+                               const std::string& context) {
+  EXPECT_EQ(expected.rows_scanned, actual.rows_scanned) << context;
+  ASSERT_EQ(expected.cells.size(), actual.cells.size()) << context;
+  for (size_t g = 0; g < expected.cells.size(); ++g) {
+    ASSERT_EQ(expected.cells[g].size(), actual.cells[g].size()) << context;
+    for (size_t a = 0; a < expected.cells[g].size(); ++a) {
+      ExpectBitwiseEqual(expected.cells[g][a], actual.cells[g][a],
+                         context + " cell " + std::to_string(g) + "/" +
+                             std::to_string(a));
+    }
   }
 }
 
@@ -133,41 +142,36 @@ ThreadPool* DifferentialTest::pool2_ = nullptr;
 ThreadPool* DifferentialTest::pool8_ = nullptr;
 
 // ---------------------------------------------------------------------
-// Layer 1: db::Executor — serial vs partitioned scans.
+// Layer 1: db::Executor — inline vs pooled scans.
+//
+// The inline leg uses the pooled legs' odd grain, so every leg cuts the
+// same slices and all of them must agree bitwise, SUM/AVG included.
 // ---------------------------------------------------------------------
 
 TEST_F(DifferentialTest, ExecutorSerialVsParallelScans) {
   for (int seed = 0; seed < kNumSeeds; ++seed) {
     Rng rng(kSeedBase + static_cast<uint64_t>(seed));
     auto table = testing::RandomTable(&rng);
-    // Odd grain, forced parallelism: partition boundaries cut rows at
-    // awkward offsets and every thread count must still agree.
-    db::ExecutorOptions parallel_options;
-    parallel_options.min_parallel_rows = 1;
-    parallel_options.parallel_grain = 193;
+    // Odd grain: slice boundaries cut rows at awkward offsets.
+    db::ExecutorOptions serial_options;
+    serial_options.parallel_grain = 193;
+    db::ExecutorOptions parallel_options = serial_options;
 
     for (int q = 0; q < 3; ++q) {
       const db::AggregateQuery query =
           testing::RandomAggregateQuery(*table, &rng);
-      const auto serial = db::Executor::Execute(*table, query);
+      const auto serial =
+          db::Executor::Execute(*table, query, serial_options);
       ASSERT_TRUE(serial.ok()) << query.ToSql();
-      db::AggregateResult at2{};
       for (const size_t threads : kThreadCounts) {
         parallel_options.pool = PoolFor(threads);
         const auto parallel =
             db::Executor::Execute(*table, query, parallel_options);
         ASSERT_TRUE(parallel.ok()) << query.ToSql();
-        ExpectAggregateAgreement(
-            *serial, *parallel, query.function,
-            "seed " + std::to_string(seed) + " threads " +
-                std::to_string(threads) + " " + query.ToSql());
-        // Fixed-grain partitioning: 2- and 8-thread runs are bitwise
-        // identical, including SUM/AVG.
-        if (threads == 2) at2 = *parallel;
-        if (threads == 8) {
-          EXPECT_EQ(at2.value, parallel->value) << query.ToSql();
-          EXPECT_EQ(at2.rows_matched, parallel->rows_matched);
-        }
+        ExpectBitwiseEqual(*serial, *parallel,
+                           "seed " + std::to_string(seed) + " threads " +
+                               std::to_string(threads) + " " +
+                               query.ToSql());
       }
     }
   }
@@ -176,52 +180,43 @@ TEST_F(DifferentialTest, ExecutorSerialVsParallelScans) {
 TEST_F(DifferentialTest, ExecutorSerialVsParallelGroupedScans) {
   for (int seed = 0; seed < kNumSeeds; ++seed) {
     Rng rng(kSeedBase + 100000 + static_cast<uint64_t>(seed));
-    auto table = testing::RandomTable(&rng);
+    // Runs of 1024 rows span several 311-row slices, so the inline fold
+    // and the pooled fold both cross slice boundaries inside a run.
+    testing::RandomTableOptions table_options;
+    table_options.flush_threshold = 1024;
+    auto table = testing::RandomTable(&rng, table_options);
     const db::GroupByQuery query =
         testing::RandomGroupByQuery(*table, &rng);
-    const auto serial = db::Executor::ExecuteGrouped(*table, query);
+    db::ExecutorOptions serial_options;
+    serial_options.parallel_grain = 311;
+    const auto serial =
+        db::Executor::ExecuteGrouped(*table, query, serial_options);
     ASSERT_TRUE(serial.ok()) << query.ToSql();
 
-    db::ExecutorOptions parallel_options;
-    parallel_options.min_parallel_rows = 1;
-    parallel_options.parallel_grain = 311;
-    db::GroupByResult at2{};
+    db::ExecutorOptions parallel_options = serial_options;
     for (const size_t threads : kThreadCounts) {
       parallel_options.pool = PoolFor(threads);
       const auto parallel =
           db::Executor::ExecuteGrouped(*table, query, parallel_options);
       ASSERT_TRUE(parallel.ok()) << query.ToSql();
-      ASSERT_EQ(serial->cells.size(), parallel->cells.size());
-      for (size_t g = 0; g < serial->cells.size(); ++g) {
-        ASSERT_EQ(serial->cells[g].size(), parallel->cells[g].size());
-        for (size_t a = 0; a < serial->cells[g].size(); ++a) {
-          ExpectAggregateAgreement(
-              serial->cells[g][a], parallel->cells[g][a],
-              query.aggregates[a].function,
-              "seed " + std::to_string(seed) + " threads " +
-                  std::to_string(threads) + " cell " + std::to_string(g) +
-                  "/" + std::to_string(a) + " " + query.ToSql());
-          if (threads == 8) {
-            EXPECT_EQ(at2.cells[g][a].value, parallel->cells[g][a].value);
-          }
-        }
-      }
-      if (threads == 2) at2 = *parallel;
+      ExpectGroupedBitwiseEqual(*serial, *parallel,
+                                "seed " + std::to_string(seed) +
+                                    " threads " + std::to_string(threads) +
+                                    " " + query.ToSql());
     }
   }
 }
 
 // ---------------------------------------------------------------------
-// Layer 1b: db::Executor — vectorized batch scans vs the scalar oracle.
+// Layer 1b: db::Executor vs the value-at-a-time reference executor.
 //
-// The batch path (ExecutorOptions::vectorize, the default) promises
-// byte-identical results to the value-at-a-time loop: same row order,
-// same accumulation order, same partition boundaries. So unlike the
-// serial-vs-parallel comparison above, every field — including SUM/AVG —
-// is compared with EXPECT_EQ, across thread counts, cached and uncached
-// replays, and full vs sampled tables. Row counts sweep the batch
-// boundaries (0, 1, 2047, 2048, 2049, 4099 rows around the 2048-row
-// batch) on a third of the seeds.
+// The executor scans runs as column batches; the reference
+// (testing/reference_executor.h) tests one value at a time through the
+// snapshot's public surface, with the same slices and folds. Every field
+// — including SUM/AVG — is compared with EXPECT_EQ, across thread
+// counts, cached and uncached replays, and full vs sampled tables. Row
+// counts sweep the batch boundaries (0, 1, 2047, 2048, 2049, 4099 rows
+// around the 2048-row batch) on a third of the seeds.
 // ---------------------------------------------------------------------
 
 /// Batch-boundary row counts: empty table, single row, one batch +/- 1,
@@ -241,20 +236,12 @@ testing::RandomTableOptions VecTableOptions(int seed) {
   return options;
 }
 
-void ExpectBitwiseEqual(const db::AggregateResult& scalar,
-                        const db::AggregateResult& vec,
-                        const std::string& context) {
-  EXPECT_EQ(scalar.value, vec.value) << context;
-  EXPECT_EQ(scalar.rows_matched, vec.rows_matched) << context;
-  EXPECT_EQ(scalar.empty_input, vec.empty_input) << context;
-}
-
-TEST_F(DifferentialTest, ExecutorVectorizedVsScalarScans) {
+TEST_F(DifferentialTest, ExecutorVsReferenceScans) {
   for (int seed = 0; seed < kNumSeeds; ++seed) {
     Rng rng(kSeedBase + 1000000 + static_cast<uint64_t>(seed));
     auto table = testing::RandomTable(&rng, VecTableOptions(seed));
-    // Sampled execution composes with vectorization: the batch path must
-    // agree on the sample too, and scaled values must match exactly.
+    // Sampled execution composes with batching: the executor must agree
+    // on the sample too, and scaled values must match exactly.
     auto sample = table->Sample(0.37);
     const bool use_cache = (seed % 2) == 1;
 
@@ -262,56 +249,42 @@ TEST_F(DifferentialTest, ExecutorVectorizedVsScalarScans) {
       const db::AggregateQuery query =
           testing::RandomVecAggregateQuery(*table, &rng);
       for (const db::Table* target : {table.get(), sample.get()}) {
+        // Odd grain: batches tile each slice from its start, so awkward
+        // slice cuts must not move any batch boundary's effect across
+        // slices.
+        const db::AggregateResult reference =
+            testing::ReferenceExecute(*target, query, 193);
         for (const size_t threads : kThreadCounts) {
-          // Odd grain + forced parallelism: batches tile each partition
-          // from its start, so awkward partition cuts must not move any
-          // batch boundary's effect across partitions.
-          db::ExecutorOptions scalar_options;
-          scalar_options.vectorize = false;  // The oracle.
-          scalar_options.min_parallel_rows = 1;
-          scalar_options.parallel_grain = 193;
-          scalar_options.pool = PoolFor(threads);
-          db::ExecutorOptions vec_options = scalar_options;
-          vec_options.vectorize = true;
-          // Fresh per-configuration caches: the cold run must store the
-          // same bytes, the warm run must replay them.
-          cache::QueryCache scalar_cache(64);
-          cache::QueryCache vec_cache(64);
-          if (use_cache) {
-            scalar_options.cache = &scalar_cache;
-            vec_options.cache = &vec_cache;
-          }
+          db::ExecutorOptions options;
+          options.parallel_grain = 193;
+          options.pool = PoolFor(threads);
+          // A fresh per-configuration cache: the cold run must store the
+          // reference's bytes, the warm run must replay them.
+          cache::QueryCache qcache(64);
+          if (use_cache) options.cache = &qcache;
           const std::string context =
               "seed " + std::to_string(seed) + " threads " +
               std::to_string(threads) +
               (target == sample.get() ? " sampled " : " full ") +
               (use_cache ? "cached " : "uncached ") + query.ToSql();
-          const auto scalar =
-              db::Executor::Execute(*target, query, scalar_options);
-          const auto vec =
-              db::Executor::Execute(*target, query, vec_options);
-          ASSERT_TRUE(scalar.ok()) << context;
+          const auto vec = db::Executor::Execute(*target, query, options);
           ASSERT_TRUE(vec.ok()) << context;
-          ExpectBitwiseEqual(*scalar, *vec, context);
+          ExpectBitwiseEqual(reference, *vec, context);
           EXPECT_EQ(
               db::Executor::ScaleSampledValue(query.function,
-                                              scalar->value, 0.37),
+                                              reference.value, 0.37),
               db::Executor::ScaleSampledValue(query.function, vec->value,
                                               0.37))
               << context;
           if (use_cache) {
-            const auto scalar_warm =
-                db::Executor::Execute(*target, query, scalar_options);
             const auto vec_warm =
-                db::Executor::Execute(*target, query, vec_options);
-            ASSERT_TRUE(scalar_warm.ok() && vec_warm.ok()) << context;
-            ExpectBitwiseEqual(*scalar_warm, *vec_warm,
-                               "warm " + context);
-            ExpectBitwiseEqual(*vec, *vec_warm, "cold-vs-warm " + context);
+                db::Executor::Execute(*target, query, options);
+            ASSERT_TRUE(vec_warm.ok()) << context;
+            ExpectBitwiseEqual(reference, *vec_warm, "warm " + context);
             // Only sealed runs are cached; a table small enough to be
             // pure memtable legitimately never hits.
             if (target->num_runs() > 0) {
-              EXPECT_GT(vec_cache.stats().hits, 0u) << context;
+              EXPECT_GT(qcache.stats().hits, 0u) << context;
             }
           }
         }
@@ -320,7 +293,7 @@ TEST_F(DifferentialTest, ExecutorVectorizedVsScalarScans) {
   }
 }
 
-TEST_F(DifferentialTest, ExecutorVectorizedVsScalarGroupedScans) {
+TEST_F(DifferentialTest, ExecutorVsReferenceGroupedScans) {
   for (int seed = 0; seed < kNumSeeds; ++seed) {
     Rng rng(kSeedBase + 1100000 + static_cast<uint64_t>(seed));
     auto table = testing::RandomTable(&rng, VecTableOptions(seed));
@@ -330,55 +303,32 @@ TEST_F(DifferentialTest, ExecutorVectorizedVsScalarGroupedScans) {
         testing::RandomVecGroupByQuery(*table, &rng);
 
     for (const db::Table* target : {table.get(), sample.get()}) {
+      const db::GroupByResult reference =
+          testing::ReferenceExecuteGrouped(*target, query, 311);
       for (const size_t threads : kThreadCounts) {
-        db::ExecutorOptions scalar_options;
-        scalar_options.vectorize = false;  // The oracle.
-        scalar_options.min_parallel_rows = 1;
-        scalar_options.parallel_grain = 311;
-        scalar_options.pool = PoolFor(threads);
-        db::ExecutorOptions vec_options = scalar_options;
-        vec_options.vectorize = true;
-        cache::QueryCache scalar_cache(64);
-        cache::QueryCache vec_cache(64);
-        if (use_cache) {
-          scalar_options.cache = &scalar_cache;
-          vec_options.cache = &vec_cache;
-        }
+        db::ExecutorOptions options;
+        options.parallel_grain = 311;
+        options.pool = PoolFor(threads);
+        cache::QueryCache qcache(64);
+        if (use_cache) options.cache = &qcache;
         const std::string context =
             "seed " + std::to_string(seed) + " threads " +
             std::to_string(threads) +
             (target == sample.get() ? " sampled " : " full ") +
             (use_cache ? "cached " : "uncached ") + query.ToSql();
-        const auto scalar =
-            db::Executor::ExecuteGrouped(*target, query, scalar_options);
         const auto vec =
-            db::Executor::ExecuteGrouped(*target, query, vec_options);
-        ASSERT_TRUE(scalar.ok()) << context;
+            db::Executor::ExecuteGrouped(*target, query, options);
         ASSERT_TRUE(vec.ok()) << context;
-        EXPECT_EQ(scalar->rows_scanned, vec->rows_scanned) << context;
-        ASSERT_EQ(scalar->cells.size(), vec->cells.size()) << context;
-        for (size_t g = 0; g < scalar->cells.size(); ++g) {
-          ASSERT_EQ(scalar->cells[g].size(), vec->cells[g].size());
-          for (size_t a = 0; a < scalar->cells[g].size(); ++a) {
-            ExpectBitwiseEqual(scalar->cells[g][a], vec->cells[g][a],
-                               context + " cell " + std::to_string(g) +
-                                   "/" + std::to_string(a));
-          }
-        }
+        ExpectGroupedBitwiseEqual(reference, *vec, context);
         if (use_cache) {
           const auto vec_warm =
-              db::Executor::ExecuteGrouped(*target, query, vec_options);
+              db::Executor::ExecuteGrouped(*target, query, options);
           ASSERT_TRUE(vec_warm.ok()) << context;
-          for (size_t g = 0; g < vec->cells.size(); ++g) {
-            for (size_t a = 0; a < vec->cells[g].size(); ++a) {
-              ExpectBitwiseEqual(vec->cells[g][a], vec_warm->cells[g][a],
-                                 "cold-vs-warm " + context);
-            }
-          }
+          ExpectGroupedBitwiseEqual(reference, *vec_warm, "warm " + context);
           // Only sealed runs are cached; a table small enough to be
           // pure memtable legitimately never hits.
           if (target->num_runs() > 0) {
-            EXPECT_GT(vec_cache.stats().hits, 0u) << context;
+            EXPECT_GT(qcache.stats().hits, 0u) << context;
           }
         }
       }
@@ -602,7 +552,6 @@ TEST_F(DifferentialTest, IlpPlannerThreadAndPresolveInvariant) {
 // ---------------------------------------------------------------------
 // Layer 4: caching — cached vs uncached must be byte-identical at every
 // layer, for cold, warm, and capacity-1 thrash replays.
-// (ExpectBitwiseEqual is shared with the vectorized-vs-scalar layer.)
 // ---------------------------------------------------------------------
 
 TEST_F(DifferentialTest, ExecutorCachedVsUncachedScans) {
@@ -619,13 +568,11 @@ TEST_F(DifferentialTest, ExecutorCachedVsUncachedScans) {
     for (const size_t threads : kThreadCounts) {
       db::ExecutorOptions uncached;
       uncached.pool = PoolFor(threads);
-      uncached.min_parallel_rows = 1;
       uncached.parallel_grain = 193;
 
       // Warm (roomy) and thrash (capacity 1, constant eviction) caches:
       // both must reproduce the uncached scan bitwise on every replay —
-      // the cache stores raw scan output and partitioning is fixed-grain,
-      // so results at the same thread count are byte-identical.
+      // the cache stores raw scan output and slicing is fixed-grain.
       cache::QueryCache roomy(16);
       cache::QueryCache thrash(1);
       for (cache::QueryCache* qcache : {&roomy, &thrash}) {
@@ -717,7 +664,6 @@ TEST_F(DifferentialTest, EngineCachedVsUncachedReplay) {
     for (const size_t threads : kThreadCounts) {
       exec::EngineOptions options;
       options.num_threads = threads;
-      options.min_parallel_rows = 1;  // Exercise row partitioning too.
       options.cache_capacity = 0;
       exec::Engine uncached(table, options);
       const auto reference = uncached.Execute(set, all);
@@ -759,9 +705,8 @@ TEST_F(DifferentialTest, EngineCachedVsUncachedReplay) {
 }
 
 TEST_F(DifferentialTest, MuvePipelineCachedVsUncachedReplay) {
-  // Table rows stay far below min_parallel_rows, so every scan is the
-  // serial per-unit loop at every thread count and the full pipeline —
-  // plan structure, bar values, rendering — must be byte-identical
+  // Scans are bitwise equal at every thread count, so the full pipeline
+  // — plan structure, bar values, rendering — must be byte-identical
   // between the cached and uncached engines, cold and warm.
   viz::AsciiRenderOptions render_options;
   render_options.use_color = false;

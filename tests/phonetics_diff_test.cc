@@ -2,9 +2,9 @@
 ///
 /// The pruned, blocked, optionally parallel `PhoneticIndex::TopK` must be
 /// *bit-identical* — entries, scores, and tie-break order — to the linear
-/// scan it replaced, which survives behind
-/// `PhoneticIndexOptions::brute_force = true` as the oracle (the same
-/// lockdown pattern the vectorized executor uses). Seeded random
+/// scan it replaced, which survives as `PhoneticIndex::TopKExhaustive`,
+/// the oracle (the same lockdown pattern the batch executor has in
+/// tests/testing/reference_executor.h). Seeded random
 /// vocabularies mix plain ASCII words, accented (multi-byte UTF-8)
 /// strings, empty and 1-character entries, and near-duplicate spellings;
 /// every lookup is checked at k in {1, 3, 20, > vocabulary}, with
@@ -117,11 +117,6 @@ TEST(PhoneticDifferentialTest, IndexedMatchesBruteForceAtEveryThreadCount) {
     const std::vector<std::string> vocabulary =
         RandomVocabulary(rng, vocab_size);
 
-    PhoneticIndexOptions oracle_options;
-    oracle_options.brute_force = true;
-    PhoneticIndex oracle(oracle_options);
-    oracle.AddAll(vocabulary);
-
     PhoneticIndexOptions serial_options;  // Pruned, inline sweep.
     PhoneticIndex serial(serial_options);
     serial.AddAll(vocabulary);
@@ -135,8 +130,6 @@ TEST(PhoneticDifferentialTest, IndexedMatchesBruteForceAtEveryThreadCount) {
       parallel.back().AddAll(vocabulary);
     }
 
-    ASSERT_EQ(oracle.size(), serial.size());
-
     // Queries: indexed entries (exact hits), fresh random strings
     // (misses), and the empty string.
     std::vector<std::string> queries;
@@ -146,7 +139,7 @@ TEST(PhoneticDifferentialTest, IndexedMatchesBruteForceAtEveryThreadCount) {
     }
     queries.push_back("");
 
-    const size_t ks[] = {1, 3, 20, oracle.size() + 7};
+    const size_t ks[] = {1, 3, 20, serial.size() + 7};
     for (const std::string& query : queries) {
       for (size_t k : ks) {
         for (bool include_exact : {true, false}) {
@@ -155,7 +148,7 @@ TEST(PhoneticDifferentialTest, IndexedMatchesBruteForceAtEveryThreadCount) {
               "' k " + std::to_string(k) +
               (include_exact ? " incl" : " excl");
           const std::vector<PhoneticMatch> expected =
-              oracle.TopK(query, k, include_exact);
+              serial.TopKExhaustive(query, k, include_exact);
           PhoneticLookupStats stats;
           ExpectBitIdentical(
               expected, serial.TopK(query, k, include_exact, &stats),

@@ -2,9 +2,9 @@
 /// cases (empty shards, single-shard skew, groups split across shards),
 /// plus the sharded-vs-unsharded differential suite — seeded random
 /// workloads asserting that scatter-gather over 1/2/4 hash or range
-/// shards reproduces the single-table oracle **byte-for-byte** across
-/// shard thread counts, the vectorized and scalar executors, and cached
-/// replays.
+/// shards reproduces the single-table oracle (the value-at-a-time
+/// reference executor) **byte-for-byte** across shard thread counts and
+/// cached replays.
 ///
 /// Byte identity across shard counts regroups the same additions, so
 /// the differential tables opt into dyadic-grid doubles
@@ -31,6 +31,7 @@
 #include "shard/scatter_gather.h"
 #include "shard/sharded_table.h"
 #include "testing/random_workload.h"
+#include "testing/reference_executor.h"
 
 namespace muve::shard {
 namespace {
@@ -309,8 +310,8 @@ ShardedTableOptions LayoutFor(int seed, size_t num_shards) {
 
 TEST_F(ShardDifferentialTest, ShardedScansMatchSingleTableByteForByte) {
   // The full matrix per seed: 1/2/4 shards x 1/2/8 shard threads x
-  // vectorized/scalar x cached/uncached (cold + warm) — every cell must
-  // reproduce the single-table serial scan bit-for-bit. Dyadic-grid
+  // cached/uncached (cold + warm) — every cell must reproduce the
+  // reference executor's single-table scan bit-for-bit. Dyadic-grid
   // doubles make SUM/AVG exactly representable, so regrouping additions
   // across shard counts cannot legally change any bit.
   testing::RandomTableOptions table_options;
@@ -324,10 +325,10 @@ TEST_F(ShardDifferentialTest, ShardedScansMatchSingleTableByteForByte) {
         testing::RandomVecAggregateQuery(*table, &rng);
     const db::GroupByQuery grouped =
         testing::RandomVecGroupByQuery(*table, &rng);
-    const auto oracle = db::Executor::Execute(*table, query);
-    const auto oracle_grouped = db::Executor::ExecuteGrouped(*table, grouped);
-    ASSERT_TRUE(oracle.ok()) << query.ToSql();
-    ASSERT_TRUE(oracle_grouped.ok()) << grouped.ToSql();
+    const db::AggregateResult oracle =
+        testing::ReferenceExecute(*table, query);
+    const db::GroupByResult oracle_grouped =
+        testing::ReferenceExecuteGrouped(*table, grouped);
 
     for (const size_t num_shards : kShardCounts) {
       auto sharded =
@@ -337,38 +338,32 @@ TEST_F(ShardDifferentialTest, ShardedScansMatchSingleTableByteForByte) {
       ASSERT_EQ(snapshot.num_rows(), table->num_rows());
 
       for (const size_t threads : kThreadCounts) {
-        for (const bool vectorize : {false, true}) {
-          for (const bool cached : {false, true}) {
-            ScatterOptions options;
-            options.shard_pool = PoolFor(threads);
-            options.executor.pool = PoolFor(threads);
-            options.executor.vectorize = vectorize;
-            options.executor.min_parallel_rows = 1;
-            options.executor.parallel_grain = 193;
-            // One cache shared across all shards (entries key on each
-            // shard table's own id), fresh per configuration so the
-            // cold pass stores and the warm pass replays.
-            cache::QueryCache qcache(64);
-            if (cached) options.executor.cache = &qcache;
-            const std::string context =
-                "seed " + std::to_string(seed) + " shards " +
-                std::to_string(num_shards) + " threads " +
-                std::to_string(threads) +
-                (vectorize ? " vec" : " scalar") +
-                (cached ? " cached " : " uncached ");
-            const int replays = cached ? 2 : 1;
-            for (int replay = 0; replay < replays; ++replay) {
-              const auto merged =
-                  ScatterGather::Execute(snapshot, query, options);
-              ASSERT_TRUE(merged.ok()) << context << query.ToSql();
-              ExpectBitwiseEqual(*oracle, *merged,
-                                 context + query.ToSql());
-              const auto merged_grouped = ScatterGather::ExecuteGrouped(
-                  snapshot, grouped, options);
-              ASSERT_TRUE(merged_grouped.ok()) << context << grouped.ToSql();
-              ExpectGroupedBitwiseEqual(*oracle_grouped, *merged_grouped,
-                                        context + grouped.ToSql());
-            }
+        for (const bool cached : {false, true}) {
+          ScatterOptions options;
+          options.shard_pool = PoolFor(threads);
+          options.executor.pool = PoolFor(threads);
+          options.executor.parallel_grain = 193;
+          // One cache shared across all shards (entries key on each
+          // shard table's own id), fresh per configuration so the cold
+          // pass stores and the warm pass replays.
+          cache::QueryCache qcache(64);
+          if (cached) options.executor.cache = &qcache;
+          const std::string context =
+              "seed " + std::to_string(seed) + " shards " +
+              std::to_string(num_shards) + " threads " +
+              std::to_string(threads) +
+              (cached ? " cached " : " uncached ");
+          const int replays = cached ? 2 : 1;
+          for (int replay = 0; replay < replays; ++replay) {
+            const auto merged =
+                ScatterGather::Execute(snapshot, query, options);
+            ASSERT_TRUE(merged.ok()) << context << query.ToSql();
+            ExpectBitwiseEqual(oracle, *merged, context + query.ToSql());
+            const auto merged_grouped =
+                ScatterGather::ExecuteGrouped(snapshot, grouped, options);
+            ASSERT_TRUE(merged_grouped.ok()) << context << grouped.ToSql();
+            ExpectGroupedBitwiseEqual(oracle_grouped, *merged_grouped,
+                                      context + grouped.ToSql());
           }
         }
       }
