@@ -452,8 +452,7 @@ Status Coordinator::Ping(size_t shard, double timeout_ms) {
   const Deadline deadline = Deadline::AfterMillis(timeout_ms, clock_);
   Result<net::AsyncClient> conn = target.pool.Acquire(deadline);
   if (!conn.ok()) return conn.status();
-  MUVE_RETURN_NOT_OK(conn->Send(net::FrameType::kPing, "", deadline));
-  Result<net::Frame> frame = conn->Receive(deadline);
+  Result<net::Frame> frame = conn->Call(net::FrameType::kPing, "", deadline);
   if (!frame.ok()) return frame.status();
   if (frame->type != net::FrameType::kPong) {
     return Status::ParseError("expected Pong from " +

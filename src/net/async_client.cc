@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "net/socket.h"
+#include "net/wire.h"
 
 namespace muve::net {
 
@@ -69,19 +70,9 @@ void AsyncClient::Close() {
 Status AsyncClient::Send(FrameType type, std::string_view payload,
                          const Deadline& deadline) {
   if (fd_ < 0) return Status::FailedPrecondition("async client not connected");
-  if (payload.size() + 1 > kMaxFrameBytes) {
-    return Status::InvalidArgument("frame payload too large");
-  }
-  // Assemble header + payload into one buffer so a partial write can
-  // resume from any byte offset.
-  std::string out;
-  out.reserve(5 + payload.size());
-  const uint32_t length = static_cast<uint32_t>(payload.size()) + 1;
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>(length >> (8 * i)));
-  }
-  out.push_back(static_cast<char>(type));
-  out.append(payload.data(), payload.size());
+  // One buffer for header + payload, so a partial write can resume from
+  // any byte offset.
+  MUVE_ASSIGN_OR_RETURN(const std::string out, EncodeFrame(type, payload));
 
   size_t sent = 0;
   while (sent < out.size()) {
@@ -125,16 +116,12 @@ Result<bool> AsyncClient::PumpReceive(Frame* frame) {
   for (;;) {
     // Try to complete a frame from what is already buffered.
     if (inbuf_.size() >= 4) {
-      uint32_t length = 0;
-      for (int i = 0; i < 4; ++i) {
-        length |= static_cast<uint32_t>(static_cast<uint8_t>(inbuf_[i]))
-                  << (8 * i);
-      }
-      if (length == 0 || length > kMaxFrameBytes) {
+      Result<uint32_t> parsed = ParseFrameLength(inbuf_);
+      if (!parsed.ok()) {
         Close();
-        return Status::ParseError("bad frame length " +
-                                  std::to_string(length));
+        return parsed.status();
       }
+      const uint32_t length = *parsed;
       if (inbuf_.size() >= 4 + static_cast<size_t>(length)) {
         frame->type = static_cast<FrameType>(inbuf_[4]);
         frame->payload.assign(inbuf_, 5, length - 1);
@@ -180,6 +167,20 @@ Result<Frame> AsyncClient::Receive(const Deadline& deadline) {
       return status;
     }
   }
+}
+
+Result<Frame> AsyncClient::Call(FrameType type, std::string_view payload,
+                                const Deadline& deadline) {
+  MUVE_RETURN_NOT_OK(Send(type, payload, deadline));
+  MUVE_ASSIGN_OR_RETURN(Frame reply, Receive(deadline));
+  if (reply.type != FrameType::kError) return reply;
+  WireReader reader(reply.payload);
+  Status status;
+  MUVE_RETURN_NOT_OK(DecodeStatus(&reader, &status));
+  if (status.ok()) {
+    return Status::ParseError("error frame carried an OK status");
+  }
+  return status;
 }
 
 }  // namespace muve::net

@@ -17,9 +17,9 @@ namespace muve::net {
 /// dedicating a blocked thread per downstream.
 ///
 /// Two usage styles:
-///  - Blocking-with-deadline: Send() then Receive(deadline) — each call
-///    polls this one fd internally and returns Status::Timeout when the
-///    budget runs out (never hangs).
+///  - Blocking-with-deadline: Call(), or Send() then Receive(deadline) —
+///    each call polls this one fd internally and returns Status::Timeout
+///    when the budget runs out (never hangs; an infinite deadline blocks).
 ///  - Multiplexed: Send() on several clients, poll their fd()s for
 ///    POLLIN externally, then PumpReceive() the readable ones until a
 ///    full frame assembles.
@@ -61,6 +61,14 @@ class AsyncClient {
   /// Blocking receive with a deadline: polls this fd and pumps until a
   /// frame completes or the budget runs out (Status::Timeout).
   Result<Frame> Receive(const Deadline& deadline);
+
+  /// One request/response exchange: Send then Receive under `deadline`.
+  /// A kError reply comes back as its decoded Status and leaves the
+  /// connection open (the peer answered; the stream is intact); an OK
+  /// status inside an error frame is a ParseError. Every other reply
+  /// frame is returned for the caller to check its type.
+  Result<Frame> Call(FrameType type, std::string_view payload,
+                     const Deadline& deadline);
 
   void Close();
 

@@ -14,10 +14,11 @@
 namespace muve::net {
 namespace {
 
-std::string EncodeErrorPayload(const Status& status) {
+/// Answers `status` with an Error frame; false when the write fails.
+bool WriteError(int fd, const Status& status) {
   WireWriter w;
   EncodeStatus(status, &w);
-  return w.Take();
+  return WriteFrame(fd, FrameType::kError, w.bytes()).ok();
 }
 
 }  // namespace
@@ -156,19 +157,14 @@ void Listener::ServeConnection(uint64_t conn_id, int fd) {
                           stats_provider_ ? stats_provider_() : "{}")
                    .ok();
         break;
-      default: {
+      default:
         // A frame type the server never expects from a client.
-        {
-          std::lock_guard<std::mutex> lock(mutex_);
-          ++stats_.protocol_errors;
-        }
-        (void)WriteFrame(fd, FrameType::kError,
-                         EncodeErrorPayload(Status::InvalidArgument(
-                             "unexpected frame type " +
-                             std::to_string(static_cast<int>(frame.type)))));
+        (void)RejectFrame(
+            fd, Status::InvalidArgument(
+                    "unexpected frame type " +
+                    std::to_string(static_cast<int>(frame.type))));
         keep = false;
         break;
-      }
     }
     if (!keep) break;
   }
@@ -177,34 +173,28 @@ void Listener::ServeConnection(uint64_t conn_id, int fd) {
   conn_fds_.erase(conn_id);
 }
 
+bool Listener::RejectFrame(int fd, const Status& status) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.protocol_errors;
+  }
+  return WriteError(fd, status);
+}
+
 bool Listener::HandlePartialQuery(int fd, const Frame& frame) {
   if (partial_handler_ == nullptr) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.protocol_errors;
-    return WriteFrame(fd, FrameType::kError,
-                      EncodeErrorPayload(Status::FailedPrecondition(
-                          "not a shard server (no partial handler)")))
-        .ok();
+    return RejectFrame(fd, Status::FailedPrecondition(
+                               "not a shard server (no partial handler)"));
   }
   Result<PartialQuery> query = ParsePartialQuery(frame.payload);
-  if (!query.ok()) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.protocol_errors;
-    return WriteFrame(fd, FrameType::kError,
-                      EncodeErrorPayload(query.status()))
-        .ok();
-  }
+  if (!query.ok()) return RejectFrame(fd, query.status());
   Result<PartialResult> result =
       partial_handler_->HandlePartial(std::move(query).value());
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.requests_served;
   }
-  if (!result.ok()) {
-    return WriteFrame(fd, FrameType::kError,
-                      EncodeErrorPayload(result.status()))
-        .ok();
-  }
+  if (!result.ok()) return WriteError(fd, result.status());
   return WriteFrame(fd, FrameType::kPartialResult,
                     SerializePartialResult(result.value()))
       .ok();
@@ -213,52 +203,29 @@ bool Listener::HandlePartialQuery(int fd, const Frame& frame) {
 bool Listener::HandleRequest(const std::string& session_id, int fd,
                              const Frame& frame) {
   if (server_ == nullptr) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.protocol_errors;
-    return WriteFrame(fd, FrameType::kError,
-                      EncodeErrorPayload(Status::FailedPrecondition(
-                          "this endpoint serves shard partials only")))
-        .ok();
+    return RejectFrame(fd, Status::FailedPrecondition(
+                               "this endpoint serves shard partials only"));
   }
-  // Payload: u8 RequestClass + serialized Request.
+  // Payload: SerializeRequestPayload bytes.
   if (frame.payload.empty()) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.protocol_errors;
-    return WriteFrame(fd, FrameType::kError,
-                      EncodeErrorPayload(
-                          Status::ParseError("empty request frame")))
-        .ok();
+    return RejectFrame(fd, Status::ParseError("empty request frame"));
   }
   const uint8_t cls_byte = static_cast<uint8_t>(frame.payload[0]);
   if (cls_byte >= serve::kNumRequestClasses) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.protocol_errors;
-    return WriteFrame(fd, FrameType::kError,
-                      EncodeErrorPayload(Status::ParseError(
-                          "bad request class " + std::to_string(cls_byte))))
-        .ok();
+    return RejectFrame(fd, Status::ParseError("bad request class " +
+                                              std::to_string(cls_byte)));
   }
   const serve::RequestClass cls = static_cast<serve::RequestClass>(cls_byte);
   Result<Request> request =
       ParseRequest(std::string_view(frame.payload).substr(1));
-  if (!request.ok()) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.protocol_errors;
-    return WriteFrame(fd, FrameType::kError,
-                      EncodeErrorPayload(request.status()))
-        .ok();
-  }
+  if (!request.ok()) return RejectFrame(fd, request.status());
   Result<serve::ServedAnswer> served =
       server_->Submit(session_id, std::move(request).value(), cls).get();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.requests_served;
   }
-  if (!served.ok()) {
-    return WriteFrame(fd, FrameType::kError,
-                      EncodeErrorPayload(served.status()))
-        .ok();
-  }
+  if (!served.ok()) return WriteError(fd, served.status());
   return WriteFrame(fd, FrameType::kAnswer,
                     SerializeServedAnswer(served.value()))
       .ok();

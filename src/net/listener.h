@@ -106,6 +106,9 @@ class Listener {
                      const Frame& frame);
   /// Handles one kPartialQuery frame (shard-server mode).
   bool HandlePartialQuery(int fd, const Frame& frame);
+  /// Counts a protocol error, then answers it with an Error frame;
+  /// returns false when that write fails.
+  bool RejectFrame(int fd, const Status& status);
 
   serve::Server* const server_;
   PartialHandler* partial_handler_ = nullptr;

@@ -6,6 +6,8 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include "net/wire.h"
+
 namespace muve::net {
 namespace {
 
@@ -50,31 +52,33 @@ Status ReadAll(int fd, char* data, size_t size, bool* clean_eof) {
   return Status::OK();
 }
 
-uint32_t DecodeU32(const char* bytes) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<unsigned char>(bytes[i])) << (8 * i);
-  }
-  return v;
-}
-
 }  // namespace
 
-Status WriteFrame(int fd, FrameType type, std::string_view payload) {
+Result<std::string> EncodeFrame(FrameType type, std::string_view payload) {
   if (payload.size() + 1 > kMaxFrameBytes) {
     return Status::InvalidArgument("frame payload exceeds kMaxFrameBytes");
   }
-  const uint32_t length = static_cast<uint32_t>(payload.size() + 1);
+  WireWriter w;
+  w.PutU32(static_cast<uint32_t>(payload.size() + 1));
+  w.PutU8(static_cast<uint8_t>(type));
+  w.PutRaw(payload);
+  return w.Take();
+}
+
+Result<uint32_t> ParseFrameLength(std::string_view header) {
+  WireReader r(header);
+  MUVE_ASSIGN_OR_RETURN(const uint32_t length, r.ReadU32());
+  if (length == 0 || length > kMaxFrameBytes) {
+    return Status::ParseError("bad frame length " + std::to_string(length));
+  }
+  return length;
+}
+
+Status WriteFrame(int fd, FrameType type, std::string_view payload) {
   // One buffered send per frame: header + payload together, so a frame
   // never straddles a TCP_NODELAY packet boundary unnecessarily.
-  std::string buffer;
-  buffer.reserve(5 + payload.size());
-  for (int i = 0; i < 4; ++i) {
-    buffer.push_back(static_cast<char>((length >> (8 * i)) & 0xFF));
-  }
-  buffer.push_back(static_cast<char>(type));
-  buffer.append(payload.data(), payload.size());
-  return WriteAll(fd, buffer.data(), buffer.size());
+  MUVE_ASSIGN_OR_RETURN(const std::string frame, EncodeFrame(type, payload));
+  return WriteAll(fd, frame.data(), frame.size());
 }
 
 Result<bool> ReadFrame(int fd, Frame* frame) {
@@ -82,11 +86,8 @@ Result<bool> ReadFrame(int fd, Frame* frame) {
   bool clean_eof = false;
   MUVE_RETURN_NOT_OK(ReadAll(fd, header, sizeof(header), &clean_eof));
   if (clean_eof) return false;
-  const uint32_t length = DecodeU32(header);
-  if (length == 0) return Status::ParseError("zero-length frame");
-  if (length > kMaxFrameBytes) {
-    return Status::ParseError("frame length exceeds kMaxFrameBytes");
-  }
+  MUVE_ASSIGN_OR_RETURN(const uint32_t length,
+                        ParseFrameLength(std::string_view(header, 4)));
   char type = 0;
   MUVE_RETURN_NOT_OK(ReadAll(fd, &type, 1, nullptr));
   frame->type = static_cast<FrameType>(static_cast<uint8_t>(type));

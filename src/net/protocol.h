@@ -39,6 +39,16 @@ struct Frame {
 /// treated as a protocol error instead of an allocation request.
 inline constexpr uint32_t kMaxFrameBytes = 16u << 20;
 
+/// The one frame encoder: returns `[u32 length][u8 type][payload]`, or
+/// InvalidArgument when the frame would exceed kMaxFrameBytes.
+Result<std::string> EncodeFrame(FrameType type, std::string_view payload);
+
+/// The one frame-length check: decodes the u32 length field at the front
+/// of `header`. A zero length (a frame has at least its type byte) or one
+/// over kMaxFrameBytes is a ParseError, so a hostile peer never sizes an
+/// allocation.
+Result<uint32_t> ParseFrameLength(std::string_view header);
+
 /// Writes one frame to `fd`, looping over partial writes and EINTR.
 Status WriteFrame(int fd, FrameType type, std::string_view payload);
 

@@ -1,6 +1,10 @@
 #include "net/wire.h"
 
+#include <concepts>
 #include <cstring>
+#include <initializer_list>
+#include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -17,10 +21,11 @@ Status Truncated(const char* what) {
 // message; tags are never reused for a different meaning within a wire
 // version. Nested leaf structs (queries, plots, executions) encode
 // positionally — their layout is fixed per version and locked by the
-// golden-file test.
+// golden-file tests.
+
+constexpr uint8_t kEndTag = 0;
 
 enum RequestTag : uint8_t {
-  kRequestEnd = 0,
   kRequestTranscript = 1,
   kRequestVoice = 2,
   kRequestUtterance = 3,
@@ -32,7 +37,6 @@ enum RequestTag : uint8_t {
 };
 
 enum AnswerTag : uint8_t {
-  kAnswerEnd = 0,
   kAnswerTranscript = 1,
   kAnswerBaseQuery = 2,
   kAnswerBaseConfidence = 3,
@@ -52,7 +56,6 @@ enum AnswerTag : uint8_t {
 };
 
 enum PartialQueryTag : uint8_t {
-  kPartialQueryEnd = 0,
   kPartialQueryKind = 1,
   kPartialQueryAggregate = 2,
   kPartialQueryGrouped = 3,
@@ -60,7 +63,6 @@ enum PartialQueryTag : uint8_t {
 };
 
 enum PartialResultTag : uint8_t {
-  kPartialResultEnd = 0,
   kPartialResultKind = 1,
   kPartialResultSnapshotVersion = 2,
   kPartialResultRowsScanned = 3,
@@ -69,7 +71,6 @@ enum PartialResultTag : uint8_t {
 };
 
 enum ServedTag : uint8_t {
-  kServedEnd = 0,
   kServedAnswer = 1,
   kServedRequestClass = 2,
   kServedShared = 3,
@@ -80,452 +81,569 @@ enum ServedTag : uint8_t {
 };
 
 // ---------------------------------------------------------------------------
-// Leaf codecs (positional).
+// One layout per type, run in both directions.
+//
+// Every byte layout below is a `Codec(io, value)` function template that
+// states its fields once, as calls to verbs on `io`. Serialize* runs it
+// with an Encoder, whose verbs write; Parse* runs it with a Decoder,
+// whose verbs read and carry every hostile-input check. Positional
+// structs are a fixed sequence of verbs. Tagged messages are a list of
+// `io.Field(tag, present, body)` calls: the Encoder writes each present
+// field as [u8 tag][u32 len][body], and the Decoder runs every incoming
+// (tag, payload) through the same list, so the matching field decodes
+// it. Fields thus apply in stream order, the last of a repeated tag
+// wins, and unknown tags are skipped.
 
-void EncodeValue(const db::Value& value, WireWriter* w) {
-  w->PutU8(static_cast<uint8_t>(value.type()));
+/// `T` is `X` or `const X`: the Encoder visits const values, the Decoder
+/// mutable ones, so one template serves both.
+template <typename T, typename X>
+concept Of = std::same_as<std::remove_const_t<T>, X>;
+
+class Encoder {
+ public:
+  static constexpr bool kDecoding = false;
+
+  explicit Encoder(WireWriter* w) : w_(w) {}
+
+  void U8(uint8_t v) { w_->PutU8(v); }
+  void Bool(bool v) { w_->PutBool(v); }
+  void U64(uint64_t v) { w_->PutU64(v); }
+  void I64(int64_t v) { w_->PutI64(v); }
+  void Double(double v) { w_->PutDouble(v); }
+  void String(std::string_view v) { w_->PutString(v); }
+  /// A field payload that is just the bytes of `v`: the field's own
+  /// length prefix delimits it.
+  void Raw(std::string_view v) { w_->PutRaw(v); }
+  /// One byte; the Decoder rejects values above `max`.
+  template <typename E>
+  void Enum(E v, E /*max*/, const char* /*what*/) {
+    U8(static_cast<uint8_t>(v));
+  }
+  /// Up to eight bools packed into one byte, the first in bit 0.
+  void Flags(std::initializer_list<const bool*> bits) {
+    uint8_t flags = 0;
+    uint8_t bit = 1;
+    for (const bool* b : bits) {
+      if (*b) flags |= bit;
+      bit <<= 1;
+    }
+    U8(flags);
+  }
+  /// A finite deadline travels as its remaining milliseconds (an absolute
+  /// instant is meaningless across hosts).
+  void Deadline(const muve::Deadline& deadline) {
+    Double(deadline.RemainingMillis());
+  }
+  void OptionalBool(const std::optional<bool>& v) { Bool(*v); }
+  /// u32 count, then each element's layout.
+  template <typename T>
+  void List(const std::vector<T>& items) {
+    w_->PutU32(static_cast<uint32_t>(items.size()));
+    for (const T& item : items) Codec(*this, item);
+  }
+  template <typename T>
+  void Struct(const T& value) {
+    Codec(*this, value);
+  }
+  /// Version byte, the message's fields, end tag.
+  template <typename M>
+  void Message(const M& message) {
+    U8(kWireVersion);
+    Codec(*this, message);
+    U8(kEndTag);
+  }
+  template <typename Body>
+  void Field(uint8_t tag, bool present, Body body) {
+    if (!present) return;
+    WireWriter payload;
+    Encoder field(&payload);
+    body(field);
+    U8(tag);
+    String(payload.bytes());
+  }
+
+ private:
+  WireWriter* w_;
+};
+
+/// The smallest encoding of a T: that of a default T, whose strings and
+/// lists are empty. Decoder::List bounds a claimed count by it.
+template <typename T>
+size_t MinBytes() {
+  static const size_t bytes = [] {
+    WireWriter w;
+    Encoder(&w).Struct(T{});
+    return w.bytes().size();
+  }();
+  return bytes;
+}
+
+/// A default Value is an int64; the smallest is an empty string.
+template <>
+size_t MinBytes<db::Value>() {
+  return 1 + 4;
+}
+
+/// Reads through a WireReader. The first failure sticks: later verbs
+/// are no-ops and the parse reports that first error.
+class Decoder {
+ public:
+  static constexpr bool kDecoding = true;
+
+  explicit Decoder(WireReader* r) : r_(r) {}
+
+  bool ok() const { return status_.ok(); }
+  const Status& status() const { return status_; }
+  void Fail(const Status& status) {
+    if (ok()) status_ = status;
+  }
+
+  void U8(uint8_t& v) { Read(&WireReader::ReadU8, v); }
+  void Bool(bool& v) { Read(&WireReader::ReadBool, v); }
+  template <std::unsigned_integral T>
+  void U64(T& v) {
+    Read(&WireReader::ReadU64, v);
+  }
+  void I64(int64_t& v) { Read(&WireReader::ReadI64, v); }
+  void Double(double& v) { Read(&WireReader::ReadDouble, v); }
+  void String(std::string& v) { Read(&WireReader::ReadString, v); }
+  void Raw(std::string& v) {
+    if (ok()) v = std::string(r_->ReadRest());
+  }
+  template <typename E>
+  void Enum(E& v, E max, const char* what) {
+    uint8_t raw = 0;
+    U8(raw);
+    if (!ok()) return;
+    if (raw > static_cast<uint8_t>(max)) {
+      return Fail(Status::ParseError(std::string("wire: unknown ") + what +
+                                     " " + std::to_string(raw)));
+    }
+    v = static_cast<E>(raw);
+  }
+  void Flags(std::initializer_list<bool*> bits) {
+    uint8_t flags = 0;
+    U8(flags);
+    uint8_t bit = 1;
+    for (bool* b : bits) {
+      *b = (flags & bit) != 0;
+      bit <<= 1;
+    }
+  }
+  /// Re-anchors the remaining budget on this process's clock; time spent
+  /// in transit already drained from it at serialization.
+  void Deadline(muve::Deadline& deadline) {
+    double remaining = 0.0;
+    Double(remaining);
+    if (ok()) deadline = muve::Deadline::AfterMillis(remaining);
+  }
+  void OptionalBool(std::optional<bool>& v) {
+    bool value = false;
+    Bool(value);
+    if (ok()) v = value;
+  }
+  template <typename T>
+  void List(std::vector<T>& items) {
+    uint32_t count = 0;
+    Read(&WireReader::ReadU32, count);
+    if (!ok()) return;
+    // Each element takes at least MinBytes<T>() bytes, so a count the
+    // rest of the buffer cannot hold is hostile: reject it before it
+    // sizes an allocation.
+    if (count > r_->remaining() / MinBytes<T>()) {
+      return Fail(Status::ParseError(
+          "wire: count " + std::to_string(count) + " exceeds the " +
+          std::to_string(r_->remaining()) + " bytes left"));
+    }
+    items.clear();
+    items.resize(count);
+    for (T& item : items) {
+      Codec(*this, item);
+      if (!ok()) return;
+    }
+  }
+  /// Decodes into a fresh value, so a repeated field replaces it whole.
+  template <typename T>
+  void Struct(T& value) {
+    value = T{};
+    Codec(*this, value);
+  }
+  template <typename M>
+  void Message(M& message) {
+    message = M{};
+    uint8_t version = 0;
+    U8(version);
+    if (ok() && version != kWireVersion) {
+      Fail(Status::ParseError("wire: unsupported version " +
+                              std::to_string(version) + " (speaking " +
+                              std::to_string(kWireVersion) + ")"));
+    }
+    while (ok()) {
+      U8(tag_);
+      if (!ok() || tag_ == kEndTag) break;
+      Read(&WireReader::ReadBlock, payload_);
+      if (ok()) Codec(*this, message);
+    }
+    // Bytes after the end tag mean the sender and receiver disagree
+    // about message boundaries (a framing bug): reject rather than
+    // quietly dropping them.
+    if (ok() && !r_->exhausted()) {
+      Fail(Status::ParseError("wire: " + std::to_string(r_->remaining()) +
+                              " trailing bytes after message end"));
+    }
+  }
+  template <typename Body>
+  void Field(uint8_t tag, bool /*present*/, Body body) {
+    if (tag != tag_ || !ok()) return;
+    WireReader payload(payload_);
+    Decoder field(&payload);
+    body(field);
+    if (!field.ok()) Fail(field.status());
+  }
+
+ private:
+  template <typename T, typename V>
+  void Read(Result<T> (WireReader::*read)(), V& out) {
+    if (!ok()) return;
+    Result<T> got = (r_->*read)();
+    if (got.ok()) {
+      out = static_cast<V>(std::move(got).value());
+    } else {
+      status_ = got.status();
+    }
+  }
+
+  WireReader* r_;
+  Status status_;
+  /// The field Message is dispatching, and its payload.
+  uint8_t tag_ = kEndTag;
+  std::string_view payload_;
+};
+
+template <typename M>
+std::string Serialize(const M& message) {
+  WireWriter w;
+  Encoder(&w).Message(message);
+  return w.Take();
+}
+
+template <typename M>
+Result<M> Parse(std::string_view data) {
+  WireReader r(data);
+  Decoder io(&r);
+  M message;
+  io.Message(message);
+  if (!io.ok()) return io.status();
+  return message;
+}
+
+// ---------------------------------------------------------------------------
+// Positional layouts.
+
+template <typename Io, Of<double> D>
+void Codec(Io& io, D& value) {
+  io.Double(value);
+}
+
+template <typename Io, Of<std::string> S>
+void Codec(Io& io, S& value) {
+  io.String(value);
+}
+
+/// A list of lists (plot rows, partial-cell rows).
+template <typename Io, typename V>
+  requires Of<V, std::vector<typename std::remove_const_t<V>::value_type>>
+void Codec(Io& io, V& items) {
+  io.List(items);
+}
+
+/// The kind byte selects the payload, so Value's two directions are
+/// written out by hand.
+void Codec(Encoder& io, const db::Value& value) {
+  io.Enum(value.type(), db::ValueType::kString, "value kind");
   switch (value.type()) {
     case db::ValueType::kInt64:
-      w->PutI64(value.AsInt64());
+      io.I64(value.AsInt64());
       break;
     case db::ValueType::kDouble:
-      w->PutDouble(value.AsDouble());
+      io.Double(value.AsDouble());
       break;
     case db::ValueType::kString:
-      w->PutString(value.AsString());
+      io.String(value.AsString());
       break;
   }
 }
 
-Result<db::Value> DecodeValue(WireReader* r) {
-  MUVE_ASSIGN_OR_RETURN(uint8_t kind, r->ReadU8());
-  switch (kind) {
-    case 0: {
-      MUVE_ASSIGN_OR_RETURN(int64_t v, r->ReadI64());
-      return db::Value(v);
+void Codec(Decoder& io, db::Value& value) {
+  db::ValueType type = db::ValueType::kInt64;
+  io.Enum(type, db::ValueType::kString, "value kind");
+  switch (type) {
+    case db::ValueType::kInt64: {
+      int64_t v = 0;
+      io.I64(v);
+      value = db::Value(v);
+      break;
     }
-    case 1: {
-      MUVE_ASSIGN_OR_RETURN(double v, r->ReadDouble());
-      return db::Value(v);
+    case db::ValueType::kDouble: {
+      double v = 0.0;
+      io.Double(v);
+      value = db::Value(v);
+      break;
     }
-    case 2: {
-      MUVE_ASSIGN_OR_RETURN(std::string v, r->ReadString());
-      return db::Value(std::move(v));
+    case db::ValueType::kString: {
+      std::string v;
+      io.String(v);
+      value = db::Value(std::move(v));
+      break;
     }
-    default:
-      return Status::ParseError("wire: unknown value kind " +
-                                std::to_string(kind));
   }
 }
 
-void EncodePredicate(const db::Predicate& predicate, WireWriter* w) {
-  w->PutString(predicate.column);
-  w->PutU8(static_cast<uint8_t>(predicate.op));
-  w->PutU32(static_cast<uint32_t>(predicate.values.size()));
-  for (const db::Value& value : predicate.values) EncodeValue(value, w);
-}
-
-Result<db::Predicate> DecodePredicate(WireReader* r) {
-  db::Predicate predicate;
-  MUVE_ASSIGN_OR_RETURN(predicate.column, r->ReadString());
-  MUVE_ASSIGN_OR_RETURN(uint8_t op, r->ReadU8());
-  if (op > static_cast<uint8_t>(db::PredicateOp::kIn)) {
-    return Status::ParseError("wire: unknown predicate op " +
-                              std::to_string(op));
-  }
-  predicate.op = static_cast<db::PredicateOp>(op);
-  MUVE_ASSIGN_OR_RETURN(uint32_t n, r->ReadU32());
-  predicate.values.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    MUVE_ASSIGN_OR_RETURN(db::Value value, DecodeValue(r));
-    predicate.values.push_back(std::move(value));
-  }
-  return predicate;
-}
-
-void EncodeQuery(const db::AggregateQuery& query, WireWriter* w) {
-  w->PutString(query.table);
-  w->PutU8(static_cast<uint8_t>(query.function));
-  w->PutString(query.aggregate_column);
-  w->PutU32(static_cast<uint32_t>(query.predicates.size()));
-  for (const db::Predicate& predicate : query.predicates) {
-    EncodePredicate(predicate, w);
+/// Status: wire error code + message. Status has no setters, so the
+/// decoder reads both parts into locals and then builds the value.
+template <typename Io, Of<Status> S>
+void Codec(Io& io, S& status) {
+  uint8_t code = WireErrorCode(status.code());
+  std::string message = status.message();
+  io.U8(code);
+  io.String(message);
+  if constexpr (Io::kDecoding) {
+    Result<StatusCode> decoded = StatusCodeFromWire(code);
+    if (!decoded.ok()) return io.Fail(decoded.status());
+    status = *decoded == StatusCode::kOk ? Status::OK()
+                                         : Status(*decoded, std::move(message));
   }
 }
 
-Result<db::AggregateQuery> DecodeQuery(WireReader* r) {
-  db::AggregateQuery query;
-  MUVE_ASSIGN_OR_RETURN(query.table, r->ReadString());
-  MUVE_ASSIGN_OR_RETURN(uint8_t fn, r->ReadU8());
-  if (fn > static_cast<uint8_t>(db::AggregateFunction::kMax)) {
-    return Status::ParseError("wire: unknown aggregate function " +
-                              std::to_string(fn));
-  }
-  query.function = static_cast<db::AggregateFunction>(fn);
-  MUVE_ASSIGN_OR_RETURN(query.aggregate_column, r->ReadString());
-  MUVE_ASSIGN_OR_RETURN(uint32_t n, r->ReadU32());
-  query.predicates.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    MUVE_ASSIGN_OR_RETURN(db::Predicate predicate, DecodePredicate(r));
-    query.predicates.push_back(std::move(predicate));
-  }
-  return query;
+template <typename Io, Of<db::Predicate> P>
+void Codec(Io& io, P& predicate) {
+  io.String(predicate.column);
+  io.Enum(predicate.op, db::PredicateOp::kIn, "predicate op");
+  io.List(predicate.values);
 }
 
-void EncodeGroupedQuery(const db::GroupByQuery& query, WireWriter* w) {
-  w->PutString(query.table);
-  w->PutU32(static_cast<uint32_t>(query.shared_predicates.size()));
-  for (const db::Predicate& predicate : query.shared_predicates) {
-    EncodePredicate(predicate, w);
-  }
-  w->PutString(query.group_column);
-  w->PutU32(static_cast<uint32_t>(query.group_values.size()));
-  for (const std::string& value : query.group_values) w->PutString(value);
-  w->PutU32(static_cast<uint32_t>(query.aggregates.size()));
-  for (const db::AggregateSpec& spec : query.aggregates) {
-    w->PutU8(static_cast<uint8_t>(spec.function));
-    w->PutString(spec.column);
-  }
+template <typename Io, Of<db::AggregateQuery> Q>
+void Codec(Io& io, Q& query) {
+  io.String(query.table);
+  io.Enum(query.function, db::AggregateFunction::kMax, "aggregate function");
+  io.String(query.aggregate_column);
+  io.List(query.predicates);
 }
 
-Result<db::GroupByQuery> DecodeGroupedQuery(WireReader* r) {
-  db::GroupByQuery query;
-  MUVE_ASSIGN_OR_RETURN(query.table, r->ReadString());
-  MUVE_ASSIGN_OR_RETURN(uint32_t num_predicates, r->ReadU32());
-  query.shared_predicates.reserve(num_predicates);
-  for (uint32_t i = 0; i < num_predicates; ++i) {
-    MUVE_ASSIGN_OR_RETURN(db::Predicate predicate, DecodePredicate(r));
-    query.shared_predicates.push_back(std::move(predicate));
-  }
-  MUVE_ASSIGN_OR_RETURN(query.group_column, r->ReadString());
-  MUVE_ASSIGN_OR_RETURN(uint32_t num_values, r->ReadU32());
-  query.group_values.reserve(num_values);
-  for (uint32_t i = 0; i < num_values; ++i) {
-    MUVE_ASSIGN_OR_RETURN(std::string value, r->ReadString());
-    query.group_values.push_back(std::move(value));
-  }
-  MUVE_ASSIGN_OR_RETURN(uint32_t num_aggregates, r->ReadU32());
-  query.aggregates.reserve(num_aggregates);
-  for (uint32_t i = 0; i < num_aggregates; ++i) {
-    db::AggregateSpec spec;
-    MUVE_ASSIGN_OR_RETURN(uint8_t fn, r->ReadU8());
-    if (fn > static_cast<uint8_t>(db::AggregateFunction::kMax)) {
-      return Status::ParseError("wire: unknown aggregate function " +
-                                std::to_string(fn));
-    }
-    spec.function = static_cast<db::AggregateFunction>(fn);
-    MUVE_ASSIGN_OR_RETURN(spec.column, r->ReadString());
-    query.aggregates.push_back(std::move(spec));
-  }
-  return query;
+template <typename Io, Of<db::AggregateSpec> A>
+void Codec(Io& io, A& spec) {
+  io.Enum(spec.function, db::AggregateFunction::kMax, "aggregate function");
+  io.String(spec.column);
+}
+
+template <typename Io, Of<db::GroupByQuery> Q>
+void Codec(Io& io, Q& query) {
+  io.String(query.table);
+  io.List(query.shared_predicates);
+  io.String(query.group_column);
+  io.List(query.group_values);
+  io.List(query.aggregates);
 }
 
 // Partials carry the executor's raw merge state: the doubles cross the
 // wire as their IEEE-754 bit patterns, so the coordinator folds exactly
 // the values a local shard scan would have produced — the byte-identity
 // contract rests on this.
-void EncodeAggregatePartial(const db::AggregatePartial& partial,
-                            WireWriter* w) {
-  w->PutU64(partial.count);
-  w->PutDouble(partial.sum);
-  w->PutDouble(partial.min);
-  w->PutDouble(partial.max);
+template <typename Io, Of<db::AggregatePartial> A>
+void Codec(Io& io, A& partial) {
+  io.U64(partial.count);
+  io.Double(partial.sum);
+  io.Double(partial.min);
+  io.Double(partial.max);
 }
 
-Result<db::AggregatePartial> DecodeAggregatePartial(WireReader* r) {
-  db::AggregatePartial partial;
-  MUVE_ASSIGN_OR_RETURN(uint64_t count, r->ReadU64());
-  partial.count = static_cast<size_t>(count);
-  MUVE_ASSIGN_OR_RETURN(partial.sum, r->ReadDouble());
-  MUVE_ASSIGN_OR_RETURN(partial.min, r->ReadDouble());
-  MUVE_ASSIGN_OR_RETURN(partial.max, r->ReadDouble());
-  return partial;
+template <typename Io, Of<db::GroupedPartial> G>
+void Codec(Io& io, G& partial) {
+  io.List(partial.cells);
 }
 
-void EncodeGroupedPartial(const db::GroupedPartial& partial, WireWriter* w) {
-  w->PutU32(static_cast<uint32_t>(partial.cells.size()));
-  for (const auto& row : partial.cells) {
-    w->PutU32(static_cast<uint32_t>(row.size()));
-    for (const db::AggregatePartial& cell : row) {
-      EncodeAggregatePartial(cell, w);
-    }
+template <typename Io, Of<core::CandidateQuery> C>
+void Codec(Io& io, C& candidate) {
+  Codec(io, candidate.query);
+  io.Double(candidate.probability);
+}
+
+template <typename Io, Of<core::CandidateSet> S>
+void Codec(Io& io, S& set) {
+  if constexpr (Io::kDecoding) {
+    std::vector<core::CandidateQuery> candidates;
+    io.List(candidates);
+    set = core::CandidateSet(std::move(candidates));
+  } else {
+    io.List(set.candidates());
   }
 }
 
-Result<db::GroupedPartial> DecodeGroupedPartial(WireReader* r) {
-  db::GroupedPartial partial;
-  MUVE_ASSIGN_OR_RETURN(uint32_t num_groups, r->ReadU32());
-  partial.cells.resize(num_groups);
-  for (uint32_t g = 0; g < num_groups; ++g) {
-    MUVE_ASSIGN_OR_RETURN(uint32_t num_aggregates, r->ReadU32());
-    partial.cells[g].reserve(num_aggregates);
-    for (uint32_t a = 0; a < num_aggregates; ++a) {
-      MUVE_ASSIGN_OR_RETURN(db::AggregatePartial cell,
-                            DecodeAggregatePartial(r));
-      partial.cells[g].push_back(cell);
-    }
-  }
-  return partial;
+template <typename Io, Of<core::PlotBar> B>
+void Codec(Io& io, B& bar) {
+  io.U64(bar.candidate_index);
+  io.String(bar.label);
+  io.Bool(bar.highlighted);
+  io.Double(bar.value);
+  io.Bool(bar.approximate);
 }
 
-void EncodeCandidates(const core::CandidateSet& candidates, WireWriter* w) {
-  w->PutU32(static_cast<uint32_t>(candidates.size()));
-  for (const core::CandidateQuery& candidate : candidates.candidates()) {
-    EncodeQuery(candidate.query, w);
-    w->PutDouble(candidate.probability);
-  }
+template <typename Io, Of<core::Plot> P>
+void Codec(Io& io, P& plot) {
+  io.String(plot.query_template.key);
+  io.String(plot.query_template.title);
+  io.Enum(plot.query_template.slot, core::SlotKind::kPredicateColumn,
+          "template slot");
+  io.List(plot.bars);
 }
 
-Result<core::CandidateSet> DecodeCandidates(WireReader* r) {
-  MUVE_ASSIGN_OR_RETURN(uint32_t n, r->ReadU32());
-  std::vector<core::CandidateQuery> candidates;
-  candidates.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    core::CandidateQuery candidate;
-    MUVE_ASSIGN_OR_RETURN(candidate.query, DecodeQuery(r));
-    MUVE_ASSIGN_OR_RETURN(candidate.probability, r->ReadDouble());
-    candidates.push_back(std::move(candidate));
-  }
-  return core::CandidateSet(std::move(candidates));
+template <typename Io, Of<core::PlanResult> P>
+void Codec(Io& io, P& plan) {
+  io.List(plan.multiplot.rows);
+  io.Double(plan.expected_cost);
+  io.Double(plan.optimize_millis);
+  io.Bool(plan.timed_out);
+  io.U64(plan.nodes_explored);
+  io.Double(plan.processing_cost);
+  io.Double(plan.best_bound);
+  io.Double(plan.optimality_gap);
 }
 
-void EncodeMultiplot(const core::Multiplot& multiplot, WireWriter* w) {
-  w->PutU32(static_cast<uint32_t>(multiplot.rows.size()));
-  for (const auto& row : multiplot.rows) {
-    w->PutU32(static_cast<uint32_t>(row.size()));
-    for (const core::Plot& plot : row) {
-      w->PutString(plot.query_template.key);
-      w->PutString(plot.query_template.title);
-      w->PutU8(static_cast<uint8_t>(plot.query_template.slot));
-      w->PutU32(static_cast<uint32_t>(plot.bars.size()));
-      for (const core::PlotBar& bar : plot.bars) {
-        w->PutU64(bar.candidate_index);
-        w->PutString(bar.label);
-        w->PutBool(bar.highlighted);
-        w->PutDouble(bar.value);
-        w->PutBool(bar.approximate);
-      }
-    }
-  }
+template <typename Io, Of<exec::Execution> E>
+void Codec(Io& io, E& execution) {
+  io.List(execution.values);
+  io.Double(execution.measured_millis);
+  io.Double(execution.modeled_millis);
+  io.U64(execution.queries_issued);
+  io.Double(execution.estimated_cost);
+  io.U64(execution.units_dropped);
+  io.U64(execution.bars_dropped);
+  io.U64(execution.plots_dropped);
+  io.Bool(execution.deadline_hit);
+  io.U64(execution.snapshot_version);
 }
 
-Result<core::Multiplot> DecodeMultiplot(WireReader* r) {
-  core::Multiplot multiplot;
-  MUVE_ASSIGN_OR_RETURN(uint32_t num_rows, r->ReadU32());
-  multiplot.rows.resize(num_rows);
-  for (uint32_t i = 0; i < num_rows; ++i) {
-    MUVE_ASSIGN_OR_RETURN(uint32_t num_plots, r->ReadU32());
-    multiplot.rows[i].reserve(num_plots);
-    for (uint32_t p = 0; p < num_plots; ++p) {
-      core::Plot plot;
-      MUVE_ASSIGN_OR_RETURN(plot.query_template.key, r->ReadString());
-      MUVE_ASSIGN_OR_RETURN(plot.query_template.title, r->ReadString());
-      MUVE_ASSIGN_OR_RETURN(uint8_t slot, r->ReadU8());
-      if (slot > static_cast<uint8_t>(core::SlotKind::kPredicateColumn)) {
-        return Status::ParseError("wire: unknown template slot " +
-                                  std::to_string(slot));
-      }
-      plot.query_template.slot = static_cast<core::SlotKind>(slot);
-      MUVE_ASSIGN_OR_RETURN(uint32_t num_bars, r->ReadU32());
-      plot.bars.reserve(num_bars);
-      for (uint32_t b = 0; b < num_bars; ++b) {
-        core::PlotBar bar;
-        MUVE_ASSIGN_OR_RETURN(uint64_t index, r->ReadU64());
-        bar.candidate_index = static_cast<size_t>(index);
-        MUVE_ASSIGN_OR_RETURN(bar.label, r->ReadString());
-        MUVE_ASSIGN_OR_RETURN(bar.highlighted, r->ReadBool());
-        MUVE_ASSIGN_OR_RETURN(bar.value, r->ReadDouble());
-        MUVE_ASSIGN_OR_RETURN(bar.approximate, r->ReadBool());
-        plot.bars.push_back(std::move(bar));
-      }
-      multiplot.rows[i].push_back(std::move(plot));
-    }
-  }
-  return multiplot;
+template <typename Io, Of<StageTimings> T>
+void Codec(Io& io, T& timings) {
+  io.Double(timings.asr_millis);
+  io.Double(timings.translate_millis);
+  io.Double(timings.generate_millis);
+  io.Double(timings.plan_millis);
+  io.Double(timings.execute_millis);
 }
 
-void EncodePlan(const core::PlanResult& plan, WireWriter* w) {
-  EncodeMultiplot(plan.multiplot, w);
-  w->PutDouble(plan.expected_cost);
-  w->PutDouble(plan.optimize_millis);
-  w->PutBool(plan.timed_out);
-  w->PutU64(plan.nodes_explored);
-  w->PutDouble(plan.processing_cost);
-  w->PutDouble(plan.best_bound);
-  w->PutDouble(plan.optimality_gap);
+template <typename Io, Of<Degradation> D>
+void Codec(Io& io, D& degradation) {
+  io.Enum(degradation.rung, Degradation::Rung::kBaseOnly, "degradation rung");
+  io.Flags({&degradation.candidates_capped, &degradation.plan_truncated,
+            &degradation.ilp_fell_back, &degradation.base_only_fallback});
+  io.U64(degradation.units_dropped);
+  io.U64(degradation.bars_dropped);
+  io.U64(degradation.plots_dropped);
 }
 
-Result<core::PlanResult> DecodePlan(WireReader* r) {
-  core::PlanResult plan;
-  MUVE_ASSIGN_OR_RETURN(plan.multiplot, DecodeMultiplot(r));
-  MUVE_ASSIGN_OR_RETURN(plan.expected_cost, r->ReadDouble());
-  MUVE_ASSIGN_OR_RETURN(plan.optimize_millis, r->ReadDouble());
-  MUVE_ASSIGN_OR_RETURN(plan.timed_out, r->ReadBool());
-  MUVE_ASSIGN_OR_RETURN(uint64_t nodes, r->ReadU64());
-  plan.nodes_explored = static_cast<size_t>(nodes);
-  MUVE_ASSIGN_OR_RETURN(plan.processing_cost, r->ReadDouble());
-  MUVE_ASSIGN_OR_RETURN(plan.best_bound, r->ReadDouble());
-  MUVE_ASSIGN_OR_RETURN(plan.optimality_gap, r->ReadDouble());
-  return plan;
-}
-
-void EncodeExecution(const exec::Execution& execution, WireWriter* w) {
-  w->PutU32(static_cast<uint32_t>(execution.values.size()));
-  for (double value : execution.values) w->PutDouble(value);
-  w->PutDouble(execution.measured_millis);
-  w->PutDouble(execution.modeled_millis);
-  w->PutU64(execution.queries_issued);
-  w->PutDouble(execution.estimated_cost);
-  w->PutU64(execution.units_dropped);
-  w->PutU64(execution.bars_dropped);
-  w->PutU64(execution.plots_dropped);
-  w->PutBool(execution.deadline_hit);
-  w->PutU64(execution.snapshot_version);
-}
-
-Result<exec::Execution> DecodeExecution(WireReader* r) {
-  exec::Execution execution;
-  MUVE_ASSIGN_OR_RETURN(uint32_t n, r->ReadU32());
-  execution.values.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    MUVE_ASSIGN_OR_RETURN(double value, r->ReadDouble());
-    execution.values.push_back(value);
-  }
-  MUVE_ASSIGN_OR_RETURN(execution.measured_millis, r->ReadDouble());
-  MUVE_ASSIGN_OR_RETURN(execution.modeled_millis, r->ReadDouble());
-  MUVE_ASSIGN_OR_RETURN(uint64_t issued, r->ReadU64());
-  execution.queries_issued = static_cast<size_t>(issued);
-  MUVE_ASSIGN_OR_RETURN(execution.estimated_cost, r->ReadDouble());
-  MUVE_ASSIGN_OR_RETURN(uint64_t units, r->ReadU64());
-  execution.units_dropped = static_cast<size_t>(units);
-  MUVE_ASSIGN_OR_RETURN(uint64_t bars, r->ReadU64());
-  execution.bars_dropped = static_cast<size_t>(bars);
-  MUVE_ASSIGN_OR_RETURN(uint64_t plots, r->ReadU64());
-  execution.plots_dropped = static_cast<size_t>(plots);
-  MUVE_ASSIGN_OR_RETURN(execution.deadline_hit, r->ReadBool());
-  MUVE_ASSIGN_OR_RETURN(execution.snapshot_version, r->ReadU64());
-  return execution;
-}
-
-void EncodeTimings(const StageTimings& timings, WireWriter* w) {
-  w->PutDouble(timings.asr_millis);
-  w->PutDouble(timings.translate_millis);
-  w->PutDouble(timings.generate_millis);
-  w->PutDouble(timings.plan_millis);
-  w->PutDouble(timings.execute_millis);
-}
-
-Result<StageTimings> DecodeTimings(WireReader* r) {
-  StageTimings timings;
-  MUVE_ASSIGN_OR_RETURN(timings.asr_millis, r->ReadDouble());
-  MUVE_ASSIGN_OR_RETURN(timings.translate_millis, r->ReadDouble());
-  MUVE_ASSIGN_OR_RETURN(timings.generate_millis, r->ReadDouble());
-  MUVE_ASSIGN_OR_RETURN(timings.plan_millis, r->ReadDouble());
-  MUVE_ASSIGN_OR_RETURN(timings.execute_millis, r->ReadDouble());
-  return timings;
-}
-
-void EncodeDegradation(const Degradation& degradation, WireWriter* w) {
-  w->PutU8(static_cast<uint8_t>(degradation.rung));
-  uint8_t flags = 0;
-  if (degradation.candidates_capped) flags |= 1;
-  if (degradation.plan_truncated) flags |= 2;
-  if (degradation.ilp_fell_back) flags |= 4;
-  if (degradation.base_only_fallback) flags |= 8;
-  w->PutU8(flags);
-  w->PutU64(degradation.units_dropped);
-  w->PutU64(degradation.bars_dropped);
-  w->PutU64(degradation.plots_dropped);
-}
-
-Result<Degradation> DecodeDegradation(WireReader* r) {
-  Degradation degradation;
-  MUVE_ASSIGN_OR_RETURN(uint8_t rung, r->ReadU8());
-  if (rung > static_cast<uint8_t>(Degradation::Rung::kBaseOnly)) {
-    return Status::ParseError("wire: unknown degradation rung " +
-                              std::to_string(rung));
-  }
-  degradation.rung = static_cast<Degradation::Rung>(rung);
-  MUVE_ASSIGN_OR_RETURN(uint8_t flags, r->ReadU8());
-  degradation.candidates_capped = (flags & 1) != 0;
-  degradation.plan_truncated = (flags & 2) != 0;
-  degradation.ilp_fell_back = (flags & 4) != 0;
-  degradation.base_only_fallback = (flags & 8) != 0;
-  MUVE_ASSIGN_OR_RETURN(uint64_t units, r->ReadU64());
-  degradation.units_dropped = static_cast<size_t>(units);
-  MUVE_ASSIGN_OR_RETURN(uint64_t bars, r->ReadU64());
-  degradation.bars_dropped = static_cast<size_t>(bars);
-  MUVE_ASSIGN_OR_RETURN(uint64_t plots, r->ReadU64());
-  degradation.plots_dropped = static_cast<size_t>(plots);
-  return degradation;
+template <typename Io, Of<speech::SpeechNoiseOptions> N>
+void Codec(Io& io, N& noise) {
+  io.Double(noise.substitution_rate);
+  io.Double(noise.deletion_rate);
+  io.U64(noise.confusion_k);
 }
 
 // ---------------------------------------------------------------------------
-// Tagged-field helpers: each field is [u8 tag][u32 len][payload], so a
-// parser can skip tags it does not recognize.
+// Tagged messages.
 
-void PutField(uint8_t tag, const WireWriter& payload, WireWriter* w) {
-  w->PutU8(tag);
-  w->PutString(payload.bytes());
+/// `rng` and `stage_observer` do not cross the wire (see wire.h).
+template <typename Io, Of<Request> R>
+void Codec(Io& io, R& request) {
+  io.Field(kRequestTranscript, true,
+           [&](auto& f) { f.Raw(request.transcript); });
+  io.Field(kRequestVoice, request.voice,
+           [&](auto& f) { f.Bool(request.voice); });
+  io.Field(kRequestUtterance, request.voice,
+           [&](auto& f) { f.Raw(request.utterance); });
+  io.Field(kRequestNoise, request.voice,
+           [&](auto& f) { f.Struct(request.noise); });
+  io.Field(kRequestDeadlineMillis, request.deadline.IsFinite(),
+           [&](auto& f) { f.Deadline(request.deadline); });
+  io.Field(kRequestUseIlp, request.use_ilp.has_value(),
+           [&](auto& f) { f.OptionalBool(request.use_ilp); });
+  io.Field(kRequestBypassCache, request.bypass_cache,
+           [&](auto& f) { f.Bool(request.bypass_cache); });
+  io.Field(kRequestTenantId, !request.tenant_id.empty(),
+           [&](auto& f) { f.Raw(request.tenant_id); });
 }
 
-void PutStringField(uint8_t tag, std::string_view value, WireWriter* w) {
-  w->PutU8(tag);
-  w->PutString(value);
+template <typename Io, Of<MuveEngine::Answer> A>
+void Codec(Io& io, A& answer) {
+  io.Field(kAnswerTranscript, true,
+           [&](auto& f) { f.Raw(answer.transcript); });
+  io.Field(kAnswerBaseQuery, true,
+           [&](auto& f) { f.Struct(answer.base_query); });
+  io.Field(kAnswerBaseConfidence, true,
+           [&](auto& f) { f.Double(answer.base_confidence); });
+  io.Field(kAnswerCandidates, true,
+           [&](auto& f) { f.Struct(answer.candidates); });
+  io.Field(kAnswerPlan, true, [&](auto& f) { f.Struct(answer.plan); });
+  io.Field(kAnswerExecution, true,
+           [&](auto& f) { f.Struct(answer.execution); });
+  io.Field(kAnswerTimings, true, [&](auto& f) { f.Struct(answer.timings); });
+  io.Field(kAnswerDegradation, true,
+           [&](auto& f) { f.Struct(answer.degradation); });
+  io.Field(kAnswerPipelineMillis, true,
+           [&](auto& f) { f.Double(answer.pipeline_millis); });
+  io.Field(kAnswerExecShardsDropped, answer.execution.shards_dropped > 0,
+           [&](auto& f) { f.U64(answer.execution.shards_dropped); });
+  io.Field(kAnswerDegShardsDropped, answer.degradation.shards_dropped > 0,
+           [&](auto& f) { f.U64(answer.degradation.shards_dropped); });
 }
 
-void PutDoubleField(uint8_t tag, double value, WireWriter* w) {
-  WireWriter payload;
-  payload.PutDouble(value);
-  PutField(tag, payload, w);
+template <typename Io, Of<serve::ServedAnswer> S>
+void Codec(Io& io, S& served) {
+  io.Field(kServedAnswer, true, [&](auto& f) { f.Message(served.answer); });
+  io.Field(kServedRequestClass, true, [&](auto& f) {
+    f.Enum(served.request_class,
+           static_cast<serve::RequestClass>(serve::kNumRequestClasses - 1),
+           "request class");
+  });
+  io.Field(kServedShared, true, [&](auto& f) { f.Bool(served.shared); });
+  io.Field(kServedQueueMillis, true,
+           [&](auto& f) { f.Double(served.queue_millis); });
+  io.Field(kServedServiceMillis, true,
+           [&](auto& f) { f.Double(served.service_millis); });
+  io.Field(kServedTotalMillis, true,
+           [&](auto& f) { f.Double(served.total_millis); });
+  io.Field(kServedDeadlineMet, true,
+           [&](auto& f) { f.Bool(served.deadline_met); });
 }
 
-void PutBoolField(uint8_t tag, bool value, WireWriter* w) {
-  WireWriter payload;
-  payload.PutBool(value);
-  PutField(tag, payload, w);
+template <typename Io, Of<PartialQuery> Q>
+void Codec(Io& io, Q& query) {
+  const bool aggregate = query.kind == PartialQuery::Kind::kAggregate;
+  io.Field(kPartialQueryKind, true, [&](auto& f) {
+    f.Enum(query.kind, PartialQuery::Kind::kGrouped, "partial-query kind");
+  });
+  io.Field(kPartialQueryAggregate, aggregate,
+           [&](auto& f) { f.Struct(query.aggregate); });
+  io.Field(kPartialQueryGrouped, !aggregate,
+           [&](auto& f) { f.Struct(query.grouped); });
+  io.Field(kPartialQueryDeadlineMillis, query.deadline.IsFinite(),
+           [&](auto& f) { f.Deadline(query.deadline); });
 }
 
-void PutU64Field(uint8_t tag, uint64_t value, WireWriter* w) {
-  WireWriter payload;
-  payload.PutU64(value);
-  PutField(tag, payload, w);
-}
-
-Result<double> FieldDouble(std::string_view payload) {
-  WireReader r(payload);
-  return r.ReadDouble();
-}
-
-Result<uint64_t> FieldU64(std::string_view payload) {
-  WireReader r(payload);
-  return r.ReadU64();
-}
-
-Result<bool> FieldBool(std::string_view payload) {
-  WireReader r(payload);
-  return r.ReadBool();
-}
-
-Status CheckVersion(WireReader* r) {
-  MUVE_ASSIGN_OR_RETURN(uint8_t version, r->ReadU8());
-  if (version != kWireVersion) {
-    return Status::ParseError("wire: unsupported version " +
-                              std::to_string(version) + " (speaking " +
-                              std::to_string(kWireVersion) + ")");
-  }
-  return Status::OK();
-}
-
-/// Bytes after the end tag mean the sender and receiver disagree about
-/// message boundaries (a framing bug) — reject rather than quietly
-/// dropping them.
-Status CheckExhausted(const WireReader& r) {
-  if (!r.exhausted()) {
-    return Status::ParseError("wire: " + std::to_string(r.remaining()) +
-                              " trailing bytes after message end");
-  }
-  return Status::OK();
+template <typename Io, Of<PartialResult> R>
+void Codec(Io& io, R& result) {
+  const bool aggregate = result.kind == PartialQuery::Kind::kAggregate;
+  io.Field(kPartialResultKind, true, [&](auto& f) {
+    f.Enum(result.kind, PartialQuery::Kind::kGrouped, "partial-result kind");
+  });
+  io.Field(kPartialResultSnapshotVersion, true,
+           [&](auto& f) { f.U64(result.snapshot_version); });
+  io.Field(kPartialResultRowsScanned, true,
+           [&](auto& f) { f.U64(result.rows_scanned); });
+  io.Field(kPartialResultAggregate, aggregate,
+           [&](auto& f) { f.Struct(result.aggregate); });
+  io.Field(kPartialResultGrouped, !aggregate,
+           [&](auto& f) { f.Struct(result.grouped); });
 }
 
 }  // namespace
@@ -533,17 +651,17 @@ Status CheckExhausted(const WireReader& r) {
 // ---------------------------------------------------------------------------
 // Primitives.
 
-void WireWriter::PutU32(uint32_t v) {
-  char bytes[4];
-  for (int i = 0; i < 4; ++i) bytes[i] = static_cast<char>(v >> (8 * i));
-  out_.append(bytes, 4);
+template <typename T>
+void WireWriter::PutFixed(T v) {
+  char bytes[sizeof(T)];
+  for (size_t i = 0; i < sizeof(T); ++i) {
+    bytes[i] = static_cast<char>(v >> (8 * i));
+  }
+  out_.append(bytes, sizeof(T));
 }
 
-void WireWriter::PutU64(uint64_t v) {
-  char bytes[8];
-  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<char>(v >> (8 * i));
-  out_.append(bytes, 8);
-}
+void WireWriter::PutU32(uint32_t v) { PutFixed(v); }
+void WireWriter::PutU64(uint64_t v) { PutFixed(v); }
 
 void WireWriter::PutDouble(double v) {
   uint64_t bits;
@@ -567,27 +685,19 @@ Result<bool> WireReader::ReadBool() {
   return v != 0;
 }
 
-Result<uint32_t> WireReader::ReadU32() {
-  if (remaining() < 4) return Truncated("u32");
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<uint8_t>(data_[pos_ + i]))
-         << (8 * i);
+template <typename T>
+Result<T> WireReader::ReadFixed(const char* what) {
+  if (remaining() < sizeof(T)) return Truncated(what);
+  T v = 0;
+  for (size_t i = 0; i < sizeof(T); ++i) {
+    v |= static_cast<T>(static_cast<uint8_t>(data_[pos_ + i])) << (8 * i);
   }
-  pos_ += 4;
+  pos_ += sizeof(T);
   return v;
 }
 
-Result<uint64_t> WireReader::ReadU64() {
-  if (remaining() < 8) return Truncated("u64");
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_ + i]))
-         << (8 * i);
-  }
-  pos_ += 8;
-  return v;
-}
+Result<uint32_t> WireReader::ReadU32() { return ReadFixed<uint32_t>("u32"); }
+Result<uint64_t> WireReader::ReadU64() { return ReadFixed<uint64_t>("u64"); }
 
 Result<int64_t> WireReader::ReadI64() {
   MUVE_ASSIGN_OR_RETURN(uint64_t v, ReadU64());
@@ -612,6 +722,12 @@ Result<std::string_view> WireReader::ReadBlock() {
   std::string_view block = data_.substr(pos_, len);
   pos_ += len;
   return block;
+}
+
+std::string_view WireReader::ReadRest() {
+  std::string_view rest = data_.substr(pos_);
+  pos_ = data_.size();
+  return rest;
 }
 
 // ---------------------------------------------------------------------------
@@ -655,158 +771,35 @@ Result<StatusCode> StatusCodeFromWire(uint8_t wire_code) {
 }
 
 void EncodeStatus(const Status& status, WireWriter* w) {
-  w->PutU8(WireErrorCode(status.code()));
-  w->PutString(status.message());
+  Encoder(w).Struct(status);
 }
 
 Status DecodeStatus(WireReader* r, Status* out) {
-  MUVE_ASSIGN_OR_RETURN(uint8_t wire_code, r->ReadU8());
-  MUVE_ASSIGN_OR_RETURN(StatusCode code, StatusCodeFromWire(wire_code));
-  MUVE_ASSIGN_OR_RETURN(std::string message, r->ReadString());
-  *out = (code == StatusCode::kOk) ? Status::OK()
-                                   : Status(code, std::move(message));
-  return Status::OK();
+  Decoder io(r);
+  Status decoded;
+  io.Struct(decoded);
+  if (io.ok()) *out = std::move(decoded);
+  return io.status();
 }
 
 // ---------------------------------------------------------------------------
-// Request.
+// Top-level messages.
 
 std::string SerializeRequest(const Request& request) {
-  WireWriter w;
-  w.PutU8(kWireVersion);
-  PutStringField(kRequestTranscript, request.transcript, &w);
-  if (request.voice) {
-    PutBoolField(kRequestVoice, true, &w);
-    PutStringField(kRequestUtterance, request.utterance, &w);
-    WireWriter noise;
-    noise.PutDouble(request.noise.substitution_rate);
-    noise.PutDouble(request.noise.deletion_rate);
-    noise.PutU64(request.noise.confusion_k);
-    PutField(kRequestNoise, noise, &w);
-  }
-  if (request.deadline.IsFinite()) {
-    PutDoubleField(kRequestDeadlineMillis, request.deadline.RemainingMillis(),
-                   &w);
-  }
-  if (request.use_ilp.has_value()) {
-    PutBoolField(kRequestUseIlp, *request.use_ilp, &w);
-  }
-  if (request.bypass_cache) {
-    PutBoolField(kRequestBypassCache, true, &w);
-  }
-  if (!request.tenant_id.empty()) {
-    PutStringField(kRequestTenantId, request.tenant_id, &w);
-  }
-  w.PutU8(kRequestEnd);
-  return w.Take();
+  return Serialize(request);
 }
 
 Result<Request> ParseRequest(std::string_view data) {
-  WireReader r(data);
-  MUVE_RETURN_NOT_OK(CheckVersion(&r));
-  Request request;
-  for (;;) {
-    MUVE_ASSIGN_OR_RETURN(uint8_t tag, r.ReadU8());
-    if (tag == kRequestEnd) break;
-    MUVE_ASSIGN_OR_RETURN(std::string_view payload, r.ReadBlock());
-    switch (tag) {
-      case kRequestTranscript:
-        request.transcript = std::string(payload);
-        break;
-      case kRequestVoice: {
-        MUVE_ASSIGN_OR_RETURN(request.voice, FieldBool(payload));
-        break;
-      }
-      case kRequestUtterance:
-        request.utterance = std::string(payload);
-        break;
-      case kRequestNoise: {
-        WireReader noise(payload);
-        MUVE_ASSIGN_OR_RETURN(request.noise.substitution_rate,
-                              noise.ReadDouble());
-        MUVE_ASSIGN_OR_RETURN(request.noise.deletion_rate,
-                              noise.ReadDouble());
-        MUVE_ASSIGN_OR_RETURN(uint64_t k, noise.ReadU64());
-        request.noise.confusion_k = static_cast<size_t>(k);
-        break;
-      }
-      case kRequestDeadlineMillis: {
-        MUVE_ASSIGN_OR_RETURN(double remaining, FieldDouble(payload));
-        // Re-anchor the remaining budget on this process's clock; time
-        // spent in transit has already drained from `remaining` at
-        // serialization time.
-        request.deadline = Deadline::AfterMillis(remaining);
-        break;
-      }
-      case kRequestUseIlp: {
-        MUVE_ASSIGN_OR_RETURN(bool use_ilp, FieldBool(payload));
-        request.use_ilp = use_ilp;
-        break;
-      }
-      case kRequestBypassCache: {
-        MUVE_ASSIGN_OR_RETURN(request.bypass_cache, FieldBool(payload));
-        break;
-      }
-      case kRequestTenantId:
-        request.tenant_id = std::string(payload);
-        break;
-      default:
-        break;  // Unknown tag from a newer writer: skip.
-    }
-  }
-  MUVE_RETURN_NOT_OK(CheckExhausted(r));
-  return request;
+  return Parse<Request>(data);
 }
 
-// ---------------------------------------------------------------------------
-// Answer.
+std::string SerializeRequestPayload(const Request& request,
+                                    serve::RequestClass request_class) {
+  return static_cast<char>(request_class) + SerializeRequest(request);
+}
 
 std::string SerializeAnswer(const MuveEngine::Answer& answer) {
-  WireWriter w;
-  w.PutU8(kWireVersion);
-  PutStringField(kAnswerTranscript, answer.transcript, &w);
-  {
-    WireWriter payload;
-    EncodeQuery(answer.base_query, &payload);
-    PutField(kAnswerBaseQuery, payload, &w);
-  }
-  PutDoubleField(kAnswerBaseConfidence, answer.base_confidence, &w);
-  {
-    WireWriter payload;
-    EncodeCandidates(answer.candidates, &payload);
-    PutField(kAnswerCandidates, payload, &w);
-  }
-  {
-    WireWriter payload;
-    EncodePlan(answer.plan, &payload);
-    PutField(kAnswerPlan, payload, &w);
-  }
-  {
-    WireWriter payload;
-    EncodeExecution(answer.execution, &payload);
-    PutField(kAnswerExecution, payload, &w);
-  }
-  {
-    WireWriter payload;
-    EncodeTimings(answer.timings, &payload);
-    PutField(kAnswerTimings, payload, &w);
-  }
-  {
-    WireWriter payload;
-    EncodeDegradation(answer.degradation, &payload);
-    PutField(kAnswerDegradation, payload, &w);
-  }
-  PutDoubleField(kAnswerPipelineMillis, answer.pipeline_millis, &w);
-  if (answer.execution.shards_dropped > 0) {
-    PutU64Field(kAnswerExecShardsDropped, answer.execution.shards_dropped,
-                &w);
-  }
-  if (answer.degradation.shards_dropped > 0) {
-    PutU64Field(kAnswerDegShardsDropped, answer.degradation.shards_dropped,
-                &w);
-  }
-  w.PutU8(kAnswerEnd);
-  return w.Take();
+  return Serialize(answer);
 }
 
 std::string SerializeAnswerDeterministic(MuveEngine::Answer answer) {
@@ -819,274 +812,31 @@ std::string SerializeAnswerDeterministic(MuveEngine::Answer answer) {
 }
 
 Result<MuveEngine::Answer> ParseAnswer(std::string_view data) {
-  WireReader r(data);
-  MUVE_RETURN_NOT_OK(CheckVersion(&r));
-  MuveEngine::Answer answer;
-  for (;;) {
-    MUVE_ASSIGN_OR_RETURN(uint8_t tag, r.ReadU8());
-    if (tag == kAnswerEnd) break;
-    MUVE_ASSIGN_OR_RETURN(std::string_view payload, r.ReadBlock());
-    WireReader field(payload);
-    switch (tag) {
-      case kAnswerTranscript:
-        answer.transcript = std::string(payload);
-        break;
-      case kAnswerBaseQuery: {
-        MUVE_ASSIGN_OR_RETURN(answer.base_query, DecodeQuery(&field));
-        break;
-      }
-      case kAnswerBaseConfidence: {
-        MUVE_ASSIGN_OR_RETURN(answer.base_confidence, field.ReadDouble());
-        break;
-      }
-      case kAnswerCandidates: {
-        MUVE_ASSIGN_OR_RETURN(answer.candidates, DecodeCandidates(&field));
-        break;
-      }
-      case kAnswerPlan: {
-        MUVE_ASSIGN_OR_RETURN(answer.plan, DecodePlan(&field));
-        break;
-      }
-      case kAnswerExecution: {
-        MUVE_ASSIGN_OR_RETURN(answer.execution, DecodeExecution(&field));
-        break;
-      }
-      case kAnswerTimings: {
-        MUVE_ASSIGN_OR_RETURN(answer.timings, DecodeTimings(&field));
-        break;
-      }
-      case kAnswerDegradation: {
-        MUVE_ASSIGN_OR_RETURN(answer.degradation, DecodeDegradation(&field));
-        break;
-      }
-      case kAnswerPipelineMillis: {
-        MUVE_ASSIGN_OR_RETURN(answer.pipeline_millis, field.ReadDouble());
-        break;
-      }
-      case kAnswerExecShardsDropped: {
-        MUVE_ASSIGN_OR_RETURN(uint64_t dropped, FieldU64(payload));
-        answer.execution.shards_dropped = static_cast<size_t>(dropped);
-        break;
-      }
-      case kAnswerDegShardsDropped: {
-        MUVE_ASSIGN_OR_RETURN(uint64_t dropped, FieldU64(payload));
-        answer.degradation.shards_dropped = static_cast<size_t>(dropped);
-        break;
-      }
-      default:
-        break;  // Unknown tag from a newer writer: skip.
-    }
-  }
-  MUVE_RETURN_NOT_OK(CheckExhausted(r));
-  return answer;
+  return Parse<MuveEngine::Answer>(data);
 }
 
-// ---------------------------------------------------------------------------
-// ServedAnswer.
-
 std::string SerializeServedAnswer(const serve::ServedAnswer& served) {
-  WireWriter w;
-  w.PutU8(kWireVersion);
-  PutStringField(kServedAnswer, SerializeAnswer(served.answer), &w);
-  {
-    WireWriter payload;
-    payload.PutU8(static_cast<uint8_t>(served.request_class));
-    PutField(kServedRequestClass, payload, &w);
-  }
-  PutBoolField(kServedShared, served.shared, &w);
-  PutDoubleField(kServedQueueMillis, served.queue_millis, &w);
-  PutDoubleField(kServedServiceMillis, served.service_millis, &w);
-  PutDoubleField(kServedTotalMillis, served.total_millis, &w);
-  PutBoolField(kServedDeadlineMet, served.deadline_met, &w);
-  w.PutU8(kServedEnd);
-  return w.Take();
+  return Serialize(served);
 }
 
 Result<serve::ServedAnswer> ParseServedAnswer(std::string_view data) {
-  WireReader r(data);
-  MUVE_RETURN_NOT_OK(CheckVersion(&r));
-  serve::ServedAnswer served;
-  for (;;) {
-    MUVE_ASSIGN_OR_RETURN(uint8_t tag, r.ReadU8());
-    if (tag == kServedEnd) break;
-    MUVE_ASSIGN_OR_RETURN(std::string_view payload, r.ReadBlock());
-    WireReader field(payload);
-    switch (tag) {
-      case kServedAnswer: {
-        MUVE_ASSIGN_OR_RETURN(served.answer, ParseAnswer(payload));
-        break;
-      }
-      case kServedRequestClass: {
-        MUVE_ASSIGN_OR_RETURN(uint8_t cls, field.ReadU8());
-        if (cls >= serve::kNumRequestClasses) {
-          return Status::ParseError("wire: unknown request class " +
-                                    std::to_string(cls));
-        }
-        served.request_class = static_cast<serve::RequestClass>(cls);
-        break;
-      }
-      case kServedShared: {
-        MUVE_ASSIGN_OR_RETURN(served.shared, field.ReadBool());
-        break;
-      }
-      case kServedQueueMillis: {
-        MUVE_ASSIGN_OR_RETURN(served.queue_millis, field.ReadDouble());
-        break;
-      }
-      case kServedServiceMillis: {
-        MUVE_ASSIGN_OR_RETURN(served.service_millis, field.ReadDouble());
-        break;
-      }
-      case kServedTotalMillis: {
-        MUVE_ASSIGN_OR_RETURN(served.total_millis, field.ReadDouble());
-        break;
-      }
-      case kServedDeadlineMet: {
-        MUVE_ASSIGN_OR_RETURN(served.deadline_met, field.ReadBool());
-        break;
-      }
-      default:
-        break;  // Unknown tag from a newer writer: skip.
-    }
-  }
-  MUVE_RETURN_NOT_OK(CheckExhausted(r));
-  return served;
+  return Parse<serve::ServedAnswer>(data);
 }
 
-// ---------------------------------------------------------------------------
-// PartialQuery / PartialResult (shard-server execution).
-
 std::string SerializePartialQuery(const PartialQuery& query) {
-  WireWriter w;
-  w.PutU8(kWireVersion);
-  {
-    WireWriter payload;
-    payload.PutU8(static_cast<uint8_t>(query.kind));
-    PutField(kPartialQueryKind, payload, &w);
-  }
-  if (query.kind == PartialQuery::Kind::kAggregate) {
-    WireWriter payload;
-    EncodeQuery(query.aggregate, &payload);
-    PutField(kPartialQueryAggregate, payload, &w);
-  } else {
-    WireWriter payload;
-    EncodeGroupedQuery(query.grouped, &payload);
-    PutField(kPartialQueryGrouped, payload, &w);
-  }
-  if (query.deadline.IsFinite()) {
-    PutDoubleField(kPartialQueryDeadlineMillis,
-                   query.deadline.RemainingMillis(), &w);
-  }
-  w.PutU8(kPartialQueryEnd);
-  return w.Take();
+  return Serialize(query);
 }
 
 Result<PartialQuery> ParsePartialQuery(std::string_view data) {
-  WireReader r(data);
-  MUVE_RETURN_NOT_OK(CheckVersion(&r));
-  PartialQuery query;
-  for (;;) {
-    MUVE_ASSIGN_OR_RETURN(uint8_t tag, r.ReadU8());
-    if (tag == kPartialQueryEnd) break;
-    MUVE_ASSIGN_OR_RETURN(std::string_view payload, r.ReadBlock());
-    WireReader field(payload);
-    switch (tag) {
-      case kPartialQueryKind: {
-        MUVE_ASSIGN_OR_RETURN(uint8_t kind, field.ReadU8());
-        if (kind > static_cast<uint8_t>(PartialQuery::Kind::kGrouped)) {
-          return Status::ParseError("wire: unknown partial-query kind " +
-                                    std::to_string(kind));
-        }
-        query.kind = static_cast<PartialQuery::Kind>(kind);
-        break;
-      }
-      case kPartialQueryAggregate: {
-        MUVE_ASSIGN_OR_RETURN(query.aggregate, DecodeQuery(&field));
-        break;
-      }
-      case kPartialQueryGrouped: {
-        MUVE_ASSIGN_OR_RETURN(query.grouped, DecodeGroupedQuery(&field));
-        break;
-      }
-      case kPartialQueryDeadlineMillis: {
-        MUVE_ASSIGN_OR_RETURN(double remaining, FieldDouble(payload));
-        // Re-anchor on this process's clock, as for Request deadlines.
-        query.deadline = Deadline::AfterMillis(remaining);
-        break;
-      }
-      default:
-        break;  // Unknown tag from a newer writer: skip.
-    }
-  }
-  MUVE_RETURN_NOT_OK(CheckExhausted(r));
-  return query;
+  return Parse<PartialQuery>(data);
 }
 
 std::string SerializePartialResult(const PartialResult& result) {
-  WireWriter w;
-  w.PutU8(kWireVersion);
-  {
-    WireWriter payload;
-    payload.PutU8(static_cast<uint8_t>(result.kind));
-    PutField(kPartialResultKind, payload, &w);
-  }
-  PutU64Field(kPartialResultSnapshotVersion, result.snapshot_version, &w);
-  PutU64Field(kPartialResultRowsScanned, result.rows_scanned, &w);
-  if (result.kind == PartialQuery::Kind::kAggregate) {
-    WireWriter payload;
-    EncodeAggregatePartial(result.aggregate, &payload);
-    PutField(kPartialResultAggregate, payload, &w);
-  } else {
-    WireWriter payload;
-    EncodeGroupedPartial(result.grouped, &payload);
-    PutField(kPartialResultGrouped, payload, &w);
-  }
-  w.PutU8(kPartialResultEnd);
-  return w.Take();
+  return Serialize(result);
 }
 
 Result<PartialResult> ParsePartialResult(std::string_view data) {
-  WireReader r(data);
-  MUVE_RETURN_NOT_OK(CheckVersion(&r));
-  PartialResult result;
-  for (;;) {
-    MUVE_ASSIGN_OR_RETURN(uint8_t tag, r.ReadU8());
-    if (tag == kPartialResultEnd) break;
-    MUVE_ASSIGN_OR_RETURN(std::string_view payload, r.ReadBlock());
-    WireReader field(payload);
-    switch (tag) {
-      case kPartialResultKind: {
-        MUVE_ASSIGN_OR_RETURN(uint8_t kind, field.ReadU8());
-        if (kind > static_cast<uint8_t>(PartialQuery::Kind::kGrouped)) {
-          return Status::ParseError("wire: unknown partial-result kind " +
-                                    std::to_string(kind));
-        }
-        result.kind = static_cast<PartialQuery::Kind>(kind);
-        break;
-      }
-      case kPartialResultSnapshotVersion: {
-        MUVE_ASSIGN_OR_RETURN(result.snapshot_version, FieldU64(payload));
-        break;
-      }
-      case kPartialResultRowsScanned: {
-        MUVE_ASSIGN_OR_RETURN(result.rows_scanned, FieldU64(payload));
-        break;
-      }
-      case kPartialResultAggregate: {
-        MUVE_ASSIGN_OR_RETURN(result.aggregate,
-                              DecodeAggregatePartial(&field));
-        break;
-      }
-      case kPartialResultGrouped: {
-        MUVE_ASSIGN_OR_RETURN(result.grouped, DecodeGroupedPartial(&field));
-        break;
-      }
-      default:
-        break;  // Unknown tag from a newer writer: skip.
-    }
-  }
-  MUVE_RETURN_NOT_OK(CheckExhausted(r));
-  return result;
+  return Parse<PartialResult>(data);
 }
 
 }  // namespace muve::net

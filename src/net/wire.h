@@ -36,6 +36,9 @@ class WireWriter {
   std::string Take() { return std::move(out_); }
 
  private:
+  template <typename T>
+  void PutFixed(T v);
+
   std::string out_;
 };
 
@@ -54,11 +57,16 @@ class WireReader {
   Result<std::string> ReadString();
   /// Reads a u32-length-prefixed sub-buffer (view into this reader).
   Result<std::string_view> ReadBlock();
+  /// Reads every byte left (view into this reader).
+  std::string_view ReadRest();
 
   size_t remaining() const { return data_.size() - pos_; }
   bool exhausted() const { return pos_ >= data_.size(); }
 
  private:
+  template <typename T>
+  Result<T> ReadFixed(const char* what);
+
   std::string_view data_;
   size_t pos_ = 0;
 };
@@ -71,14 +79,15 @@ Result<StatusCode> StatusCodeFromWire(uint8_t wire_code);
 
 /// Status: wire error code + message. Decode's return value is the
 /// parse outcome; the decoded status lands in `*out` (out-param because
-/// Result<Status> would be ambiguous).
+/// Result<Status> would be ambiguous) and only when the parse succeeds.
 void EncodeStatus(const Status& status, WireWriter* w);
 Status DecodeStatus(WireReader* r, Status* out);
 
 /// Top-level codecs. Serialize stamps kWireVersion; Parse rejects
-/// unknown versions and trailing or truncated bytes. Fields are tagged
-/// (tag 0 terminates), so parsers skip tags they do not know — an old
-/// reader tolerates a newer writer within one version.
+/// unknown versions, trailing or truncated bytes, out-of-range enum
+/// bytes, and list counts the remaining bytes cannot hold. Fields are
+/// tagged (tag 0 terminates), so parsers skip tags they do not know — an
+/// old reader tolerates a newer writer within one version.
 ///
 /// Request: `rng` and `stage_observer` do not cross the wire (the
 /// serving side derives per-request RNGs from the session stream; the
@@ -87,6 +96,11 @@ Status DecodeStatus(WireReader* r, Status* out);
 /// milliseconds and is re-anchored on the receiver's clock.
 std::string SerializeRequest(const Request& request);
 Result<Request> ParseRequest(std::string_view data);
+
+/// The payload of a kRequest frame: u8 RequestClass, then the
+/// SerializeRequest bytes. net::Listener parses it.
+std::string SerializeRequestPayload(const Request& request,
+                                    serve::RequestClass request_class);
 
 std::string SerializeAnswer(const MuveEngine::Answer& answer);
 Result<MuveEngine::Answer> ParseAnswer(std::string_view data);

@@ -25,9 +25,9 @@
 /// fixed-grain slices in the same order whether or not a pool runs them,
 /// and the reference executor folds them the same way. Cached results
 /// are the raw output of the scan that populated them, so cached and
-/// uncached results are bitwise equal too. Plan structure is exact;
-/// exec::Engine merged vs unmerged values compare within 1e-9 relative
-/// tolerance.
+/// uncached results are bitwise equal too. Plan structure is exact, and
+/// so are exec::Engine values, merged or unmerged, at every thread
+/// count.
 ///
 /// MUVE_DIFF_SEEDS overrides the seed count (the `slow` CTest variants
 /// raise it; every seed is self-contained so any count reproduces).
@@ -374,11 +374,7 @@ TEST_F(DifferentialTest, EngineMergedUnmergedSerialParallel) {
             EXPECT_TRUE(std::isnan(actual->values[i])) << context;
             continue;
           }
-          const double scale =
-              std::max(1.0, std::fabs(expected->values[i]));
-          EXPECT_NEAR(expected->values[i], actual->values[i],
-                      1e-9 * scale)
-              << context;
+          EXPECT_EQ(expected->values[i], actual->values[i]) << context;
         }
       }
     }

@@ -1,5 +1,5 @@
 // Remote load generator: drives a separate-process muve_serve over the
-// frame protocol, one net::Client connection per client thread
+// frame protocol, one net::AsyncClient connection per client thread
 // (closed loop, optionally paced).
 //
 // The query mix is generated against a local reconstruction of the
@@ -46,7 +46,7 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "net/client.h"
+#include "net/async_client.h"
 #include "net/wire.h"
 #include "nlq/translator.h"
 #include "workload/datasets.h"
@@ -68,6 +68,27 @@ struct Outcome {
   bool deadline_met = false;
   double latency_ms = 0.0;
 };
+
+/// The loadgen's exchanges block: connect without a timeout, wait for
+/// each reply without a deadline.
+constexpr double kBlockingConnect = 0.0;
+
+/// One kRequest round trip. Server-side rejections (Overloaded, pipeline
+/// errors) come back as their decoded Status.
+Result<serve::ServedAnswer> Ask(net::AsyncClient& client,
+                                const Request& request,
+                                serve::RequestClass request_class) {
+  MUVE_ASSIGN_OR_RETURN(
+      net::Frame reply,
+      client.Call(net::FrameType::kRequest,
+                  net::SerializeRequestPayload(request, request_class),
+                  Deadline::Infinite()));
+  if (reply.type != net::FrameType::kAnswer) {
+    return Status::ParseError("unexpected frame type " +
+                              std::to_string(static_cast<int>(reply.type)));
+  }
+  return net::ParseServedAnswer(reply.payload);
+}
 
 std::string HexEncode(const std::string& bytes) {
   static const char kDigits[] = "0123456789abcdef";
@@ -181,7 +202,8 @@ int Run(int argc, char** argv) {
   threads.reserve(clients);
   for (size_t c = 0; c < clients; ++c) {
     threads.emplace_back([&] {
-      Result<net::Client> client = net::Client::Connect(host, port);
+      Result<net::AsyncClient> client =
+          net::AsyncClient::Connect(host, port, kBlockingConnect);
       for (;;) {
         const size_t i = next.fetch_add(1, std::memory_order_relaxed);
         if (i >= planned.size()) return;
@@ -208,7 +230,7 @@ int Run(int argc, char** argv) {
         }
         const auto sent = std::chrono::steady_clock::now();
         Result<serve::ServedAnswer> answer =
-            client->Ask(request, planned[i].request_class);
+            Ask(*client, request, planned[i].request_class);
         outcome.latency_ms =
             std::chrono::duration<double, std::milli>(
                 std::chrono::steady_clock::now() - sent)
@@ -259,10 +281,15 @@ int Run(int argc, char** argv) {
   // retry/hedge/ejection counters). Best-effort: "{}" when unavailable.
   std::string server_stats = "{}";
   {
-    Result<net::Client> stats_client = net::Client::Connect(host, port);
+    Result<net::AsyncClient> stats_client =
+        net::AsyncClient::Connect(host, port, kBlockingConnect);
     if (stats_client.ok()) {
-      Result<std::string> stats = stats_client->Stats();
-      if (stats.ok() && !stats->empty()) server_stats = *stats;
+      Result<net::Frame> stats = stats_client->Call(
+          net::FrameType::kStats, "", Deadline::Infinite());
+      if (stats.ok() && stats->type == net::FrameType::kStats &&
+          !stats->payload.empty()) {
+        server_stats = stats->payload;
+      }
     }
   }
 
