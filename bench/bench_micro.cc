@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "cache/query_cache.h"
 #include "common/clock.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -231,57 +230,6 @@ BENCHMARK(BM_GreedyPlannerParallel)
     ->Args({50, 2})
     ->Args({50, 8});
 
-/// Cold vs warm result cache on a repeated scan: range(0) is the row
-/// count, range(1) selects warm (1) or cold (0, cache cleared before
-/// every execution). The reported hit_rate counter is 0 for cold and
-/// approaches 1 for warm; the warm path returns the stored result
-/// without touching the table.
-void BM_ScanAggregateCached(benchmark::State& state) {
-  auto table = Flights(static_cast<size_t>(state.range(0)));
-  const bool warm = state.range(1) == 1;
-  cache::QueryCache qcache(64);
-  db::ExecutorOptions options;
-  options.cache = &qcache;
-  db::AggregateQuery query;
-  query.table = "flights";
-  query.function = db::AggregateFunction::kAvg;
-  query.aggregate_column = "arr_delay";
-  query.predicates = {db::Predicate::Equals("origin", db::Value("boston"))};
-  for (auto _ : state) {
-    if (!warm) qcache.Clear();
-    benchmark::DoNotOptimize(db::Executor::Execute(*table, query, options));
-  }
-  state.counters["hit_rate"] = qcache.stats().hit_rate();
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_ScanAggregateCached)
-    ->Args({1000000, 0})
-    ->Args({1000000, 1});
-
-/// Repeat-session engine execution: one candidate batch executed over
-/// and over, as when a session replays (or re-renders) a query. range(0)
-/// is the row count, range(1) the cache capacity — 0 is the uncached
-/// baseline; any warm capacity should beat it by well over 2x on this
-/// workload since replays skip every scan.
-void BM_EngineRepeatSession(benchmark::State& state) {
-  auto table = Flights(static_cast<size_t>(state.range(0)));
-  exec::EngineOptions options;
-  options.num_threads = 1;
-  options.cache_capacity = static_cast<size_t>(state.range(1));
-  exec::Engine engine(table, options);
-  core::CandidateSet set = Candidates(20);
-  std::vector<size_t> all(set.size());
-  for (size_t i = 0; i < all.size(); ++i) all[i] = i;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.Execute(set, all));
-  }
-  state.counters["hit_rate"] = engine.result_cache_stats().hit_rate();
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_EngineRepeatSession)
-    ->Args({1000000, 0})
-    ->Args({1000000, 256});
-
 /// Phonetic candidate generation with and without the session candidate
 /// cache (range(0): 0 = recompute, 1 = cached).
 void BM_CandidateGenerationCached(benchmark::State& state) {
@@ -303,10 +251,9 @@ void BM_CandidateGenerationCached(benchmark::State& state) {
 BENCHMARK(BM_CandidateGenerationCached)->Arg(0)->Arg(1);
 
 /// Full pipeline repeat-query latency: the same utterance asked over and
-/// over against one MuveEngine. range(0) is the master cache capacity
-/// (0 disables all session caches; warm runs hit the plan memo and the
-/// result cache, skipping translation, generation, planning, and every
-/// scan).
+/// over against one MuveEngine. range(0) is the session cache capacity
+/// (0 disables both session caches; warm runs hit the plan memo,
+/// skipping translation, generation and planning, and rerun the scans).
 void BM_PipelineRepeatQuery(benchmark::State& state) {
   auto table = Flights(200000);
   MuveOptions options;
@@ -324,7 +271,6 @@ void BM_PipelineRepeatQuery(benchmark::State& state) {
   }
   const PipelineCacheStats stats = engine.cache_stats();
   state.counters["plan_hit_rate"] = stats.plans.hit_rate();
-  state.counters["result_hit_rate"] = stats.results.hit_rate();
 }
 BENCHMARK(BM_PipelineRepeatQuery)->Arg(0)->Arg(256);
 

@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
                                   : st.ToString().c_str());
       return true;
     }
-    auto answer = engine.AskText(text);
+    auto answer = engine.Ask(Request::Text(text));
     if (!answer.ok()) {
       std::printf("Sorry, I could not interpret that: %s\n",
                   answer.status().ToString().c_str());

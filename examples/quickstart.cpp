@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
       argc > 1 ? argv[1] : "how many heating complaints in brooklyn";
   std::printf("Q: %s\n\n", question.c_str());
 
-  auto answer = engine.AskText(question);
+  auto answer = engine.Ask(Request::Text(question));
   if (!answer.ok()) {
     std::printf("MUVE could not answer: %s\n",
                 answer.status().ToString().c_str());

@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   int multiplot_correct = 0;
   int answered = 0;
   for (int t = 0; t < trials; ++t) {
-    auto answer = engine.AskVoice(utterance, &rng, noise);
+    auto answer = engine.Ask(Request::Voice(utterance, &rng, noise));
     std::printf("--- trial %d: recognized \"%s\"\n", t + 1,
                 answer.ok() ? answer->transcript.c_str() : "(failed)");
     if (!answer.ok()) continue;

@@ -78,8 +78,7 @@ if [[ -f build/BENCH_server.json ]]; then
 fi
 
 # The bench_ingest_smoke tier1 test wrote live-ingest stats (achieved
-# append rate, read p99 under ingest vs baseline, result-cache hit
-# ratio across appends); surface them.
+# append rate, read p99 under ingest vs baseline); surface them.
 if [[ -f build/BENCH_ingest.json ]]; then
   echo "==> Live-ingest smoke stats (build/BENCH_ingest.json)"
   cat build/BENCH_ingest.json

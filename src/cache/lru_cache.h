@@ -12,8 +12,8 @@
 
 namespace muve::cache {
 
-/// Capacity-bounded, thread-safe LRU map used for every session cache in
-/// MUVE (query results, phonetic candidate sets, compiled plans).
+/// Capacity-bounded, thread-safe LRU map used for both session caches in
+/// MUVE (phonetic candidate sets, compiled plans).
 ///
 /// Semantics:
 ///  - `Get` copies the value out and refreshes the entry's recency.
@@ -24,17 +24,12 @@ namespace muve::cache {
 ///    a separate code branch.
 ///
 /// All operations take one internal mutex, so a cache may be shared by
-/// ThreadPool workers (concurrent merge units, partitioned scans).
-/// Counters live in a `cache::Stats`, either internal or shared across
-/// several caches via the constructor.
+/// ThreadPool workers. Each cache counts its own hits, misses and
+/// evictions.
 template <typename Key, typename Value, typename Hash = std::hash<Key>>
 class LruCache {
  public:
-  /// `stats` may point at a shared counter block; null uses an internal
-  /// one. The Stats object must outlive the cache.
-  explicit LruCache(size_t capacity, Stats* stats = nullptr)
-      : capacity_(capacity),
-        stats_(stats != nullptr ? stats : &owned_stats_) {}
+  explicit LruCache(size_t capacity) : capacity_(capacity) {}
 
   LruCache(const LruCache&) = delete;
   LruCache& operator=(const LruCache&) = delete;
@@ -53,12 +48,12 @@ class LruCache {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = index_.find(key);
     if (it == index_.end()) {
-      stats_->RecordMiss();
+      stats_.RecordMiss();
       return false;
     }
     entries_.splice(entries_.begin(), entries_, it->second);
     *out = entries_.front().second;
-    stats_->RecordHit();
+    stats_.RecordHit();
     return true;
   }
 
@@ -78,7 +73,7 @@ class LruCache {
     if (entries_.size() > capacity_) {
       index_.erase(entries_.back().first);
       entries_.pop_back();
-      stats_->RecordEvictions(1);
+      stats_.RecordEvictions(1);
     }
   }
 
@@ -88,31 +83,11 @@ class LruCache {
     index_.clear();
   }
 
-  /// Removes every entry whose key satisfies `pred`; returns how many
-  /// were removed. Used for invalidation sweeps (the caller decides
-  /// whether removals count as invalidations in its Stats).
-  template <typename Pred>
-  size_t EraseIf(const Pred& pred) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    size_t erased = 0;
-    for (auto it = entries_.begin(); it != entries_.end();) {
-      if (pred(it->first)) {
-        index_.erase(it->first);
-        it = entries_.erase(it);
-        ++erased;
-      } else {
-        ++it;
-      }
-    }
-    return erased;
-  }
-
-  StatsSnapshot stats() const { return stats_->Snapshot(); }
+  StatsSnapshot stats() const { return stats_.Snapshot(); }
 
  private:
   const size_t capacity_;
-  Stats owned_stats_;
-  Stats* const stats_;
+  Stats stats_;
   mutable std::mutex mutex_;
   /// Front = most recently used. `index_` maps key -> list node.
   std::list<std::pair<Key, Value>> entries_;

@@ -13,7 +13,6 @@ double StatsSnapshot::hit_rate() const {
 std::string StatsSnapshot::ToString() const {
   return "hits=" + std::to_string(hits) + " misses=" +
          std::to_string(misses) + " evictions=" + std::to_string(evictions) +
-         " invalidations=" + std::to_string(invalidations) +
          " hit_rate=" + FormatDouble(hit_rate(), 3);
 }
 
@@ -21,7 +20,6 @@ StatsSnapshot& StatsSnapshot::operator+=(const StatsSnapshot& other) {
   hits += other.hits;
   misses += other.misses;
   evictions += other.evictions;
-  invalidations += other.invalidations;
   return *this;
 }
 
@@ -30,7 +28,6 @@ StatsSnapshot Stats::Snapshot() const {
   out.hits = hits_.load(std::memory_order_relaxed);
   out.misses = misses_.load(std::memory_order_relaxed);
   out.evictions = evictions_.load(std::memory_order_relaxed);
-  out.invalidations = invalidations_.load(std::memory_order_relaxed);
   return out;
 }
 
@@ -38,7 +35,6 @@ void Stats::Reset() {
   hits_.store(0, std::memory_order_relaxed);
   misses_.store(0, std::memory_order_relaxed);
   evictions_.store(0, std::memory_order_relaxed);
-  invalidations_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace muve::cache

@@ -12,24 +12,26 @@ struct StatsSnapshot {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t evictions = 0;
-  uint64_t invalidations = 0;  ///< Entries purged by table-version bumps.
+  /// Unused; kept until the next benchmark change removes perfbench's
+  /// reference.
+  uint64_t invalidations = 0;
 
   uint64_t lookups() const { return hits + misses; }
 
   /// Fraction of lookups served from the cache (0 when never looked up).
   double hit_rate() const;
 
-  /// "hits=12 misses=3 evictions=0 invalidations=0 hit_rate=0.800".
+  /// "hits=12 misses=3 evictions=0 hit_rate=0.800".
   std::string ToString() const;
 
   StatsSnapshot& operator+=(const StatsSnapshot& other);
 };
 
-/// Thread-safe hit/miss/eviction/invalidation counters shared by the
-/// session caches. Counters use relaxed atomics: they are monotonic
-/// tallies, never used to synchronize cached data (the caches' own
-/// mutexes do that), so total ordering against cache contents is not
-/// required — only that every operation is counted exactly once.
+/// Thread-safe hit/miss/eviction counters of one session cache. Counters
+/// use relaxed atomics: they are monotonic tallies, never used to
+/// synchronize cached data (the cache's own mutex does that), so total
+/// ordering against cache contents is not required — only that every
+/// operation is counted exactly once.
 class Stats {
  public:
   Stats() = default;
@@ -41,9 +43,6 @@ class Stats {
   void RecordEvictions(uint64_t n) {
     evictions_.fetch_add(n, std::memory_order_relaxed);
   }
-  void RecordInvalidations(uint64_t n) {
-    invalidations_.fetch_add(n, std::memory_order_relaxed);
-  }
 
   StatsSnapshot Snapshot() const;
 
@@ -53,7 +52,6 @@ class Stats {
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> invalidations_{0};
 };
 
 }  // namespace muve::cache

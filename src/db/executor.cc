@@ -143,10 +143,8 @@ Result<CompiledAggregate> CompileAggregate(const Table& table,
 
 // ---------------------------------------------------------------------------
 // Partial-state arithmetic. Accept* updates sum, min and max together
-// regardless of the aggregate function (exactly what the pre-snapshot
-// executor's Accumulator::Accept did), so partials merged from any mix of
-// cache hits and fresh scans stay bitwise identical to an uncached scan
-// with the same partition structure.
+// regardless of the aggregate function, so one partial layout serves
+// every function.
 // ---------------------------------------------------------------------------
 
 inline void AcceptCount(AggregatePartial* p) { ++p->count; }
@@ -623,51 +621,37 @@ struct Slice {
   size_t end = 0;
 };
 
-/// Scans `snapshot` for `query` through `scanner`:
-///   1. cut the snapshot into segments; a cached run partial stands in
-///      for its run's scan;
-///   2. bind every uncached run once;
-///   3. cut every uncached segment into fixed `parallel_grain` slices,
-///      measured from the segment start;
-///   4. scan every slice into a partial that starts at the identity,
+/// Scans `snapshot` through `scanner` (one compiled query):
+///   1. cut the snapshot into segments and bind every run once;
+///   2. cut every segment into fixed `parallel_grain` slices, measured
+///      from the segment start;
+///   3. scan every slice into a partial that starts at the identity,
 ///      checking the deadline before each slice — on the pool when it
 ///      has >= 2 threads and the snapshot more than one grain of rows,
 ///      otherwise inline on the caller;
-///   5. fold the slice partials into their segment's in slice order, then
-///      the segment partials into the total in segment order;
-///   6. store the run partials in the cache, only after the whole scan
-///      succeeded (a timed-out scan stores nothing).
-/// Steps 3 and 5 do not depend on how step 4 runs, so the result is
+///   4. fold the slice partials into their segment's in slice order, then
+///      the segment partials into the total in segment order.
+/// Steps 2 and 4 do not depend on how step 3 runs, so the result is
 /// bitwise the same at every thread count and pool size. `shape` names
 /// the query shape in Timeout messages.
-template <typename Scanner, typename Query>
+template <typename Scanner>
 Result<typename Scanner::Partial> ScanSnapshot(const TableSnapshot& snapshot,
-                                               const Query& query,
                                                const Scanner& scanner,
                                                const ExecutorOptions& options,
                                                const std::string& shape) {
   using Partial = typename Scanner::Partial;
-  const Table& table = snapshot.table();
   const size_t n = snapshot.num_rows();
   const size_t grain = std::max<size_t>(1, options.parallel_grain);
   const std::vector<Segment> segments = MakeSegments(snapshot);
   Partial identity = scanner.Identity();
 
   std::vector<Partial> seg_partials(segments.size(), identity);
-  std::vector<char> cached(segments.size(), 0);
   std::vector<typename Scanner::Bound> bound(segments.size());
   std::vector<Slice> slices;
   for (size_t s = 0; s < segments.size(); ++s) {
     const Segment& seg = segments[s];
-    if (seg.run != nullptr) {  // The memtable is never cached or bound.
-      if (options.cache != nullptr &&
-          options.cache->LookupRun(table, seg.run->id(), query,
-                                   &seg_partials[s])) {
-        cached[s] = 1;
-        continue;
-      }
-      bound[s] = scanner.Bind(*seg.run);
-    }
+    // The memtable is scanned value-at-a-time and never bound.
+    if (seg.run != nullptr) bound[s] = scanner.Bind(*seg.run);
     for (size_t begin = 0; begin < seg.rows; begin += grain) {
       slices.push_back({s, begin, std::min(seg.rows, begin + grain)});
     }
@@ -729,13 +713,6 @@ Result<typename Scanner::Partial> ScanSnapshot(const TableSnapshot& snapshot,
 
   Partial total = std::move(identity);  // Not needed past the scan.
   for (const Partial& partial : seg_partials) MergeInto(partial, &total);
-  if (options.cache != nullptr) {
-    for (size_t s = 0; s < segments.size(); ++s) {
-      if (segments[s].run == nullptr || cached[s]) continue;
-      options.cache->StoreRun(table, segments[s].run->id(), query,
-                              seg_partials[s]);
-    }
-  }
   return total;
 }
 
@@ -775,7 +752,7 @@ Result<AggregatePartial> Executor::ExecutePartial(
   MUVE_ASSIGN_OR_RETURN(
       scanner.agg,
       CompileAggregate(table, query.function, query.aggregate_column));
-  return ScanSnapshot(snapshot, query, scanner, options, "aggregate");
+  return ScanSnapshot(snapshot, scanner, options, "aggregate");
 }
 
 Result<AggregateResult> Executor::Execute(const TableSnapshot& snapshot,
@@ -824,7 +801,7 @@ Result<GroupedPartial> Executor::ExecuteGroupedPartial(
   for (size_t g = 0; g < query.group_values.size(); ++g) {
     scanner.group_of_value.emplace(query.group_values[g], g);
   }
-  return ScanSnapshot(snapshot, query, scanner, options, "grouped");
+  return ScanSnapshot(snapshot, scanner, options, "grouped");
 }
 
 Result<GroupByResult> Executor::ExecuteGrouped(

@@ -1,7 +1,6 @@
 #ifndef MUVE_DB_EXECUTOR_H_
 #define MUVE_DB_EXECUTOR_H_
 
-#include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
@@ -15,8 +14,6 @@
 
 namespace muve::db {
 
-class ResultCache;
-
 /// Controls how the executor runs a scan. Every scan cuts its segments
 /// into the same fixed `parallel_grain` slices and folds the slice
 /// partials in the same order whether or not a pool is attached, so
@@ -26,13 +23,6 @@ struct ExecutorOptions {
   /// threads and the snapshot holds more than `parallel_grain` rows;
   /// otherwise (and with nullptr) the slices run inline on the caller.
   ThreadPool* pool = nullptr;
-  /// Session result cache of per-run partial aggregates, consulted
-  /// before scanning each immutable run and filled after; nullptr (or a
-  /// disabled cache) is the exact uncached path. A run partial stores
-  /// the executor's raw per-run state, so a hit reproduces the scan that
-  /// populated it byte-for-byte. Must be thread-safe when `pool` is set
-  /// (cache::QueryCache is).
-  ResultCache* cache = nullptr;
   /// Rows per slice, measured from each segment's start. Fixed
   /// (independent of thread count), so the per-slice partials and their
   /// in-order fold — and hence the floating-point result — are the same
@@ -42,8 +32,7 @@ struct ExecutorOptions {
   /// the pool. On expiry the scan stops and the executor returns
   /// Status::Timeout; a slice already underway runs to completion, so a
   /// cancelled scan overshoots the deadline by at most one slice. The
-  /// default infinite deadline never reads the clock. A timed-out scan
-  /// never stores into `cache`.
+  /// default infinite deadline never reads the clock.
   Deadline deadline;
 };
 
@@ -103,43 +92,6 @@ struct GroupedPartial {
   std::vector<std::vector<AggregatePartial>> cells;
 };
 
-/// Cache of per-run partial aggregates, keyed by the storage layer on
-/// the exact (table identity, run identity, query) triple. Defined here
-/// so `db` stays independent of the cache library; `cache::QueryCache`
-/// (src/cache/) implements it with capacity-bounded LRU maps and
-/// hit/miss counters.
-///
-/// Because a run is immutable, a stored partial is a permanent fact
-/// about that run — appends to the table never invalidate it, and run
-/// ids are process-unique so a retired run's id is never reused.
-/// Retiring entries after compaction (see QueryCache::SweepRetired) is
-/// capacity hygiene, not a correctness requirement.
-///
-/// Contract: LookupRun may return true only for a partial previously
-/// passed to StoreRun for an equivalent query against the same (table
-/// id, run id). Only fully scanned runs of successful executions are
-/// stored, so the cached path reproduces the uncached path's errors and
-/// timeouts exactly. Implementations must be safe for concurrent calls
-/// from ThreadPool workers.
-class ResultCache {
- public:
-  virtual ~ResultCache() = default;
-
-  /// Returns true and fills `*out` on a hit.
-  virtual bool LookupRun(const Table& table, uint64_t run_id,
-                         const AggregateQuery& query,
-                         AggregatePartial* out) = 0;
-  virtual void StoreRun(const Table& table, uint64_t run_id,
-                        const AggregateQuery& query,
-                        const AggregatePartial& partial) = 0;
-
-  virtual bool LookupRun(const Table& table, uint64_t run_id,
-                         const GroupByQuery& query, GroupedPartial* out) = 0;
-  virtual void StoreRun(const Table& table, uint64_t run_id,
-                        const GroupByQuery& query,
-                        const GroupedPartial& partial) = 0;
-};
-
 /// Scan-based query executor over versioned in-memory tables.
 ///
 /// Scans run against a TableSnapshot — one consistent table version —
@@ -147,10 +99,9 @@ class ResultCache {
 /// frozen memtable prefix. Each segment accumulates a private partial
 /// state (COUNT/SUM/MIN/MAX merge directly, AVG as a sum+count pair,
 /// GROUP BY as a per-segment accumulator grid) and the partials are
-/// merged in segment order, so the result is independent of which run
-/// partials came from the cache. Uncached segments are cut into
-/// fixed-size slices, scanned inline or on `options.pool`, and merged
-/// slices-then-segments in order either way. Runs are scanned as column
+/// merged in segment order. Segments are cut into fixed-size slices,
+/// scanned inline or on `options.pool`, and merged slices-then-segments
+/// in order either way. Runs are scanned as column
 /// batches (src/db/vec/ kernels), the memtable tail value-at-a-time;
 /// tests/testing/reference_executor.h is the value-at-a-time oracle for
 /// both. Empty-input detection
@@ -187,8 +138,8 @@ class Executor {
   // ExecutePartial, so the single-table path and a 1-shard scatter are
   // the same code.
 
-  /// The merged partial state over the whole snapshot (cache interaction,
-  /// parallel slicing, and deadline behavior identical to Execute).
+  /// The merged partial state over the whole snapshot (parallel slicing
+  /// and deadline behavior identical to Execute).
   static Result<AggregatePartial> ExecutePartial(
       const TableSnapshot& snapshot, const AggregateQuery& query,
       const ExecutorOptions& options = {});

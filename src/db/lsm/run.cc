@@ -1,19 +1,8 @@
 #include "db/lsm/run.h"
 
-#include <atomic>
 #include <utility>
 
 namespace muve::db::lsm {
-
-namespace {
-
-/// Process-wide run id source; 0 is reserved as "no run".
-uint64_t NextRunId() {
-  static std::atomic<uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-}  // namespace
 
 std::shared_ptr<const Run> Run::Build(
     const std::vector<ColumnSpec>& schema, size_t rows,
@@ -32,8 +21,7 @@ std::shared_ptr<const Run> Run::Build(
       (void)st;  // Values were validated against the schema on AppendRow.
     }
   }
-  return std::shared_ptr<const Run>(
-      new Run(NextRunId(), std::move(columns), rows));
+  return std::shared_ptr<const Run>(new Run(std::move(columns), rows));
 }
 
 }  // namespace muve::db::lsm

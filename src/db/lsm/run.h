@@ -1,7 +1,6 @@
 #ifndef MUVE_DB_LSM_RUN_H_
 #define MUVE_DB_LSM_RUN_H_
 
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -13,17 +12,11 @@
 namespace muve::db::lsm {
 
 /// An immutable, columnar storage segment of a versioned table: the unit
-/// of flushing, compaction, snapshot pinning, and run-granular result
-/// caching. Rows keep their append order (a run is "sorted" by implicit
-/// row id), so concatenating runs in run order reproduces the exact
-/// logical row sequence of the table — scans and their floating-point
-/// accumulation order are independent of how rows are packed into runs.
-///
-/// Each run has a process-unique id. Result caches key per-run partial
-/// aggregates on (table id, run id); because a run's contents never
-/// change, those partials are immutable facts — retiring a run's cache
-/// entries after compaction is capacity hygiene, not a correctness
-/// requirement.
+/// of flushing, compaction and snapshot pinning. Rows keep their append
+/// order (a run is "sorted" by implicit row id), so concatenating runs in
+/// run order reproduces the exact logical row sequence of the table —
+/// scans and their floating-point accumulation order are independent of
+/// how rows are packed into runs.
 ///
 /// String columns are dictionary-encoded per run (codes are meaningless
 /// across runs); predicates are re-bound to each run's dictionary at
@@ -37,19 +30,14 @@ class Run {
       const std::vector<ColumnSpec>& schema, size_t rows,
       const std::function<Value(size_t, size_t)>& cell);
 
-  /// Process-unique run id (never 0).
-  uint64_t id() const { return id_; }
-
   size_t num_rows() const { return rows_; }
   size_t num_columns() const { return columns_.size(); }
   const Column& column(size_t index) const { return *columns_[index]; }
 
  private:
-  Run(uint64_t id, std::vector<std::unique_ptr<Column>> columns,
-      size_t rows)
-      : id_(id), columns_(std::move(columns)), rows_(rows) {}
+  Run(std::vector<std::unique_ptr<Column>> columns, size_t rows)
+      : columns_(std::move(columns)), rows_(rows) {}
 
-  uint64_t id_ = 0;
   std::vector<std::unique_ptr<Column>> columns_;
   size_t rows_ = 0;
 };

@@ -11,7 +11,7 @@
 
 namespace muve::db {
 
-/// The catalog surface of a queryable relation: schema, identity, row
+/// The catalog surface of a queryable relation: schema, version, row
 /// count, and the incremental statistics the planner and NLQ layers
 /// consume (distinct counts, string vocabularies). `db::Table` is the
 /// canonical single-partition implementation; `shard::ShardedTable`
@@ -28,9 +28,6 @@ class Relation {
 
   /// Relation name as referenced by queries.
   virtual const std::string& name() const = 0;
-
-  /// Process-unique identity (cache keys, aliasing guards).
-  virtual uint64_t id() const = 0;
 
   /// Content version: bumped by every successful row append.
   virtual uint64_t version() const = 0;

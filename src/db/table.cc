@@ -1,7 +1,6 @@
 #include "db/table.h"
 
 #include <algorithm>
-#include <atomic>
 #include <utility>
 
 #include "common/strings.h"
@@ -10,12 +9,6 @@
 namespace muve::db {
 
 namespace {
-
-/// Process-wide id source; 0 is reserved as "no table".
-uint64_t NextTableId() {
-  static std::atomic<uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
 
 /// Memtable chunks sized well below the flush threshold keep a
 /// huge-threshold table (e.g. a Clone oracle) from preallocating its
@@ -31,7 +24,6 @@ Table::Table(std::string name, std::vector<ColumnSpec> schema,
     : name_(std::move(name)),
       schema_(std::move(schema)),
       options_(options),
-      id_(NextTableId()),
       mem_(std::make_shared<lsm::MemTable>(schema_.size(),
                                            ChunkRowsFor(options_))),
       stats_(schema_.size()) {}
@@ -304,30 +296,15 @@ void Table::CompactionRound() {
         }));
   }
 
-  std::vector<uint64_t> retired;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    // Install back-to-front so earlier window positions stay valid while
-    // later ones shrink the vector.
-    for (size_t w = windows.size(); w-- > 0;) {
-      const lsm::CompactionWindow& window = windows[w];
-      for (size_t i = window.begin; i < window.end; ++i) {
-        retired.push_back(runs_[i]->id());
-      }
-      runs_.erase(runs_.begin() + static_cast<ptrdiff_t>(window.begin),
-                  runs_.begin() + static_cast<ptrdiff_t>(window.end));
-      runs_.insert(runs_.begin() + static_cast<ptrdiff_t>(window.begin),
-                   merged[w]);
-    }
-    constexpr size_t kRetiredLogCap = 1024;
-    for (const uint64_t id : retired) retired_log_.push_back(id);
-    if (retired_log_.size() > kRetiredLogCap) {
-      const size_t drop = retired_log_.size() - kRetiredLogCap;
-      retired_log_.erase(retired_log_.begin(),
-                         retired_log_.begin() + static_cast<ptrdiff_t>(drop));
-      retired_log_base_ += drop;
-    }
-    retired_seq_.fetch_add(retired.size(), std::memory_order_release);
+  std::lock_guard<std::mutex> lock(mutex_);
+  // Install back-to-front so earlier window positions stay valid while
+  // later ones shrink the vector.
+  for (size_t w = windows.size(); w-- > 0;) {
+    const lsm::CompactionWindow& window = windows[w];
+    runs_.erase(runs_.begin() + static_cast<ptrdiff_t>(window.begin),
+                runs_.begin() + static_cast<ptrdiff_t>(window.end));
+    runs_.insert(runs_.begin() + static_cast<ptrdiff_t>(window.begin),
+                 merged[w]);
   }
 }
 
@@ -339,18 +316,6 @@ size_t Table::num_runs() const {
 size_t Table::memtable_rows() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return mem_->size();
-}
-
-bool Table::RetiredRunsSince(uint64_t since,
-                             std::vector<uint64_t>* out) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const uint64_t seq = retired_seq_.load(std::memory_order_relaxed);
-  if (since >= seq) return true;
-  if (since < retired_log_base_) return false;  // History trimmed.
-  for (uint64_t s = since; s < seq; ++s) {
-    out->push_back(retired_log_[s - retired_log_base_]);
-  }
-  return true;
 }
 
 }  // namespace muve::db

@@ -73,11 +73,6 @@ class Table : public Relation, public std::enable_shared_from_this<Table> {
     return num_rows_.load(std::memory_order_acquire);
   }
 
-  /// Process-unique identity of this table object, assigned at creation.
-  /// Result caches key on (id, run id) so a `Sample()` copy or an
-  /// identically named table can never alias another table's entries.
-  uint64_t id() const override { return id_; }
-
   /// Content version: bumped by every successful AppendRow. Flushes and
   /// compactions reorganize storage without changing contents, so they
   /// do not bump it.
@@ -158,21 +153,6 @@ class Table : public Relation, public std::enable_shared_from_this<Table> {
   size_t num_runs() const;
   size_t memtable_rows() const;
 
-  // --- Retired-run feed (run-granular cache invalidation) -------------
-
-  /// Total runs retired by compaction so far. Caches remember the last
-  /// sequence they swept and use it as the cheap "anything new?" probe.
-  uint64_t retired_seq() const {
-    return retired_seq_.load(std::memory_order_acquire);
-  }
-
-  /// Appends the ids of runs retired after sequence `since` (0-based:
-  /// `since` == retired_seq() yields nothing) to `out`. Returns false
-  /// when that history was already trimmed from the bounded log — the
-  /// caller must fall back to sweeping all of its entries for this
-  /// table.
-  bool RetiredRunsSince(uint64_t since, std::vector<uint64_t>* out) const;
-
  private:
   friend class TableSnapshot;
 
@@ -203,23 +183,15 @@ class Table : public Relation, public std::enable_shared_from_this<Table> {
   std::string name_;
   std::vector<ColumnSpec> schema_;
   TableOptions options_;
-  uint64_t id_ = 0;
   std::atomic<size_t> num_rows_{0};
   std::atomic<uint64_t> version_{0};
 
-  /// Guards the storage state below (runs, memtable, stats, retirement
-  /// log, compaction scheduling flag).
+  /// Guards the storage state below (runs, memtable, stats, compaction
+  /// scheduling flag).
   mutable std::mutex mutex_;
   std::vector<std::shared_ptr<const lsm::Run>> runs_;
   std::shared_ptr<lsm::MemTable> mem_;
   std::vector<ColumnStats> stats_;
-
-  /// Bounded append-only log of retired run ids. `retired_seq_` counts
-  /// all retirements ever; the log keeps the most recent ones, starting
-  /// at sequence `retired_log_base_`.
-  std::vector<uint64_t> retired_log_;
-  uint64_t retired_log_base_ = 0;
-  std::atomic<uint64_t> retired_seq_{0};
 
   ThreadPool* compaction_pool_ = nullptr;
   bool compaction_scheduled_ = false;

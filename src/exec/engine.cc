@@ -134,10 +134,6 @@ void Engine::Init() {
   const size_t threads =
       ThreadPool::ResolveThreadCount(options_.num_threads);
   if (threads >= 2) pool_ = std::make_unique<ThreadPool>(threads);
-  if (options_.cache_capacity > 0) {
-    result_cache_ =
-        std::make_unique<cache::QueryCache>(options_.cache_capacity);
-  }
   // Calibration probe: time one full COUNT(*) scan and relate it to its
   // estimated cost, yielding cost-units-per-millisecond for
   // EstimateMillis (used by the dynamic approximate method).
@@ -208,8 +204,6 @@ Result<Execution> Engine::Execute(const core::CandidateSet& candidates,
 Result<Execution> Engine::Execute(const core::CandidateSet& candidates,
                                   const std::vector<size_t>& subset,
                                   const ExecControls& controls) {
-  cache::QueryCache* cache =
-      controls.bypass_cache ? nullptr : result_cache_.get();
   const double sample_fraction = controls.sample_fraction;
   Execution out;
   out.values.assign(candidates.size(), std::nan(""));
@@ -241,7 +235,7 @@ Result<Execution> Engine::Execute(const core::CandidateSet& candidates,
   StopWatch watch;
   if (controls.deadline.IsFinite()) {
     MUVE_RETURN_NOT_OK(ExecuteUnitsBounded(units, target, candidates,
-                                           sampled, controls, cache, &out));
+                                           sampled, controls, &out));
   } else if (pool_ != nullptr && units.size() >= 2) {
     // Independent units run concurrently with serial per-unit scans
     // (serial per-unit shard loops, when sharded): never two levels of
@@ -249,17 +243,12 @@ Result<Execution> Engine::Execute(const core::CandidateSet& candidates,
     // same pool.
     std::vector<std::future<UnitOutcome>> futures;
     futures.reserve(units.size());
-    // The shared result cache is safe under concurrent units (it locks
-    // internally); two units never answer the same candidate, and equal
-    // keys racing a miss compute identical values.
-    db::ExecutorOptions unit_options;
-    unit_options.cache = cache;
     for (const MergeUnit& unit : units) {
       futures.push_back(pool_->Submit([&unit, &target, &candidates,
-                                       sampled, sample_fraction,
-                                       unit_options, backend] {
+                                       sampled, sample_fraction, backend] {
         return ExecuteUnit(unit, target, candidates, sampled,
-                           sample_fraction, unit_options, nullptr, backend);
+                           sample_fraction, db::ExecutorOptions{}, nullptr,
+                           backend);
       }));
     }
     std::vector<UnitOutcome> outcomes;
@@ -281,7 +270,6 @@ Result<Execution> Engine::Execute(const core::CandidateSet& candidates,
     // when a pool exists — by rows (unsharded), or across shards with
     // row partitioning inside each shard task's slack (sharded).
     db::ExecutorOptions db_options;
-    db_options.cache = cache;
     ThreadPool* shard_pool = nullptr;
     if (units.size() == 1) {
       db_options.pool = pool_.get();
@@ -310,7 +298,6 @@ Status Engine::ExecuteUnitsBounded(const std::vector<MergeUnit>& units,
                                    const core::CandidateSet& candidates,
                                    bool sampled,
                                    const ExecControls& controls,
-                                   cache::QueryCache* cache,
                                    Execution* out) {
   // The unit answering the base candidate (index 0) is protected: it
   // runs without cancellation so the bottom rung of the degradation
@@ -333,7 +320,6 @@ Status Engine::ExecuteUnitsBounded(const std::vector<MergeUnit>& units,
   }
 
   db::ExecutorOptions base_options;  // No deadline: uncancellable.
-  base_options.cache = cache;
   db::ExecutorOptions rest_options = base_options;
   rest_options.deadline = controls.deadline;
   ThreadPool* base_shard_pool = nullptr;

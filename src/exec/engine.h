@@ -6,8 +6,6 @@
 #include <mutex>
 #include <vector>
 
-#include "cache/query_cache.h"
-#include "cache/stats.h"
 #include "common/clock.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
@@ -38,12 +36,8 @@ struct EngineOptions {
   /// batch that collapses to a single unit runs the slices of its scan on
   /// the pool instead. Values are byte-identical at every setting.
   size_t num_threads = 0;
-  /// Entries per map of the session result cache (cache::QueryCache):
-  /// executor results are reused across repeated and overlapping
-  /// candidate batches of the session. 0 disables the cache — no
-  /// QueryCache is constructed and every scan takes the exact uncached
-  /// path. Cached results are the executor's raw output, so hits are
-  /// byte-identical to recomputation.
+  /// Unused; kept until the next benchmark change removes perfbench's
+  /// reference.
   size_t cache_capacity = 256;
   /// Remote source of shard partials (dist::Coordinator). Applies only
   /// to full-fraction scans of a sharded engine's primary table — the
@@ -68,8 +62,6 @@ struct ExecControls {
   /// granularity; units cut either way are dropped (their candidates'
   /// values stay NaN) rather than blocking the answer.
   Deadline deadline;
-  /// Skip the session result cache for this call (reads and writes).
-  bool bypass_cache = false;
   /// See Engine::Execute.
   double sample_fraction = 1.0;
 };
@@ -158,8 +150,8 @@ class Engine {
                             const std::vector<size_t>& subset,
                             double sample_fraction = 1.0);
 
-  /// As above with request-scoped controls. An infinite deadline without
-  /// cache bypass takes the exact code path of the overload above.
+  /// As above with request-scoped controls. An infinite deadline takes
+  /// the exact code path of the overload above.
   Result<Execution> Execute(const core::CandidateSet& candidates,
                             const std::vector<size_t>& subset,
                             const ExecControls& controls);
@@ -195,19 +187,8 @@ class Engine {
   /// whole pipeline draws from one fixed set of threads.
   ThreadPool* thread_pool() const { return pool_.get(); }
 
-  /// The session result cache, or nullptr when disabled
-  /// (cache_capacity = 0).
-  cache::QueryCache* result_cache() const { return result_cache_.get(); }
-
-  /// Hit/miss/eviction/invalidation counters of the result cache (all
-  /// zero when disabled).
-  cache::StatsSnapshot result_cache_stats() const {
-    return result_cache_ != nullptr ? result_cache_->stats()
-                                    : cache::StatsSnapshot{};
-  }
-
  private:
-  /// Shared construction tail: pool, cache, calibration probe.
+  /// Shared construction tail: pool, calibration probe.
   void Init();
 
   /// Deadline-bounded unit execution (finite-deadline path of Execute):
@@ -217,7 +198,7 @@ class Engine {
                              const ScanTarget& target,
                              const core::CandidateSet& candidates,
                              bool sampled, const ExecControls& controls,
-                             cache::QueryCache* cache, Execution* out);
+                             Execution* out);
 
   /// The sampled relation for `fraction` (the backing store itself at
   /// fraction >= 1), plus its consistent snapshot in `*target`.
@@ -233,7 +214,6 @@ class Engine {
   EngineOptions options_;
   db::CostEstimator estimator_;
   std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<cache::QueryCache> result_cache_;
   double cost_units_per_ms_ = 1.0;
   /// Lazily materialized row samples, keyed by fraction. Guarded by
   /// `samples_mutex_`: concurrent serving requests may share one engine.

@@ -62,11 +62,6 @@ std::string Degradation::Describe() const {
   return text;
 }
 
-MuveOptions MuveEngine::SyncCacheOptions(MuveOptions options) {
-  options.execution.cache_capacity = options.cache_capacity;
-  return options;
-}
-
 std::string MuveEngine::NormalizedTranscriptKey(std::string_view text) {
   // Mirrors the translator's TokenizeUtterance cleanup (lowercase, keep
   // alphanumerics and underscores, drop apostrophes, everything else
@@ -122,7 +117,7 @@ core::Multiplot MuveEngine::BaseOnlyMultiplot(
 
 MuveEngine::MuveEngine(std::shared_ptr<const db::Table> table,
                        MuveOptions options)
-    : options_(SyncCacheOptions(std::move(options))),
+    : options_(std::move(options)),
       exec_engine_(table, options_.execution),
       schema_index_(std::make_shared<nlq::SchemaIndex>(
           table, phonetics::PhoneticIndexOptions{
@@ -136,7 +131,7 @@ MuveEngine::MuveEngine(std::shared_ptr<const db::Table> table,
 
 MuveEngine::MuveEngine(std::shared_ptr<const shard::ShardedTable> table,
                        MuveOptions options)
-    : options_(SyncCacheOptions(std::move(options))),
+    : options_(std::move(options)),
       exec_engine_(table, options_.execution),
       schema_index_(std::make_shared<nlq::SchemaIndex>(
           table, phonetics::PhoneticIndexOptions{
@@ -161,16 +156,12 @@ void MuveEngine::Init(const db::Relation& table) {
 
 PipelineCacheStats MuveEngine::cache_stats() const {
   PipelineCacheStats stats;
-  stats.results = exec_engine_.result_cache_stats();
   stats.candidates = candidate_cache_.stats();
   stats.plans = plan_memo_.stats();
   return stats;
 }
 
 void MuveEngine::ClearCaches() {
-  if (exec_engine_.result_cache() != nullptr) {
-    exec_engine_.result_cache()->Clear();
-  }
   candidate_cache_.Clear();
   plan_memo_.Clear();
 }
@@ -179,9 +170,7 @@ Result<MuveEngine::Answer> MuveEngine::Ask(const Request& request) {
   // Absorb any vocabulary the table gained since the last request (one
   // atomic compare when nothing was appended). New linkable values change
   // what the front half would compute, so the structures keyed on the old
-  // vocabulary — candidate sets and memoized plans — are dropped; the
-  // executor result cache is invalidated run-granularly by the table
-  // itself and survives.
+  // vocabulary — candidate sets and memoized plans — are dropped.
   if (schema_index_->SyncWithTable()) {
     candidate_cache_.Clear();
     plan_memo_.Clear();
@@ -324,7 +313,6 @@ Result<MuveEngine::Answer> MuveEngine::Ask(const Request& request) {
   StopWatch execute_watch;
   exec::ExecControls controls;
   controls.deadline = deadline;  // Full remaining budget, no stage split.
-  controls.bypass_cache = request.bypass_cache;
   MUVE_ASSIGN_OR_RETURN(
       answer.execution,
       exec_engine_.ExecuteMultiplot(answer.candidates,
@@ -361,16 +349,6 @@ Result<MuveEngine::Answer> MuveEngine::Ask(const Request& request) {
   }
   answer.pipeline_millis = answer.timings.PipelineMillis();
   return answer;
-}
-
-Result<MuveEngine::Answer> MuveEngine::AskText(std::string_view text) {
-  return Ask(Request::Text(text));
-}
-
-Result<MuveEngine::Answer> MuveEngine::AskVoice(
-    std::string_view utterance, Rng* rng,
-    const speech::SpeechNoiseOptions& noise) {
-  return Ask(Request::Voice(utterance, rng, noise));
 }
 
 }  // namespace muve

@@ -36,23 +36,23 @@ struct MuveOptions {
   exec::EngineOptions execution;
   /// Plan with the ILP solver instead of the greedy solver.
   bool use_ilp = false;
-  /// Master knob for session caching: entries per cache of the pipeline's
-  /// three session caches (executor result cache, phonetic-candidate
-  /// cache, compiled-plan memo). Overrides `execution.cache_capacity`.
-  /// 0 disables all three — every query takes the exact uncached path.
+  /// The one session-cache knob: entries in each of the pipeline's two
+  /// session caches (phonetic-candidate cache, compiled-plan memo). 0
+  /// disables both — every query takes the exact uncached path.
   size_t cache_capacity = 256;
 };
 
 /// Hit/miss/eviction/invalidation counters of the pipeline's session
 /// caches, one snapshot per cache layer.
 struct PipelineCacheStats {
-  cache::StatsSnapshot results;     ///< Executor result cache.
+  /// Unused; kept until the next benchmark change removes perfbench's
+  /// reference.
+  cache::StatsSnapshot results;
   cache::StatsSnapshot candidates;  ///< Phonetic-candidate cache.
   cache::StatsSnapshot plans;       ///< Compiled-plan memo.
 
   cache::StatsSnapshot Total() const {
-    cache::StatsSnapshot total = results;
-    total += candidates;
+    cache::StatsSnapshot total = candidates;
     total += plans;
     return total;
   }
@@ -60,8 +60,8 @@ struct PipelineCacheStats {
 
 /// One serving request: the input (recognized text, or a clean utterance
 /// routed through the simulated recognizer) plus request-scoped controls.
-/// Default-constructed controls — infinite deadline, no overrides — make
-/// Ask() byte-identical to the classic AskText/AskVoice pipeline.
+/// Default-constructed controls — infinite deadline, no overrides — run
+/// the exact unbounded pipeline.
 struct Request {
   /// Pipeline stages, in execution order. kAsr runs only for voice
   /// requests; kTranslate/kGenerate/kPlan are skipped on a plan-memo hit.
@@ -91,8 +91,8 @@ struct Request {
   /// An overriding request never reads or fills the compiled-plan memo
   /// (its plans would not replay for the session default).
   std::optional<bool> use_ilp;
-  /// Skip every session cache (results, candidates, plan memo) for this
-  /// request, reads and writes alike.
+  /// Skip both session caches (candidates, plan memo) for this request,
+  /// reads and writes alike.
   bool bypass_cache = false;
   /// Test hook, invoked at entry of each stage that runs (before any of
   /// its work). Deadline tests advance a FakeClock here to force expiry
@@ -177,8 +177,7 @@ struct Degradation {
 /// (visualization planner) -> merged query execution -> multiplot with
 /// results.
 ///
-/// Ask() serves one Request end to end under its deadline; AskText() and
-/// AskVoice() are thin wrappers over default-control requests.
+/// Ask() serves one Request end to end under its deadline.
 class MuveEngine {
  public:
   /// The full answer to one voice query.
@@ -205,24 +204,13 @@ class MuveEngine {
                       MuveOptions options = {});
 
   /// Serves one request end to end. With an infinite deadline and default
-  /// controls the answer is byte-identical to the classic AskText /
-  /// AskVoice pipeline at every thread count; under a finite deadline the
+  /// controls the answer is byte-identical at every thread count and with
+  /// or without the session caches; under a finite deadline the
   /// answer returns within the deadline plus at most one executor
   /// partition grain, degraded down the ladder
   /// exact -> degraded plan -> base-query-only plot as needed
   /// (Answer::degradation says which rung and why).
   Result<Answer> Ask(const Request& request);
-
-  /// DEPRECATED — build a Request (Request::Text) and call Ask().
-  /// Kept as a thin wrapper for source compatibility; equivalent to
-  /// `Ask(Request::Text(text))`.
-  Result<Answer> AskText(std::string_view text);
-
-  /// DEPRECATED — build a Request (Request::Voice) and call Ask().
-  /// Kept as a thin wrapper for source compatibility; equivalent to
-  /// `Ask(Request::Voice(utterance, rng, noise))`.
-  Result<Answer> AskVoice(std::string_view utterance, Rng* rng,
-                          const speech::SpeechNoiseOptions& noise = {});
 
   /// The backing relation (single or sharded), catalog surface only.
   const db::Relation& relation() const { return exec_engine_.relation(); }
@@ -233,11 +221,11 @@ class MuveEngine {
   exec::Engine& exec_engine() { return exec_engine_; }
   const MuveOptions& options() const { return options_; }
 
-  /// Counters of all three session caches (all zero when disabled via
+  /// Counters of both session caches (all zero when disabled via
   /// cache_capacity = 0).
   PipelineCacheStats cache_stats() const;
 
-  /// Drops all cached state (results, candidate sets, plan memo) without
+  /// Drops all cached state (candidate sets, plan memo) without
   /// resetting counters — subsequent queries recompute from scratch.
   void ClearCaches();
 
@@ -254,7 +242,7 @@ class MuveEngine {
   /// One memoized pipeline front half: everything Ask computes before
   /// execution, keyed on the normalized transcript. Replaying a hit skips
   /// translation, candidate generation, and planning; execution always
-  /// reruns (against the result cache) so answers reflect current data.
+  /// reruns so answers reflect current data.
   /// Degraded front halves are never memoized — a later unconstrained
   /// request must not replay a capped distribution or truncated plan.
   struct PlanMemoEntry {
@@ -263,10 +251,6 @@ class MuveEngine {
     core::CandidateSet candidates;
     core::PlanResult plan;
   };
-
-  /// Returns `options` with the master cache knob copied into the layers
-  /// it governs (called in the init list before members that read it).
-  static MuveOptions SyncCacheOptions(MuveOptions options);
 
   /// Shared construction tail: candidate cache hookup and the speech
   /// simulator's lexicon (table vocabulary + query stop words).

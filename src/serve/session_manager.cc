@@ -99,7 +99,6 @@ PipelineCacheStats SessionManager::AggregateCacheStats() const {
   PipelineCacheStats total;
   for (const auto& [id, slot] : sessions_) {
     const PipelineCacheStats stats = slot.session->engine.cache_stats();
-    total.results += stats.results;
     total.candidates += stats.candidates;
     total.plans += stats.plans;
   }

@@ -68,9 +68,7 @@ struct ScatterStats {
 
 /// Controls one scatter-gather execution.
 struct ScatterOptions {
-  /// Per-shard executor configuration (cache, deadline, slice pool).
-  /// The result cache may be shared across shards — entries key on each
-  /// shard table's own id.
+  /// Per-shard executor configuration (deadline, slice pool).
   db::ExecutorOptions executor;
   /// Pool for shard-level parallelism: with >= 2 shards, per-shard scans
   /// run as parallel tasks on this pool and `executor.pool` is ignored

@@ -11,14 +11,6 @@ namespace muve::shard {
 
 namespace {
 
-/// Process-wide id source for sharded tables. Seeded far from db::Table's
-/// counter so a sharded table's id can never collide with a shard's own
-/// table id in logs; caches only ever key on the shard tables' ids.
-uint64_t NextShardedTableId() {
-  static std::atomic<uint64_t> next{1};
-  return (uint64_t{1} << 32) + next.fetch_add(1, std::memory_order_relaxed);
-}
-
 /// FNV-1a 64-bit.
 inline uint64_t Fnv1a(const void* data, size_t len,
                       uint64_t hash = 1469598103934665603ull) {
@@ -64,7 +56,6 @@ ShardedTable::ShardedTable(std::string name,
     : name_(std::move(name)),
       schema_(std::move(schema)),
       options_(std::move(options)),
-      id_(NextShardedTableId()),
       shards_(std::move(shards)),
       stats_(schema_.size()) {
   if (!options_.hash_column.empty()) {

@@ -91,7 +91,6 @@ class ShardedTable : public db::Relation,
   // --- db::Relation ---------------------------------------------------
 
   const std::string& name() const override { return name_; }
-  uint64_t id() const override { return id_; }
   uint64_t version() const override {
     return version_.load(std::memory_order_acquire);
   }
@@ -171,7 +170,6 @@ class ShardedTable : public db::Relation,
   std::string name_;
   std::vector<db::ColumnSpec> schema_;
   ShardedTableOptions options_;
-  uint64_t id_ = 0;
   /// Index of options_.hash_column in the schema; SIZE_MAX when unset.
   size_t hash_column_index_ = SIZE_MAX;
   std::vector<std::shared_ptr<db::Table>> shards_;

@@ -1,61 +1,23 @@
 // Unit tests for the session caching subsystem (src/cache/): LRU
-// recency/eviction semantics, the capacity-0 disabled path, key
-// exactness, run-granular invalidation (appends never sweep; compaction
-// retires exactly the rewritten runs), and counter consistency under
-// concurrent ThreadPool use.
+// recency/eviction semantics, the capacity-0 disabled path, and counter
+// consistency under concurrent ThreadPool use.
 
 #include <atomic>
 #include <future>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cache/lru_cache.h"
-#include "cache/query_cache.h"
 #include "cache/stats.h"
 #include "common/thread_pool.h"
-#include "db/executor.h"
-#include "db/query.h"
-#include "db/table.h"
-#include "db/value.h"
 
 namespace muve {
 namespace {
 
 using cache::LruCache;
-using cache::QueryCache;
 using cache::StatsSnapshot;
-
-std::shared_ptr<db::Table> MakeTable(size_t rows = 64,
-                                     db::TableOptions options = {}) {
-  auto table = db::Table::Create(
-      "cachet", {{"city", db::ValueType::kString},
-                 {"delay", db::ValueType::kInt64}},
-      options);
-  EXPECT_TRUE(table.ok());
-  for (size_t r = 0; r < rows; ++r) {
-    const Status status = (*table)->AppendRow(
-        {db::Value(r % 2 == 0 ? "queens" : "quincy"),
-         db::Value(static_cast<int64_t>(r) - 10)});
-    EXPECT_TRUE(status.ok());
-  }
-  // Seal the rows into a columnar run: only run segments are cached (the
-  // memtable tail is always rescanned), so a pure-memtable table would
-  // never exercise the cache.
-  (*table)->Flush();
-  return std::move(table).value();
-}
-
-db::AggregateQuery CountCity(const std::string& city) {
-  db::AggregateQuery query;
-  query.table = "cachet";
-  query.function = db::AggregateFunction::kCount;
-  query.predicates.push_back(
-      db::Predicate::Equals("city", db::Value(city)));
-  return query;
-}
 
 // ---------------------------------------------------------------------
 // LruCache
@@ -131,245 +93,6 @@ TEST(LruCacheTest, CapacityOneThrashesButStaysCorrect) {
   EXPECT_EQ(cache.stats().evictions, 9u);
 }
 
-TEST(LruCacheTest, EraseIfRemovesMatchingKeys) {
-  LruCache<std::string, int> cache(8);
-  cache.Put("t1/a", 1);
-  cache.Put("t1/b", 2);
-  cache.Put("t2/a", 3);
-  const size_t erased = cache.EraseIf(
-      [](const std::string& key) { return key.rfind("t1/", 0) == 0; });
-  EXPECT_EQ(erased, 2u);
-  EXPECT_EQ(cache.size(), 1u);
-  int out = 0;
-  EXPECT_FALSE(cache.Get("t1/a", &out));
-  EXPECT_TRUE(cache.Get("t2/a", &out));
-}
-
-TEST(LruCacheTest, SharedStatsAggregateAcrossCaches) {
-  cache::Stats shared;
-  LruCache<int, int> a(2, &shared);
-  LruCache<int, int> b(2, &shared);
-  int out = 0;
-  a.Put(1, 1);
-  b.Put(2, 2);
-  EXPECT_TRUE(a.Get(1, &out));
-  EXPECT_FALSE(b.Get(1, &out));
-  const StatsSnapshot stats = shared.Snapshot();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-}
-
-// ---------------------------------------------------------------------
-// QueryCache
-// ---------------------------------------------------------------------
-
-TEST(QueryCacheTest, ExecutorFillsAndHitsAggregateCache) {
-  auto table = MakeTable();
-  QueryCache cache(16);
-  db::ExecutorOptions options;
-  options.cache = &cache;
-
-  const db::AggregateQuery query = CountCity("queens");
-  const auto first = db::Executor::Execute(*table, query, options);
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.size(), 1u);
-
-  const auto second = db::Executor::Execute(*table, query, options);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(first->value, second->value);
-  EXPECT_EQ(first->rows_matched, second->rows_matched);
-  EXPECT_EQ(first->empty_input, second->empty_input);
-}
-
-TEST(QueryCacheTest, DisabledCacheNeverStores) {
-  auto table = MakeTable();
-  QueryCache cache(0);
-  EXPECT_FALSE(cache.enabled());
-  db::ExecutorOptions options;
-  options.cache = &cache;
-  const db::AggregateQuery query = CountCity("queens");
-  const auto first = db::Executor::Execute(*table, query, options);
-  const auto second = db::Executor::Execute(*table, query, options);
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(first->value, second->value);
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_EQ(cache.stats().misses, 2u);
-}
-
-TEST(QueryCacheTest, AppendsNeverInvalidateRunEntries) {
-  auto table = MakeTable(10);  // 5 rows match "queens", all in one run.
-  QueryCache cache(16);
-  db::ExecutorOptions options;
-  options.cache = &cache;
-
-  const db::AggregateQuery query = CountCity("queens");
-  const auto before = db::Executor::Execute(*table, query, options);
-  ASSERT_TRUE(before.ok());
-  EXPECT_EQ(before->value, 5.0);
-  EXPECT_EQ(cache.size(), 1u);
-
-  // Appending only grows the memtable tail: the cached run partial stays
-  // valid, is served as a hit, and the fresh rows come from the rescan
-  // of the (never cached) memtable.
-  ASSERT_TRUE(
-      table->AppendRow({db::Value("queens"), db::Value(int64_t{1})}).ok());
-
-  const auto after = db::Executor::Execute(*table, query, options);
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after->value, 6.0);
-  EXPECT_EQ(cache.stats().invalidations, 0u);
-  EXPECT_GE(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(QueryCacheTest, CompactionRetiresExactlyRewrittenRunKeys) {
-  // 5 runs of 4 rows; one compaction round (target 4) merges exactly the
-  // leftmost adjacent pair, retiring 2 runs and leaving 3 untouched.
-  db::TableOptions topt;
-  topt.flush_threshold = 4;
-  topt.target_runs = 4;
-  auto table = MakeTable(20, topt);
-  ASSERT_EQ(table->num_runs(), 5u);
-  QueryCache cache(32);
-  db::ExecutorOptions options;
-  options.cache = &cache;
-
-  const db::AggregateQuery query = CountCity("queens");
-  const auto cold = db::Executor::Execute(*table, query, options);
-  ASSERT_TRUE(cold.ok());
-  EXPECT_EQ(cold->value, 10.0);
-  EXPECT_EQ(cache.size(), 5u);  // One partial per run.
-
-  table->Compact();
-  ASSERT_EQ(table->num_runs(), 4u);
-
-  const auto warm = db::Executor::Execute(*table, query, options);
-  ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(warm->value, 10.0);
-  // Exactly the two rewritten runs' keys were swept; the three untouched
-  // runs hit, the merged run misses once and is stored.
-  EXPECT_EQ(cache.stats().invalidations, 2u);
-  EXPECT_GE(cache.stats().hits, 3u);
-  EXPECT_EQ(cache.size(), 4u);
-}
-
-TEST(QueryCacheTest, WarmReplayAfterIngestHitsUntouchedRuns) {
-  db::TableOptions topt;
-  topt.flush_threshold = 8;
-  auto table = MakeTable(16, topt);  // 2 runs of 8.
-  ASSERT_EQ(table->num_runs(), 2u);
-  QueryCache cache(32);
-  db::ExecutorOptions options;
-  options.cache = &cache;
-
-  const db::AggregateQuery query = CountCity("queens");
-  const auto cold = db::Executor::Execute(*table, query, options);
-  ASSERT_TRUE(cold.ok());
-  EXPECT_EQ(cold->value, 8.0);
-  EXPECT_EQ(cache.stats().misses, 2u);
-
-  // Stream enough rows to seal a third run plus a memtable tail.
-  for (size_t r = 0; r < 10; ++r) {
-    ASSERT_TRUE(
-        table->AppendRow({db::Value("queens"), db::Value(int64_t{1})})
-            .ok());
-  }
-  ASSERT_EQ(table->num_runs(), 3u);
-  ASSERT_EQ(table->memtable_rows(), 2u);
-
-  const auto warm = db::Executor::Execute(*table, query, options);
-  ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(warm->value, 18.0);
-  // The two pre-ingest runs replay from cache; only the new run misses.
-  EXPECT_EQ(cache.stats().hits, 2u);
-  EXPECT_EQ(cache.stats().misses, 3u);
-  EXPECT_EQ(cache.size(), 3u);
-}
-
-TEST(QueryCacheTest, DistinctTablesNeverShareEntries) {
-  auto table_a = MakeTable(10);
-  auto table_b = MakeTable(20);  // Same schema and name, different table.
-  QueryCache cache(16);
-  const db::AggregateQuery query = CountCity("queens");
-  const uint64_t run_a = table_a->Snapshot().runs()[0]->id();
-  const uint64_t run_b = table_b->Snapshot().runs()[0]->id();
-
-  db::AggregatePartial partial_a;
-  partial_a.count = 5;
-  cache.StoreRun(*table_a, run_a, query, partial_a);
-
-  db::AggregatePartial out;
-  EXPECT_FALSE(cache.LookupRun(*table_b, run_b, query, &out));
-  EXPECT_TRUE(cache.LookupRun(*table_a, run_a, query, &out));
-  EXPECT_EQ(out.count, 5u);
-}
-
-TEST(QueryCacheTest, KeysAreExactBeyondDisplayPrecision) {
-  auto table = MakeTable(4);
-  QueryCache cache(16);
-  const uint64_t run = table->Snapshot().runs()[0]->id();
-  // Two predicates whose constants agree to 6 significant digits — the
-  // display precision of Value::ToString — but differ beyond it.
-  db::AggregateQuery q1;
-  q1.table = "cachet";
-  q1.function = db::AggregateFunction::kCount;
-  q1.predicates.push_back(
-      db::Predicate::Equals("delay", db::Value(1.00000001)));
-  db::AggregateQuery q2 = q1;
-  q2.predicates[0].values = {db::Value(1.00000002)};
-
-  db::AggregatePartial partial;
-  partial.count = 42;
-  cache.StoreRun(*table, run, q1, partial);
-  db::AggregatePartial out;
-  EXPECT_FALSE(cache.LookupRun(*table, run, q2, &out))
-      << "aliased distinct keys";
-  EXPECT_TRUE(cache.LookupRun(*table, run, q1, &out));
-}
-
-TEST(QueryCacheTest, GroupedResultsRoundTrip) {
-  auto table = MakeTable(16);
-  QueryCache cache(16);
-  db::ExecutorOptions options;
-  options.cache = &cache;
-
-  db::GroupByQuery query;
-  query.table = "cachet";
-  query.group_column = "city";
-  query.group_values = {"queens", "quincy", "absent"};
-  query.aggregates.push_back({db::AggregateFunction::kCount, ""});
-  query.aggregates.push_back({db::AggregateFunction::kSum, "delay"});
-
-  const auto cold = db::Executor::ExecuteGrouped(*table, query, options);
-  ASSERT_TRUE(cold.ok());
-  const auto warm = db::Executor::ExecuteGrouped(*table, query, options);
-  ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(cache.stats().hits, 1u);
-  ASSERT_EQ(cold->cells.size(), warm->cells.size());
-  for (size_t g = 0; g < cold->cells.size(); ++g) {
-    ASSERT_EQ(cold->cells[g].size(), warm->cells[g].size());
-    for (size_t a = 0; a < cold->cells[g].size(); ++a) {
-      EXPECT_EQ(cold->cells[g][a].value, warm->cells[g][a].value);
-      EXPECT_EQ(cold->cells[g][a].rows_matched,
-                warm->cells[g][a].rows_matched);
-      EXPECT_EQ(cold->cells[g][a].empty_input,
-                warm->cells[g][a].empty_input);
-    }
-  }
-
-  // Group-value order is part of the key: a reordered IN list has
-  // position-indexed cells, so it must not hit the stored entry.
-  db::GroupByQuery reordered = query;
-  std::swap(reordered.group_values[0], reordered.group_values[1]);
-  const uint64_t run = table->Snapshot().runs()[0]->id();
-  db::GroupedPartial out;
-  EXPECT_FALSE(cache.LookupRun(*table, run, reordered, &out));
-}
-
 // ---------------------------------------------------------------------
 // Concurrency
 // ---------------------------------------------------------------------
@@ -408,51 +131,6 @@ TEST(CacheConcurrencyTest, CountersConsistentUnderThreadPool) {
   EXPECT_LE(cache.size(), 64u);
   EXPECT_GT(stats.hits, 0u);
   EXPECT_GT(stats.misses, 0u);
-}
-
-TEST(CacheConcurrencyTest, SharedQueryCacheUnderConcurrentExecution) {
-  ThreadPool pool(8);
-  auto table = MakeTable(512);
-  QueryCache cache(8);
-  constexpr int kTasks = 16;
-
-  std::vector<std::future<double>> futures;
-  futures.reserve(kTasks);
-  for (int t = 0; t < kTasks; ++t) {
-    futures.push_back(pool.Submit([t, &table, &cache]() -> double {
-      db::ExecutorOptions options;
-      options.cache = &cache;
-      // Two distinct queries raced by all workers: concurrent equal-key
-      // misses must compute (and store) identical values. The repeat is
-      // a guaranteed hit (the task's own store cannot have been evicted
-      // — only two keys exist) and must agree with the first run.
-      const db::AggregateQuery query =
-          CountCity(t % 2 == 0 ? "queens" : "quincy");
-      const auto cold = db::Executor::Execute(*table, query, options);
-      const auto warm = db::Executor::Execute(*table, query, options);
-      EXPECT_TRUE(cold.ok());
-      EXPECT_TRUE(warm.ok());
-      if (!cold.ok() || !warm.ok()) return -1.0;
-      EXPECT_EQ(cold->value, warm->value);
-      return cold->value;
-    }));
-  }
-  double queens = -1.0;
-  double quincy = -1.0;
-  for (int t = 0; t < kTasks; ++t) {
-    const double value = futures[static_cast<size_t>(t)].get();
-    double& expected = (t % 2 == 0) ? queens : quincy;
-    if (expected < 0.0) {
-      expected = value;
-    } else {
-      EXPECT_EQ(expected, value) << "task " << t;
-    }
-  }
-  EXPECT_EQ(queens, 256.0);
-  EXPECT_EQ(quincy, 256.0);
-  const StatsSnapshot stats = cache.stats();
-  EXPECT_EQ(stats.lookups(), 2u * static_cast<uint64_t>(kTasks));
-  EXPECT_GE(stats.hits, static_cast<uint64_t>(kTasks));
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 #include <memory>
 #include <thread>
 
-#include "cache/query_cache.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "db/cost_estimator.h"
@@ -1087,26 +1086,15 @@ TEST(LsmCompactionTest, PlanRespectsMergedRowCap) {
   EXPECT_TRUE(windows.empty());
 }
 
-TEST(LsmCompactionTest, CompactRetiresRunsIntoTheFeed) {
+TEST(LsmCompactionTest, CompactFoldsRunsAndKeepsContents) {
   TableOptions options;
   options.flush_threshold = 4;
   options.target_runs = 2;
   auto table = MakeLsmTable(20, options);  // 5 runs.
   ASSERT_EQ(table->num_runs(), 5u);
-  EXPECT_EQ(table->retired_seq(), 0u);
 
   table->Compact();
   EXPECT_EQ(table->num_runs(), 2u);
-  // 5 runs folded to 2: at least 3 retired (more if staged rounds
-  // rewrote intermediates).
-  std::vector<uint64_t> retired;
-  ASSERT_TRUE(table->RetiredRunsSince(0, &retired));
-  EXPECT_EQ(retired.size(), table->retired_seq());
-  EXPECT_GE(retired.size(), 3u);
-  // The feed is incremental: nothing new after the cursor.
-  std::vector<uint64_t> tail;
-  ASSERT_TRUE(table->RetiredRunsSince(table->retired_seq(), &tail));
-  EXPECT_TRUE(tail.empty());
 
   // Contents are untouched by compaction.
   EXPECT_EQ(table->num_rows(), 20u);
@@ -1203,7 +1191,7 @@ TEST(SnapshotTest, EmptySnapshotCloneFails) {
 // preserves run boundaries and per-run dictionaries, so scans over the
 // clone are bit-for-bit comparable), and requires every read through
 // the snapshot — raw ValueAt and aggregate/grouped scans at 1/2/8
-// threads, cached cold/warm and uncached — to be byte-identical to the
+// threads — to be byte-identical to the
 // same read over the oracle, scanned either by db::Executor or by the
 // value-at-a-time reference executor (testing/reference_executor.h).
 //
@@ -1325,11 +1313,7 @@ TEST_F(SnapshotOracleTest, WritesRaceReadsDifferentialOracle) {
               }
             }
 
-            // Scans: uncached, then cached cold and warm, each
-            // byte-identical to the oracle under the same options.
-            cache::QueryCache qcache(64);
-            db::ExecutorOptions cached = options;
-            cached.cache = &qcache;
+            // Scans: byte-identical to the oracle under the same options.
             for (int q = 0; q < 2; ++q) {
               const AggregateQuery query =
                   testing::RandomVecAggregateQuery(**oracle, &rng);
@@ -1338,16 +1322,9 @@ TEST_F(SnapshotOracleTest, WritesRaceReadsDifferentialOracle) {
                                                         options.parallel_grain)
                             : Executor::Execute(frozen, query, options);
               ASSERT_TRUE(want.ok()) << context;
-              const auto uncached_got =
-                  Executor::Execute(snapshot, query, options);
-              const auto cold = Executor::Execute(snapshot, query, cached);
-              const auto warm = Executor::Execute(snapshot, query, cached);
-              ASSERT_TRUE(uncached_got.ok() && cold.ok() && warm.ok())
-                  << context;
-              ExpectResultsBitwiseEqual(*uncached_got, *want,
-                                        "uncached " + context);
-              ExpectResultsBitwiseEqual(*cold, *want, "cold " + context);
-              ExpectResultsBitwiseEqual(*warm, *want, "warm " + context);
+              const auto got = Executor::Execute(snapshot, query, options);
+              ASSERT_TRUE(got.ok()) << context;
+              ExpectResultsBitwiseEqual(*got, *want, context);
             }
             const GroupByQuery grouped =
                 testing::RandomVecGroupByQuery(**oracle, &rng);
@@ -1356,19 +1333,17 @@ TEST_F(SnapshotOracleTest, WritesRaceReadsDifferentialOracle) {
                                 frozen, grouped, options.parallel_grain)
                           : Executor::ExecuteGrouped(frozen, grouped, options);
             ASSERT_TRUE(want.ok()) << context;
-            for (const db::ExecutorOptions* opts : {&options, &cached}) {
-              const auto got =
-                  Executor::ExecuteGrouped(snapshot, grouped, *opts);
-              ASSERT_TRUE(got.ok()) << context;
-              ASSERT_EQ(got->cells.size(), want->cells.size()) << context;
-              for (size_t g = 0; g < want->cells.size(); ++g) {
-                ASSERT_EQ(got->cells[g].size(), want->cells[g].size());
-                for (size_t a = 0; a < want->cells[g].size(); ++a) {
-                  ExpectResultsBitwiseEqual(
-                      got->cells[g][a], want->cells[g][a],
-                      context + " cell " + std::to_string(g) + "/" +
-                          std::to_string(a));
-                }
+            const auto got =
+                Executor::ExecuteGrouped(snapshot, grouped, options);
+            ASSERT_TRUE(got.ok()) << context;
+            ASSERT_EQ(got->cells.size(), want->cells.size()) << context;
+            for (size_t g = 0; g < want->cells.size(); ++g) {
+              ASSERT_EQ(got->cells[g].size(), want->cells[g].size());
+              for (size_t a = 0; a < want->cells[g].size(); ++a) {
+                ExpectResultsBitwiseEqual(
+                    got->cells[g][a], want->cells[g][a],
+                    context + " cell " + std::to_string(g) + "/" +
+                        std::to_string(a));
               }
             }
           }

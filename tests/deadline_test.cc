@@ -28,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "cache/query_cache.h"
 #include "common/clock.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -278,54 +277,18 @@ TEST(DeadlineExecutorTest, BatchPathCancelsGroupedScanMidScan) {
   }
 }
 
-// A scan cancelled mid-flight never stores its partial state: the cache
-// stays empty, a later unbounded run populates it, and only then does a
-// repeat replay from the cache — bitwise identical to the computed run.
-TEST(DeadlineExecutorTest, TimedOutBatchScanNeverPopulatesCache) {
-  auto table = Table311(5000);
-  cache::QueryCache cache(64);
-  const db::AggregateQuery query = Query311(
-      db::AggregateFunction::kAvg, "open_hours", "borough", "brooklyn");
-
-  SteppingClock clock;
-  db::ExecutorOptions bounded;
-  bounded.cache = &cache;
-  bounded.parallel_grain = 256;
-  bounded.deadline = Deadline::AfterMillis(2.5, &clock);
-  const auto timed_out = db::Executor::Execute(*table, query, bounded);
-  ASSERT_FALSE(timed_out.ok());
-  EXPECT_EQ(timed_out.status().code(), StatusCode::kTimeout);
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.stats().hits, 0u);
-
-  db::ExecutorOptions unbounded;
-  unbounded.cache = &cache;
-  const auto computed = db::Executor::Execute(*table, query, unbounded);
-  ASSERT_TRUE(computed.ok());
-  EXPECT_EQ(cache.size(), 1u);
-
-  const auto replayed = db::Executor::Execute(*table, query, unbounded);
-  ASSERT_TRUE(replayed.ok());
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(computed->value, replayed->value);
-  EXPECT_EQ(computed->rows_matched, replayed->rows_matched);
-  EXPECT_EQ(computed->empty_input, replayed->empty_input);
-}
-
 // A timeout racing storage reorganization: the scan times out against a
-// snapshot, the table flushes and keeps ingesting meanwhile — the cache
-// must stay empty (no partial from the cancelled scan, under any run
-// layout), and the post-flush recompute is correct and cacheable.
-TEST(DeadlineExecutorTest, FlushDuringTimeoutNeverPopulatesCache) {
+// snapshot while the table flushes and keeps ingesting. Nothing of the
+// cancelled scan leaks into later ones: the snapshot still scans to its
+// own version and the live table sees exactly the appended rows.
+TEST(DeadlineExecutorTest, TimeoutRacingAFlushLeavesLaterScansExact) {
   auto table = Table311(5000);
-  cache::QueryCache cache(64);
   const db::AggregateQuery query = Query311(
       db::AggregateFunction::kCount, "", "borough", "brooklyn");
 
   const db::TableSnapshot snapshot = table->Snapshot();
   SteppingClock clock;
   db::ExecutorOptions bounded;
-  bounded.cache = &cache;
   bounded.parallel_grain = 256;
   bounded.deadline = Deadline::AfterMillis(2.5, &clock);
   const auto timed_out = db::Executor::Execute(snapshot, query, bounded);
@@ -333,7 +296,7 @@ TEST(DeadlineExecutorTest, FlushDuringTimeoutNeverPopulatesCache) {
   EXPECT_EQ(timed_out.status().code(), StatusCode::kTimeout);
 
   // The writer proceeds: the memtable tail is sealed into a run and more
-  // rows stream in. Still nothing cached from the cancelled scan.
+  // rows stream in.
   table->Flush();
   for (size_t r = 0; r < 32; ++r) {
     ASSERT_TRUE(table
@@ -343,23 +306,10 @@ TEST(DeadlineExecutorTest, FlushDuringTimeoutNeverPopulatesCache) {
                                  db::Value(int64_t{1})})
                     .ok());
   }
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.stats().hits, 0u);
-
-  // Recompute on the live (reorganized) table: per-run partials land in
-  // the cache and a replay serves them, in agreement with an uncached
-  // oracle scan.
-  db::ExecutorOptions unbounded;
-  unbounded.cache = &cache;
-  const auto computed = db::Executor::Execute(*table, query, unbounded);
-  const auto oracle = db::Executor::Execute(*table, query);
-  ASSERT_TRUE(computed.ok() && oracle.ok());
-  EXPECT_EQ(computed->value, oracle->value);
-  EXPECT_GT(cache.size(), 0u);
-  const auto replayed = db::Executor::Execute(*table, query, unbounded);
-  ASSERT_TRUE(replayed.ok());
-  EXPECT_GT(cache.stats().hits, 0u);
-  EXPECT_EQ(computed->value, replayed->value);
+  const auto pinned = db::Executor::Execute(snapshot, query);
+  const auto live = db::Executor::Execute(*table, query);
+  ASSERT_TRUE(pinned.ok() && live.ok());
+  EXPECT_EQ(live->value, pinned->value + 32.0);
 }
 
 // A snapshot pinned before its table is destroyed still serves
@@ -382,10 +332,8 @@ TEST(DeadlineExecutorTest, SnapshotOutlivesTableUnderDeadline) {
   }
   ASSERT_TRUE(survivor.valid());
 
-  cache::QueryCache cache(16);
   SteppingClock clock;
   db::ExecutorOptions bounded;
-  bounded.cache = &cache;
   bounded.parallel_grain = 256;
   bounded.deadline = Deadline::AfterMillis(1000.0, &clock);
   const auto result = db::Executor::Execute(
@@ -397,7 +345,6 @@ TEST(DeadlineExecutorTest, SnapshotOutlivesTableUnderDeadline) {
 
   SteppingClock expired_clock;
   db::ExecutorOptions expiring = bounded;
-  expiring.cache = &cache;
   expiring.deadline = Deadline::AfterMillis(0.5, &expired_clock);
   const auto cancelled = db::Executor::Execute(
       survivor,
@@ -406,8 +353,6 @@ TEST(DeadlineExecutorTest, SnapshotOutlivesTableUnderDeadline) {
       expiring);
   ASSERT_FALSE(cancelled.ok());
   EXPECT_EQ(cancelled.status().code(), StatusCode::kTimeout);
-  // Only the completed scan's run partials are cached.
-  EXPECT_EQ(cache.size(), 1u);
 }
 
 // ---------------------------------------------------------------------
@@ -454,7 +399,6 @@ TEST(DeadlineEngineTest, InfiniteControlsMatchLegacyExecution) {
   for (const size_t threads : {size_t{1}, size_t{4}}) {
     exec::EngineOptions options;
     options.num_threads = threads;
-    options.cache_capacity = 0;  // No cross-call cache coupling.
     exec::Engine engine(Table311(), options);
     const core::CandidateSet set = MultiUnitCandidates();
     const std::vector<size_t> subset = {0, 1, 2, 3};

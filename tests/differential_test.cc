@@ -5,8 +5,8 @@
 ///   - db::Executor inline scan vs pooled scan (1, 2 and 8 threads), for
 ///     single aggregates and grouped queries;
 ///   - db::Executor vs the value-at-a-time reference executor
-///     (testing/reference_executor.h) at every thread count, cached and
-///     uncached, full and sampled;
+///     (testing/reference_executor.h) at every thread count, full and
+///     sampled;
 ///   - exec::Engine merged vs unmerged execution, serial vs parallel;
 ///   - core::GreedyPlanner serial vs parallel candidate evaluation
 ///     (plans must be structurally identical, costs bitwise equal);
@@ -15,17 +15,16 @@
 ///   - core::IlpPlanner across solver thread counts (1, 2, 8):
 ///     byte-identical multiplot, cost, bound, and node count; and
 ///     presolve on vs off: equal optimal cost;
-///   - cached vs uncached execution at every layer (executor, engine,
-///     full MuveEngine pipeline): cold, warm, and capacity-1 thrash
-///     replays must be byte-identical to the cache-disabled path,
-///     including across table-version invalidation.
+///   - repeated execution on one exec::Engine vs a fresh engine, and the
+///     full MuveEngine pipeline with its session caches (candidate
+///     cache, plan memo) vs without: cold and warm replays must be
+///     byte-identical to the cache-disabled path.
 ///
 /// Agreement rules: executor results, including SUM/AVG, are bitwise
 /// equal at every thread count, because every scan folds the same
 /// fixed-grain slices in the same order whether or not a pool runs them,
-/// and the reference executor folds them the same way. Cached results
-/// are the raw output of the scan that populated them, so cached and
-/// uncached results are bitwise equal too. Plan structure is exact, and
+/// and the reference executor folds them the same way. Plan structure is
+/// exact, and
 /// so are exec::Engine values, merged or unmerged, at every thread
 /// count.
 ///
@@ -41,7 +40,6 @@
 #include <sstream>
 #include <vector>
 
-#include "cache/query_cache.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/brute_force_planner.h"
@@ -214,7 +212,7 @@ TEST_F(DifferentialTest, ExecutorSerialVsParallelGroupedScans) {
 // (testing/reference_executor.h) tests one value at a time through the
 // snapshot's public surface, with the same slices and folds. Every field
 // — including SUM/AVG — is compared with EXPECT_EQ, across thread
-// counts, cached and uncached replays, and full vs sampled tables. Row
+// counts and full vs sampled tables. Row
 // counts sweep the batch boundaries (0, 1, 2047, 2048, 2049, 4099 rows
 // around the 2048-row batch) on a third of the seeds.
 // ---------------------------------------------------------------------
@@ -243,7 +241,6 @@ TEST_F(DifferentialTest, ExecutorVsReferenceScans) {
     // Sampled execution composes with batching: the executor must agree
     // on the sample too, and scaled values must match exactly.
     auto sample = table->Sample(0.37);
-    const bool use_cache = (seed % 2) == 1;
 
     for (int q = 0; q < 3; ++q) {
       const db::AggregateQuery query =
@@ -258,15 +255,11 @@ TEST_F(DifferentialTest, ExecutorVsReferenceScans) {
           db::ExecutorOptions options;
           options.parallel_grain = 193;
           options.pool = PoolFor(threads);
-          // A fresh per-configuration cache: the cold run must store the
-          // reference's bytes, the warm run must replay them.
-          cache::QueryCache qcache(64);
-          if (use_cache) options.cache = &qcache;
           const std::string context =
               "seed " + std::to_string(seed) + " threads " +
               std::to_string(threads) +
               (target == sample.get() ? " sampled " : " full ") +
-              (use_cache ? "cached " : "uncached ") + query.ToSql();
+              query.ToSql();
           const auto vec = db::Executor::Execute(*target, query, options);
           ASSERT_TRUE(vec.ok()) << context;
           ExpectBitwiseEqual(reference, *vec, context);
@@ -276,17 +269,6 @@ TEST_F(DifferentialTest, ExecutorVsReferenceScans) {
               db::Executor::ScaleSampledValue(query.function, vec->value,
                                               0.37))
               << context;
-          if (use_cache) {
-            const auto vec_warm =
-                db::Executor::Execute(*target, query, options);
-            ASSERT_TRUE(vec_warm.ok()) << context;
-            ExpectBitwiseEqual(reference, *vec_warm, "warm " + context);
-            // Only sealed runs are cached; a table small enough to be
-            // pure memtable legitimately never hits.
-            if (target->num_runs() > 0) {
-              EXPECT_GT(qcache.stats().hits, 0u) << context;
-            }
-          }
         }
       }
     }
@@ -298,7 +280,6 @@ TEST_F(DifferentialTest, ExecutorVsReferenceGroupedScans) {
     Rng rng(kSeedBase + 1100000 + static_cast<uint64_t>(seed));
     auto table = testing::RandomTable(&rng, VecTableOptions(seed));
     auto sample = table->Sample(0.37);
-    const bool use_cache = (seed % 2) == 1;
     const db::GroupByQuery query =
         testing::RandomVecGroupByQuery(*table, &rng);
 
@@ -309,28 +290,15 @@ TEST_F(DifferentialTest, ExecutorVsReferenceGroupedScans) {
         db::ExecutorOptions options;
         options.parallel_grain = 311;
         options.pool = PoolFor(threads);
-        cache::QueryCache qcache(64);
-        if (use_cache) options.cache = &qcache;
         const std::string context =
             "seed " + std::to_string(seed) + " threads " +
             std::to_string(threads) +
             (target == sample.get() ? " sampled " : " full ") +
-            (use_cache ? "cached " : "uncached ") + query.ToSql();
+            query.ToSql();
         const auto vec =
             db::Executor::ExecuteGrouped(*target, query, options);
         ASSERT_TRUE(vec.ok()) << context;
         ExpectGroupedBitwiseEqual(reference, *vec, context);
-        if (use_cache) {
-          const auto vec_warm =
-              db::Executor::ExecuteGrouped(*target, query, options);
-          ASSERT_TRUE(vec_warm.ok()) << context;
-          ExpectGroupedBitwiseEqual(reference, *vec_warm, "warm " + context);
-          // Only sealed runs are cached; a table small enough to be
-          // pure memtable legitimately never hits.
-          if (target->num_runs() > 0) {
-            EXPECT_GT(qcache.stats().hits, 0u) << context;
-          }
-        }
       }
     }
   }
@@ -546,108 +514,12 @@ TEST_F(DifferentialTest, IlpPlannerThreadAndPresolveInvariant) {
 }
 
 // ---------------------------------------------------------------------
-// Layer 4: caching — cached vs uncached must be byte-identical at every
-// layer, for cold, warm, and capacity-1 thrash replays.
+// Layer 4: replays and session caches — a repeated batch, and the full
+// pipeline with and without its session caches, must be byte-identical
+// for cold and warm replays.
 // ---------------------------------------------------------------------
 
-TEST_F(DifferentialTest, ExecutorCachedVsUncachedScans) {
-  for (int seed = 0; seed < kNumSeeds; ++seed) {
-    Rng rng(kSeedBase + 500000 + static_cast<uint64_t>(seed));
-    auto table = testing::RandomTable(&rng);
-    std::vector<db::AggregateQuery> queries;
-    for (int q = 0; q < 3; ++q) {
-      queries.push_back(testing::RandomAggregateQuery(*table, &rng));
-    }
-    const db::GroupByQuery grouped =
-        testing::RandomGroupByQuery(*table, &rng);
-
-    for (const size_t threads : kThreadCounts) {
-      db::ExecutorOptions uncached;
-      uncached.pool = PoolFor(threads);
-      uncached.parallel_grain = 193;
-
-      // Warm (roomy) and thrash (capacity 1, constant eviction) caches:
-      // both must reproduce the uncached scan bitwise on every replay —
-      // the cache stores raw scan output and slicing is fixed-grain.
-      cache::QueryCache roomy(16);
-      cache::QueryCache thrash(1);
-      for (cache::QueryCache* qcache : {&roomy, &thrash}) {
-        db::ExecutorOptions cached = uncached;
-        cached.cache = qcache;
-        for (const db::AggregateQuery& query : queries) {
-          const auto reference =
-              db::Executor::Execute(*table, query, uncached);
-          ASSERT_TRUE(reference.ok()) << query.ToSql();
-          for (const char* phase : {"cold", "warm"}) {
-            const auto replay =
-                db::Executor::Execute(*table, query, cached);
-            ASSERT_TRUE(replay.ok()) << query.ToSql();
-            ExpectBitwiseEqual(
-                *reference, *replay,
-                "seed " + std::to_string(seed) + " threads " +
-                    std::to_string(threads) + " cap " +
-                    std::to_string(qcache->capacity()) + " " + phase +
-                    " " + query.ToSql());
-          }
-        }
-        const auto reference =
-            db::Executor::ExecuteGrouped(*table, grouped, uncached);
-        ASSERT_TRUE(reference.ok()) << grouped.ToSql();
-        for (int replay = 0; replay < 2; ++replay) {
-          const auto actual =
-              db::Executor::ExecuteGrouped(*table, grouped, cached);
-          ASSERT_TRUE(actual.ok()) << grouped.ToSql();
-          ASSERT_EQ(reference->cells.size(), actual->cells.size());
-          for (size_t g = 0; g < reference->cells.size(); ++g) {
-            ASSERT_EQ(reference->cells[g].size(),
-                      actual->cells[g].size());
-            for (size_t a = 0; a < reference->cells[g].size(); ++a) {
-              ExpectBitwiseEqual(
-                  reference->cells[g][a], actual->cells[g][a],
-                  "seed " + std::to_string(seed) + " grouped cell " +
-                      std::to_string(g) + "/" + std::to_string(a));
-            }
-          }
-        }
-      }
-      // The roomy cache must have served the warm replays from memory.
-      EXPECT_GT(roomy.stats().hits, 0u) << "seed " << seed;
-    }
-
-    // Appends under run-granular caching: cached run partials stay
-    // valid (only the memtable tail grew), so the cached path must
-    // still match a fresh uncached scan exactly.
-    cache::QueryCache qcache(16);
-    db::ExecutorOptions cached;
-    cached.cache = &qcache;
-    const auto stale = db::Executor::Execute(*table, queries[0], cached);
-    ASSERT_TRUE(stale.ok());
-    std::vector<db::Value> row;
-    for (size_t c = 0; c < table->num_columns(); ++c) {
-      switch (table->spec(c).type) {
-        case db::ValueType::kString:
-          row.emplace_back("absent_value");
-          break;
-        case db::ValueType::kInt64:
-          row.emplace_back(int64_t{17});
-          break;
-        case db::ValueType::kDouble:
-          row.emplace_back(17.5);
-          break;
-      }
-    }
-    ASSERT_TRUE(table->AppendRow(row).ok());
-    const auto fresh = db::Executor::Execute(*table, queries[0]);
-    ASSERT_TRUE(fresh.ok());
-    const auto after = db::Executor::Execute(*table, queries[0], cached);
-    ASSERT_TRUE(after.ok());
-    ExpectBitwiseEqual(*fresh, *after,
-                       "seed " + std::to_string(seed) +
-                           " post-append " + queries[0].ToSql());
-  }
-}
-
-TEST_F(DifferentialTest, EngineCachedVsUncachedReplay) {
+TEST_F(DifferentialTest, EngineReplayMatchesFreshEngine) {
   for (int seed = 0; seed < kNumSeeds; ++seed) {
     Rng rng(kSeedBase + 600000 + static_cast<uint64_t>(seed));
     auto table = testing::RandomTable(&rng);
@@ -660,40 +532,24 @@ TEST_F(DifferentialTest, EngineCachedVsUncachedReplay) {
     for (const size_t threads : kThreadCounts) {
       exec::EngineOptions options;
       options.num_threads = threads;
-      options.cache_capacity = 0;
-      exec::Engine uncached(table, options);
-      const auto reference = uncached.Execute(set, all);
+      const auto reference = exec::Engine(table, options).Execute(set, all);
       ASSERT_TRUE(reference.ok());
-      // The disabled cache reports no activity.
-      EXPECT_EQ(uncached.result_cache(), nullptr);
-      EXPECT_EQ(uncached.result_cache_stats().lookups(), 0u);
 
-      for (const size_t capacity : {size_t{256}, size_t{1}}) {
-        options.cache_capacity = capacity;
-        exec::Engine engine(table, options);
-        for (const char* phase : {"cold", "warm"}) {
-          const auto replay = engine.Execute(set, all);
-          ASSERT_TRUE(replay.ok());
-          ASSERT_EQ(reference->values.size(), replay->values.size());
-          for (size_t i = 0; i < reference->values.size(); ++i) {
-            const std::string context =
-                "seed " + std::to_string(seed) + " threads " +
-                std::to_string(threads) + " cap " +
-                std::to_string(capacity) + " " + phase + " candidate " +
-                std::to_string(i);
-            if (std::isnan(reference->values[i])) {
-              EXPECT_TRUE(std::isnan(replay->values[i])) << context;
-            } else {
-              EXPECT_EQ(reference->values[i], replay->values[i])
-                  << context;
-            }
+      exec::Engine engine(table, options);
+      for (const char* phase : {"cold", "warm"}) {
+        const auto replay = engine.Execute(set, all);
+        ASSERT_TRUE(replay.ok());
+        ASSERT_EQ(reference->values.size(), replay->values.size());
+        for (size_t i = 0; i < reference->values.size(); ++i) {
+          const std::string context =
+              "seed " + std::to_string(seed) + " threads " +
+              std::to_string(threads) + " " + phase + " candidate " +
+              std::to_string(i);
+          if (std::isnan(reference->values[i])) {
+            EXPECT_TRUE(std::isnan(replay->values[i])) << context;
+          } else {
+            EXPECT_EQ(reference->values[i], replay->values[i]) << context;
           }
-        }
-        const cache::StatsSnapshot stats = engine.result_cache_stats();
-        EXPECT_GT(stats.lookups(), 0u);
-        if (capacity >= set.size()) {
-          // Warm replay of an identical batch is all hits.
-          EXPECT_GT(stats.hits, 0u) << "seed " << seed;
         }
       }
     }
@@ -765,7 +621,7 @@ TEST_F(DifferentialTest, MuvePipelineCachedVsUncachedReplay) {
 
     const PipelineCacheStats stats = cached.cache_stats();
     if (stats.plans.lookups() > 0) {
-      // The uncached engine keeps all three caches silent.
+      // The uncached engine keeps both caches silent.
       const PipelineCacheStats off = uncached.cache_stats();
       EXPECT_EQ(off.Total().lookups(), 0u) << "seed " << seed;
       plan_hits += stats.plans.hits;
@@ -780,7 +636,7 @@ TEST_F(DifferentialTest, DeadlineRequestVsClassicPipeline) {
   // The serving API's deadline machinery must be invisible when time
   // never runs out. Three implementations of the same ask must agree
   // byte-for-byte at every thread count:
-  //   - AskText (classic wrapper, infinite deadline, cached engine);
+  //   - Ask with default controls (infinite deadline, cached engine);
   //   - Ask with a generous *finite* real-clock deadline — this takes
   //     every deadline-aware code path (stage budgets, grain-checked
   //     scans, protected-base unit scheduling, seeded ILP-free greedy)
@@ -815,7 +671,7 @@ TEST_F(DifferentialTest, DeadlineRequestVsClassicPipeline) {
                                   phase + " threads " +
                                   std::to_string(threads) + " \"" +
                                   utterance + "\"";
-      const auto expected = classic.AskText(utterance);
+      const auto expected = classic.Ask(Request::Text(utterance));
 
       Request request = Request::Text(utterance);
       request.deadline = Deadline::AfterMillis(1e9);  // Never expires.
@@ -824,7 +680,7 @@ TEST_F(DifferentialTest, DeadlineRequestVsClassicPipeline) {
       Request bypass = Request::Text(utterance);
       bypass.bypass_cache = true;
       const auto bypassed = classic.Ask(bypass);
-      const auto reference = uncached.AskText(utterance);
+      const auto reference = uncached.Ask(Request::Text(utterance));
 
       ASSERT_EQ(expected.ok(), finite.ok()) << context;
       ASSERT_EQ(reference.ok(), bypassed.ok()) << context;

@@ -26,7 +26,7 @@ std::shared_ptr<db::Table> Table311() {
   return workload::Make311Table(10000, &rng);
 }
 
-TEST(MuveEngineTest, AskTextEndToEnd) {
+TEST(MuveEngineTest, TextRequestEndToEnd) {
   MuveEngine engine(Table311());
   auto answer = engine.Ask(Request::Text("how many complaints in brooklyn"));
   ASSERT_TRUE(answer.ok());
@@ -59,7 +59,7 @@ TEST(MuveEngineTest, MultiplotValuesMatchDirectExecution) {
   EXPECT_DOUBLE_EQ(bar.value, direct->value);
 }
 
-TEST(MuveEngineTest, AskVoiceWithNoiseStillAnswers) {
+TEST(MuveEngineTest, VoiceRequestWithNoiseStillAnswers) {
   MuveEngine engine(Table311());
   Rng rng(1);
   speech::SpeechNoiseOptions noise;
@@ -107,10 +107,10 @@ TEST(MuveEngineTest, RejectsUnlinkableUtterance) {
 }
 
 // ---------------------------------------------------------------------
-// AskVoice error paths.
+// Voice-request error paths.
 // ---------------------------------------------------------------------
 
-TEST(MuveEngineTest, AskVoiceUntranslatableTranscriptFailsGracefully) {
+TEST(MuveEngineTest, VoiceRequestUntranslatableTranscriptFailsGracefully) {
   MuveEngine engine(Table311());
   Rng rng(42);
   // Zero noise: the transcript is the utterance verbatim, and the
@@ -124,7 +124,7 @@ TEST(MuveEngineTest, AskVoiceUntranslatableTranscriptFailsGracefully) {
   EXPECT_FALSE(answer.status().message().empty());
 }
 
-TEST(MuveEngineTest, AskVoiceEmptyCandidateSetYieldsEmptyMultiplot) {
+TEST(MuveEngineTest, VoiceRequestEmptyCandidateSetYieldsEmptyMultiplot) {
   // max_candidates = 0 leaves the generator with nothing to offer. The
   // planner and execution engine must both accept the empty set: the
   // answer succeeds with an empty multiplot rather than erroring out.
@@ -143,7 +143,7 @@ TEST(MuveEngineTest, AskVoiceEmptyCandidateSetYieldsEmptyMultiplot) {
   EXPECT_TRUE(answer->execution.values.empty());
 }
 
-TEST(MuveEngineTest, AskVoiceIlpTimeoutFallsBackToIncumbent) {
+TEST(MuveEngineTest, VoiceRequestIlpTimeoutFallsBackToIncumbent) {
   // An absurdly small ILP budget forces the deadline before proven
   // optimality. The planner must return its warm-start incumbent (never
   // an error), flag timed_out, and the multiplot must still validate.
@@ -201,49 +201,6 @@ TEST(MuveEngineTest, AmbiguousQueryCoversMultipleInterpretations) {
 // ---------------------------------------------------------------------
 // Request serving API.
 // ---------------------------------------------------------------------
-
-TEST(MuveEngineTest, AskTextEqualsAskWithDefaultRequest) {
-  // Fresh engine per path so session caches cannot couple the runs.
-  MuveEngine classic(Table311());
-  MuveEngine served(Table311());
-  auto expected = classic.AskText("how many complaints in brooklyn");
-  auto actual = served.Ask(Request::Text("how many complaints in brooklyn"));
-  ASSERT_TRUE(expected.ok());
-  ASSERT_TRUE(actual.ok());
-  EXPECT_EQ(expected->transcript, actual->transcript);
-  EXPECT_EQ(expected->base_query.CanonicalKey(),
-            actual->base_query.CanonicalKey());
-  ASSERT_EQ(expected->execution.values.size(),
-            actual->execution.values.size());
-  for (size_t i = 0; i < expected->execution.values.size(); ++i) {
-    const bool both_nan = std::isnan(expected->execution.values[i]) &&
-                          std::isnan(actual->execution.values[i]);
-    EXPECT_TRUE(both_nan || expected->execution.values[i] ==
-                                actual->execution.values[i])
-        << "candidate " << i;
-  }
-  EXPECT_FALSE(actual->degradation.degraded());
-  EXPECT_EQ(actual->degradation.Describe(), "exact");
-}
-
-TEST(MuveEngineTest, AskVoiceEqualsAskWithVoiceRequest) {
-  MuveEngine classic(Table311());
-  MuveEngine served(Table311());
-  speech::SpeechNoiseOptions noise;
-  noise.substitution_rate = 0.2;
-  // Identical seeds: the recognizer must consume the rng identically.
-  Rng classic_rng(99);
-  Rng served_rng(99);
-  auto expected = classic.AskVoice("how many noise complaints in brooklyn",
-                                   &classic_rng, noise);
-  auto actual = served.Ask(Request::Voice(
-      "how many noise complaints in brooklyn", &served_rng, noise));
-  ASSERT_EQ(expected.ok(), actual.ok());
-  if (!expected.ok()) return;
-  EXPECT_EQ(expected->transcript, actual->transcript);
-  EXPECT_EQ(expected->base_query.CanonicalKey(),
-            actual->base_query.CanonicalKey());
-}
 
 TEST(MuveEngineTest, StageTimingsSumToPipelineMillis) {
   MuveEngine engine(Table311());

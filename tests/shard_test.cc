@@ -3,8 +3,7 @@
 /// plus the sharded-vs-unsharded differential suite — seeded random
 /// workloads asserting that scatter-gather over 1/2/4 hash or range
 /// shards reproduces the single-table oracle (the value-at-a-time
-/// reference executor) **byte-for-byte** across shard thread counts and
-/// cached replays.
+/// reference executor) **byte-for-byte** across shard thread counts.
 ///
 /// Byte identity across shard counts regroups the same additions, so
 /// the differential tables opt into dyadic-grid doubles
@@ -27,7 +26,6 @@
 #include "common/thread_pool.h"
 #include "db/executor.h"
 #include "db/table.h"
-#include "cache/query_cache.h"
 #include "shard/scatter_gather.h"
 #include "shard/sharded_table.h"
 #include "testing/random_workload.h"
@@ -309,8 +307,8 @@ ShardedTableOptions LayoutFor(int seed, size_t num_shards) {
 }
 
 TEST_F(ShardDifferentialTest, ShardedScansMatchSingleTableByteForByte) {
-  // The full matrix per seed: 1/2/4 shards x 1/2/8 shard threads x
-  // cached/uncached (cold + warm) — every cell must reproduce the
+  // The full matrix per seed: 1/2/4 shards x 1/2/8 shard threads —
+  // every cell must reproduce the
   // reference executor's single-table scan bit-for-bit. Dyadic-grid
   // doubles make SUM/AVG exactly representable, so regrouping additions
   // across shard counts cannot legally change any bit.
@@ -338,34 +336,22 @@ TEST_F(ShardDifferentialTest, ShardedScansMatchSingleTableByteForByte) {
       ASSERT_EQ(snapshot.num_rows(), table->num_rows());
 
       for (const size_t threads : kThreadCounts) {
-        for (const bool cached : {false, true}) {
-          ScatterOptions options;
-          options.shard_pool = PoolFor(threads);
-          options.executor.pool = PoolFor(threads);
-          options.executor.parallel_grain = 193;
-          // One cache shared across all shards (entries key on each
-          // shard table's own id), fresh per configuration so the cold
-          // pass stores and the warm pass replays.
-          cache::QueryCache qcache(64);
-          if (cached) options.executor.cache = &qcache;
-          const std::string context =
-              "seed " + std::to_string(seed) + " shards " +
-              std::to_string(num_shards) + " threads " +
-              std::to_string(threads) +
-              (cached ? " cached " : " uncached ");
-          const int replays = cached ? 2 : 1;
-          for (int replay = 0; replay < replays; ++replay) {
-            const auto merged =
-                ScatterGather::Execute(snapshot, query, options);
-            ASSERT_TRUE(merged.ok()) << context << query.ToSql();
-            ExpectBitwiseEqual(oracle, *merged, context + query.ToSql());
-            const auto merged_grouped =
-                ScatterGather::ExecuteGrouped(snapshot, grouped, options);
-            ASSERT_TRUE(merged_grouped.ok()) << context << grouped.ToSql();
-            ExpectGroupedBitwiseEqual(oracle_grouped, *merged_grouped,
-                                      context + grouped.ToSql());
-          }
-        }
+        ScatterOptions options;
+        options.shard_pool = PoolFor(threads);
+        options.executor.pool = PoolFor(threads);
+        options.executor.parallel_grain = 193;
+        const std::string context = "seed " + std::to_string(seed) +
+                                    " shards " + std::to_string(num_shards) +
+                                    " threads " + std::to_string(threads) +
+                                    " ";
+        const auto merged = ScatterGather::Execute(snapshot, query, options);
+        ASSERT_TRUE(merged.ok()) << context << query.ToSql();
+        ExpectBitwiseEqual(oracle, *merged, context + query.ToSql());
+        const auto merged_grouped =
+            ScatterGather::ExecuteGrouped(snapshot, grouped, options);
+        ASSERT_TRUE(merged_grouped.ok()) << context << grouped.ToSql();
+        ExpectGroupedBitwiseEqual(oracle_grouped, *merged_grouped,
+                                  context + grouped.ToSql());
       }
     }
   }

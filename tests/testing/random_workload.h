@@ -37,8 +37,7 @@ struct RandomTableOptions {
   /// Memtable flush threshold for the generated table. Small enough
   /// that every default-shaped random table (>= 500 rows) spans several
   /// columnar runs plus a memtable tail, so scans cross run boundaries
-  /// (where per-run dictionaries, cache partials, and batch tiling all
-  /// restart) and cached replays have run partials to hit.
+  /// (where per-run dictionaries and batch tiling restart).
   size_t flush_threshold = 256;
   /// Draw double values on a dyadic grid (multiples of 2^-10 within
   /// +/-500) instead of the continuous range. Every partial sum of such

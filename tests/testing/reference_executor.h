@@ -6,13 +6,13 @@
 ///
 /// It reads a TableSnapshot only through its public surface (`runs()`,
 /// each run's Columns, `memtable()`) and tests one row and one value at
-/// a time, with no batches, selection vectors, dictionary lookup tables
-/// or cache. It keeps the executor's accumulation structure: runs in
+/// a time, with no batches, selection vectors or dictionary lookup
+/// tables. It keeps the executor's accumulation structure: runs in
 /// order, then the memtable tail; each cut into `grain`-row slices from
 /// its start; each slice folded from the merge identity; slice partials
 /// folded into their segment in order, segments into the total in order.
 /// Its results are therefore bitwise equal to db::Executor's at the same
-/// `parallel_grain`, at any thread count and with any cache.
+/// `parallel_grain`, at any thread count.
 ///
 /// Queries must be valid (db::Executor accepts them); the reference does
 /// not re-check schemas or report errors.
