@@ -124,7 +124,7 @@ struct RunStats {
 /// Executes `queries` one at a time through ScatterGather (routed when
 /// `backend` is set, local partial scans otherwise), returning latency
 /// stats and the result values for the bitwise cross-check.
-Result<RunStats> RunQueries(const shard::ShardedSnapshot& snapshot,
+Result<RunStats> RunQueries(const db::ShardedSnapshot& snapshot,
                             const std::vector<db::AggregateQuery>& queries,
                             shard::PartialBackend* backend,
                             std::vector<db::AggregateResult>* results) {
@@ -186,7 +186,7 @@ int RunBench(const std::string& json_path, size_t num_queries,
     Result<std::shared_ptr<shard::ShardedTable>> sharded =
         shard::ShardedTable::FromTable(*table, shard_options);
     if (!sharded.ok()) return Fail("shard", sharded.status().ToString());
-    const shard::ShardedSnapshot snapshot = (*sharded)->Snapshot();
+    const db::ShardedSnapshot snapshot = (*sharded)->SnapshotPartitions();
 
     Rng query_rng(100 + num_shards);
     std::vector<db::AggregateQuery> queries;
@@ -235,7 +235,7 @@ int RunBench(const std::string& json_path, size_t num_queries,
   Result<std::shared_ptr<shard::ShardedTable>> sharded =
       shard::ShardedTable::FromTable(*table, shard_options);
   if (!sharded.ok()) return Fail("shard", sharded.status().ToString());
-  const shard::ShardedSnapshot snapshot = (*sharded)->Snapshot();
+  const db::ShardedSnapshot snapshot = (*sharded)->SnapshotPartitions();
 
   Rng query_rng(777);
   std::vector<db::AggregateQuery> queries;

@@ -6,7 +6,8 @@
 #          differential seeds, 15x the fuzz iterations) selected via
 #          MUVE_DIFF_SEEDS / MUVE_FUZZ_ITERS.
 #
-# The default run builds Release, runs tier1, then rebuilds with
+# The default run builds Release, runs tier1, builds the perfbench
+# harness with -Werror, then rebuilds with
 # ThreadSanitizer and runs tier1 again to catch data races in the
 # parallel executor / engine / planner / cache paths, then rebuilds with
 # AddressSanitizer + UndefinedBehaviorSanitizer and runs tier1 a third
@@ -32,6 +33,13 @@ echo "==> Release build + tests"
 cmake -B build -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build -j "$(nproc)"
 (cd build && ctest --output-on-failure -j "$(nproc)" "${LABELS[@]+"${LABELS[@]}"}")
+
+# The benchmark harness (perfbench/, a standalone package over ../src)
+# must keep building, warning-free, against the current src/ API: an
+# API change that breaks it fails here rather than in a benchmark run.
+echo "==> Benchmark build (perfbench muve_bench, -Werror)"
+cmake -B build/perfbench -S perfbench -DCMAKE_CXX_FLAGS=-Werror >/dev/null
+cmake --build build/perfbench -j "$(nproc)" --target muve_bench
 
 # The bench_ilp_smoke tier1 test wrote machine-readable solver stats
 # (nodes/sec, time-to-first-incumbent, timeout ratio); surface them.

@@ -21,9 +21,6 @@ class StopWatch {
         .count();
   }
 
-  /// Elapsed time in seconds.
-  double ElapsedSeconds() const { return ElapsedMillis() / 1000.0; }
-
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

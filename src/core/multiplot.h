@@ -28,12 +28,6 @@ struct PlotBar {
 struct Plot {
   QueryTemplate query_template;
   std::vector<PlotBar> bars;
-
-  size_t NumHighlighted() const {
-    size_t n = 0;
-    for (const PlotBar& bar : bars) n += bar.highlighted ? 1 : 0;
-    return n;
-  }
 };
 
 /// Screen-geometry configuration mapping plots to width units. One unit is

@@ -2,6 +2,7 @@
 #define MUVE_DB_RELATION_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -11,17 +12,22 @@
 
 namespace muve::db {
 
-/// The catalog surface of a queryable relation: schema, version, row
-/// count, and the incremental statistics the planner and NLQ layers
-/// consume (distinct counts, string vocabularies). `db::Table` is the
-/// canonical single-partition implementation; `shard::ShardedTable`
-/// presents the same surface over a set of hash/range partitions.
+struct ShardedSnapshot;
+
+/// A queryable relation split into partitions: schema, version, row
+/// count, the incremental statistics the planner and NLQ layers consume
+/// (distinct counts, string vocabularies), and the partition seam scans
+/// go through. `db::Table` is a one-partition relation;
+/// `shard::ShardedTable` presents the same surface over a set of
+/// hash/range partitions, one `db::Table` per shard.
 ///
-/// Everything that plans or describes queries — the cost estimator, the
-/// merger, the schema index, the workload generators — depends on this
-/// interface only, so it runs unchanged against either backing store.
-/// Scans stay concrete: the executor works on `TableSnapshot`s (or a
-/// shard's worth of them), never through this interface.
+/// Everything that plans, describes or executes queries — the cost
+/// estimator, the merger, the schema index, the workload generators,
+/// `exec::Engine` — depends on this interface only, so it runs unchanged
+/// against either backing store. The scans themselves stay concrete:
+/// `SnapshotPartitions()` hands out one `TableSnapshot` per partition,
+/// and `shard::ScatterGather` runs `db::Executor` over them (a single
+/// partition takes the executor's single-table path unchanged).
 class Relation {
  public:
   virtual ~Relation() = default;
@@ -64,6 +70,19 @@ class Relation {
   /// does not exist.
   virtual std::vector<std::string> StringValues(
       const std::string& name) const = 0;
+
+  // --- Partitions -----------------------------------------------------
+
+  /// One consistent `TableSnapshot` per partition, in partition order,
+  /// plus the relation version they were taken at (see ShardedSnapshot
+  /// for the consistency contract).
+  virtual ShardedSnapshot SnapshotPartitions() const = 0;
+
+  /// A deterministic row sample of about `fraction` of the rows, itself
+  /// a relation with the same partitioning: each partition is sampled
+  /// with `Table::Sample(fraction)`.
+  virtual std::shared_ptr<const Relation> SampleRows(
+      double fraction) const = 0;
 };
 
 }  // namespace muve::db

@@ -78,6 +78,25 @@ class TableSnapshot {
   lsm::MemTable::View mem_view_;
 };
 
+/// A consistent-per-partition view of a relation
+/// (`Relation::SnapshotPartitions()`): one `TableSnapshot` per partition,
+/// taken in partition order. Each snapshot is a fully consistent version
+/// of its partition. For a sharded relation the combination is
+/// prefix-consistent under live ingest (the single writer appends shard
+/// by shard, so a cross-shard cut may straddle one in-flight append);
+/// with no concurrent writer, or with one partition, it is exact.
+struct ShardedSnapshot {
+  std::vector<TableSnapshot> shards;
+  /// Relation::version() at capture time.
+  uint64_t version = 0;
+
+  size_t num_rows() const {
+    size_t rows = 0;
+    for (const TableSnapshot& shard : shards) rows += shard.num_rows();
+    return rows;
+  }
+};
+
 }  // namespace muve::db
 
 #endif  // MUVE_DB_SNAPSHOT_H_

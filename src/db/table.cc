@@ -171,6 +171,17 @@ Value Table::ValueAt(size_t row, size_t col) const {
   return Snapshot().ValueAt(row, col);
 }
 
+ShardedSnapshot Table::SnapshotPartitions() const {
+  ShardedSnapshot snapshot;
+  snapshot.shards.push_back(Snapshot());
+  snapshot.version = snapshot.shards[0].version();
+  return snapshot;
+}
+
+std::shared_ptr<const Relation> Table::SampleRows(double fraction) const {
+  return Sample(fraction);
+}
+
 std::shared_ptr<Table> Table::Sample(double fraction) const {
   fraction = std::clamp(fraction, 0.0, 1.0);
   TableSnapshot snapshot = Snapshot();

@@ -132,6 +132,13 @@ class Table : public Relation, public std::enable_shared_from_this<Table> {
   /// scaling experiments.
   std::shared_ptr<Table> Sample(double fraction) const;
 
+  // --- db::Relation partitions ---------------------------------------
+
+  /// One partition: this table's Snapshot().
+  ShardedSnapshot SnapshotPartitions() const override;
+  /// Sample(fraction).
+  std::shared_ptr<const Relation> SampleRows(double fraction) const override;
+
   // --- LSM storage controls ------------------------------------------
 
   const TableOptions& options() const { return options_; }

@@ -26,57 +26,24 @@ struct UnitOutcome {
   size_t shards_dropped = 0;
 };
 
-/// How one unit's scan draws from the shared pool: `db_options.pool` row-
-/// partitions a single-table (or single-shard) scan; `shard_pool` runs
-/// shard scans as parallel tasks. At most one of the two is ever set —
-/// one level of parallelism at a time. `backend`, when set, sources the
-/// shard partials remotely (the router path); `stats` receives its drop
-/// counts.
-Result<db::AggregateResult> ExecuteSingle(const ScanTarget& target,
-                                          const db::AggregateQuery& query,
-                                          const db::ExecutorOptions& db_options,
-                                          ThreadPool* shard_pool,
-                                          shard::PartialBackend* backend = nullptr,
-                                          shard::ScatterStats* stats = nullptr) {
-  if (!target.is_sharded()) {
-    return db::Executor::Execute(target.single, query, db_options);
-  }
-  shard::ScatterOptions scatter;
-  scatter.executor = db_options;
-  scatter.shard_pool = shard_pool;
-  scatter.backend = backend;
-  scatter.stats = stats;
-  return shard::ScatterGather::Execute(target.sharded, query, scatter);
-}
-
-Result<db::GroupByResult> ExecuteGroupedTarget(
-    const ScanTarget& target, const db::GroupByQuery& query,
-    const db::ExecutorOptions& db_options, ThreadPool* shard_pool,
-    shard::PartialBackend* backend = nullptr,
-    shard::ScatterStats* stats = nullptr) {
-  if (!target.is_sharded()) {
-    return db::Executor::ExecuteGrouped(target.single, query, db_options);
-  }
-  shard::ScatterOptions scatter;
-  scatter.executor = db_options;
-  scatter.shard_pool = shard_pool;
-  scatter.backend = backend;
-  scatter.stats = stats;
-  return shard::ScatterGather::ExecuteGrouped(target.sharded, query, scatter);
-}
-
-UnitOutcome ExecuteUnit(const MergeUnit& unit, const ScanTarget& target,
-                        const core::CandidateSet& candidates, bool sampled,
+/// Scans one merge unit over `snapshot` through shard::ScatterGather.
+/// `scatter` says how the scan draws from the shared pool
+/// (`executor.pool` row-partitions a one-partition scan, `shard_pool`
+/// runs shard scans as parallel tasks), its deadline, and — for the
+/// router — the remote backend. Values of a sampled scan
+/// (`sample_fraction` < 1) are scaled back up.
+UnitOutcome ExecuteUnit(const MergeUnit& unit,
+                        const db::ShardedSnapshot& snapshot,
+                        const core::CandidateSet& candidates,
                         double sample_fraction,
-                        const db::ExecutorOptions& db_options,
-                        ThreadPool* shard_pool = nullptr,
-                        shard::PartialBackend* backend = nullptr) {
+                        shard::ScatterOptions scatter) {
   UnitOutcome out;
   shard::ScatterStats scatter_stats;
+  scatter.stats = &scatter_stats;
+  const bool sampled = sample_fraction < 1.0;
   if (unit.merged) {
-    Result<db::GroupByResult> result =
-        ExecuteGroupedTarget(target, unit.group_query, db_options, shard_pool,
-                             backend, &scatter_stats);
+    Result<db::GroupByResult> result = shard::ScatterGather::ExecuteGrouped(
+        snapshot, unit.group_query, scatter);
     out.shards_dropped = scatter_stats.shards_dropped;
     if (!result.ok()) {
       out.status = result.status();
@@ -96,9 +63,8 @@ UnitOutcome ExecuteUnit(const MergeUnit& unit, const ScanTarget& target,
       }
     }
   } else {
-    Result<db::AggregateResult> result =
-        ExecuteSingle(target, candidates[unit.candidate].query, db_options,
-                      shard_pool, backend, &scatter_stats);
+    Result<db::AggregateResult> result = shard::ScatterGather::Execute(
+        snapshot, candidates[unit.candidate].query, scatter);
     out.shards_dropped = scatter_stats.shards_dropped;
     if (!result.ok()) {
       out.status = result.status();
@@ -117,20 +83,9 @@ UnitOutcome ExecuteUnit(const MergeUnit& unit, const ScanTarget& target,
 
 }  // namespace
 
-Engine::Engine(std::shared_ptr<const db::Table> table, EngineOptions options)
-    : table_(std::move(table)), options_(options) {
-  relation_ = table_.get();
-  Init();
-}
-
-Engine::Engine(std::shared_ptr<const shard::ShardedTable> table,
+Engine::Engine(std::shared_ptr<const db::Relation> relation,
                EngineOptions options)
-    : sharded_(std::move(table)), options_(options) {
-  relation_ = sharded_.get();
-  Init();
-}
-
-void Engine::Init() {
+    : relation_(std::move(relation)), options_(options) {
   const size_t threads =
       ThreadPool::ResolveThreadCount(options_.num_threads);
   if (threads >= 2) pool_ = std::make_unique<ThreadPool>(threads);
@@ -140,15 +95,9 @@ void Engine::Init() {
   db::AggregateQuery probe;
   probe.table = relation_->name();
   probe.function = db::AggregateFunction::kCount;
-  db::ExecutorOptions probe_options;
-  ScanTarget target;
-  if (sharded_ != nullptr) {
-    target.sharded = sharded_->Snapshot();
-  } else {
-    target.single = table_->Snapshot();
-  }
+  const db::ShardedSnapshot snapshot = relation_->SnapshotPartitions();
   StopWatch watch;
-  auto result = ExecuteSingle(target, probe, probe_options, nullptr);
+  auto result = shard::ScatterGather::Execute(snapshot, probe);
   const double millis = std::max(1e-3, watch.ElapsedMillis());
   if (result.ok()) {
     if (auto estimate = estimator_.Estimate(*relation_, probe);
@@ -158,39 +107,14 @@ void Engine::Init() {
   }
 }
 
-std::shared_ptr<const db::Table> Engine::SampleTable(double fraction) {
-  if (fraction >= 1.0) return table_;
+std::shared_ptr<const db::Relation> Engine::SampleRelation(double fraction) {
+  if (fraction >= 1.0) return relation_;
   std::lock_guard<std::mutex> lock(samples_mutex_);
   auto it = samples_.find(fraction);
   if (it != samples_.end()) return it->second;
-  std::shared_ptr<const db::Table> sample = table_->Sample(fraction);
+  std::shared_ptr<const db::Relation> sample = relation_->SampleRows(fraction);
   samples_.emplace(fraction, sample);
   return sample;
-}
-
-std::shared_ptr<const shard::ShardedTable> Engine::SampleSharded(
-    double fraction) {
-  if (fraction >= 1.0) return sharded_;
-  std::lock_guard<std::mutex> lock(samples_mutex_);
-  auto it = sharded_samples_.find(fraction);
-  if (it != sharded_samples_.end()) return it->second;
-  std::shared_ptr<const shard::ShardedTable> sample =
-      sharded_->Sample(fraction);
-  sharded_samples_.emplace(fraction, sample);
-  return sample;
-}
-
-const db::Relation& Engine::SnapshotTarget(double fraction,
-                                           ScanTarget* target) {
-  if (sharded_ != nullptr) {
-    const std::shared_ptr<const shard::ShardedTable> sampled =
-        SampleSharded(fraction);
-    target->sharded = sampled->Snapshot();
-    return *sampled;
-  }
-  const std::shared_ptr<const db::Table> sampled = SampleTable(fraction);
-  target->single = sampled->Snapshot();
-  return *sampled;
 }
 
 Result<Execution> Engine::Execute(const core::CandidateSet& candidates,
@@ -204,88 +128,28 @@ Result<Execution> Engine::Execute(const core::CandidateSet& candidates,
 Result<Execution> Engine::Execute(const core::CandidateSet& candidates,
                                   const std::vector<size_t>& subset,
                                   const ExecControls& controls) {
-  const double sample_fraction = controls.sample_fraction;
   Execution out;
   out.values.assign(candidates.size(), std::nan(""));
   if (subset.empty()) return out;
 
-  const bool sampled = sample_fraction < 1.0;
-
   // One snapshot for the whole batch: every unit — and therefore every
   // plot of a multiplot answer — scans the same frozen version (of every
-  // shard, when sharded) while a concurrent writer keeps appending to
-  // the live table.
-  ScanTarget target;
-  const db::Relation& scan_relation =
-      SnapshotTarget(std::clamp(sample_fraction, 0.0, 1.0), &target);
-  out.snapshot_version = target.version();
-
-  // Remote partials apply only to the primary sharded table: samples are
-  // local tables the router materialized itself (the shard servers hold
-  // full-resolution stripes, not samples).
-  shard::PartialBackend* const backend =
-      (!sampled && target.is_sharded()) ? options_.remote_backend : nullptr;
+  // partition) while a concurrent writer keeps appending to the live
+  // relation.
+  const std::shared_ptr<const db::Relation> scan_relation =
+      SampleRelation(std::clamp(controls.sample_fraction, 0.0, 1.0));
+  const db::ShardedSnapshot snapshot = scan_relation->SnapshotPartitions();
+  out.snapshot_version = snapshot.version;
 
   const std::vector<MergeUnit> units = PlanMergedExecution(
       candidates, subset, *relation_, estimator_, options_.enable_merging);
   out.queries_issued = units.size();
   out.estimated_cost =
-      EstimateUnitsCost(units, scan_relation, estimator_, candidates);
+      EstimateUnitsCost(units, *scan_relation, estimator_, candidates);
 
   StopWatch watch;
-  if (controls.deadline.IsFinite()) {
-    MUVE_RETURN_NOT_OK(ExecuteUnitsBounded(units, target, candidates,
-                                           sampled, controls, &out));
-  } else if (pool_ != nullptr && units.size() >= 2) {
-    // Independent units run concurrently with serial per-unit scans
-    // (serial per-unit shard loops, when sharded): never two levels of
-    // parallelism at once, so pool tasks never wait on sub-tasks of the
-    // same pool.
-    std::vector<std::future<UnitOutcome>> futures;
-    futures.reserve(units.size());
-    for (const MergeUnit& unit : units) {
-      futures.push_back(pool_->Submit([&unit, &target, &candidates,
-                                       sampled, sample_fraction, backend] {
-        return ExecuteUnit(unit, target, candidates, sampled,
-                           sample_fraction, db::ExecutorOptions{}, nullptr,
-                           backend);
-      }));
-    }
-    std::vector<UnitOutcome> outcomes;
-    outcomes.reserve(units.size());
-    for (std::future<UnitOutcome>& future : futures) {
-      outcomes.push_back(future.get());
-    }
-    // Apply in unit order; report the first error in unit order, which
-    // is the status the serial loop would have returned.
-    for (const UnitOutcome& outcome : outcomes) {
-      out.shards_dropped += outcome.shards_dropped;
-      MUVE_RETURN_NOT_OK(outcome.status);
-      for (const auto& [idx, value] : outcome.values) {
-        out.values[idx] = value;
-      }
-    }
-  } else {
-    // Serial across units; a lone unit may still parallelize its scan
-    // when a pool exists — by rows (unsharded), or across shards with
-    // row partitioning inside each shard task's slack (sharded).
-    db::ExecutorOptions db_options;
-    ThreadPool* shard_pool = nullptr;
-    if (units.size() == 1) {
-      db_options.pool = pool_.get();
-      shard_pool = pool_.get();
-    }
-    for (const MergeUnit& unit : units) {
-      const UnitOutcome outcome =
-          ExecuteUnit(unit, target, candidates, sampled, sample_fraction,
-                      db_options, shard_pool, backend);
-      out.shards_dropped += outcome.shards_dropped;
-      MUVE_RETURN_NOT_OK(outcome.status);
-      for (const auto& [idx, value] : outcome.values) {
-        out.values[idx] = value;
-      }
-    }
-  }
+  MUVE_RETURN_NOT_OK(
+      ExecuteUnitsBounded(units, snapshot, candidates, controls, &out));
   out.measured_millis = watch.ElapsedMillis();
   out.modeled_millis =
       out.measured_millis +
@@ -294,18 +158,18 @@ Result<Execution> Engine::Execute(const core::CandidateSet& candidates,
 }
 
 Status Engine::ExecuteUnitsBounded(const std::vector<MergeUnit>& units,
-                                   const ScanTarget& target,
+                                   const db::ShardedSnapshot& snapshot,
                                    const core::CandidateSet& candidates,
-                                   bool sampled,
                                    const ExecControls& controls,
                                    Execution* out) {
   // The unit answering the base candidate (index 0) is protected: it
-  // runs without cancellation so the bottom rung of the degradation
-  // ladder — a base-query-only plot — always materializes. Every other
-  // unit checks the deadline before it starts and its scan cancels at
-  // partition granularity; a unit cut either way is dropped (its
-  // candidates keep NaN) instead of blocking the answer, bounding the
-  // overshoot past the deadline to one partition grain.
+  // runs first and without cancellation so the bottom rung of the
+  // degradation ladder — a base-query-only plot — always materializes.
+  // Every other unit checks the deadline before it starts and its scan
+  // cancels at partition granularity; under a finite deadline a unit cut
+  // either way is dropped (its candidates keep NaN) instead of blocking
+  // the answer, bounding the overshoot past the deadline to one
+  // partition grain. An infinite deadline never cuts a unit.
   size_t base_unit = units.size();
   for (size_t u = 0; u < units.size() && base_unit == units.size(); ++u) {
     if (units[u].merged) {
@@ -319,18 +183,24 @@ Status Engine::ExecuteUnitsBounded(const std::vector<MergeUnit>& units,
     }
   }
 
-  db::ExecutorOptions base_options;  // No deadline: uncancellable.
-  db::ExecutorOptions rest_options = base_options;
-  rest_options.deadline = controls.deadline;
-  ThreadPool* base_shard_pool = nullptr;
-  if (units.size() == 1) {
-    base_options.pool = pool_.get();
-    base_shard_pool = pool_.get();
+  // Independent units run concurrently with serial per-unit scans: never
+  // two levels of parallelism at once, so pool tasks never wait on
+  // sub-tasks of the same pool. A lone unit instead parallelizes its
+  // scan — by rows (one partition), or across shards with row
+  // partitioning inside each shard task's slack.
+  ThreadPool* const scan_pool = units.size() == 1 ? pool_.get() : nullptr;
+  shard::ScatterOptions base_options;  // No deadline: uncancellable.
+  base_options.executor.pool = scan_pool;
+  base_options.shard_pool = scan_pool;
+  // Remote partials apply only to the primary relation: samples are
+  // local tables the router materialized itself (the shard servers hold
+  // full-resolution stripes, not samples).
+  if (controls.sample_fraction >= 1.0) {
+    base_options.backend = options_.remote_backend;
   }
+  shard::ScatterOptions rest_options = base_options;
+  rest_options.executor.deadline = controls.deadline;
 
-  const double sample_fraction = controls.sample_fraction;
-  shard::PartialBackend* const backend =
-      (!sampled && target.is_sharded()) ? options_.remote_backend : nullptr;
   auto run_unit = [&](size_t u) -> UnitOutcome {
     if (u != base_unit && controls.deadline.Expired()) {
       UnitOutcome skipped;
@@ -338,10 +208,9 @@ Status Engine::ExecuteUnitsBounded(const std::vector<MergeUnit>& units,
           Status::Timeout("merge unit skipped: deadline expired");
       return skipped;
     }
-    return ExecuteUnit(units[u], target, candidates, sampled,
-                       sample_fraction,
-                       u == base_unit ? base_options : rest_options,
-                       u == base_unit ? base_shard_pool : nullptr, backend);
+    return ExecuteUnit(units[u], snapshot, candidates,
+                       controls.sample_fraction,
+                       u == base_unit ? base_options : rest_options);
   };
 
   std::vector<UnitOutcome> outcomes(units.size());
@@ -366,11 +235,15 @@ Status Engine::ExecuteUnitsBounded(const std::vector<MergeUnit>& units,
     }
   }
 
+  // Apply in unit order; the first error in unit order (after the
+  // drops) is the batch's status.
+  const bool finite = controls.deadline.IsFinite();
   for (size_t u = 0; u < units.size(); ++u) {
     const UnitOutcome& outcome = outcomes[u];
     out->shards_dropped += outcome.shards_dropped;
     if (!outcome.status.ok()) {
-      if (outcome.status.code() == StatusCode::kTimeout && u != base_unit) {
+      if (finite && outcome.status.code() == StatusCode::kTimeout &&
+          u != base_unit) {
         ++out->units_dropped;
         out->deadline_hit = true;
         continue;

@@ -14,10 +14,8 @@
 #include "db/cost_estimator.h"
 #include "db/relation.h"
 #include "db/snapshot.h"
-#include "db/table.h"
 #include "exec/merger.h"
 #include "shard/scatter_gather.h"
-#include "shard/sharded_table.h"
 
 namespace muve::exec {
 
@@ -40,7 +38,7 @@ struct EngineOptions {
   /// reference.
   size_t cache_capacity = 256;
   /// Remote source of shard partials (dist::Coordinator). Applies only
-  /// to full-fraction scans of a sharded engine's primary table — the
+  /// to full-fraction scans of the engine's primary relation — the
   /// router keeps its own copy of the data, so sampled/degraded scans
   /// and the calibration probe stay local. The gather arithmetic is
   /// unchanged (shard::ScatterGather folds the remote partials in shard
@@ -97,48 +95,24 @@ struct Execution {
   uint64_t snapshot_version = 0;
 };
 
-/// The scan target of one execution batch: a consistent snapshot of
-/// either a single table or every shard of a sharded table. One target
-/// is taken per Execute call, so all values of one answer reflect one
-/// version.
-struct ScanTarget {
-  db::TableSnapshot single;
-  shard::ShardedSnapshot sharded;
-
-  bool is_sharded() const { return !sharded.shards.empty(); }
-  uint64_t version() const {
-    return is_sharded() ? sharded.version : single.version();
-  }
-};
-
-/// Executes candidate queries against a table — single or sharded — with
-/// query merging and sampled (approximate) execution. Samples are
-/// materialized lazily and cached; sample construction is excluded from
-/// reported latencies (a deployed system maintains samples ahead of
-/// time).
+/// Executes candidate queries against a `db::Relation` with query
+/// merging and sampled (approximate) execution. Samples are materialized
+/// lazily and cached; sample construction is excluded from reported
+/// latencies (a deployed system maintains samples ahead of time).
 ///
-/// With a sharded backing store, each merge unit's scan scatters over
-/// the shards and gathers partial aggregates in shard order
-/// (shard::ScatterGather). A one-shard sharded table takes the
-/// single-table code path unchanged — the oracle the shard differential
-/// suite compares against.
+/// Every merge unit's scan goes through shard::ScatterGather over the
+/// relation's partition snapshots: a `db::Table` is one partition and
+/// takes `db::Executor`'s single-table path unchanged (the oracle the
+/// shard differential suite compares against), while a sharded table's
+/// shards are scanned and their partial aggregates gathered in shard
+/// order.
 class Engine {
  public:
-  explicit Engine(std::shared_ptr<const db::Table> table,
-                  EngineOptions options = {});
-  explicit Engine(std::shared_ptr<const shard::ShardedTable> table,
+  explicit Engine(std::shared_ptr<const db::Relation> relation,
                   EngineOptions options = {});
 
-  /// The backing relation (planning/catalog surface), either kind.
+  /// The backing relation (planning/catalog surface).
   const db::Relation& relation() const { return *relation_; }
-  bool is_sharded() const { return sharded_ != nullptr; }
-
-  /// The single backing table. Only valid on unsharded engines; sharded
-  /// callers go through relation() or sharded_table().
-  const db::Table& table() const { return *table_; }
-  const std::shared_ptr<const shard::ShardedTable>& sharded_table() const {
-    return sharded_;
-  }
 
   const db::CostEstimator& estimator() const { return estimator_; }
   const EngineOptions& options() const { return options_; }
@@ -150,8 +124,8 @@ class Engine {
                             const std::vector<size_t>& subset,
                             double sample_fraction = 1.0);
 
-  /// As above with request-scoped controls. An infinite deadline takes
-  /// the exact code path of the overload above.
+  /// As above with request-scoped controls; the overload above runs
+  /// with an infinite deadline.
   Result<Execution> Execute(const core::CandidateSet& candidates,
                             const std::vector<size_t>& subset,
                             const ExecControls& controls);
@@ -178,9 +152,9 @@ class Engine {
   /// Calibrated throughput: optimizer cost units per millisecond.
   double cost_units_per_ms() const { return cost_units_per_ms_; }
 
-  /// Sampled version of the table (cached by fraction). Unsharded
-  /// engines only; sharded engines sample per shard internally.
-  std::shared_ptr<const db::Table> SampleTable(double fraction);
+  /// Row sample of the relation (cached by fraction; the relation
+  /// itself at fraction >= 1).
+  std::shared_ptr<const db::Relation> SampleRelation(double fraction);
 
   /// The engine's worker pool, or nullptr when running serially
   /// (num_threads resolved to 1). Shared with the planning layer so the
@@ -188,29 +162,16 @@ class Engine {
   ThreadPool* thread_pool() const { return pool_.get(); }
 
  private:
-  /// Shared construction tail: pool, calibration probe.
-  void Init();
-
-  /// Deadline-bounded unit execution (finite-deadline path of Execute):
-  /// protects the base-candidate unit, drops the rest on expiry, and
-  /// records the drops in `out`.
+  /// The one unit loop of Execute: runs the merge units against
+  /// `snapshot`, the unit answering the base candidate first and
+  /// uncancellable, the rest bounded by the deadline. Fills the values
+  /// into `out` and, under a finite deadline, records the drops.
   Status ExecuteUnitsBounded(const std::vector<MergeUnit>& units,
-                             const ScanTarget& target,
+                             const db::ShardedSnapshot& snapshot,
                              const core::CandidateSet& candidates,
-                             bool sampled, const ExecControls& controls,
-                             Execution* out);
+                             const ExecControls& controls, Execution* out);
 
-  /// The sampled relation for `fraction` (the backing store itself at
-  /// fraction >= 1), plus its consistent snapshot in `*target`.
-  const db::Relation& SnapshotTarget(double fraction, ScanTarget* target);
-
-  /// Sharded counterpart of SampleTable.
-  std::shared_ptr<const shard::ShardedTable> SampleSharded(double fraction);
-
-  /// Exactly one of table_/sharded_ is set; relation_ points at it.
-  std::shared_ptr<const db::Table> table_;
-  std::shared_ptr<const shard::ShardedTable> sharded_;
-  const db::Relation* relation_ = nullptr;
+  std::shared_ptr<const db::Relation> relation_;
   EngineOptions options_;
   db::CostEstimator estimator_;
   std::unique_ptr<ThreadPool> pool_;
@@ -218,9 +179,7 @@ class Engine {
   /// Lazily materialized row samples, keyed by fraction. Guarded by
   /// `samples_mutex_`: concurrent serving requests may share one engine.
   std::mutex samples_mutex_;
-  std::map<double, std::shared_ptr<const db::Table>> samples_;
-  std::map<double, std::shared_ptr<const shard::ShardedTable>>
-      sharded_samples_;
+  std::map<double, std::shared_ptr<const db::Relation>> samples_;
 };
 
 }  // namespace muve::exec

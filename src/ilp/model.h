@@ -33,10 +33,6 @@ struct LinearExpr {
     terms.emplace_back(var, coef);
     return *this;
   }
-  LinearExpr& AddConstant(double value) {
-    constant += value;
-    return *this;
-  }
 };
 
 /// A mixed-integer linear program. Variables have bounds and an

@@ -115,37 +115,20 @@ core::Multiplot MuveEngine::BaseOnlyMultiplot(
   return multiplot;
 }
 
-MuveEngine::MuveEngine(std::shared_ptr<const db::Table> table,
+MuveEngine::MuveEngine(std::shared_ptr<const db::Relation> relation,
                        MuveOptions options)
     : options_(std::move(options)),
-      exec_engine_(table, options_.execution),
+      exec_engine_(relation, options_.execution),
       schema_index_(std::make_shared<nlq::SchemaIndex>(
-          table, phonetics::PhoneticIndexOptions{
-                     .pool = exec_engine_.thread_pool()})),
+          relation, phonetics::PhoneticIndexOptions{
+                        .pool = exec_engine_.thread_pool()})),
       translator_(schema_index_),
       generator_(schema_index_),
       candidate_cache_(options_.cache_capacity),
       plan_memo_(options_.cache_capacity) {
-  Init(*table);
-}
-
-MuveEngine::MuveEngine(std::shared_ptr<const shard::ShardedTable> table,
-                       MuveOptions options)
-    : options_(std::move(options)),
-      exec_engine_(table, options_.execution),
-      schema_index_(std::make_shared<nlq::SchemaIndex>(
-          table, phonetics::PhoneticIndexOptions{
-                     .pool = exec_engine_.thread_pool()})),
-      translator_(schema_index_),
-      generator_(schema_index_),
-      candidate_cache_(options_.cache_capacity),
-      plan_memo_(options_.cache_capacity) {
-  Init(*table);
-}
-
-void MuveEngine::Init(const db::Relation& table) {
   generator_.set_cache(&candidate_cache_);
-  std::vector<std::string> lexicon = workload::BuildVocabulary(table);
+  // The speech simulator's lexicon: table vocabulary + query stop words.
+  std::vector<std::string> lexicon = workload::BuildVocabulary(*relation);
   for (const char* word :
        {"how", "many", "total", "average", "maximum", "minimum", "count",
         "sum", "where", "is", "and", "records", "number", "of"}) {
@@ -159,11 +142,6 @@ PipelineCacheStats MuveEngine::cache_stats() const {
   stats.candidates = candidate_cache_.stats();
   stats.plans = plan_memo_.stats();
   return stats;
-}
-
-void MuveEngine::ClearCaches() {
-  candidate_cache_.Clear();
-  plan_memo_.Clear();
 }
 
 Result<MuveEngine::Answer> MuveEngine::Ask(const Request& request) {

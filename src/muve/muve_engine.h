@@ -14,7 +14,7 @@
 #include "common/status.h"
 #include "core/candidate.h"
 #include "core/planner.h"
-#include "db/table.h"
+#include "db/relation.h"
 #include "exec/engine.h"
 #include "nlq/candidate_generator.h"
 #include "nlq/schema_index.h"
@@ -194,13 +194,11 @@ class MuveEngine {
     double pipeline_millis = 0.0;
   };
 
-  explicit MuveEngine(std::shared_ptr<const db::Table> table,
-                      MuveOptions options = {});
-  /// Over a sharded table: merge-unit scans scatter over the shards and
-  /// gather partial aggregates (see exec::Engine). The whole front half
-  /// (translation, candidate generation, planning) is storage-agnostic —
-  /// it reads only the Relation catalog surface.
-  explicit MuveEngine(std::shared_ptr<const shard::ShardedTable> table,
+  /// Over a single or sharded table: merge-unit scans go through
+  /// exec::Engine's partition seam, and the whole front half
+  /// (translation, candidate generation, planning) reads only the
+  /// Relation catalog surface.
+  explicit MuveEngine(std::shared_ptr<const db::Relation> relation,
                       MuveOptions options = {});
 
   /// Serves one request end to end. With an infinite deadline and default
@@ -214,9 +212,6 @@ class MuveEngine {
 
   /// The backing relation (single or sharded), catalog surface only.
   const db::Relation& relation() const { return exec_engine_.relation(); }
-  bool is_sharded() const { return exec_engine_.is_sharded(); }
-  /// The single backing table. Only valid on unsharded engines.
-  const db::Table& table() const { return exec_engine_.table(); }
   const nlq::SchemaIndex& schema_index() const { return *schema_index_; }
   exec::Engine& exec_engine() { return exec_engine_; }
   const MuveOptions& options() const { return options_; }
@@ -224,10 +219,6 @@ class MuveEngine {
   /// Counters of both session caches (all zero when disabled via
   /// cache_capacity = 0).
   PipelineCacheStats cache_stats() const;
-
-  /// Drops all cached state (candidate sets, plan memo) without
-  /// resetting counters — subsequent queries recompute from scratch.
-  void ClearCaches();
 
   /// Whitespace-normalized lowercase token stream of a transcript,
   /// mirroring the translator's own input normalization: transcripts with
@@ -251,10 +242,6 @@ class MuveEngine {
     core::CandidateSet candidates;
     core::PlanResult plan;
   };
-
-  /// Shared construction tail: candidate cache hookup and the speech
-  /// simulator's lexicon (table vocabulary + query stop words).
-  void Init(const db::Relation& table);
 
   /// Bottom rung of the ladder: a single plot showing only the base
   /// query's bar (candidate #0, highlighted), synthesized when planning

@@ -348,9 +348,4 @@ std::vector<PhoneticMatch> PhoneticIndex::TopKIndexed(
   return matches;
 }
 
-double PhoneticIndex::Similarity(std::string_view query,
-                                 std::string_view entry) {
-  return PhoneticSimilarity(query, entry);
-}
-
 }  // namespace muve::phonetics

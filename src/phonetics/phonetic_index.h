@@ -92,10 +92,6 @@ class PhoneticIndex {
   std::vector<PhoneticMatch> TopKExhaustive(std::string_view query, size_t k,
                                             bool include_exact = true) const;
 
-  /// Phonetic similarity between `query` and a specific entry (whether or
-  /// not the entry is indexed).
-  static double Similarity(std::string_view query, std::string_view entry);
-
  private:
   struct IndexedEntry {
     std::string text;

@@ -21,31 +21,15 @@ std::string FloorDetail(double remaining_millis, double floor_millis) {
 
 }  // namespace
 
-Server::Server(std::shared_ptr<const db::Table> table,
+Server::Server(std::shared_ptr<const db::Relation> relation,
                ServerOptions options)
     : options_(options),
-      sessions_(std::move(table), options.sessions),
+      sessions_(std::move(relation), options.sessions),
       queue_(options.max_queue_depth),
       tenants_(options.default_tenant_quota, options.tenant_quotas),
       max_in_flight_(options.max_in_flight > 0
                          ? options.max_in_flight
                          : std::max<size_t>(1, options.num_workers)) {
-  StartWorkers();
-}
-
-Server::Server(std::shared_ptr<const shard::ShardedTable> table,
-               ServerOptions options)
-    : options_(options),
-      sessions_(std::move(table), options.sessions),
-      queue_(options.max_queue_depth),
-      tenants_(options.default_tenant_quota, options.tenant_quotas),
-      max_in_flight_(options.max_in_flight > 0
-                         ? options.max_in_flight
-                         : std::max<size_t>(1, options.num_workers)) {
-  StartWorkers();
-}
-
-void Server::StartWorkers() {
   const size_t workers = std::max<size_t>(1, options_.num_workers);
   pool_ = std::make_unique<ThreadPool>(workers);
   workers_.reserve(workers);

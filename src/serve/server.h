@@ -15,13 +15,12 @@
 #include "common/clock.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
-#include "db/table.h"
+#include "db/relation.h"
 #include "muve/muve_engine.h"
 #include "serve/admission_queue.h"
 #include "serve/session_manager.h"
 #include "serve/single_flight.h"
 #include "serve/tenant.h"
-#include "shard/sharded_table.h"
 
 namespace muve::serve {
 
@@ -140,9 +139,8 @@ struct ServerStats {
 /// queued requests instead (their futures resolve with Overloaded).
 class Server {
  public:
-  Server(std::shared_ptr<const db::Table> table, ServerOptions options = {});
-  /// Sharded serving: session engines scatter-gather over the shards.
-  Server(std::shared_ptr<const shard::ShardedTable> table,
+  /// Serves `relation`, single or sharded, from every session engine.
+  Server(std::shared_ptr<const db::Relation> relation,
          ServerOptions options = {});
   ~Server();
 
@@ -203,8 +201,6 @@ class Server {
   };
   using TaskPtr = std::unique_ptr<Task>;
 
-  /// Shared tail of both constructors: spawn the worker loops.
-  void StartWorkers();
   void WorkerLoop();
   void ProcessTask(TaskPtr task);
   /// Runs the pipeline for `task`: session acquisition, voice RNG

@@ -19,14 +19,9 @@ uint64_t SessionSeed(uint64_t base, const std::string& id) {
 
 }  // namespace
 
-SessionManager::SessionManager(std::shared_ptr<const db::Table> table,
+SessionManager::SessionManager(std::shared_ptr<const db::Relation> relation,
                                SessionManagerOptions options)
-    : table_(std::move(table)), options_(std::move(options)) {}
-
-SessionManager::SessionManager(
-    std::shared_ptr<const shard::ShardedTable> table,
-    SessionManagerOptions options)
-    : sharded_(std::move(table)), options_(std::move(options)) {}
+    : relation_(std::move(relation)), options_(std::move(options)) {}
 
 SessionManager::Handle SessionManager::Acquire(
     const std::string& session_id) {
@@ -42,12 +37,8 @@ SessionManager::Handle SessionManager::Acquire(
   // (calibration scan) and builds the speech lexicon — holding the
   // manager mutex for that would stall every concurrent Acquire.
   const uint64_t seed = SessionSeed(options_.seed, session_id);
-  auto session =
-      sharded_ != nullptr
-          ? std::make_shared<Session>(session_id, sharded_, options_.engine,
-                                      seed)
-          : std::make_shared<Session>(session_id, table_, options_.engine,
-                                      seed);
+  auto session = std::make_shared<Session>(session_id, relation_,
+                                           options_.engine, seed);
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = sessions_.find(session_id);
   if (it != sessions_.end()) {

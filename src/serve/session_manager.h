@@ -11,9 +11,8 @@
 #include <utility>
 
 #include "common/rng.h"
-#include "db/table.h"
+#include "db/relation.h"
 #include "muve/muve_engine.h"
-#include "shard/sharded_table.h"
 
 namespace muve::serve {
 
@@ -43,10 +42,10 @@ struct SessionManagerOptions {
   uint64_t seed = 0x5EEDF00DULL;
 };
 
-/// Owns per-session serving state — one MuveEngine (whose three session
-/// caches from the caching subsystem are thereby session-scoped) and
-/// one voice-noise RNG per session id — with LRU eviction of idle
-/// sessions at capacity.
+/// Owns per-session serving state — one MuveEngine (whose two session
+/// caches, phonetic candidates and the plan memo, are thereby
+/// session-scoped) and one voice-noise RNG per session id — with LRU
+/// eviction of idle sessions at capacity.
 ///
 /// Acquire() hands out RAII-pinned handles: a pinned session is in use
 /// by an in-flight request and exempt from eviction; the shared_ptr
@@ -56,17 +55,10 @@ class SessionManager {
  public:
   struct Session {
     Session(std::string session_id,
-            std::shared_ptr<const db::Table> table,
+            std::shared_ptr<const db::Relation> relation,
             const MuveOptions& options, uint64_t rng_seed)
         : id(std::move(session_id)),
-          engine(std::move(table), options),
-          rng(rng_seed) {}
-
-    Session(std::string session_id,
-            std::shared_ptr<const shard::ShardedTable> table,
-            const MuveOptions& options, uint64_t rng_seed)
-        : id(std::move(session_id)),
-          engine(std::move(table), options),
+          engine(std::move(relation), options),
           rng(rng_seed) {}
 
     const std::string id;
@@ -129,11 +121,8 @@ class SessionManager {
     std::shared_ptr<Session> session_;
   };
 
-  SessionManager(std::shared_ptr<const db::Table> table,
-                 SessionManagerOptions options = {});
-  /// Sharded serving: every session engine scatter-gathers over the
-  /// shards instead of scanning one table.
-  SessionManager(std::shared_ptr<const shard::ShardedTable> table,
+  /// Every session engine serves `relation`, single or sharded.
+  SessionManager(std::shared_ptr<const db::Relation> relation,
                  SessionManagerOptions options = {});
 
   /// Returns a pinned handle for `session_id`, creating the session on
@@ -169,9 +158,7 @@ class SessionManager {
     std::list<std::string>::iterator lru_it;
   };
 
-  /// Exactly one of the two is set (see the constructors).
-  const std::shared_ptr<const db::Table> table_;
-  const std::shared_ptr<const shard::ShardedTable> sharded_;
+  const std::shared_ptr<const db::Relation> relation_;
   const SessionManagerOptions options_;
   mutable std::mutex mutex_;
   /// Front = most recently used session id.

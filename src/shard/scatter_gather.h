@@ -8,7 +8,7 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "db/executor.h"
-#include "shard/sharded_table.h"
+#include "db/snapshot.h"
 
 namespace muve::shard {
 
@@ -86,7 +86,8 @@ struct ScatterOptions {
   ScatterStats* stats = nullptr;
 };
 
-/// Scatter-gather execution over a sharded snapshot.
+/// Scatter-gather execution over the partition snapshots of a
+/// `db::Relation` — every scan `exec::Engine` issues goes through here.
 ///
 /// Merge contract: every shard scan produces the same partial-aggregate
 /// state a single-table scan produces per storage segment
@@ -102,10 +103,10 @@ struct ScatterOptions {
 /// asserts exactly that — while arbitrary doubles may differ in the last
 /// bit, as in any distributed aggregation.
 ///
-/// A single-shard snapshot takes `db::Executor`'s single-table path
-/// unchanged, which is the oracle the differential suites compare
-/// against. Errors surface deterministically: the first failing shard in
-/// shard order wins.
+/// A single-shard snapshot — every `db::Table` is one — takes
+/// `db::Executor`'s single-table path unchanged, which is the oracle the
+/// differential suites compare against. Errors surface
+/// deterministically: the first failing shard in shard order wins.
 ///
 /// With `options.backend` set the partials arrive over the wire instead
 /// of from local scans, but the fold is the same code in the same order,
@@ -115,11 +116,11 @@ struct ScatterOptions {
 class ScatterGather {
  public:
   static Result<db::AggregateResult> Execute(
-      const ShardedSnapshot& snapshot, const db::AggregateQuery& query,
+      const db::ShardedSnapshot& snapshot, const db::AggregateQuery& query,
       const ScatterOptions& options = {});
 
   static Result<db::GroupByResult> ExecuteGrouped(
-      const ShardedSnapshot& snapshot, const db::GroupByQuery& query,
+      const db::ShardedSnapshot& snapshot, const db::GroupByQuery& query,
       const ScatterOptions& options = {});
 };
 

@@ -227,8 +227,8 @@ Status ShardedTable::AppendRow(const std::vector<db::Value>& values) {
   return Status::OK();
 }
 
-ShardedSnapshot ShardedTable::Snapshot() const {
-  ShardedSnapshot snapshot;
+db::ShardedSnapshot ShardedTable::SnapshotPartitions() const {
+  db::ShardedSnapshot snapshot;
   snapshot.version = version_.load(std::memory_order_acquire);
   snapshot.shards.reserve(shards_.size());
   for (const auto& shard : shards_) {
@@ -277,7 +277,8 @@ void ShardedTable::RebuildStats() {
   version_.store(rows, std::memory_order_release);
 }
 
-std::shared_ptr<ShardedTable> ShardedTable::Sample(double fraction) const {
+std::shared_ptr<const db::Relation> ShardedTable::SampleRows(
+    double fraction) const {
   std::vector<std::shared_ptr<db::Table>> sampled;
   sampled.reserve(shards_.size());
   for (const auto& shard : shards_) {

@@ -43,35 +43,17 @@ struct ShardedTableOptions {
   db::TableOptions shard_options;
 };
 
-/// A consistent-per-shard view of a sharded table: one `TableSnapshot`
-/// per shard, taken in shard order. Each shard's snapshot is a fully
-/// consistent version of that shard; the combination is prefix-consistent
-/// under live ingest (the single writer appends shard by shard, so a
-/// cross-shard cut may straddle one in-flight append) — with no
-/// concurrent writer it is exact.
-struct ShardedSnapshot {
-  std::vector<db::TableSnapshot> shards;
-  /// ShardedTable::version() at capture time.
-  uint64_t version = 0;
-
-  size_t num_rows() const {
-    size_t rows = 0;
-    for (const db::TableSnapshot& shard : shards) rows += shard.num_rows();
-    return rows;
-  }
-};
-
 /// A relation partitioned into independent LSM tables (one `db::Table`
-/// per shard), presenting the single-table catalog surface
-/// (`db::Relation`) so planners, the schema index, and workload
-/// generators run unchanged against it.
+/// per shard), presenting the `db::Relation` surface of a single table
+/// so planners, the schema index, workload generators and
+/// `exec::Engine` run unchanged against it.
 ///
 /// Appends route through the partitioning scheme; scans scatter over the
-/// per-shard snapshots and gather partial aggregates in shard order (see
-/// shard/scatter_gather.h). Global statistics (distinct counts, string
-/// vocabularies in first-appearance order) are maintained at route time,
-/// because per-shard statistics do not sum — the same value may appear on
-/// several shards.
+/// per-shard snapshots (`SnapshotPartitions()`) and gather partial
+/// aggregates in shard order (see shard/scatter_gather.h). Global
+/// statistics (distinct counts, string vocabularies in first-appearance
+/// order) are maintained at route time, because per-shard statistics do
+/// not sum — the same value may appear on several shards.
 ///
 /// Concurrency contract: like `db::Table`, a single writer at a time may
 /// call AppendRow while any number of readers take snapshots.
@@ -112,6 +94,17 @@ class ShardedTable : public db::Relation,
   std::vector<std::string> StringValues(size_t index) const override;
   std::vector<std::string> StringValues(
       const std::string& name) const override;
+  /// Per-shard snapshots in shard order (see db::ShardedSnapshot for the
+  /// consistency contract).
+  db::ShardedSnapshot SnapshotPartitions() const override;
+  /// A sharded sample: every shard sampled independently with
+  /// `db::Table::Sample(fraction)`, wrapped with recomputed global
+  /// statistics. Approximate-query scaling works as for the single
+  /// table; the sampled row set differs from an unsharded sample of the
+  /// same data (per-shard systematic strides), which is within the
+  /// approximation contract.
+  std::shared_ptr<const db::Relation> SampleRows(
+      double fraction) const override;
 
   // --- Writes ---------------------------------------------------------
 
@@ -125,10 +118,6 @@ class ShardedTable : public db::Relation,
 
   // --- Reads ----------------------------------------------------------
 
-  /// Per-shard snapshots in shard order (see ShardedSnapshot for the
-  /// consistency contract).
-  ShardedSnapshot Snapshot() const;
-
   size_t num_shards() const { return shards_.size(); }
   std::shared_ptr<const db::Table> shard(size_t index) const {
     return shards_[index];
@@ -138,14 +127,6 @@ class ShardedTable : public db::Relation,
   /// contents: shard 0's rows first, then shard 1's, ... Convenience for
   /// tests; the concatenation order is not the append order.
   db::Value ValueAt(size_t row, size_t col) const;
-
-  /// A sharded sample: every shard sampled independently with
-  /// `db::Table::Sample(fraction)`, wrapped with recomputed global
-  /// statistics. Approximate-query scaling works as for the single
-  /// table; the sampled row set differs from an unsharded sample of the
-  /// same data (per-shard systematic strides), which is within the
-  /// approximation contract.
-  std::shared_ptr<ShardedTable> Sample(double fraction) const;
 
   // --- LSM storage controls (fan-out over all shards) -----------------
 
@@ -160,7 +141,7 @@ class ShardedTable : public db::Relation,
                std::vector<std::shared_ptr<db::Table>> shards);
 
   /// Recomputes global statistics from the shards' current contents
-  /// (used after wrapping pre-built shard tables, e.g. Sample()).
+  /// (used after wrapping pre-built shard tables, e.g. SampleRows()).
   void RebuildStats();
 
   /// Routes by (append sequence, row values) — kHash with a key column

@@ -26,6 +26,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
@@ -37,6 +38,7 @@
 #include "exec/engine.h"
 #include "muve/muve_engine.h"
 #include "nlq/candidate_generator.h"
+#include "shard/sharded_table.h"
 #include "testing/sanitizer.h"
 #include "workload/datasets.h"
 
@@ -396,26 +398,52 @@ TEST(DeadlineEngineTest, ExpiredDeadlineDropsOnlyNonBaseUnits) {
 }
 
 TEST(DeadlineEngineTest, InfiniteControlsMatchLegacyExecution) {
-  for (const size_t threads : {size_t{1}, size_t{4}}) {
-    exec::EngineOptions options;
-    options.num_threads = threads;
-    exec::Engine engine(Table311(), options);
-    const core::CandidateSet set = MultiUnitCandidates();
-    const std::vector<size_t> subset = {0, 1, 2, 3};
-    auto legacy = engine.Execute(set, subset);
-    auto controlled = engine.Execute(set, subset, exec::ExecControls{});
-    ASSERT_TRUE(legacy.ok());
-    ASSERT_TRUE(controlled.ok());
-    ASSERT_EQ(legacy->values.size(), controlled->values.size());
-    for (size_t i = 0; i < legacy->values.size(); ++i) {
-      const bool both_nan = std::isnan(legacy->values[i]) &&
-                            std::isnan(controlled->values[i]);
-      EXPECT_TRUE(both_nan || legacy->values[i] == controlled->values[i])
-          << "threads " << threads << " candidate " << i;
+  // Every Execute takes one unit loop: infinite controls and a finite
+  // deadline that never expires must answer as the legacy overload does,
+  // over the table and over a 3-shard copy of it. The 3-shard engine is
+  // its own reference: AVG over these continuous doubles regroups its
+  // additions per shard, so only a given layout is bit-stable (the
+  // cross-layout check runs on dyadic data in shard_test).
+  const std::shared_ptr<db::Table> table = Table311();
+  shard::ShardedTableOptions shard_options;
+  shard_options.num_shards = 3;
+  auto sharded = shard::ShardedTable::FromTable(*table, shard_options);
+  ASSERT_TRUE(sharded.ok());
+  const std::pair<const char*, std::shared_ptr<const db::Relation>>
+      relations[] = {{"table", table}, {"3-shard", *sharded}};
+  exec::ExecControls far_future;
+  far_future.deadline = Deadline::AfterMillis(3.6e6);
+  const core::CandidateSet set = MultiUnitCandidates();
+  const std::vector<size_t> subset = {0, 1, 2, 3};
+  for (const auto& [relation_name, relation] : relations) {
+    for (const size_t threads : {size_t{1}, size_t{4}}) {
+      exec::EngineOptions options;
+      options.num_threads = threads;
+      exec::Engine engine(relation, options);
+      auto legacy = engine.Execute(set, subset);
+      ASSERT_TRUE(legacy.ok());
+      for (const exec::ExecControls& controls :
+           {exec::ExecControls{}, far_future}) {
+        const std::string context =
+            std::string(relation_name) + " threads " +
+            std::to_string(threads) +
+            (controls.deadline.IsFinite() ? " far-future" : " infinite");
+        auto controlled = engine.Execute(set, subset, controls);
+        ASSERT_TRUE(controlled.ok()) << context;
+        ASSERT_EQ(legacy->values.size(), controlled->values.size());
+        for (size_t i = 0; i < legacy->values.size(); ++i) {
+          const bool both_nan = std::isnan(legacy->values[i]) &&
+                                std::isnan(controlled->values[i]);
+          EXPECT_TRUE(both_nan ||
+                      legacy->values[i] == controlled->values[i])
+              << context << " candidate " << i;
+        }
+        EXPECT_EQ(legacy->queries_issued, controlled->queries_issued)
+            << context;
+        EXPECT_FALSE(controlled->deadline_hit) << context;
+        EXPECT_EQ(controlled->units_dropped, 0u) << context;
+      }
     }
-    EXPECT_EQ(legacy->queries_issued, controlled->queries_issued);
-    EXPECT_FALSE(controlled->deadline_hit);
-    EXPECT_EQ(controlled->units_dropped, 0u);
   }
 }
 

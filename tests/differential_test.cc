@@ -42,7 +42,6 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "core/brute_force_planner.h"
 #include "core/greedy_planner.h"
 #include "core/ilp_planner.h"
 #include "db/executor.h"
@@ -50,6 +49,7 @@
 #include "muve/muve_engine.h"
 #include "nlq/translator.h"
 #include "serve/server.h"
+#include "testing/brute_force_planner.h"
 #include "testing/random_workload.h"
 #include "testing/reference_executor.h"
 #include "testing/sanitizer.h"

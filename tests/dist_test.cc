@@ -164,7 +164,7 @@ TEST(DistDifferentialTest, RoutedGatherMatchesLocalScatterByteForByte) {
       shard_options.num_shards = num_shards;
       auto sharded = shard::ShardedTable::FromTable(*table, shard_options);
       ASSERT_TRUE(sharded.ok());
-      const shard::ShardedSnapshot snapshot = (*sharded)->Snapshot();
+      const db::ShardedSnapshot snapshot = (*sharded)->SnapshotPartitions();
 
       ShardCluster cluster(**sharded);
       Coordinator coordinator(cluster.endpoints());
@@ -250,8 +250,8 @@ TEST(DistFaultTest, DeadEndpointDegradesToADroppedStripeFast) {
   remote.backend = &coordinator;
   shard::ScatterStats stats;
   remote.stats = &stats;
-  auto result = shard::ScatterGather::Execute((*sharded)->Snapshot(), query,
-                                              remote);
+  auto result = shard::ScatterGather::Execute(
+      (*sharded)->SnapshotPartitions(), query, remote);
   ASSERT_TRUE(result.ok()) << result.status().message();
   EXPECT_EQ(stats.shards_dropped, 1u);
 

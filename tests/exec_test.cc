@@ -260,10 +260,10 @@ TEST(EngineTest, EstimateMillisPositiveAndMonotone) {
 TEST(EngineTest, SampleTablesAreCached) {
   auto table = Table311(10000);
   Engine engine(table);
-  auto a = engine.SampleTable(0.05);
-  auto b = engine.SampleTable(0.05);
+  auto a = engine.SampleRelation(0.05);
+  auto b = engine.SampleRelation(0.05);
   EXPECT_EQ(a.get(), b.get());
-  EXPECT_EQ(engine.SampleTable(1.0).get(), table.get());
+  EXPECT_EQ(engine.SampleRelation(1.0).get(), table.get());
 }
 
 TEST(EngineTest, ExecuteMultiplotFillsBars) {

@@ -31,13 +31,13 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "core/brute_force_planner.h"
 #include "core/greedy_planner.h"
 #include "core/ilp_planner.h"
 #include "core/query_template.h"
 #include "db/table.h"
 #include "nlq/candidate_generator.h"
 #include "nlq/schema_index.h"
+#include "testing/brute_force_planner.h"
 #include "testing/generator_oracle.h"
 #include "testing/random_workload.h"
 #include "testing/sanitizer.h"

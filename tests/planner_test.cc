@@ -4,10 +4,10 @@
 #include <cmath>
 
 #include "common/rng.h"
-#include "core/brute_force_planner.h"
 #include "core/greedy_planner.h"
 #include "core/ilp_planner.h"
 #include "core/query_template.h"
+#include "testing/brute_force_planner.h"
 #include "testing/sanitizer.h"
 #include "testing/template_oracle.h"
 

@@ -3,7 +3,9 @@
 /// plus the sharded-vs-unsharded differential suite — seeded random
 /// workloads asserting that scatter-gather over 1/2/4 hash or range
 /// shards reproduces the single-table oracle (the value-at-a-time
-/// reference executor) **byte-for-byte** across shard thread counts.
+/// reference executor) **byte-for-byte** across shard thread counts,
+/// and that exec::Engine answers candidate batches bit-identically over
+/// a table and its sharded copies.
 ///
 /// Byte identity across shard counts regroups the same additions, so
 /// the differential tables opt into dyadic-grid doubles
@@ -17,15 +19,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "core/candidate.h"
 #include "db/executor.h"
 #include "db/table.h"
+#include "exec/engine.h"
+#include "exec/merger.h"
 #include "shard/scatter_gather.h"
 #include "shard/sharded_table.h"
 #include "testing/random_workload.h"
@@ -110,7 +118,7 @@ TEST(ShardedTableTest, EmptyShardsMergeCleanly) {
     const auto oracle = db::Executor::Execute(*source, query);
     ASSERT_TRUE(oracle.ok());
     const auto merged =
-        ScatterGather::Execute((*sharded)->Snapshot(), query);
+        ScatterGather::Execute((*sharded)->SnapshotPartitions(), query);
     ASSERT_TRUE(merged.ok());
     ExpectBitwiseEqual(*oracle, *merged, query.ToSql());
   }
@@ -124,7 +132,8 @@ TEST(ShardedTableTest, EmptyShardsMergeCleanly) {
   none.predicates.push_back(
       db::Predicate::Equals("city", db::Value("nowhere")));
   const auto oracle = db::Executor::Execute(*source, none);
-  const auto merged = ScatterGather::Execute((*sharded)->Snapshot(), none);
+  const auto merged =
+      ScatterGather::Execute((*sharded)->SnapshotPartitions(), none);
   ASSERT_TRUE(oracle.ok());
   ASSERT_TRUE(merged.ok());
   EXPECT_TRUE(merged->empty_input);
@@ -166,7 +175,8 @@ TEST(ShardedTableTest, ConstantHashKeySkewsAllRowsToOneShard) {
   query.function = db::AggregateFunction::kSum;
   query.aggregate_column = "n";
   const auto oracle = db::Executor::Execute(**source, query);
-  const auto merged = ScatterGather::Execute((*sharded)->Snapshot(), query);
+  const auto merged =
+      ScatterGather::Execute((*sharded)->SnapshotPartitions(), query);
   ASSERT_TRUE(oracle.ok());
   ASSERT_TRUE(merged.ok());
   ExpectBitwiseEqual(*oracle, *merged, query.ToSql());
@@ -195,7 +205,7 @@ TEST(ShardedTableTest, GroupsSplitAcrossShardsMergePerGroup) {
   query.aggregates.push_back({db::AggregateFunction::kMin, "n"});
   const auto oracle = db::Executor::ExecuteGrouped(*source, query);
   const auto merged =
-      ScatterGather::ExecuteGrouped((*sharded)->Snapshot(), query);
+      ScatterGather::ExecuteGrouped((*sharded)->SnapshotPartitions(), query);
   ASSERT_TRUE(oracle.ok());
   ASSERT_TRUE(merged.ok());
   ExpectGroupedBitwiseEqual(*oracle, *merged, query.ToSql());
@@ -227,7 +237,8 @@ TEST(ShardedTableTest, RangePartitioningStripesAppendOrder) {
   query.function = db::AggregateFunction::kMax;
   query.aggregate_column = "n";
   const auto oracle = db::Executor::Execute(*source, query);
-  const auto merged = ScatterGather::Execute((*sharded)->Snapshot(), query);
+  const auto merged =
+      ScatterGather::Execute((*sharded)->SnapshotPartitions(), query);
   ASSERT_TRUE(oracle.ok());
   ASSERT_TRUE(merged.ok());
   ExpectBitwiseEqual(*oracle, *merged, query.ToSql());
@@ -332,7 +343,7 @@ TEST_F(ShardDifferentialTest, ShardedScansMatchSingleTableByteForByte) {
       auto sharded =
           ShardedTable::FromTable(*table, LayoutFor(seed, num_shards));
       ASSERT_TRUE(sharded.ok()) << "seed " << seed;
-      const ShardedSnapshot snapshot = (*sharded)->Snapshot();
+      const db::ShardedSnapshot snapshot = (*sharded)->SnapshotPartitions();
       ASSERT_EQ(snapshot.num_rows(), table->num_rows());
 
       for (const size_t threads : kThreadCounts) {
@@ -355,6 +366,70 @@ TEST_F(ShardDifferentialTest, ShardedScansMatchSingleTableByteForByte) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------
+// exec::Engine over the partition seam.
+// ---------------------------------------------------------------------
+
+TEST(ShardedEngineTest, EngineMatchesSingleTableAcrossShardCounts) {
+  // The engine scans every relation through ScatterGather: a table is
+  // one partition, a sharded copy is several. On dyadic data each batch
+  // — several merge units, at least one a merged GROUP BY — must come
+  // back bit-identical over the table and its 1/2/4-shard copies, at 1
+  // and 8 engine threads.
+  testing::RandomTableOptions table_options;
+  table_options.dyadic_doubles = true;
+  size_t batches = 0;
+  for (int seed = 0; seed < 60 && batches < 8; ++seed) {
+    Rng rng(kSeedBase + 300000 + static_cast<uint64_t>(seed));
+    const std::shared_ptr<db::Table> table =
+        testing::RandomTable(&rng, table_options);
+    const core::CandidateSet set = testing::RandomCandidateSet(*table, &rng);
+    std::vector<size_t> all(set.size());
+    std::iota(all.begin(), all.end(), size_t{0});
+    exec::Engine reference(table, {.num_threads = 1});
+    const std::vector<exec::MergeUnit> units = exec::PlanMergedExecution(
+        set, all, *table, reference.estimator(), /*enable_merging=*/true);
+    if (units.size() < 2 ||
+        std::none_of(units.begin(), units.end(),
+                     [](const exec::MergeUnit& unit) { return unit.merged; })) {
+      continue;
+    }
+    ++batches;
+    const auto expected = reference.Execute(set, all);
+    ASSERT_TRUE(expected.ok()) << "seed " << seed;
+
+    std::vector<std::shared_ptr<const db::Relation>> relations = {table};
+    for (const size_t num_shards : kShardCounts) {
+      auto sharded =
+          ShardedTable::FromTable(*table, LayoutFor(seed, num_shards));
+      ASSERT_TRUE(sharded.ok()) << "seed " << seed;
+      relations.push_back(*sharded);
+    }
+    for (size_t r = 0; r < relations.size(); ++r) {
+      for (const size_t threads : {size_t{1}, size_t{8}}) {
+        exec::Engine engine(relations[r], {.num_threads = threads});
+        const auto actual = engine.Execute(set, all);
+        const std::string context =
+            "seed " + std::to_string(seed) + " relation " +
+            std::to_string(r) + " threads " + std::to_string(threads);
+        ASSERT_TRUE(actual.ok()) << context;
+        EXPECT_EQ(expected->queries_issued, actual->queries_issued)
+            << context;
+        ASSERT_EQ(expected->values.size(), actual->values.size());
+        for (size_t i = 0; i < set.size(); ++i) {
+          if (std::isnan(expected->values[i])) {
+            EXPECT_TRUE(std::isnan(actual->values[i])) << context;
+            continue;
+          }
+          EXPECT_EQ(expected->values[i], actual->values[i])
+              << context << " " << set[i].query.ToSql();
+        }
+      }
+    }
+  }
+  EXPECT_EQ(batches, 8u);
 }
 
 }  // namespace

@@ -169,7 +169,7 @@ int Run(int argc, char** argv) {
     return 0;
   }
 
-  std::unique_ptr<serve::Server> server;
+  std::shared_ptr<const db::Relation> relation = table;
   if (num_shards > 1) {
     shard::ShardedTableOptions shard_options;
     shard_options.num_shards = num_shards;
@@ -180,21 +180,19 @@ int Run(int argc, char** argv) {
                    sharded.status().ToString().c_str());
       return 1;
     }
-    std::shared_ptr<const shard::ShardedTable> view = sharded.value();
-    server = std::make_unique<serve::Server>(view, server_options);
+    relation = sharded.value();
     std::fprintf(stderr, "muve_serve: %zu rows over %zu shards\n",
-                 view->num_rows(), num_shards);
+                 relation->num_rows(), num_shards);
   } else {
-    server = std::make_unique<serve::Server>(
-        std::shared_ptr<const db::Table>(table), server_options);
     std::fprintf(stderr, "muve_serve: %zu rows, single table\n",
                  table->num_rows());
   }
+  serve::Server server(relation, server_options);
 
   net::ListenerOptions listener_options;
   listener_options.port = port;
   listener_options.announce = true;
-  net::Listener listener(server.get(), listener_options);
+  net::Listener listener(&server, listener_options);
   const Status started = listener.Start();
   if (!started.ok()) {
     std::fprintf(stderr, "listen failed: %s\n",
