@@ -94,8 +94,9 @@ int main() {
       const double delta_pct =
           full_cost > 0.0 ? (cost / full_cost - 1.0) * 100.0 : 0.0;
       bench::PrintRow({variant.label, bench::Fmt(cost, 0),
-                       (delta_pct >= 0 ? "+" : "") +
-                           bench::Fmt(delta_pct, 1) + "%"},
+                       std::string(delta_pct >= 0 ? "+" : "")
+                           .append(bench::Fmt(delta_pct, 1))
+                           .append("%")},
                       26);
     }
   }

@@ -6,8 +6,8 @@
 #          differential seeds, 15x the fuzz iterations) selected via
 #          MUVE_DIFF_SEEDS / MUVE_FUZZ_ITERS.
 #
-# The default run builds Release, runs tier1, builds the perfbench
-# harness with -Werror, then rebuilds with
+# The default run builds Release with -Werror, runs tier1, builds the
+# perfbench harness with -Werror, then rebuilds with
 # ThreadSanitizer and runs tier1 again to catch data races in the
 # parallel executor / engine / planner / cache paths, then rebuilds with
 # AddressSanitizer + UndefinedBehaviorSanitizer and runs tier1 a third
@@ -29,8 +29,10 @@ for arg in "$@"; do
   esac
 done
 
-echo "==> Release build + tests"
-cmake -B build -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
+# The Release (-O3) build is warning-free and must stay so: -Werror.
+echo "==> Release build (-Werror) + tests"
+cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror \
+  >/dev/null
 cmake --build build -j "$(nproc)"
 (cd build && ctest --output-on-failure -j "$(nproc)" "${LABELS[@]+"${LABELS[@]}"}")
 

@@ -1,46 +1,36 @@
 #include "db/column.h"
 
-#include <algorithm>
-#include <unordered_set>
-
 namespace muve::db {
 
+Status CheckValueType(const std::string& column, ValueType type,
+                      const Value& value) {
+  const bool ok = type == ValueType::kInt64    ? value.is_int64()
+                  : type == ValueType::kDouble ? !value.is_string()
+                                               : value.is_string();
+  if (ok) return Status::OK();
+  return Status::InvalidArgument("column '" + column + "' expects " +
+                                 ValueTypeName(type));
+}
+
 Status Column::Append(const Value& value) {
+  MUVE_RETURN_NOT_OK(CheckValueType(name_, type_, value));
   switch (type_) {
     case ValueType::kInt64:
-      if (!value.is_int64()) {
-        return Status::InvalidArgument("column '" + name_ +
-                                       "' expects INT64");
-      }
       int_data_.push_back(value.AsInt64());
-      return Status::OK();
+      break;
     case ValueType::kDouble:
-      if (!value.is_int64() && !value.is_double()) {
-        return Status::InvalidArgument("column '" + name_ +
-                                       "' expects DOUBLE");
-      }
       double_data_.push_back(value.AsDouble());
-      return Status::OK();
+      break;
     case ValueType::kString: {
-      if (!value.is_string()) {
-        return Status::InvalidArgument("column '" + name_ +
-                                       "' expects STRING");
-      }
       const std::string& text = value.AsString();
-      auto it = dictionary_lookup_.find(text);
-      uint32_t code;
-      if (it == dictionary_lookup_.end()) {
-        code = static_cast<uint32_t>(dictionary_.size());
-        dictionary_.push_back(text);
-        dictionary_lookup_.emplace(text, code);
-      } else {
-        code = it->second;
-      }
-      codes_.push_back(code);
-      return Status::OK();
+      auto [it, added] = dictionary_lookup_.try_emplace(
+          text, static_cast<uint32_t>(dictionary_.size()));
+      if (added) dictionary_.push_back(text);
+      codes_.push_back(it->second);
+      break;
     }
   }
-  return Status::Internal("unknown column type");
+  return Status::OK();
 }
 
 Value Column::Get(size_t row) const {
@@ -67,22 +57,6 @@ std::vector<uint8_t> Column::AcceptMask(
     if (code < mask.size()) mask[code] = 1;
   }
   return mask;
-}
-
-size_t Column::DistinctCount() const {
-  if (type_ == ValueType::kString) return dictionary_.size();
-  if (cached_distinct_at_size_ == size()) return cached_distinct_;
-  std::unordered_set<int64_t> ints;
-  std::unordered_set<double> doubles;
-  if (type_ == ValueType::kInt64) {
-    ints.insert(int_data_.begin(), int_data_.end());
-    cached_distinct_ = ints.size();
-  } else {
-    doubles.insert(double_data_.begin(), double_data_.end());
-    cached_distinct_ = doubles.size();
-  }
-  cached_distinct_at_size_ = size();
-  return cached_distinct_;
 }
 
 }  // namespace muve::db

@@ -14,6 +14,11 @@ namespace muve::db {
 /// Sentinel dictionary code meaning "value not present in dictionary".
 inline constexpr uint32_t kInvalidCode = UINT32_MAX;
 
+/// OK when `value` can be stored in column `column` of type `type`
+/// (int64 promotes to double for kDouble); InvalidArgument otherwise.
+Status CheckValueType(const std::string& column, ValueType type,
+                      const Value& value);
+
 /// A typed, append-only column.
 ///
 /// Numeric columns store raw values; string columns are dictionary
@@ -50,14 +55,13 @@ class Column {
 
   // Typed access used by the executor's scan loops.
   const std::vector<int64_t>& int_data() const { return int_data_; }
-  const std::vector<double>& double_data() const { return double_data_; }
   const std::vector<uint32_t>& codes() const { return codes_; }
   const std::vector<std::string>& dictionary() const { return dictionary_; }
 
   // Raw typed views for the vectorized kernels (src/db/vec/): one base
   // pointer per scan instead of a bounds-checked vector access per row.
-  // The pointers are stable only while no Append runs (appends may
-  // reallocate) — the single-writer contract documented on db::Table.
+  // Appends may reallocate, so only columns of an immutable lsm::Run are
+  // scanned; a table's open columns are never read through these.
   const int64_t* int_raw() const { return int_data_.data(); }
   const double* double_raw() const { return double_data_.data(); }
   const uint32_t* codes_raw() const { return codes_.data(); }
@@ -85,10 +89,6 @@ class Column {
                : double_data_[row];
   }
 
-  /// Number of distinct values (dictionary size for strings; computed and
-  /// cached for numeric columns).
-  size_t DistinctCount() const;
-
  private:
   std::string name_;
   ValueType type_;
@@ -99,9 +99,6 @@ class Column {
   std::vector<uint32_t> codes_;
   std::vector<std::string> dictionary_;
   std::unordered_map<std::string, uint32_t> dictionary_lookup_;
-
-  mutable size_t cached_distinct_ = 0;
-  mutable size_t cached_distinct_at_size_ = SIZE_MAX;
 };
 
 }  // namespace muve::db

@@ -6,10 +6,8 @@
 #include <limits>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
-#include "db/lsm/memtable.h"
 #include "db/lsm/run.h"
 #include "db/snapshot.h"
 #include "db/vec/aggregate_kernels.h"
@@ -34,36 +32,6 @@ struct LogicalPredicate {
   std::vector<std::string> accepted_strings;
   std::vector<int64_t> accepted_ints;
   std::vector<double> accepted_doubles;
-
-  /// Row match against a materialized value (the memtable path). The
-  /// accepted sets are value sets, so this is the same boolean the
-  /// code-compare path computes for run rows.
-  bool MatchesValue(const Value& value) const {
-    switch (type) {
-      case ValueType::kString: {
-        const std::string& v = value.AsString();
-        for (const std::string& accepted : accepted_strings) {
-          if (v == accepted) return true;
-        }
-        return false;
-      }
-      case ValueType::kInt64: {
-        const int64_t v = value.AsInt64();
-        for (int64_t accepted : accepted_ints) {
-          if (v == accepted) return true;
-        }
-        return false;
-      }
-      case ValueType::kDouble: {
-        const double v = value.AsDouble();
-        for (double accepted : accepted_doubles) {
-          if (v == accepted) return true;
-        }
-        return false;
-      }
-    }
-    return false;
-  }
 };
 
 Result<LogicalPredicate> Compile(const Table& table,
@@ -142,19 +110,10 @@ Result<CompiledAggregate> CompileAggregate(const Table& table,
 }
 
 // ---------------------------------------------------------------------------
-// Partial-state arithmetic. Accept* updates sum, min and max together
-// regardless of the aggregate function, so one partial layout serves
-// every function.
+// Partial-state arithmetic. A matched row updates sum, min and max
+// together regardless of the aggregate function, so one partial layout
+// serves every function.
 // ---------------------------------------------------------------------------
-
-inline void AcceptCount(AggregatePartial* p) { ++p->count; }
-
-inline void AcceptNumeric(double v, AggregatePartial* p) {
-  ++p->count;
-  p->sum += v;
-  p->min = std::min(p->min, v);
-  p->max = std::max(p->max, v);
-}
 
 /// Folds another segment's partial into this one, in segment order. An
 /// all-empty segment contributes count 0 and +/-inf extrema, so it
@@ -221,14 +180,13 @@ Result<std::vector<LogicalPredicate>> CompilePredicates(
 }
 
 // ---------------------------------------------------------------------------
-// Storage segments: the scan units of one snapshot. Runs in logical
-// order, then the frozen memtable prefix. Row indices inside a segment
-// are segment-local; `begin` maps them back to global row numbers for
-// deadline diagnostics.
+// Storage segments: the scan units of one snapshot, its non-empty runs in
+// logical order. Row indices inside a segment are segment-local; `begin`
+// maps them back to global row numbers for deadline diagnostics.
 // ---------------------------------------------------------------------------
 
 struct Segment {
-  std::shared_ptr<const lsm::Run> run;  ///< null for the memtable tail.
+  const lsm::Run* run = nullptr;
   size_t begin = 0;
   size_t rows = 0;
 };
@@ -238,11 +196,8 @@ std::vector<Segment> MakeSegments(const TableSnapshot& snapshot) {
   size_t offset = 0;
   for (const auto& run : snapshot.runs()) {
     if (run->num_rows() == 0) continue;
-    segments.push_back({run, offset, run->num_rows()});
+    segments.push_back({run.get(), offset, run->num_rows()});
     offset += run->num_rows();
-  }
-  if (snapshot.memtable().rows > 0) {
-    segments.push_back({nullptr, offset, snapshot.memtable().rows});
   }
   return segments;
 }
@@ -401,9 +356,9 @@ size_t RunFilters(const std::vector<VecFilter>& filters, size_t base,
 }
 
 /// Folds one batch's selection into a partial. `sel == nullptr` means
-/// all `n` rows of the batch matched (dense fast path). Matches
-/// AcceptNumeric per row exactly: count always advances; SUM/MIN/MAX
-/// state only for column-bearing aggregates, in ascending row order.
+/// all `n` rows of the batch matched (dense fast path). Count always
+/// advances; SUM/MIN/MAX state only for column-bearing aggregates, one
+/// row at a time in ascending row order.
 void AccumulateBatch(const Column* column, size_t base, const uint32_t* sel,
                      size_t n, AggregatePartial* p) {
   p->count += n;
@@ -435,7 +390,7 @@ void AccumulateBatch(const Column* column, size_t base, const uint32_t* sel,
 
 /// Folds one group-mapped batch into the grid for aggregate slot `a`:
 /// sel/groups are parallel arrays from MapGroups (ascending row offsets
-/// plus each row's group index). Per-row work matches AcceptNumeric
+/// plus each row's group index). Per-row work matches AccumulateBatch
 /// exactly.
 void AccumulateGroupedBatch(const Column* column, size_t base,
                             const uint32_t* sel, const uint32_t* groups,
@@ -467,24 +422,15 @@ void AccumulateGroupedBatch(const Column* column, size_t base,
   }
 }
 
-inline bool MatchesAllValues(const std::vector<LogicalPredicate>& logical,
-                             const lsm::MemTable::View& mem, size_t row) {
-  for (const LogicalPredicate& predicate : logical) {
-    if (!predicate.MatchesValue(mem.At(row, predicate.column))) return false;
-  }
-  return true;
-}
-
 // ---------------------------------------------------------------------------
 // Per-shape scanners: what ScanSnapshot needs to know about one query
 // shape — the merge identity of its partial, the per-run binding, and
-// the two scan ranges. Runs are scanned as vec::kBatchSize-row column
-// batches tiled from the range start (filters fill selection vectors,
-// aggregates fold the selected offsets); the row-oriented memtable tail
-// has no columnar arrays and is scanned value-at-a-time. Both fold rows
-// in ascending order, the order tests/testing/reference_executor.h
-// reproduces one value at a time. A scanner is compiled once per query
-// and read-only afterwards, so pool workers share it.
+// the scan of one run range. Runs are scanned as vec::kBatchSize-row
+// column batches tiled from the range start (filters fill selection
+// vectors, aggregates fold the selected offsets), in ascending row
+// order, the order tests/testing/reference_executor.h reproduces one
+// value at a time. A scanner is compiled once per query and read-only
+// afterwards, so pool workers share it.
 // ---------------------------------------------------------------------------
 
 /// SELECT fn(column) ... WHERE predicates.
@@ -517,23 +463,11 @@ struct AggregateScanner {
       AccumulateBatch(bound.agg_column, base, sel, n, p);
     }
   }
-
-  void ScanMemTable(const lsm::MemTable::View& mem, size_t begin, size_t end,
-                    Partial* p) const {
-    for (size_t row = begin; row < end; ++row) {
-      if (!MatchesAllValues(predicates, mem, row)) continue;
-      if (agg.column == SIZE_MAX) {
-        AcceptCount(p);
-      } else {
-        AcceptNumeric(mem.At(row, agg.column).AsDouble(), p);
-      }
-    }
-  }
 };
 
 /// A merged query (paper §8.1): shared predicates plus an IN-list group
 /// column, one partial per (group value, aggregate) cell. Duplicate
-/// group values resolve first-wins on both scan ranges.
+/// group values resolve first-wins.
 struct GroupedScanner {
   using Partial = GroupedPartial;
   struct Bound {
@@ -547,7 +481,6 @@ struct GroupedScanner {
   std::vector<CompiledAggregate> aggs;
   size_t group_column = 0;
   const std::vector<std::string>* group_values = nullptr;
-  std::unordered_map<std::string, size_t> group_of_value;
 
   Partial Identity() const {
     return MakeGrid(group_values->size(), aggs.size());
@@ -592,23 +525,6 @@ struct GroupedScanner {
       }
     }
   }
-
-  void ScanMemTable(const lsm::MemTable::View& mem, size_t begin, size_t end,
-                    Partial* grid) const {
-    for (size_t row = begin; row < end; ++row) {
-      auto it = group_of_value.find(mem.At(row, group_column).AsString());
-      if (it == group_of_value.end()) continue;
-      if (!MatchesAllValues(predicates, mem, row)) continue;
-      for (size_t a = 0; a < aggs.size(); ++a) {
-        AggregatePartial& p = grid->cells[it->second][a];
-        if (aggs[a].column == SIZE_MAX) {
-          AcceptCount(&p);
-        } else {
-          AcceptNumeric(mem.At(row, aggs[a].column).AsDouble(), &p);
-        }
-      }
-    }
-  }
 };
 
 // ---------------------------------------------------------------------------
@@ -650,8 +566,7 @@ Result<typename Scanner::Partial> ScanSnapshot(const TableSnapshot& snapshot,
   std::vector<Slice> slices;
   for (size_t s = 0; s < segments.size(); ++s) {
     const Segment& seg = segments[s];
-    // The memtable is scanned value-at-a-time and never bound.
-    if (seg.run != nullptr) bound[s] = scanner.Bind(*seg.run);
+    bound[s] = scanner.Bind(*seg.run);
     for (size_t begin = 0; begin < seg.rows; begin += grain) {
       slices.push_back({s, begin, std::min(seg.rows, begin + grain)});
     }
@@ -685,13 +600,8 @@ Result<typename Scanner::Partial> ScanSnapshot(const TableSnapshot& snapshot,
           const Slice& slice = slices[i];
           Partial& partial = slice_partials[pool != nullptr ? i : 0];
           if (pool == nullptr) partial = identity;
-          if (segments[slice.segment].run == nullptr) {
-            scanner.ScanMemTable(snapshot.memtable(), slice.begin, slice.end,
-                                 &partial);
-          } else {
-            scanner.ScanRun(bound[slice.segment], slice.begin, slice.end,
-                            scratch.get(), &partial);
-          }
+          scanner.ScanRun(bound[slice.segment], slice.begin, slice.end,
+                          scratch.get(), &partial);
           if (pool == nullptr) fold(i, partial);
         }
       });
@@ -798,9 +708,6 @@ Result<GroupedPartial> Executor::ExecuteGroupedPartial(
   }
   scanner.group_column = *group_index;
   scanner.group_values = &query.group_values;
-  for (size_t g = 0; g < query.group_values.size(); ++g) {
-    scanner.group_of_value.emplace(query.group_values[g], g);
-  }
   return ScanSnapshot(snapshot, scanner, options, "grouped");
 }
 

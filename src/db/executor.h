@@ -94,19 +94,18 @@ struct GroupedPartial {
 
 /// Scan-based query executor over versioned in-memory tables.
 ///
-/// Scans run against a TableSnapshot — one consistent table version —
-/// segment by segment: the immutable runs in logical order, then the
-/// frozen memtable prefix. Each segment accumulates a private partial
-/// state (COUNT/SUM/MIN/MAX merge directly, AVG as a sum+count pair,
-/// GROUP BY as a per-segment accumulator grid) and the partials are
-/// merged in segment order. Segments are cut into fixed-size slices,
-/// scanned inline or on `options.pool`, and merged slices-then-segments
-/// in order either way. Runs are scanned as column
-/// batches (src/db/vec/ kernels), the memtable tail value-at-a-time;
-/// tests/testing/reference_executor.h is the value-at-a-time oracle for
-/// both. Empty-input detection
-/// happens after the merge: a segment that matched nothing contributes
-/// a zero-count state, never a 0 identity value.
+/// Scans run against a TableSnapshot — one consistent table version, a
+/// list of immutable runs — segment by segment, one segment per run in
+/// logical order. Each segment accumulates a private partial state
+/// (COUNT/SUM/MIN/MAX merge directly, AVG as a sum+count pair, GROUP BY
+/// as a per-segment accumulator grid) and the partials are merged in
+/// segment order. Segments are cut into fixed-size slices, scanned
+/// inline or on `options.pool`, and merged slices-then-segments in order
+/// either way. Every run is scanned as column batches (src/db/vec/
+/// kernels); tests/testing/reference_executor.h is the value-at-a-time
+/// oracle. Empty-input detection happens after the merge: a segment that
+/// matched nothing contributes a zero-count state, never a 0 identity
+/// value.
 ///
 /// The Table& overloads snapshot the table themselves; callers scanning
 /// the same version more than once (or needing the version id) take the

@@ -1,13 +1,11 @@
 #ifndef MUVE_DB_LSM_RUN_H_
 #define MUVE_DB_LSM_RUN_H_
 
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "db/column.h"
 #include "db/schema.h"
-#include "db/value.h"
 
 namespace muve::db::lsm {
 
@@ -18,28 +16,28 @@ namespace muve::db::lsm {
 /// scans and their floating-point accumulation order are independent of
 /// how rows are packed into runs.
 ///
-/// String columns are dictionary-encoded per run (codes are meaningless
-/// across runs); predicates are re-bound to each run's dictionary at
-/// scan time.
+/// A run is built one way: values are appended in row order into a fresh
+/// column set (`EmptyColumns`), which is then frozen (`Freeze`). String
+/// columns are therefore dictionary-encoded per run, in first-appearance
+/// order of the run's own rows (codes are meaningless across runs);
+/// predicates are re-bound to each run's dictionary at scan time.
 class Run {
  public:
-  /// Builds a run over `schema` from `rows` values produced by
-  /// `cell(row, col)` for row in [0, rows). Values must already match
-  /// the schema (the table validates on append).
-  static std::shared_ptr<const Run> Build(
-      const std::vector<ColumnSpec>& schema, size_t rows,
-      const std::function<Value(size_t, size_t)>& cell);
+  /// One empty column per schema entry.
+  static std::vector<Column> EmptyColumns(
+      const std::vector<ColumnSpec>& schema);
 
-  size_t num_rows() const { return rows_; }
+  /// Freezes a column set of equal-length columns into a run.
+  static std::shared_ptr<const Run> Freeze(std::vector<Column> columns);
+
+  size_t num_rows() const { return columns_.front().size(); }
   size_t num_columns() const { return columns_.size(); }
-  const Column& column(size_t index) const { return *columns_[index]; }
+  const Column& column(size_t index) const { return columns_[index]; }
 
  private:
-  Run(std::vector<std::unique_ptr<Column>> columns, size_t rows)
-      : columns_(std::move(columns)), rows_(rows) {}
+  explicit Run(std::vector<Column> columns) : columns_(std::move(columns)) {}
 
-  std::vector<std::unique_ptr<Column>> columns_;
-  size_t rows_ = 0;
+  std::vector<Column> columns_;
 };
 
 }  // namespace muve::db::lsm

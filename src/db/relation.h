@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -13,6 +14,34 @@
 namespace muve::db {
 
 struct ShardedSnapshot;
+
+/// Incremental statistics of one column, fed one appended value at a
+/// time: its distinct-value count and, for a string column, its distinct
+/// values in first-appearance order.
+class ColumnStats {
+ public:
+  explicit ColumnStats(ValueType type) : type_(type) {}
+
+  /// One fresh ColumnStats per column of `schema`.
+  static std::vector<ColumnStats> ForSchema(
+      const std::vector<ColumnSpec>& schema);
+
+  /// Counts one value that passed the column's type check (an int64 on
+  /// a DOUBLE column counts as its promoted double).
+  void Add(const Value& value);
+
+  size_t DistinctCount() const;
+  const std::vector<std::string>& string_values() const {
+    return string_values_;
+  }
+
+ private:
+  ValueType type_;
+  std::vector<std::string> string_values_;
+  std::unordered_set<std::string> string_seen_;
+  std::unordered_set<int64_t> int_seen_;
+  std::unordered_set<double> double_seen_;
+};
 
 /// A queryable relation split into partitions: schema, version, row
 /// count, the incremental statistics the planner and NLQ layers consume
@@ -41,17 +70,14 @@ class Relation {
   // --- Schema ---------------------------------------------------------
 
   virtual const std::vector<ColumnSpec>& schema() const = 0;
-  virtual size_t num_columns() const = 0;
-  virtual const ColumnSpec& spec(size_t index) const = 0;
+  size_t num_columns() const { return schema().size(); }
+  const ColumnSpec& spec(size_t index) const { return schema()[index]; }
 
   /// Index of a column by name (case insensitive).
-  virtual Result<size_t> ColumnIndex(const std::string& name) const = 0;
-
-  /// All column names, in schema order.
-  virtual std::vector<std::string> ColumnNames() const = 0;
+  Result<size_t> ColumnIndex(const std::string& name) const;
 
   /// Names of columns with the given type.
-  virtual std::vector<std::string> ColumnNamesOfType(ValueType type) const = 0;
+  std::vector<std::string> ColumnNamesOfType(ValueType type) const;
 
   // --- Statistics -----------------------------------------------------
 
@@ -68,8 +94,7 @@ class Relation {
 
   /// As above by (case-insensitive) column name; empty when the column
   /// does not exist.
-  virtual std::vector<std::string> StringValues(
-      const std::string& name) const = 0;
+  std::vector<std::string> StringValues(const std::string& name) const;
 
   // --- Partitions -----------------------------------------------------
 

@@ -9,7 +9,7 @@ Value TableSnapshot::ValueAt(size_t row, size_t col) const {
     if (row < run->num_rows()) return run->column(col).Get(row);
     row -= run->num_rows();
   }
-  return mem_view_.At(row, col);
+  return Value();
 }
 
 Result<std::shared_ptr<Table>> TableSnapshot::Clone(
@@ -17,8 +17,8 @@ Result<std::shared_ptr<Table>> TableSnapshot::Clone(
   if (table_ == nullptr) {
     return Status::InvalidArgument("cannot clone an empty snapshot");
   }
-  // A flush threshold beyond every segment keeps AppendRow from sealing
-  // runs on its own; explicit Flush() calls reproduce the original run
+  // A flush threshold beyond every run keeps AppendRow from sealing runs
+  // on its own; explicit Flush() calls reproduce the original run
   // boundaries instead.
   TableOptions options = table_->options();
   options.flush_threshold = 1;
@@ -26,22 +26,17 @@ Result<std::shared_ptr<Table>> TableSnapshot::Clone(
     options.flush_threshold =
         std::max(options.flush_threshold, run->num_rows() + 1);
   }
-  options.flush_threshold =
-      std::max(options.flush_threshold, mem_view_.rows + 1);
   MUVE_ASSIGN_OR_RETURN(std::shared_ptr<Table> clone,
                         Table::Create(name, table_->schema(), options));
   const size_t num_cols = table_->num_columns();
   std::vector<Value> row(num_cols);
-  for (const auto& run : runs_) {
-    for (size_t r = 0; r < run->num_rows(); ++r) {
-      for (size_t c = 0; c < num_cols; ++c) row[c] = run->column(c).Get(r);
+  for (size_t i = 0; i < runs_.size(); ++i) {
+    const lsm::Run& run = *runs_[i];
+    for (size_t r = 0; r < run.num_rows(); ++r) {
+      for (size_t c = 0; c < num_cols; ++c) row[c] = run.column(c).Get(r);
       MUVE_RETURN_NOT_OK(clone->AppendRow(row));
     }
-    clone->Flush();
-  }
-  for (size_t r = 0; r < mem_view_.rows; ++r) {
-    for (size_t c = 0; c < num_cols; ++c) row[c] = mem_view_.At(r, c);
-    MUVE_RETURN_NOT_OK(clone->AppendRow(row));
+    if (i + 1 < runs_.size() || !open_tail_) clone->Flush();
   }
   return clone;
 }

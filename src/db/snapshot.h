@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "db/lsm/memtable.h"
 #include "db/lsm/run.h"
 #include "db/schema.h"
 #include "db/table.h"
@@ -15,13 +14,13 @@
 
 namespace muve::db {
 
-/// An immutable, consistent view of one table version: the run set and
-/// the memtable row count frozen at `Table::Snapshot()` time. Everything
-/// a scan touches is pinned by shared ownership — the runs (compaction
-/// may retire them from the live table, the pinned objects stay valid),
-/// the memtable chunks (the writer appends only past the frozen
-/// prefix), and the table itself (a snapshot outliving its table keeps
-/// reads well-defined).
+/// An immutable, consistent view of one table version: a list of
+/// immutable runs in logical row order — the table's sealed runs at
+/// `Table::Snapshot()` time, then, when rows were open, one run frozen
+/// from a copy of the open columns. Everything a scan touches is pinned
+/// by shared ownership — the runs (compaction may retire them from the
+/// live table, the pinned objects stay valid) and the table itself (a
+/// snapshot outliving its table keeps reads well-defined).
 ///
 /// Copyable and cheap to copy (shared pointers). A default-constructed
 /// snapshot is empty (no table, zero rows).
@@ -34,7 +33,6 @@ class TableSnapshot {
   /// The snapshotted table (schema/name/id access). Valid only when
   /// `valid()`.
   const Table& table() const { return *table_; }
-  const std::shared_ptr<const Table>& table_ptr() const { return table_; }
 
   /// The table version this snapshot froze.
   uint64_t version() const { return version_; }
@@ -51,17 +49,13 @@ class TableSnapshot {
     return runs_;
   }
 
-  /// The frozen memtable prefix (zero rows when the memtable was empty
-  /// at snapshot time).
-  const lsm::MemTable::View& memtable() const { return mem_view_; }
-
   /// Value at (row, col), row in [0, num_rows()).
   Value ValueAt(size_t row, size_t col) const;
 
   /// A layout-preserving deep copy: a new independent table whose run
   /// boundaries, run contents (including per-run dictionary order), and
-  /// memtable prefix replicate this snapshot exactly, so scans over the
-  /// clone are bit-for-bit identical to scans over the snapshot. The
+  /// open rows replicate this snapshot exactly, so scans over the clone
+  /// are bit-for-bit identical to scans over the snapshot. The
   /// differential suites use this as the frozen oracle for reads racing
   /// writes; it also serves as a fork/backup primitive.
   Result<std::shared_ptr<Table>> Clone(const std::string& name) const;
@@ -73,9 +67,9 @@ class TableSnapshot {
   uint64_t version_ = 0;
   size_t num_rows_ = 0;
   std::vector<std::shared_ptr<const lsm::Run>> runs_;
-  /// Keeps the viewed chunks alive; reads go through `mem_view_`.
-  std::shared_ptr<const lsm::MemTable> mem_;
-  lsm::MemTable::View mem_view_;
+  /// The last run was frozen from the table's open rows (Clone leaves
+  /// those rows open rather than sealed).
+  bool open_tail_ = false;
 };
 
 /// A consistent-per-partition view of a relation

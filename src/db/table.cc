@@ -8,25 +8,13 @@
 
 namespace muve::db {
 
-namespace {
-
-/// Memtable chunks sized well below the flush threshold keep a
-/// huge-threshold table (e.g. a Clone oracle) from preallocating its
-/// whole capacity up front.
-size_t ChunkRowsFor(const TableOptions& options) {
-  return std::max<size_t>(1, std::min<size_t>(options.flush_threshold, 4096));
-}
-
-}  // namespace
-
 Table::Table(std::string name, std::vector<ColumnSpec> schema,
              TableOptions options)
     : name_(std::move(name)),
       schema_(std::move(schema)),
       options_(options),
-      mem_(std::make_shared<lsm::MemTable>(schema_.size(),
-                                           ChunkRowsFor(options_))),
-      stats_(schema_.size()) {}
+      open_(lsm::Run::EmptyColumns(schema_)),
+      stats_(ColumnStats::ForSchema(schema_)) {}
 
 Result<std::shared_ptr<Table>> Table::Create(
     std::string name, const std::vector<ColumnSpec>& schema,
@@ -52,56 +40,21 @@ Status Table::AppendRow(const std::vector<Value>& values) {
   if (values.size() != schema_.size()) {
     return Status::InvalidArgument("row arity mismatch");
   }
-  // Validate and normalize outside the lock; readers snapshotting
-  // mid-append must never observe a partially validated row.
-  std::vector<Value> row(values.size());
+  // Check the whole row before touching a column, so a rejected row
+  // never leaves the open columns with unequal lengths.
   for (size_t i = 0; i < values.size(); ++i) {
-    const Value& value = values[i];
-    switch (schema_[i].type) {
-      case ValueType::kInt64:
-        if (!value.is_int64()) {
-          return Status::InvalidArgument("column '" + schema_[i].name +
-                                         "' expects INT64");
-        }
-        row[i] = value;
-        break;
-      case ValueType::kDouble:
-        if (!value.is_int64() && !value.is_double()) {
-          return Status::InvalidArgument("column '" + schema_[i].name +
-                                         "' expects DOUBLE");
-        }
-        row[i] = Value(value.AsDouble());
-        break;
-      case ValueType::kString:
-        if (!value.is_string()) {
-          return Status::InvalidArgument("column '" + schema_[i].name +
-                                         "' expects STRING");
-        }
-        row[i] = value;
-        break;
-    }
+    MUVE_RETURN_NOT_OK(
+        CheckValueType(schema_[i].name, schema_[i].type, values[i]));
   }
   std::lock_guard<std::mutex> lock(mutex_);
-  mem_->Append(row);
-  for (size_t i = 0; i < row.size(); ++i) {
-    ColumnStats& stats = stats_[i];
-    switch (schema_[i].type) {
-      case ValueType::kInt64:
-        stats.int_seen.insert(row[i].AsInt64());
-        break;
-      case ValueType::kDouble:
-        stats.double_seen.insert(row[i].AsDouble());
-        break;
-      case ValueType::kString:
-        if (stats.string_seen.insert(row[i].AsString()).second) {
-          stats.string_values.push_back(row[i].AsString());
-        }
-        break;
-    }
+  for (size_t i = 0; i < values.size(); ++i) {
+    Status st = open_[i].Append(values[i]);
+    (void)st;  // Checked above.
+    stats_[i].Add(values[i]);
   }
   num_rows_.fetch_add(1, std::memory_order_release);
   version_.fetch_add(1, std::memory_order_release);
-  if (mem_->size() >= options_.flush_threshold) FlushLocked();
+  if (open_.front().size() >= options_.flush_threshold) FlushLocked();
   return Status::OK();
 }
 
@@ -111,64 +64,32 @@ TableSnapshot Table::Snapshot() const {
   snapshot.table_ = shared_from_this();
   snapshot.version_ = version_.load(std::memory_order_relaxed);
   snapshot.runs_ = runs_;
-  snapshot.mem_ = mem_;
-  snapshot.mem_view_ = mem_->ViewOf(mem_->size());
-  size_t rows = snapshot.mem_view_.rows;
-  for (const auto& run : snapshot.runs_) rows += run->num_rows();
-  snapshot.num_rows_ = rows;
+  if (open_.front().size() > 0) {
+    // The writer keeps appending to open_, so the snapshot freezes a copy.
+    snapshot.runs_.push_back(lsm::Run::Freeze(open_));
+    snapshot.open_tail_ = true;
+  }
+  for (const auto& run : snapshot.runs_) snapshot.num_rows_ += run->num_rows();
   return snapshot;
-}
-
-Result<size_t> Table::ColumnIndex(const std::string& name) const {
-  for (size_t i = 0; i < schema_.size(); ++i) {
-    if (EqualsIgnoreCase(schema_[i].name, name)) return i;
-  }
-  return Status::NotFound("no column '" + name + "' in table '" + name_ +
-                          "'");
-}
-
-std::vector<std::string> Table::ColumnNames() const {
-  std::vector<std::string> names;
-  names.reserve(schema_.size());
-  for (const auto& spec : schema_) names.push_back(spec.name);
-  return names;
-}
-
-std::vector<std::string> Table::ColumnNamesOfType(ValueType type) const {
-  std::vector<std::string> names;
-  for (const auto& spec : schema_) {
-    if (spec.type == type) names.push_back(spec.name);
-  }
-  return names;
 }
 
 size_t Table::DistinctCount(size_t index) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  const ColumnStats& stats = stats_[index];
-  switch (schema_[index].type) {
-    case ValueType::kInt64:
-      return stats.int_seen.size();
-    case ValueType::kDouble:
-      return stats.double_seen.size();
-    case ValueType::kString:
-      return stats.string_values.size();
-  }
-  return 0;
+  return stats_[index].DistinctCount();
 }
 
 std::vector<std::string> Table::StringValues(size_t index) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return stats_[index].string_values;
-}
-
-std::vector<std::string> Table::StringValues(const std::string& name) const {
-  auto index = ColumnIndex(name);
-  if (!index.ok()) return {};
-  return StringValues(*index);
+  return stats_[index].string_values();
 }
 
 Value Table::ValueAt(size_t row, size_t col) const {
-  return Snapshot().ValueAt(row, col);
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (const auto& run : runs_) {
+    if (row < run->num_rows()) return run->column(col).Get(row);
+    row -= run->num_rows();
+  }
+  return open_[col].Get(row);
 }
 
 ShardedSnapshot Table::SnapshotPartitions() const {
@@ -203,27 +124,21 @@ std::shared_ptr<Table> Table::Sample(double fraction) const {
     Status st = out->AppendRow(row);
     (void)st;  // Types match the source schema by construction.
   }
-  // The sample is complete: seal it into a columnar run so scans over it
-  // run as column batches (and cache per run).
+  // The sample is complete: seal it, so its snapshots copy no open rows.
   out->Flush();
   return out;
 }
 
 void Table::Flush() {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (mem_->size() > 0) FlushLocked();
+  if (open_.front().size() > 0) FlushLocked();
 }
 
 void Table::FlushLocked() {
-  std::shared_ptr<lsm::MemTable> full = mem_;
-  // Readers snapshotting between these two statements see either the
-  // memtable rows or the new run, never both: both assignments happen
-  // under mutex_, as does Snapshot().
-  runs_.push_back(lsm::Run::Build(
-      schema_, full->size(),
-      [&full](size_t r, size_t c) { return full->At(r, c); }));
-  mem_ = std::make_shared<lsm::MemTable>(schema_.size(),
-                                         ChunkRowsFor(options_));
+  // Readers snapshotting before or after this see the open rows either
+  // copied or sealed, never both: both happen under mutex_.
+  runs_.push_back(
+      lsm::Run::Freeze(std::exchange(open_, lsm::Run::EmptyColumns(schema_))));
   MaybeScheduleCompactionLocked();
 }
 
@@ -292,19 +207,19 @@ void Table::CompactionRound() {
   std::vector<std::shared_ptr<const lsm::Run>> merged;
   merged.reserve(windows.size());
   for (const lsm::CompactionWindow& window : windows) {
-    size_t total = 0;
-    for (size_t i = window.begin; i < window.end; ++i) {
-      total += runs[i]->num_rows();
+    std::vector<Column> columns = lsm::Run::EmptyColumns(schema_);
+    // Column by column: each merged dictionary still grows in the row
+    // order of the concatenated runs.
+    for (size_t c = 0; c < columns.size(); ++c) {
+      for (size_t i = window.begin; i < window.end; ++i) {
+        const Column& source = runs[i]->column(c);
+        for (size_t r = 0; r < source.size(); ++r) {
+          Status st = columns[c].Append(source.Get(r));
+          (void)st;  // Same schema, so the types match.
+        }
+      }
     }
-    merged.push_back(lsm::Run::Build(
-        schema_, total, [&runs, &window](size_t r, size_t c) {
-          size_t i = window.begin;
-          while (r >= runs[i]->num_rows()) {
-            r -= runs[i]->num_rows();
-            ++i;
-          }
-          return runs[i]->column(c).Get(r);
-        }));
+    merged.push_back(lsm::Run::Freeze(std::move(columns)));
   }
 
   std::lock_guard<std::mutex> lock(mutex_);
@@ -326,7 +241,7 @@ size_t Table::num_runs() const {
 
 size_t Table::memtable_rows() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return mem_->size();
+  return open_.front().size();
 }
 
 }  // namespace muve::db

@@ -6,13 +6,12 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
 #include "common/thread_pool.h"
+#include "db/column.h"
 #include "db/lsm/compaction.h"
-#include "db/lsm/memtable.h"
 #include "db/lsm/run.h"
 #include "db/relation.h"
 #include "db/schema.h"
@@ -24,8 +23,8 @@ class TableSnapshot;
 
 /// Storage-layer knobs of a versioned table.
 struct TableOptions {
-  /// Rows the memtable absorbs before it is sealed into an immutable
-  /// columnar run. A multiple of the vectorized batch size keeps run
+  /// Rows the open columns absorb before they are sealed into an
+  /// immutable run. A multiple of the vectorized batch size keeps run
   /// boundaries aligned with batch boundaries on big scans.
   size_t flush_threshold = 4096;
   /// Background compaction is scheduled once the run count exceeds this
@@ -41,18 +40,20 @@ struct TableOptions {
 /// MUVE queries a single table per voice query (paper §3), so the engine
 /// is a single-table engine with no join support.
 ///
-/// Layout: appends land in a row-oriented memtable; at
-/// `TableOptions::flush_threshold` rows the memtable is sealed into an
-/// immutable columnar `lsm::Run` and a fresh memtable starts. Background
-/// compaction (when enabled) concatenates adjacent runs into bigger
-/// ones. Run order preserves append order, so the logical row sequence —
-/// and every scan's accumulation order — is independent of the physical
-/// run layout.
+/// Layout: every stored row lives in a column. AppendRow appends each
+/// validated row straight into the open column set, which only the
+/// writer appends to; at `TableOptions::flush_threshold` rows (or on
+/// Flush()) the open columns are frozen into an immutable `lsm::Run` and
+/// a fresh set starts. Background compaction (when enabled) concatenates
+/// adjacent runs into bigger ones. Run order preserves append order, so
+/// the logical row sequence — and every scan's accumulation order — is
+/// independent of the physical run layout.
 ///
 /// Concurrency contract (single writer, concurrent readers): one thread
 /// at a time may call AppendRow, while any number of threads read
-/// through snapshots. `Snapshot()` returns an immutable view — the
-/// pinned run set plus a frozen memtable prefix — so an in-flight scan,
+/// through snapshots. `Snapshot()` returns an immutable list of
+/// runs — the sealed runs plus, when rows are open, a frozen copy of the
+/// open columns taken under the table mutex — so an in-flight scan,
 /// request, or serving session executes against one consistent version
 /// while the writer proceeds. Snapshots also pin retired runs (and the
 /// table itself) alive until the last reader drops them.
@@ -65,7 +66,6 @@ class Table : public Relation, public std::enable_shared_from_this<Table> {
       TableOptions options = {});
 
   const std::string& name() const override { return name_; }
-  size_t num_columns() const override { return schema_.size(); }
 
   /// Total rows appended so far. Under concurrent ingest this is a
   /// moving target — scans read a snapshot's row count instead.
@@ -86,28 +86,15 @@ class Table : public Relation, public std::enable_shared_from_this<Table> {
   /// caller; readers never need to coordinate with the writer.
   Status AppendRow(const std::vector<Value>& values);
 
-  /// An immutable, consistent view of the current contents: the run set
-  /// and the memtable prefix at this instant, pinned against flushes,
+  /// An immutable, consistent view of the current contents: the sealed
+  /// runs and a frozen copy of the open rows at this instant (O(open
+  /// rows), at most `flush_threshold`), pinned against flushes,
   /// compactions, and table destruction for the snapshot's lifetime.
   TableSnapshot Snapshot() const;
 
-  // --- Schema access -------------------------------------------------
+  // --- Schema and statistics -----------------------------------------
 
   const std::vector<ColumnSpec>& schema() const override { return schema_; }
-  const ColumnSpec& spec(size_t index) const override {
-    return schema_[index];
-  }
-
-  /// Index of a column by name (case insensitive).
-  Result<size_t> ColumnIndex(const std::string& name) const override;
-
-  /// All column names, in schema order.
-  std::vector<std::string> ColumnNames() const override;
-
-  /// Names of columns with the given type.
-  std::vector<std::string> ColumnNamesOfType(ValueType type) const override;
-
-  // --- Table statistics ----------------------------------------------
 
   /// Number of distinct values appended to column `index`, maintained
   /// incrementally on append.
@@ -118,12 +105,11 @@ class Table : public Relation, public std::enable_shared_from_this<Table> {
   /// Empty for numeric columns.
   std::vector<std::string> StringValues(size_t index) const override;
 
-  /// As above by (case-insensitive) column name; empty when the column
-  /// does not exist.
-  std::vector<std::string> StringValues(const std::string& name) const override;
+  using Relation::StringValues;
 
-  /// Value at (row, col) of the current contents. Convenience for tests
-  /// and serialization; scans use snapshots.
+  /// Value at (row, col) of the current contents, read in place under the
+  /// table mutex (no snapshot). Convenience for tests and data
+  /// generation; scans use snapshots.
   Value ValueAt(size_t row, size_t col) const;
 
   /// Builds a new table containing a deterministic row sample of
@@ -143,7 +129,7 @@ class Table : public Relation, public std::enable_shared_from_this<Table> {
 
   const TableOptions& options() const { return options_; }
 
-  /// Seals the current memtable into a run now (no-op when empty).
+  /// Seals the open columns into a run now (no-op when empty).
   void Flush();
 
   /// Synchronous compaction down to `TableOptions::target_runs`.
@@ -157,7 +143,9 @@ class Table : public Relation, public std::enable_shared_from_this<Table> {
   /// Pass nullptr to stop scheduling.
   void EnableBackgroundCompaction(ThreadPool* pool);
 
+  /// Sealed runs (the open rows are not a run until sealed).
   size_t num_runs() const;
+  /// Rows appended since the last seal.
   size_t memtable_rows() const;
 
  private:
@@ -166,7 +154,7 @@ class Table : public Relation, public std::enable_shared_from_this<Table> {
   Table(std::string name, std::vector<ColumnSpec> schema,
         TableOptions options);
 
-  /// Seals the memtable into a run. Caller holds `mutex_`.
+  /// Seals the open columns into a run. Caller holds `mutex_`.
   void FlushLocked();
 
   /// Submits one background compaction task if warranted. Caller holds
@@ -179,25 +167,21 @@ class Table : public Relation, public std::enable_shared_from_this<Table> {
   /// Entry point of the scheduled background task.
   void BackgroundCompact();
 
-  /// Per-column incremental distinct-value tracking. Guarded by mutex_.
-  struct ColumnStats {
-    std::vector<std::string> string_values;  ///< First-appearance order.
-    std::unordered_set<std::string> string_seen;
-    std::unordered_set<int64_t> int_seen;
-    std::unordered_set<double> double_seen;
-  };
-
   std::string name_;
   std::vector<ColumnSpec> schema_;
   TableOptions options_;
   std::atomic<size_t> num_rows_{0};
   std::atomic<uint64_t> version_{0};
 
-  /// Guards the storage state below (runs, memtable, stats, compaction
-  /// scheduling flag).
+  /// Guards the storage state below (runs, open columns, stats,
+  /// compaction scheduling flag).
   mutable std::mutex mutex_;
   std::vector<std::shared_ptr<const lsm::Run>> runs_;
-  std::shared_ptr<lsm::MemTable> mem_;
+  /// The open column set: rows appended since the last seal. Only the
+  /// writer appends to it; readers touch it only under mutex_ (the copy
+  /// Snapshot() freezes, ValueAt), so no scan reads a column being
+  /// appended to.
+  std::vector<Column> open_;
   std::vector<ColumnStats> stats_;
 
   ThreadPool* compaction_pool_ = nullptr;

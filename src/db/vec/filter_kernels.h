@@ -24,8 +24,8 @@ namespace muve::db::vec {
 /// selection order is always ascending, which downstream aggregate
 /// kernels rely on for bitwise-reproducible float accumulation.
 ///
-/// Comparison semantics match the value-at-a-time scans (the memtable
-/// tail, tests/testing/reference_executor.h) exactly: integer and
+/// Comparison semantics match the value-at-a-time reference scan
+/// (tests/testing/reference_executor.h) exactly: integer and
 /// dictionary-code equality is `==`; double equality is IEEE `==`
 /// (-0.0 matches 0.0, NaN matches nothing); an IN list accepts a row
 /// when any of its values matches.

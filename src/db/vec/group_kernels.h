@@ -22,7 +22,7 @@ inline constexpr uint32_t kNoGroup = UINT32_MAX;
 /// into `group_values` of the value that code spells, or kNoGroup.
 /// Group values absent from the dictionary get no entry (their cells
 /// stay empty); when the same value appears twice in `group_values`,
-/// the first occurrence wins, as in the memtable scan's value map.
+/// the first occurrence wins, as in the reference executor's value map.
 std::vector<uint32_t> BuildGroupLookup(
     const Column& column, const std::vector<std::string>& group_values);
 

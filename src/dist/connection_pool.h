@@ -82,11 +82,6 @@ class ConnectionPool {
 
   const Endpoint& endpoint() const { return endpoint_; }
 
-  size_t idle_count() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return idle_.size();
-  }
-
  private:
   const Endpoint endpoint_;
   const size_t max_idle_;

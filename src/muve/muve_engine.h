@@ -213,7 +213,6 @@ class MuveEngine {
   /// The backing relation (single or sharded), catalog surface only.
   const db::Relation& relation() const { return exec_engine_.relation(); }
   const nlq::SchemaIndex& schema_index() const { return *schema_index_; }
-  exec::Engine& exec_engine() { return exec_engine_; }
   const MuveOptions& options() const { return options_; }
 
   /// Counters of both session caches (all zero when disabled via

@@ -49,7 +49,6 @@ class SchemaIndex {
                            phonetic_options = {});
 
   const db::Relation& table() const { return *table_; }
-  std::shared_ptr<const db::Relation> table_ptr() const { return table_; }
 
   /// Absorbs string values appended to the table since construction or
   /// the last sync into the value indexes (the distinct-value suffix of

@@ -454,7 +454,7 @@ std::string VerbalizeQuery(const db::AggregateQuery& query) {
       break;
   }
   if (!query.aggregate_column.empty()) {
-    out += " " + Spoken(query.aggregate_column);
+    out.append(" ").append(Spoken(query.aggregate_column));
   } else {
     out += " records";
   }

@@ -28,9 +28,6 @@ enum class RequestClass {
 
 inline constexpr size_t kNumRequestClasses = 2;
 
-/// "interactive" / "replay".
-const char* RequestClassName(RequestClass cls);
-
 /// Bounded admission queue with two nested orders:
 ///
 ///   1. Across tenants: weighted fair dequeue (start-time fair queuing).

@@ -26,10 +26,7 @@ Server::Server(std::shared_ptr<const db::Relation> relation,
     : options_(options),
       sessions_(std::move(relation), options.sessions),
       queue_(options.max_queue_depth),
-      tenants_(options.default_tenant_quota, options.tenant_quotas),
-      max_in_flight_(options.max_in_flight > 0
-                         ? options.max_in_flight
-                         : std::max<size_t>(1, options.num_workers)) {
+      tenants_(options.default_tenant_quota, options.tenant_quotas) {
   const size_t workers = std::max<size_t>(1, options_.num_workers);
   pool_ = std::make_unique<ThreadPool>(workers);
   workers_.reserve(workers);
@@ -237,7 +234,6 @@ void Server::ProcessTask(TaskPtr task) {
     if (task == nullptr) return;
   }
 
-  InFlightSlot slot(this);
   const double service_start = NowMillis();
   Result<MuveEngine::Answer> result = Execute(*task);
   const double now = NowMillis();
@@ -360,22 +356,6 @@ Result<MuveEngine::Answer> Server::Execute(Task& task) {
   Result<MuveEngine::Answer> result = session->engine.Ask(request);
   session->queries_served.fetch_add(1, std::memory_order_relaxed);
   return result;
-}
-
-Server::InFlightSlot::InFlightSlot(Server* server) : server_(server) {
-  std::unique_lock<std::mutex> lock(server_->in_flight_mutex_);
-  server_->in_flight_cv_.wait(lock, [this] {
-    return server_->in_flight_ < server_->max_in_flight_;
-  });
-  ++server_->in_flight_;
-}
-
-Server::InFlightSlot::~InFlightSlot() {
-  {
-    std::lock_guard<std::mutex> lock(server_->in_flight_mutex_);
-    --server_->in_flight_;
-  }
-  server_->in_flight_cv_.notify_one();
 }
 
 void Server::Drain() {

@@ -2,7 +2,6 @@
 #define MUVE_SERVE_SERVER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <future>
@@ -34,10 +33,6 @@ struct ServerOptions {
   /// new requests fast with Status::Overloaded (backpressure instead of
   /// unbounded queueing).
   size_t max_queue_depth = 64;
-  /// Cap on requests executing concurrently; 0 means num_workers (the
-  /// natural limit — one request per worker). Setting it lower throttles
-  /// execution below the worker count (e.g. during incident response).
-  size_t max_in_flight = 0;
   /// Feasibility floor (ms): a finite-deadline request whose remaining
   /// budget is below this is shed with Status::Overloaded — at admission
   /// and again at dispatch (its budget may have drained in the queue) —
@@ -172,10 +167,6 @@ class Server {
   TenantCounters tenant_counters(const std::string& tenant_id) const {
     return tenants_.counters(tenant_id);
   }
-  /// Funnel counters for every tenant seen so far.
-  std::unordered_map<std::string, TenantCounters> tenant_stats() const {
-    return tenants_.all_counters();
-  }
   size_t queue_depth() const { return queue_.depth(); }
   size_t live_sessions() const { return sessions_.live_sessions(); }
   SessionManager& session_manager() { return sessions_; }
@@ -212,17 +203,6 @@ class Server {
   static bool Coalescible(const Request& request);
   double NowMillis() const;
 
-  /// Scoped in-flight slot: blocks until the concurrency cap allows
-  /// another executing request.
-  class InFlightSlot {
-   public:
-    explicit InFlightSlot(Server* server);
-    ~InFlightSlot();
-
-   private:
-    Server* server_;
-  };
-
   const ServerOptions options_;
   SessionManager sessions_;
   AdmissionQueue<TaskPtr> queue_;
@@ -236,11 +216,6 @@ class Server {
   bool joined_ = false;
   /// True while Stop() wants queued tasks shed rather than executed.
   std::atomic<bool> shed_queued_{false};
-
-  std::mutex in_flight_mutex_;
-  std::condition_variable in_flight_cv_;
-  size_t in_flight_ = 0;
-  const size_t max_in_flight_;
 
   mutable std::mutex stats_mutex_;
   ServerStats stats_;

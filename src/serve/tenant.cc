@@ -90,13 +90,4 @@ TenantCounters TenantAccountant::counters(
   return it != buckets_.end() ? it->second.counters : TenantCounters{};
 }
 
-std::unordered_map<std::string, TenantCounters>
-TenantAccountant::all_counters() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::unordered_map<std::string, TenantCounters> out;
-  out.reserve(buckets_.size());
-  for (const auto& [id, bucket] : buckets_) out.emplace(id, bucket.counters);
-  return out;
-}
-
 }  // namespace muve::serve

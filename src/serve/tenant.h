@@ -63,7 +63,6 @@ class TenantAccountant {
   void RecordShed(const std::string& tenant_id);
 
   TenantCounters counters(const std::string& tenant_id) const;
-  std::unordered_map<std::string, TenantCounters> all_counters() const;
 
  private:
   struct Bucket {

@@ -57,7 +57,7 @@ ShardedTable::ShardedTable(std::string name,
       schema_(std::move(schema)),
       options_(std::move(options)),
       shards_(std::move(shards)),
-      stats_(schema_.size()) {
+      stats_(db::ColumnStats::ForSchema(schema_)) {
   if (!options_.hash_column.empty()) {
     for (size_t i = 0; i < schema_.size(); ++i) {
       if (EqualsIgnoreCase(schema_[i].name, options_.hash_column)) {
@@ -120,54 +120,14 @@ Result<std::shared_ptr<ShardedTable>> ShardedTable::FromTable(
   return sharded;
 }
 
-Result<size_t> ShardedTable::ColumnIndex(const std::string& name) const {
-  for (size_t i = 0; i < schema_.size(); ++i) {
-    if (EqualsIgnoreCase(schema_[i].name, name)) return i;
-  }
-  return Status::NotFound("no column '" + name + "' in table '" + name_ +
-                          "'");
-}
-
-std::vector<std::string> ShardedTable::ColumnNames() const {
-  std::vector<std::string> names;
-  names.reserve(schema_.size());
-  for (const auto& spec : schema_) names.push_back(spec.name);
-  return names;
-}
-
-std::vector<std::string> ShardedTable::ColumnNamesOfType(
-    db::ValueType type) const {
-  std::vector<std::string> names;
-  for (const auto& spec : schema_) {
-    if (spec.type == type) names.push_back(spec.name);
-  }
-  return names;
-}
-
 size_t ShardedTable::DistinctCount(size_t index) const {
   std::lock_guard<std::mutex> lock(stats_mutex_);
-  const ColumnStats& stats = stats_[index];
-  switch (schema_[index].type) {
-    case db::ValueType::kInt64:
-      return stats.int_seen.size();
-    case db::ValueType::kDouble:
-      return stats.double_seen.size();
-    case db::ValueType::kString:
-      return stats.string_values.size();
-  }
-  return 0;
+  return stats_[index].DistinctCount();
 }
 
 std::vector<std::string> ShardedTable::StringValues(size_t index) const {
   std::lock_guard<std::mutex> lock(stats_mutex_);
-  return stats_[index].string_values;
-}
-
-std::vector<std::string> ShardedTable::StringValues(
-    const std::string& name) const {
-  auto index = ColumnIndex(name);
-  if (!index.ok()) return {};
-  return StringValues(*index);
+  return stats_[index].string_values();
 }
 
 size_t ShardedTable::RouteAt(uint64_t seq,
@@ -202,25 +162,9 @@ Status ShardedTable::AppendRow(const std::vector<db::Value>& values) {
   const size_t target = RouteAt(seq, values);
   MUVE_RETURN_NOT_OK(shards_[target]->AppendRow(values));
   {
-    // The shard validated and normalized the row; track global distincts
-    // with the same normalization (int64 promotes on DOUBLE columns).
+    // The shard validated the row.
     std::lock_guard<std::mutex> lock(stats_mutex_);
-    for (size_t i = 0; i < values.size(); ++i) {
-      ColumnStats& stats = stats_[i];
-      switch (schema_[i].type) {
-        case db::ValueType::kInt64:
-          stats.int_seen.insert(values[i].AsInt64());
-          break;
-        case db::ValueType::kDouble:
-          stats.double_seen.insert(values[i].AsDouble());
-          break;
-        case db::ValueType::kString:
-          if (stats.string_seen.insert(values[i].AsString()).second) {
-            stats.string_values.push_back(values[i].AsString());
-          }
-          break;
-      }
-    }
+    for (size_t i = 0; i < values.size(); ++i) stats_[i].Add(values[i]);
   }
   num_rows_.fetch_add(1, std::memory_order_release);
   version_.fetch_add(1, std::memory_order_release);
@@ -239,37 +183,23 @@ db::ShardedSnapshot ShardedTable::SnapshotPartitions() const {
 
 db::Value ShardedTable::ValueAt(size_t row, size_t col) const {
   for (const auto& shard : shards_) {
-    const db::TableSnapshot snapshot = shard->Snapshot();
-    if (row < snapshot.num_rows()) return snapshot.ValueAt(row, col);
-    row -= snapshot.num_rows();
+    const size_t rows = shard->num_rows();
+    if (row < rows) return shard->ValueAt(row, col);
+    row -= rows;
   }
   return db::Value();
 }
 
 void ShardedTable::RebuildStats() {
   std::lock_guard<std::mutex> lock(stats_mutex_);
-  stats_.assign(schema_.size(), ColumnStats());
+  stats_ = db::ColumnStats::ForSchema(schema_);
   size_t rows = 0;
   for (const auto& shard : shards_) {
     const db::TableSnapshot snapshot = shard->Snapshot();
     rows += snapshot.num_rows();
     for (size_t r = 0; r < snapshot.num_rows(); ++r) {
       for (size_t c = 0; c < schema_.size(); ++c) {
-        const db::Value value = snapshot.ValueAt(r, c);
-        ColumnStats& stats = stats_[c];
-        switch (schema_[c].type) {
-          case db::ValueType::kInt64:
-            stats.int_seen.insert(value.AsInt64());
-            break;
-          case db::ValueType::kDouble:
-            stats.double_seen.insert(value.AsDouble());
-            break;
-          case db::ValueType::kString:
-            if (stats.string_seen.insert(value.AsString()).second) {
-              stats.string_values.push_back(value.AsString());
-            }
-            break;
-        }
+        stats_[c].Add(snapshot.ValueAt(r, c));
       }
     }
   }

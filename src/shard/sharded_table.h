@@ -5,7 +5,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -79,21 +78,12 @@ class ShardedTable : public db::Relation,
   const std::vector<db::ColumnSpec>& schema() const override {
     return schema_;
   }
-  size_t num_columns() const override { return schema_.size(); }
-  const db::ColumnSpec& spec(size_t index) const override {
-    return schema_[index];
-  }
-  Result<size_t> ColumnIndex(const std::string& name) const override;
-  std::vector<std::string> ColumnNames() const override;
-  std::vector<std::string> ColumnNamesOfType(
-      db::ValueType type) const override;
   size_t num_rows() const override {
     return num_rows_.load(std::memory_order_acquire);
   }
   size_t DistinctCount(size_t index) const override;
   std::vector<std::string> StringValues(size_t index) const override;
-  std::vector<std::string> StringValues(
-      const std::string& name) const override;
+  using db::Relation::StringValues;
   /// Per-shard snapshots in shard order (see db::ShardedSnapshot for the
   /// consistency contract).
   db::ShardedSnapshot SnapshotPartitions() const override;
@@ -157,17 +147,11 @@ class ShardedTable : public db::Relation,
   std::atomic<size_t> num_rows_{0};
   std::atomic<uint64_t> version_{0};
 
-  /// Global per-column distinct tracking, mirroring db::Table's
-  /// ColumnStats semantics (string vocabularies in first-appearance
-  /// order of the global append sequence). Guarded by stats_mutex_.
-  struct ColumnStats {
-    std::vector<std::string> string_values;
-    std::unordered_set<std::string> string_seen;
-    std::unordered_set<int64_t> int_seen;
-    std::unordered_set<double> double_seen;
-  };
+  /// Global per-column statistics, fed in the global append sequence
+  /// (so string vocabularies are in global first-appearance order).
+  /// Guarded by stats_mutex_.
   mutable std::mutex stats_mutex_;
-  std::vector<ColumnStats> stats_;
+  std::vector<db::ColumnStats> stats_;
 };
 
 }  // namespace muve::shard

@@ -34,7 +34,7 @@ core::Multiplot AbstractMultiplot(const std::vector<size_t>& bars_per_plot,
     for (size_t b = 0; b < bars_per_plot[p]; ++b) {
       core::PlotBar bar;
       bar.candidate_index = candidate++;
-      bar.label = "v" + std::to_string(bar.candidate_index);
+      bar.label = std::string("v").append(std::to_string(bar.candidate_index));
       bar.value = 1.0;
       if (red_left > 0) {
         bar.highlighted = true;

@@ -83,6 +83,7 @@ std::shared_ptr<Table> MakeAdsTable(size_t num_rows, Rng* rng) {
          Value(clicks)});
     (void)st;
   }
+  table->Flush();
   return table;
 }
 
@@ -117,6 +118,7 @@ std::shared_ptr<Table> MakeDobTable(size_t num_rows, Rng* rng) {
          Value(rng->LogNormal(11.0, 1.5))});
     (void)st;
   }
+  table->Flush();
   return table;
 }
 
@@ -151,6 +153,7 @@ std::shared_ptr<Table> Make311Table(size_t num_rows, Rng* rng) {
          Value(rng->UniformInRange(1, 123))});
     (void)st;
   }
+  table->Flush();
   return table;
 }
 
@@ -197,6 +200,7 @@ std::shared_ptr<Table> MakeFlightsTable(size_t num_rows, Rng* rng) {
                rng->Normal(20.0, 10.0))});
     (void)st;
   }
+  table->Flush();
   return table;
 }
 

@@ -26,6 +26,10 @@ const std::vector<std::string>& DatasetNames();
 /// vocabularies contain phonetically confusable entries (so ASR noise
 /// yields plausible alternative queries), several numeric aggregation
 /// columns, and a row count that scales processing cost.
+///
+/// Every generator appends its rows one at a time and seals the table
+/// before it returns, so the last rows form a sealed run like the rest
+/// and snapshots of a static table copy no open rows.
 Result<std::shared_ptr<db::Table>> MakeDataset(std::string_view name,
                                                size_t num_rows,
                                                uint64_t seed);

@@ -87,7 +87,9 @@ TEST(LruCacheTest, CapacityOneThrashesButStaysCorrect) {
     int out = 0;
     ASSERT_TRUE(cache.Get(i, &out));
     EXPECT_EQ(out, i * i);
-    if (i > 0) EXPECT_FALSE(cache.Get(i - 1, &out));
+    if (i > 0) {
+      EXPECT_FALSE(cache.Get(i - 1, &out));
+    }
     EXPECT_EQ(cache.size(), 1u);
   }
   EXPECT_EQ(cache.stats().evictions, 9u);

@@ -891,16 +891,14 @@ TEST(ExecutorTest, VectorizedInListLargerThanOneBatch) {
                                     {"v", ValueType::kInt64}});
   constexpr int64_t kRows = 5000;
   for (int64_t r = 0; r < kRows; ++r) {
-    ASSERT_TRUE(table
-                    ->AppendRow({Value("s" + std::to_string(r % 3000)),
-                                 Value(r % 3000)})
-                    .ok());
+    Value key(std::string("s").append(std::to_string(r % 3000)));
+    ASSERT_TRUE(table->AppendRow({std::move(key), Value(r % 3000)}).ok());
   }
   std::vector<Value> int_list;
   std::vector<Value> string_list;
   for (int64_t k = 0; k < 2500; ++k) {
     int_list.emplace_back(k);
-    string_list.emplace_back("s" + std::to_string(k));
+    string_list.emplace_back(std::string("s").append(std::to_string(k)));
   }
   for (const Predicate& predicate :
        {Predicate::In("v", int_list), Predicate::In("s", string_list)}) {
@@ -1009,7 +1007,7 @@ TEST(CsvTest, Errors) {
 }
 
 // ---------------------------------------------------------------------
-// LSM storage: memtable flushes, compaction, snapshots.
+// LSM storage: flushes, compaction, snapshots.
 // ---------------------------------------------------------------------
 
 std::shared_ptr<Table> MakeLsmTable(size_t rows, TableOptions options) {
@@ -1037,7 +1035,7 @@ TEST(LsmTableTest, FlushAtThresholdSealsRuns) {
   EXPECT_EQ(table->num_rows(), 10u);
   EXPECT_EQ(table->version(), 10u);
 
-  // Explicit flush seals the tail; flushing an empty memtable is a noop.
+  // Explicit flush seals the open rows; flushing none is a noop.
   table->Flush();
   EXPECT_EQ(table->num_runs(), 3u);
   EXPECT_EQ(table->memtable_rows(), 0u);
@@ -1051,7 +1049,7 @@ TEST(LsmTableTest, ReadsSpanRunAndMemtableBoundaries) {
   TableOptions options;
   options.flush_threshold = 4;
   auto table = MakeLsmTable(11, options);
-  auto plain = MakeLsmTable(11, TableOptions{});  // Pure memtable.
+  auto plain = MakeLsmTable(11, TableOptions{});  // All rows open.
   ASSERT_EQ(table->num_rows(), plain->num_rows());
   for (size_t r = 0; r < table->num_rows(); ++r) {
     for (size_t c = 0; c < table->num_columns(); ++c) {
@@ -1195,7 +1193,7 @@ TEST(SnapshotTest, EmptySnapshotCloneFails) {
 // same read over the oracle, scanned either by db::Executor or by the
 // value-at-a-time reference executor (testing/reference_executor.h).
 //
-// 210 configurations by default: 5 seeds x 7 memtable-boundary row
+// 210 configurations by default: 5 seeds x 7 run-boundary row
 // counts x 3 thread counts x the two oracle scanners. MUVE_ORACLE_SEEDS
 // scales the seed dimension (the `slow` CTest variant raises it).
 // ---------------------------------------------------------------------
@@ -1359,8 +1357,8 @@ TEST_F(SnapshotOracleTest, WritesRaceReadsDifferentialOracle) {
 }
 
 /// A snapshot taken before the table (and its pool wiring) goes away
-/// keeps serving byte-stable reads: the last reference pins runs,
-/// memtable chunks, and the table object itself.
+/// keeps serving byte-stable reads: the last reference pins runs (the
+/// frozen open rows among them) and the table object itself.
 TEST_F(SnapshotOracleTest, SnapshotOutlivesTableAndCompactionPool) {
   TableSnapshot survivor;
   std::shared_ptr<Table> clone_check;

@@ -297,7 +297,7 @@ TEST(DeadlineExecutorTest, TimeoutRacingAFlushLeavesLaterScansExact) {
   ASSERT_FALSE(timed_out.ok());
   EXPECT_EQ(timed_out.status().code(), StatusCode::kTimeout);
 
-  // The writer proceeds: the memtable tail is sealed into a run and more
+  // The writer proceeds: the open rows are sealed into a run and more
   // rows stream in.
   table->Flush();
   for (size_t r = 0; r < 32; ++r) {

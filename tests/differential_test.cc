@@ -214,7 +214,8 @@ TEST_F(DifferentialTest, ExecutorSerialVsParallelGroupedScans) {
 // — including SUM/AVG — is compared with EXPECT_EQ, across thread
 // counts and full vs sampled tables. Row
 // counts sweep the batch boundaries (0, 1, 2047, 2048, 2049, 4099 rows
-// around the 2048-row batch) on a third of the seeds.
+// around the 2048-row batch) on a third of the seeds, on every other
+// sweep as one unsealed tail.
 // ---------------------------------------------------------------------
 
 /// Batch-boundary row counts: empty table, single row, one batch +/- 1,
@@ -225,11 +226,16 @@ constexpr size_t kBatchBoundaryRows[] = {0, 1, 2047, 2048, 2049, 4099};
 testing::RandomTableOptions VecTableOptions(int seed) {
   testing::RandomTableOptions options;
   if (seed % 3 == 0) {
+    const size_t sweep = static_cast<size_t>(seed / 3);
     const size_t rows =
-        kBatchBoundaryRows[static_cast<size_t>(seed / 3) %
-                           std::size(kBatchBoundaryRows)];
+        kBatchBoundaryRows[sweep % std::size(kBatchBoundaryRows)];
     options.min_rows = rows;
     options.max_rows = rows;
+    // Every other sweep never seals: the whole table is open rows, which
+    // each snapshot freezes into one run that may cross batch boundaries.
+    if (sweep / std::size(kBatchBoundaryRows) % 2 == 1) {
+      options.flush_threshold = rows + 1;
+    }
   }
   return options;
 }

@@ -21,7 +21,7 @@ Model RandomSmallMip(Rng* rng) {
   Model model;
   const int n = 4 + static_cast<int>(rng->UniformInt(3));
   for (int v = 0; v < n; ++v) {
-    model.AddInteger("x" + std::to_string(v), 0.0, 2.0);
+    model.AddInteger(std::string("x").append(std::to_string(v)), 0.0, 2.0);
     model.AddObjectiveTerm(v, rng->UniformDouble(-5.0, 5.0));
   }
   if (rng->Bernoulli(0.5)) model.SetSense(Sense::kMaximize);
@@ -197,7 +197,7 @@ TEST(SimplexTest, RandomizedFeasibilityCheck) {
     Model model;
     const int n = 4 + static_cast<int>(rng.UniformInt(4));
     for (int v = 0; v < n; ++v) {
-      model.AddVariable("x" + std::to_string(v), 0.0, 10.0);
+      model.AddVariable(std::string("x").append(std::to_string(v)), 0.0, 10.0);
       model.AddObjectiveTerm(v, rng.UniformDouble(-1.0, 1.0));
     }
     const int m = 3 + static_cast<int>(rng.UniformInt(4));
@@ -313,7 +313,7 @@ TEST(MipSolverTest, TimeoutReturnsIncumbent) {
   LinearExpr capacity;
   Rng rng(5);
   for (int i = 0; i < 30; ++i) {
-    const int x = model.AddBinary("x" + std::to_string(i));
+    const int x = model.AddBinary(std::string("x").append(std::to_string(i)));
     model.AddObjectiveTerm(x, rng.UniformDouble(1.0, 10.0));
     capacity.Add(x, rng.UniformDouble(1.0, 10.0));
   }
@@ -349,7 +349,7 @@ TEST(MipSolverTest, RandomizedKnapsacksMatchDynamicProgramming) {
     Model model;
     LinearExpr weight_expr;
     for (int i = 0; i < n; ++i) {
-      const int x = model.AddBinary("x" + std::to_string(i));
+      const int x = model.AddBinary(std::string("x").append(std::to_string(i)));
       model.AddObjectiveTerm(x, values[i]);
       weight_expr.Add(x, weights[i]);
     }
@@ -388,7 +388,7 @@ TEST(MipSolverTest, ThreadCountDoesNotChangeResults) {
   LinearExpr capacity;
   LinearExpr pairs;
   for (int i = 0; i < 16; ++i) {
-    const int x = model.AddBinary("x" + std::to_string(i));
+    const int x = model.AddBinary(std::string("x").append(std::to_string(i)));
     model.AddObjectiveTerm(x, rng.UniformDouble(1.0, 10.0));
     capacity.Add(x, rng.UniformDouble(1.0, 10.0));
     if (i % 2 == 0) pairs.Add(x, 1.0);
@@ -470,7 +470,7 @@ TEST(SimplexTest, ResolveMatchesColdSolveOnPerturbedBounds) {
     Model model;
     const int n = 5 + static_cast<int>(rng.UniformInt(4));
     for (int v = 0; v < n; ++v) {
-      model.AddVariable("x" + std::to_string(v), 0.0, 10.0);
+      model.AddVariable(std::string("x").append(std::to_string(v)), 0.0, 10.0);
       model.AddObjectiveTerm(v, rng.UniformDouble(-3.0, 3.0));
     }
     if (rng.Bernoulli(0.5)) model.SetSense(Sense::kMaximize);

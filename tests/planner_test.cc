@@ -357,7 +357,7 @@ TEST(ReductionTest, MultiplotSelectionSolvesKnapsack) {
     // Column-name length varies the plot width (the item weight).
     std::string column(2 + rng.UniformInt(8), 'a' + static_cast<char>(i));
     set.Add(MakeQuery(db::AggregateFunction::kCount, "",
-                      {{column, "v" + std::to_string(i)}}),
+                      {{column, std::string("v").append(std::to_string(i))}}),
             rng.UniformDouble(0.1, 1.0));
   }
   set.Normalize();
@@ -429,7 +429,7 @@ CandidateSet RandomProbabilities(Rng* rng, size_t n) {
   CandidateSet set;
   for (size_t i = 0; i < n; ++i) {
     set.Add(MakeQuery(db::AggregateFunction::kCount, "",
-                      {{"c", "v" + std::to_string(i)}}),
+                      {{"c", std::string("v").append(std::to_string(i))}}),
             rng->UniformDouble(0.01, 1.0));
   }
   set.Normalize();
@@ -578,7 +578,7 @@ TEST(BruteForcePlannerTest, RefusesHugeInstances) {
   CandidateSet set;
   for (int i = 0; i < 20; ++i) {
     set.Add(MakeQuery(db::AggregateFunction::kCount, "",
-                      {{"c", "v" + std::to_string(i)}}),
+                      {{"c", std::string("v").append(std::to_string(i))}}),
             0.05);
   }
   BruteForcePlanner planner;

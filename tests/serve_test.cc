@@ -562,7 +562,8 @@ TEST(ServerTest, ConcurrentMixedSessionLoadCompletesConsistently) {
   for (size_t t = 0; t < submitters; ++t) {
     threads.emplace_back([&, t] {
       for (size_t i = 0; i < per_submitter; ++i) {
-        const std::string session = "s" + std::to_string((t + i) % 3);
+        const std::string session =
+            std::string("s").append(std::to_string((t + i) % 3));
         const RequestClass cls = (t + i) % 4 == 0
                                      ? RequestClass::kReplay
                                      : RequestClass::kInteractive;
@@ -648,7 +649,7 @@ TEST(ServerTest, IngestRacingSessionsAnswerOneConsistentVersion) {
   std::thread writer([&] {
     // Fixed-shape rows keep every appended string inside the vocabulary
     // the schema index was built from; periodic flushes seal runs so
-    // reads race run hand-off and compaction, not just memtable growth.
+    // reads race run hand-off and compaction, not just open-row growth.
     uint64_t appended = 0;
     while (!stop.load(std::memory_order_acquire) && appended < 6000) {
       const Status st = table->AppendRow(
@@ -721,7 +722,9 @@ TEST(ServerTest, IngestRacingSessionsAnswerOneConsistentVersion) {
       // older than the table was at submit.
       EXPECT_GE(v, base_version);
       EXPECT_LE(v, obs.version_after);
-      if (!obs.served.shared) EXPECT_GE(v, obs.version_before);
+      if (!obs.served.shared) {
+        EXPECT_GE(v, obs.version_before);
+      }
       for (const std::vector<core::Plot>& row : answer.plan.multiplot.rows) {
         for (const core::Plot& plot : row) {
           for (const core::PlotBar& bar : plot.bars) {

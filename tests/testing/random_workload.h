@@ -34,10 +34,10 @@ struct RandomTableOptions {
   /// and miss and GROUP BY groups stay populated).
   size_t min_vocab = 3;
   size_t max_vocab = 8;
-  /// Memtable flush threshold for the generated table. Small enough
-  /// that every default-shaped random table (>= 500 rows) spans several
-  /// columnar runs plus a memtable tail, so scans cross run boundaries
-  /// (where per-run dictionaries and batch tiling restart).
+  /// Flush threshold of the generated table. Small enough that every
+  /// default-shaped random table (>= 500 rows) spans several sealed runs
+  /// plus open rows, so scans cross run boundaries (where per-run
+  /// dictionaries and batch tiling restart).
   size_t flush_threshold = 256;
   /// Draw double values on a dyadic grid (multiples of 2^-10 within
   /// +/-500) instead of the continuous range. Every partial sum of such
@@ -55,8 +55,10 @@ inline std::vector<std::string> MakeVocabulary(size_t column_index,
   std::vector<std::string> vocab;
   vocab.reserve(size);
   for (size_t k = 0; k < size; ++k) {
-    vocab.push_back("v" + std::to_string(k) + "c" +
-                    std::to_string(column_index));
+    vocab.push_back(std::string("v")
+                        .append(std::to_string(k))
+                        .append("c")
+                        .append(std::to_string(column_index)));
   }
   return vocab;
 }
@@ -77,7 +79,8 @@ inline std::shared_ptr<db::Table> RandomTable(
   std::vector<db::ColumnSpec> schema;
   std::vector<std::vector<std::string>> vocabularies;
   for (size_t c = 0; c < num_string; ++c) {
-    schema.push_back({"s" + std::to_string(c), db::ValueType::kString});
+    schema.push_back(
+        {std::string("s").append(std::to_string(c)), db::ValueType::kString});
     vocabularies.push_back(MakeVocabulary(
         c, static_cast<size_t>(rng->UniformInRange(
                static_cast<int64_t>(options.min_vocab),
@@ -87,7 +90,7 @@ inline std::shared_ptr<db::Table> RandomTable(
   for (size_t c = 0; c < num_numeric; ++c) {
     const bool is_int = rng->Bernoulli(0.5);
     numeric_is_int.push_back(is_int);
-    schema.push_back({"n" + std::to_string(c),
+    schema.push_back({std::string("n").append(std::to_string(c)),
                       is_int ? db::ValueType::kInt64
                              : db::ValueType::kDouble});
   }

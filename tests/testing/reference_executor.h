@@ -4,13 +4,13 @@
 /// Value-at-a-time reference for db::Executor, the oracle of the
 /// differential suites and of the vectorization smoke bench.
 ///
-/// It reads a TableSnapshot only through its public surface (`runs()`,
-/// each run's Columns, `memtable()`) and tests one row and one value at
-/// a time, with no batches, selection vectors or dictionary lookup
-/// tables. It keeps the executor's accumulation structure: runs in
-/// order, then the memtable tail; each cut into `grain`-row slices from
-/// its start; each slice folded from the merge identity; slice partials
-/// folded into their segment in order, segments into the total in order.
+/// It reads a TableSnapshot only through its public surface (`runs()`
+/// and each run's Columns) and tests one row and one value at a time,
+/// with no batches, selection vectors or dictionary lookup tables. It
+/// keeps the executor's accumulation structure: runs in order, each cut
+/// into `grain`-row slices from its start; each slice folded from the
+/// merge identity; slice partials folded into their run in order, runs
+/// into the total in order.
 /// Its results are therefore bitwise equal to db::Executor's at the same
 /// `parallel_grain`, at any thread count.
 ///
@@ -35,23 +35,16 @@ namespace muve::testing {
 
 namespace reference_internal {
 
-/// One cell of the snapshot, typed by its column: reads a run's Column
-/// or the memtable's materialized Value.
+/// One cell of the snapshot: a row of one run's Column.
 struct Cell {
-  const db::Column* column = nullptr;  ///< null: read `value`.
+  const db::Column* column = nullptr;
   size_t row = 0;
-  const db::Value* value = nullptr;
 
   const std::string& AsString() const {
-    return column != nullptr ? column->dictionary()[column->codes()[row]]
-                             : value->AsString();
+    return column->dictionary()[column->codes()[row]];
   }
-  int64_t AsInt64() const {
-    return column != nullptr ? column->int_data()[row] : value->AsInt64();
-  }
-  double AsDouble() const {
-    return column != nullptr ? column->NumericAt(row) : value->AsDouble();
-  }
+  int64_t AsInt64() const { return column->int_data()[row]; }
+  double AsDouble() const { return column->NumericAt(row); }
 };
 
 /// A predicate with its column resolved against the schema.
@@ -120,15 +113,19 @@ void Accept(size_t col, const Reader& read, size_t row,
 }
 
 /// Drives `scan_row(read, row, partial)` over every row of `snapshot`
-/// with the executor's segment/slice/fold structure; `read(row, col)`
-/// returns a segment-local Cell.
+/// with the executor's run/slice/fold structure; `read(row, col)`
+/// returns a run-local Cell.
 template <typename Partial, typename ScanRow>
 Partial Fold(const db::TableSnapshot& snapshot, size_t grain,
              const Partial& identity, const ScanRow& scan_row) {
   grain = std::max<size_t>(1, grain);
   Partial total = identity;
-  const auto scan_segment = [&](size_t rows, const auto& read) {
-    if (rows == 0) return;  // The executor skips empty segments.
+  for (const auto& run : snapshot.runs()) {
+    const size_t rows = run->num_rows();
+    if (rows == 0) continue;  // The executor skips empty runs.
+    const auto read = [&run](size_t row, size_t col) {
+      return Cell{&run->column(col), row};
+    };
     Partial segment = identity;
     for (size_t begin = 0; begin < rows; begin += grain) {
       Partial slice = identity;
@@ -138,16 +135,7 @@ Partial Fold(const db::TableSnapshot& snapshot, size_t grain,
       db::Executor::MergePartial(slice, &segment);
     }
     db::Executor::MergePartial(segment, &total);
-  };
-  for (const auto& run : snapshot.runs()) {
-    scan_segment(run->num_rows(), [&run](size_t row, size_t col) {
-      return Cell{&run->column(col), row, nullptr};
-    });
   }
-  const auto& mem = snapshot.memtable();
-  scan_segment(mem.rows, [&mem](size_t row, size_t col) {
-    return Cell{nullptr, 0, &mem.At(row, col)};
-  });
   return total;
 }
 

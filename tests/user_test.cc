@@ -22,7 +22,7 @@ core::Multiplot OnePlot(size_t bars, size_t red) {
   for (size_t i = 0; i < bars; ++i) {
     core::PlotBar bar;
     bar.candidate_index = i;
-    bar.label = "b" + std::to_string(i);
+    bar.label = std::string("b").append(std::to_string(i));
     bar.highlighted = i < red;
     plot.bars.push_back(bar);
   }
