@@ -11,6 +11,7 @@
 
 #include "bench/bench_util.h"
 #include "common/clock.h"
+#include "common/strings.h"
 #include "core/greedy_planner.h"
 #include "core/ilp_planner.h"
 #include "workload/datasets.h"
@@ -123,7 +124,7 @@ int main() {
   std::printf("\n-- Varying number of query candidates --\n");
   bench::PrintRow(header);
   for (size_t candidates : {4, 8, 12, 16}) {
-    PrintSetting("cand=" + std::to_string(candidates),
+    PrintSetting(StrCat({"cand=", std::to_string(candidates)}),
                  RunSetting(instances, candidates, defaults));
   }
 
@@ -132,7 +133,7 @@ int main() {
   for (int rows : {1, 2, 3}) {
     core::PlannerConfig config = defaults;
     config.geometry.max_rows = rows;
-    PrintSetting("rows=" + std::to_string(rows),
+    PrintSetting(StrCat({"rows=", std::to_string(rows)}),
                  RunSetting(instances, 8, config));
   }
 
@@ -141,7 +142,7 @@ int main() {
   for (double pixels : {375.0, 750.0, 1280.0, 1920.0}) {
     core::PlannerConfig config = defaults;
     config.geometry.width_px = pixels;
-    PrintSetting("px=" + bench::Fmt(pixels, 0),
+    PrintSetting(StrCat({"px=", bench::Fmt(pixels, 0)}),
                  RunSetting(instances, 8, config));
   }
 

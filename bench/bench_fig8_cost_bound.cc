@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "common/strings.h"
 #include "core/greedy_planner.h"
 #include "core/ilp_planner.h"
 #include "exec/engine.h"
@@ -99,7 +100,7 @@ int main() {
       total_processing += plan->processing_cost;
       total_time += plan->optimize_millis;
     }
-    bench::PrintRow({"ILP(P-Cost) b=" + bench::Fmt(fraction, 1),
+    bench::PrintRow({muve::StrCat({"ILP(P-Cost) b=", bench::Fmt(fraction, 1)}),
                      bench::Fmt(total_cost / n, 0),
                      bench::Fmt(total_processing / n, 0),
                      bench::Fmt(total_time / n, 1)},

@@ -18,6 +18,7 @@
 #include "bench/bench_util.h"
 #include "common/clock.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "common/thread_pool.h"
 #include "core/greedy_planner.h"
 #include "core/ilp_planner.h"
@@ -230,30 +231,10 @@ BENCHMARK(BM_GreedyPlannerParallel)
     ->Args({50, 2})
     ->Args({50, 8});
 
-/// Phonetic candidate generation with and without the session candidate
-/// cache (range(0): 0 = recompute, 1 = cached).
-void BM_CandidateGenerationCached(benchmark::State& state) {
-  auto table = Flights(2000);
-  auto index = std::make_shared<nlq::SchemaIndex>(table);
-  nlq::CandidateGenerator generator(index);
-  nlq::CandidateGenerator::Cache cache(64);
-  if (state.range(0) == 1) generator.set_cache(&cache);
-  db::AggregateQuery base;
-  base.table = "flights";
-  base.function = db::AggregateFunction::kAvg;
-  base.aggregate_column = "arr_delay";
-  base.predicates = {db::Predicate::Equals("origin", db::Value("boston"))};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(generator.Generate(base));
-  }
-  state.counters["hit_rate"] = cache.stats().hit_rate();
-}
-BENCHMARK(BM_CandidateGenerationCached)->Arg(0)->Arg(1);
-
 /// Full pipeline repeat-query latency: the same utterance asked over and
-/// over against one MuveEngine. range(0) is the session cache capacity
-/// (0 disables both session caches; warm runs hit the plan memo,
-/// skipping translation, generation and planning, and rerun the scans).
+/// over against one MuveEngine. range(0) is the plan memo capacity (0
+/// disables it; warm runs hit the memo, skipping translation, generation
+/// and planning, and rerun the scans).
 void BM_PipelineRepeatQuery(benchmark::State& state) {
   auto table = Flights(200000);
   MuveOptions options;
@@ -361,7 +342,7 @@ void BM_GroupByTemplate(benchmark::State& state) {
 }
 BENCHMARK(BM_GroupByTemplate);
 
-/// Candidate generation (no session cache) for the nyc311 translations,
+/// Candidate generation for the nyc311 translations,
 /// one base query per iteration.
 void BM_GenerateCandidates(benchmark::State& state) {
   const Nyc311FrontHalf& front = Nyc311Front();
@@ -397,7 +378,7 @@ void BM_SimplexSolve(benchmark::State& state) {
   ilp::LinearExpr capacity;
   const int n = static_cast<int>(state.range(0));
   for (int i = 0; i < n; ++i) {
-    const int x = model.AddVariable("x" + std::to_string(i), 0.0, 1.0);
+    const int x = model.AddVariable(StrCat({"x", std::to_string(i)}), 0.0, 1.0);
     model.AddObjectiveTerm(x, rng.UniformDouble(1.0, 10.0));
     capacity.Add(x, rng.UniformDouble(1.0, 10.0));
   }
@@ -458,7 +439,7 @@ void BM_MipKnapsack(benchmark::State& state) {
   ilp::LinearExpr capacity;
   const int n = 18;
   for (int i = 0; i < n; ++i) {
-    const int x = model.AddBinary("x" + std::to_string(i));
+    const int x = model.AddBinary(StrCat({"x", std::to_string(i)}));
     model.AddObjectiveTerm(x, 1.0 + (i * 37) % 11);
     capacity.Add(x, 1.0 + (i * 53) % 9);
   }
@@ -580,7 +561,7 @@ int RunServeJsonReport(const std::string& path) {
       for (int tier = -1;
            tier < static_cast<int>(std::size(budgets)); ++tier) {
         Request request = Request::Text(utterance);
-        // Bypass the session caches so every request pays (and measures)
+        // Bypass the plan memo so every request pays (and measures)
         // the full pipeline; tier -1 is the unbounded reference.
         request.bypass_cache = true;
         const bool bounded = tier >= 0;

@@ -210,21 +210,9 @@ int RunBench(const std::string& json_path, bool soak) {
   flood_load.tenant_id = "flood";
   flood_load.seed = 15;
 
-  // Session engines are expensive to build (calibration probe, speech
-  // lexicon); warm every session both phases will touch so the measured
-  // tail reflects steady-state serving, not mid-campaign cold starts.
-  const size_t warm_sessions =
-      std::max(gold_load.num_sessions, flood_load.num_sessions);
-  const auto warm = [&](serve::Server& server) {
-    for (size_t i = 0; i < warm_sessions; ++i) {
-      server.session_manager().Acquire("session-" + std::to_string(i));
-    }
-  };
-
   LoadReport gold_isolated;
   {
     serve::Server server(table, tenant_server);
-    warm(server);
     Result<LoadReport> result = workload::RunLoad(&server, *table, gold_load);
     if (!result.ok()) {
       return Fail("tenant_isolated", result.status().ToString());
@@ -241,7 +229,6 @@ int RunBench(const std::string& json_path, bool soak) {
   serve::TenantCounters flood_counters;
   {
     serve::Server server(table, tenant_server);
-    warm(server);
     Result<LoadReport> gold_result = LoadReport{};
     Result<LoadReport> flood_result = LoadReport{};
     std::thread flood_thread([&] {

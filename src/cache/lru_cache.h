@@ -12,11 +12,11 @@
 
 namespace muve::cache {
 
-/// Capacity-bounded, thread-safe LRU map used for both session caches in
-/// MUVE (phonetic candidate sets, compiled plans).
+/// Capacity-bounded, thread-safe LRU map: MUVE's compiled-plan memo.
 ///
 /// Semantics:
-///  - `Get` copies the value out and refreshes the entry's recency.
+///  - `Get` copies the value out and refreshes the entry's recency;
+///    `GetIf` does so only for an entry its predicate accepts.
 ///  - `Put` inserts or overwrites, evicting the least recently used entry
 ///    once `capacity` is exceeded.
 ///  - Capacity 0 is the disabled cache: `Put` is a no-op and `Get` always
@@ -24,7 +24,7 @@ namespace muve::cache {
 ///    a separate code branch.
 ///
 /// All operations take one internal mutex, so a cache may be shared by
-/// ThreadPool workers. Each cache counts its own hits, misses and
+/// concurrent callers. Each cache counts its own hits, misses and
 /// evictions.
 template <typename Key, typename Value, typename Hash = std::hash<Key>>
 class LruCache {
@@ -34,7 +34,6 @@ class LruCache {
   LruCache(const LruCache&) = delete;
   LruCache& operator=(const LruCache&) = delete;
 
-  size_t capacity() const { return capacity_; }
   bool enabled() const { return capacity_ > 0; }
 
   size_t size() const {
@@ -45,9 +44,16 @@ class LruCache {
   /// On a hit, copies the cached value into `*out`, marks the entry most
   /// recently used, and returns true. Every call counts a hit or a miss.
   bool Get(const Key& key, Value* out) {
+    return GetIf(key, [](const Value&) { return true; }, out);
+  }
+
+  /// As Get, but an entry for which `accept(value)` is false counts as a
+  /// miss and stays in place for a later Put to overwrite.
+  template <typename Accept>
+  bool GetIf(const Key& key, const Accept& accept, Value* out) {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = index_.find(key);
-    if (it == index_.end()) {
+    if (it == index_.end() || !accept(it->second->second)) {
       stats_.RecordMiss();
       return false;
     }
@@ -75,12 +81,6 @@ class LruCache {
       entries_.pop_back();
       stats_.RecordEvictions(1);
     }
-  }
-
-  void Clear() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    entries_.clear();
-    index_.clear();
   }
 
   StatsSnapshot stats() const { return stats_.Snapshot(); }

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
 
 namespace muve::cache {
 
@@ -20,14 +19,9 @@ struct StatsSnapshot {
 
   /// Fraction of lookups served from the cache (0 when never looked up).
   double hit_rate() const;
-
-  /// "hits=12 misses=3 evictions=0 hit_rate=0.800".
-  std::string ToString() const;
-
-  StatsSnapshot& operator+=(const StatsSnapshot& other);
 };
 
-/// Thread-safe hit/miss/eviction counters of one session cache. Counters
+/// Thread-safe hit/miss/eviction counters of one cache. Counters
 /// use relaxed atomics: they are monotonic tallies, never used to
 /// synchronize cached data (the cache's own mutex does that), so total
 /// ordering against cache contents is not required — only that every
@@ -45,8 +39,6 @@ class Stats {
   }
 
   StatsSnapshot Snapshot() const;
-
-  void Reset();
 
  private:
   std::atomic<uint64_t> hits_{0};

@@ -12,10 +12,7 @@ class StopWatch {
  public:
   StopWatch() : start_(Clock::now()) {}
 
-  /// Restarts the stopwatch.
-  void Reset() { start_ = Clock::now(); }
-
-  /// Elapsed time in milliseconds since construction or last Reset().
+  /// Elapsed time in milliseconds since construction.
   double ElapsedMillis() const {
     return std::chrono::duration<double, std::milli>(Clock::now() - start_)
         .count();

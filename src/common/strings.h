@@ -1,6 +1,7 @@
 #ifndef MUVE_COMMON_STRINGS_H_
 #define MUVE_COMMON_STRINGS_H_
 
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -21,6 +22,12 @@ std::vector<std::string> Split(std::string_view text, char sep);
 
 /// Splits on runs of ASCII whitespace, dropping empty tokens.
 std::vector<std::string> SplitWhitespace(std::string_view text);
+
+/// Concatenates `parts` into one string. Use it instead of a `+` chain
+/// that adds a temporary std::string to a literal: GCC 12 at -O3 may
+/// report a false -Wrestrict for `"literal" + <temporary std::string>`,
+/// depending on how the call is inlined.
+std::string StrCat(std::initializer_list<std::string_view> parts);
 
 /// Joins `parts` with `sep` between consecutive elements.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/clock.h"
+#include "common/strings.h"
 
 namespace muve::core {
 
@@ -90,14 +91,14 @@ Result<IlpFormulation> BuildFormulation(const CandidateSet& candidates,
     f.red_var[g].assign(num_rows, std::vector<int>(members, -1));
     for (size_t k = 0; k < num_rows; ++k) {
       const std::string suffix =
-          "_g" + std::to_string(g) + "_r" + std::to_string(k);
+          StrCat({"_g", std::to_string(g), "_r", std::to_string(k)});
       f.plot_var[g][k] = model.AddBinary("p" + suffix);
       red_plot_var[g][k] = model.AddBinary("s" + suffix);
       for (size_t m = 0; m < members; ++m) {
         f.bar_var[g][k][m] =
-            model.AddBinary("q" + suffix + "_m" + std::to_string(m));
+            model.AddBinary(StrCat({"q", suffix, "_m", std::to_string(m)}));
         f.red_var[g][k][m] =
-            model.AddBinary("h" + suffix + "_m" + std::to_string(m));
+            model.AddBinary(StrCat({"h", suffix, "_m", std::to_string(m)}));
       }
     }
   }
@@ -111,9 +112,9 @@ Result<IlpFormulation> BuildFormulation(const CandidateSet& candidates,
   std::vector<int>& red_var = f.highlighted_var;
   std::vector<int>& plain_var = f.plain_var;
   for (size_t i = 0; i < num_queries; ++i) {
-    shown_var[i] = model.AddBinary("qi_" + std::to_string(i));
-    red_var[i] = model.AddBinary("hi_" + std::to_string(i));
-    plain_var[i] = model.AddBinary("di_" + std::to_string(i));
+    shown_var[i] = model.AddBinary(StrCat({"qi_", std::to_string(i)}));
+    red_var[i] = model.AddBinary(StrCat({"hi_", std::to_string(i)}));
+    plain_var[i] = model.AddBinary(StrCat({"di_", std::to_string(i)}));
   }
 
   // Aggregates: total bars B, red bars B_R, plots P, plots-with-red P_R.
@@ -287,7 +288,7 @@ Result<IlpFormulation> BuildFormulation(const CandidateSet& candidates,
     // Which processing groups cover each candidate.
     std::vector<std::vector<int>> covering(num_queries);
     for (size_t j = 0; j < groups.size(); ++j) {
-      f.processing_var[j] = model.AddBinary("g_" + std::to_string(j));
+      f.processing_var[j] = model.AddBinary(StrCat({"g_", std::to_string(j)}));
       f.processing_cost[j] = groups[j].cost;
       for (size_t i : groups[j].member_candidates) {
         if (i < num_queries) {

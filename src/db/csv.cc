@@ -5,6 +5,7 @@
 #include <sstream>
 #include <vector>
 
+#include "common/strings.h"
 #include "db/snapshot.h"
 
 namespace muve::db {
@@ -137,10 +138,10 @@ Result<std::shared_ptr<Table>> ReadCsv(const std::string& table_name,
     if (line.empty()) continue;
     std::vector<std::string> fields = SplitRecord(line);
     if (fields.size() != header.size()) {
-      return Status::ParseError("row " + std::to_string(rows.size() + 2) +
-                                " has " + std::to_string(fields.size()) +
-                                " fields, expected " +
-                                std::to_string(header.size()));
+      return Status::ParseError(
+          StrCat({"row ", std::to_string(rows.size() + 2), " has ",
+                  std::to_string(fields.size()), " fields, expected ",
+                  std::to_string(header.size())}));
     }
     rows.push_back(std::move(fields));
   }
@@ -176,19 +177,17 @@ Result<std::shared_ptr<Table>> ReadCsv(const std::string& table_name,
       switch (schema[c].type) {
         case ValueType::kInt64:
           if (!LooksLikeInt(text)) {
-            return Status::ParseError("row " + std::to_string(r + 2) +
-                                      ", column '" + schema[c].name +
-                                      "': expected integer, got '" + text +
-                                      "'");
+            return Status::ParseError(StrCat(
+                {"row ", std::to_string(r + 2), ", column '", schema[c].name,
+                 "': expected integer, got '", text, "'"}));
           }
           values[c] = Value(static_cast<int64_t>(std::stoll(text)));
           break;
         case ValueType::kDouble:
           if (!LooksLikeDouble(text)) {
-            return Status::ParseError("row " + std::to_string(r + 2) +
-                                      ", column '" + schema[c].name +
-                                      "': expected number, got '" + text +
-                                      "'");
+            return Status::ParseError(StrCat(
+                {"row ", std::to_string(r + 2), ", column '", schema[c].name,
+                 "': expected number, got '", text, "'"}));
           }
           values[c] = Value(std::stod(text));
           break;

@@ -8,6 +8,7 @@
 #include <string>
 #include <utility>
 
+#include "common/strings.h"
 #include "db/lsm/run.h"
 #include "db/snapshot.h"
 #include "db/vec/aggregate_kernels.h"
@@ -631,8 +632,8 @@ Result<typename Scanner::Partial> ScanSnapshot(const TableSnapshot& snapshot,
 std::string GroupByQuery::ToSql() const {
   std::string sql = "SELECT " + group_column;
   for (const AggregateSpec& agg : aggregates) {
-    sql += ", " + std::string(AggregateFunctionName(agg.function)) + "(" +
-           (agg.column.empty() ? "*" : agg.column) + ")";
+    sql += StrCat({", ", AggregateFunctionName(agg.function), "(",
+                   agg.column.empty() ? "*" : agg.column, ")"});
   }
   sql += " FROM " + table;
   std::vector<Predicate> all = shared_predicates;

@@ -49,7 +49,7 @@ std::string QuoteIfString(const Value& value) {
 
 std::string Predicate::ToSql() const {
   if (op == PredicateOp::kEq) {
-    return column + " = " + QuoteIfString(values.front());
+    return StrCat({column, " = ", QuoteIfString(values.front())});
   }
   std::string out = column + " IN (";
   for (size_t i = 0; i < values.size(); ++i) {
@@ -77,7 +77,7 @@ std::string AggregateQuery::AggregateSql() const {
 }
 
 std::string AggregateQuery::ToSql() const {
-  std::string sql = "SELECT " + AggregateSql() + " FROM " + table;
+  std::string sql = StrCat({"SELECT ", AggregateSql(), " FROM ", table});
   if (!predicates.empty()) {
     sql += " WHERE ";
     for (size_t i = 0; i < predicates.size(); ++i) {
@@ -106,8 +106,8 @@ std::string AggregateQuery::CanonicalKey() const {
   // never NULL), so the aggregate column does not discriminate COUNTs.
   const std::string agg_column =
       function == AggregateFunction::kCount ? "" : ToLower(aggregate_column);
-  return ToLower(table) + "|" + AggregateFunctionName(function) + "|" +
-         agg_column + "|" + Join(parts, "&");
+  return StrCat({ToLower(table), "|", AggregateFunctionName(function), "|",
+                 agg_column, "|", Join(parts, "&")});
 }
 
 }  // namespace muve::db

@@ -234,24 +234,24 @@ class Parser {
 
   Status ExpectKeyword(std::string_view keyword) {
     if (!PeekKeyword(keyword)) {
-      return Status::ParseError("expected " + std::string(keyword) +
-                                ", got '" + Peek().text + "'");
+      return Status::ParseError(
+          StrCat({"expected ", keyword, ", got '", Peek().text, "'"}));
     }
     Advance();
     return Status::OK();
   }
   Status ExpectSymbol(std::string_view symbol) {
     if (!PeekSymbol(symbol)) {
-      return Status::ParseError("expected '" + std::string(symbol) +
-                                "', got '" + Peek().text + "'");
+      return Status::ParseError(
+          StrCat({"expected '", symbol, "', got '", Peek().text, "'"}));
     }
     Advance();
     return Status::OK();
   }
   Result<std::string> ExpectIdentifier() {
     if (Peek().type != TokenType::kIdentifier) {
-      return Status::ParseError("expected identifier, got '" + Peek().text +
-                                "'");
+      return Status::ParseError(
+          StrCat({"expected identifier, got '", Peek().text, "'"}));
     }
     std::string text = Peek().text;
     Advance();

@@ -10,6 +10,7 @@
 
 #include "common/clock.h"
 #include "common/status.h"
+#include "common/strings.h"
 #include "net/async_client.h"
 
 namespace muve::dist {
@@ -20,7 +21,7 @@ struct Endpoint {
   uint16_t port = 0;
 
   std::string ToString() const {
-    return host + ":" + std::to_string(port);
+    return StrCat({host, ":", std::to_string(port)});
   }
 };
 

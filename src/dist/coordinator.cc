@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <utility>
 
+#include "common/strings.h"
 #include "net/async_client.h"
 #include "net/protocol.h"
 
@@ -446,7 +447,8 @@ Coordinator::ExecuteGroupedPartialAll(const db::GroupByQuery& query,
 
 Status Coordinator::Ping(size_t shard, double timeout_ms) {
   if (shard >= shards_.size()) {
-    return Status::InvalidArgument("no shard " + std::to_string(shard));
+    return Status::InvalidArgument(
+        StrCat({"no shard ", std::to_string(shard)}));
   }
   Shard& target = *shards_[shard];
   const Deadline deadline = Deadline::AfterMillis(timeout_ms, clock_);
@@ -470,9 +472,9 @@ Status Coordinator::PingAll(double per_shard_timeout_ms) {
     Status status = Ping(i, per_shard_timeout_ms);
     if (!status.ok()) {
       return Status(status.code(),
-                    "shard " + std::to_string(i) + " (" +
-                        shards_[i]->pool.endpoint().ToString() +
-                        "): " + status.message());
+                    StrCat({"shard ", std::to_string(i), " (",
+                            shards_[i]->pool.endpoint().ToString(), "): ",
+                            status.message()}));
     }
   }
   return Status::OK();
@@ -503,7 +505,8 @@ std::string Coordinator::StatsJson() const {
     auto field = [&out](const char* name, uint64_t value) {
       out += ",\"";
       out += name;
-      out += "\":" + std::to_string(value);
+      out += "\":";
+      out += std::to_string(value);
     };
     field("requests", counters.requests);
     field("retries", counters.retries);

@@ -28,9 +28,9 @@ struct UnitOutcome {
 
 /// Scans one merge unit over `snapshot` through shard::ScatterGather.
 /// `scatter` says how the scan draws from the shared pool
-/// (`executor.pool` row-partitions a one-partition scan, `shard_pool`
-/// runs shard scans as parallel tasks), its deadline, and — for the
-/// router — the remote backend. Values of a sampled scan
+/// (`executor.pool` row-partitions a one-partition scan or runs shard
+/// scans as parallel tasks), its deadline, and — for the router — the
+/// remote backend. Values of a sampled scan
 /// (`sample_fraction` < 1) are scaled back up.
 UnitOutcome ExecuteUnit(const MergeUnit& unit,
                         const db::ShardedSnapshot& snapshot,
@@ -186,12 +186,9 @@ Status Engine::ExecuteUnitsBounded(const std::vector<MergeUnit>& units,
   // Independent units run concurrently with serial per-unit scans: never
   // two levels of parallelism at once, so pool tasks never wait on
   // sub-tasks of the same pool. A lone unit instead parallelizes its
-  // scan — by rows (one partition), or across shards with row
-  // partitioning inside each shard task's slack.
-  ThreadPool* const scan_pool = units.size() == 1 ? pool_.get() : nullptr;
+  // scan — by rows (one partition), or across shards.
   shard::ScatterOptions base_options;  // No deadline: uncancellable.
-  base_options.executor.pool = scan_pool;
-  base_options.shard_pool = scan_pool;
+  base_options.executor.pool = units.size() == 1 ? pool_.get() : nullptr;
   // Remote partials apply only to the primary relation: samples are
   // local tables the router materialized itself (the shard servers hold
   // full-resolution stripes, not samples).

@@ -1,6 +1,5 @@
 #include "muve/muve_engine.h"
 
-#include <cctype>
 #include <utility>
 #include <vector>
 
@@ -63,30 +62,7 @@ std::string Degradation::Describe() const {
 }
 
 std::string MuveEngine::NormalizedTranscriptKey(std::string_view text) {
-  // Mirrors the translator's TokenizeUtterance cleanup (lowercase, keep
-  // alphanumerics and underscores, drop apostrophes, everything else
-  // separates tokens) so the memo key is exactly the translator's view of
-  // the transcript.
-  std::string cleaned;
-  cleaned.reserve(text.size());
-  for (char c : text) {
-    if (std::isalnum(static_cast<unsigned char>(c)) || c == ' ' ||
-        c == '_') {
-      cleaned += static_cast<char>(
-          std::tolower(static_cast<unsigned char>(c)));
-    } else if (c == '\'') {
-      // "what's" -> "whats".
-    } else {
-      cleaned += ' ';
-    }
-  }
-  std::string key;
-  key.reserve(cleaned.size());
-  for (const std::string& token : SplitWhitespace(cleaned)) {
-    if (!key.empty()) key += ' ';
-    key += token;
-  }
-  return key;
+  return Join(nlq::TokenizeUtterance(text), " ");
 }
 
 core::Multiplot MuveEngine::BaseOnlyMultiplot(
@@ -124,9 +100,7 @@ MuveEngine::MuveEngine(std::shared_ptr<const db::Relation> relation,
                         .pool = exec_engine_.thread_pool()})),
       translator_(schema_index_),
       generator_(schema_index_),
-      candidate_cache_(options_.cache_capacity),
       plan_memo_(options_.cache_capacity) {
-  generator_.set_cache(&candidate_cache_);
   // The speech simulator's lexicon: table vocabulary + query stop words.
   std::vector<std::string> lexicon = workload::BuildVocabulary(*relation);
   for (const char* word :
@@ -139,20 +113,19 @@ MuveEngine::MuveEngine(std::shared_ptr<const db::Relation> relation,
 
 PipelineCacheStats MuveEngine::cache_stats() const {
   PipelineCacheStats stats;
-  stats.candidates = candidate_cache_.stats();
   stats.plans = plan_memo_.stats();
   return stats;
 }
 
 Result<MuveEngine::Answer> MuveEngine::Ask(const Request& request) {
   // Absorb any vocabulary the table gained since the last request (one
-  // atomic compare when nothing was appended). New linkable values change
-  // what the front half would compute, so the structures keyed on the old
-  // vocabulary — candidate sets and memoized plans — are dropped.
-  if (schema_index_->SyncWithTable()) {
-    candidate_cache_.Clear();
-    plan_memo_.Clear();
-  }
+  // atomic compare when nothing was appended), then read the vocabulary
+  // generation this request's front half is computed against. Memo
+  // entries carry the generation they were computed at and replay only
+  // while it is still current, so a front half computed before a
+  // concurrent request absorbed new values is never replayed after it.
+  schema_index_->SyncWithTable();
+  const uint64_t generation = schema_index_->values_absorbed();
 
   const auto observe = [&request](Request::Stage stage) {
     if (request.stage_observer) request.stage_observer(stage);
@@ -172,9 +145,9 @@ Result<MuveEngine::Answer> MuveEngine::Ask(const Request& request) {
   }
 
   const bool use_ilp = request.use_ilp.value_or(options_.use_ilp);
-  // A request overriding the session planner must neither replay nor fill
-  // the compiled-plan memo: its plans would not match what the session
-  // default computes for the same transcript.
+  // A request overriding the engine's planner must neither replay nor
+  // fill the compiled-plan memo: its plans would not match what the
+  // engine default computes for the same transcript.
   const bool memo_eligible = plan_memo_.enabled() &&
                              !request.bypass_cache &&
                              use_ilp == options_.use_ilp;
@@ -182,15 +155,19 @@ Result<MuveEngine::Answer> MuveEngine::Ask(const Request& request) {
   // Compiled-plan memo: a repeated (normalized) transcript skips
   // translation, candidate generation, and planning. Only successful,
   // undegraded pipelines are memoized, and the pipeline up to execution
-  // is deterministic in the transcript, so a hit replays exactly what a
-  // fresh unconstrained run would compute. Execution always reruns so
-  // answers reflect the table's current contents.
+  // is deterministic in the transcript and the vocabulary, so a hit at
+  // the current generation replays exactly what a fresh unconstrained run
+  // would compute. Execution always reruns so answers reflect the table's
+  // current contents.
   bool replayed = false;
   std::string memo_key;
   if (memo_eligible) {
     memo_key = NormalizedTranscriptKey(answer.transcript);
     PlanMemoEntry memo;
-    if (plan_memo_.Get(memo_key, &memo)) {
+    const auto current = [generation](const PlanMemoEntry& entry) {
+      return entry.vocabulary_generation == generation;
+    };
+    if (plan_memo_.GetIf(memo_key, current, &memo)) {
       answer.base_query = std::move(memo.base_query);
       answer.base_confidence = memo.base_confidence;
       answer.candidates = std::move(memo.candidates);
@@ -219,7 +196,6 @@ Result<MuveEngine::Answer> MuveEngine::Ask(const Request& request) {
     StopWatch generate_watch;
     nlq::CandidateGenerator::GenerationConstraints constraints;
     constraints.deadline = StageBudget(deadline, 15.0, 90.0);
-    constraints.bypass_cache = request.bypass_cache;
     bool capped = false;
     answer.candidates =
         generator_.Generate(translation.query, translation.confidence,
@@ -319,6 +295,7 @@ Result<MuveEngine::Answer> MuveEngine::Ask(const Request& request) {
       !answer.execution.deadline_hit &&
       answer.execution.shards_dropped == 0) {
     PlanMemoEntry memo;
+    memo.vocabulary_generation = generation;
     memo.base_query = answer.base_query;
     memo.base_confidence = answer.base_confidence;
     memo.candidates = answer.candidates;

@@ -36,26 +36,20 @@ struct MuveOptions {
   exec::EngineOptions execution;
   /// Plan with the ILP solver instead of the greedy solver.
   bool use_ilp = false;
-  /// The one session-cache knob: entries in each of the pipeline's two
-  /// session caches (phonetic-candidate cache, compiled-plan memo). 0
-  /// disables both — every query takes the exact uncached path.
+  /// Entries in the compiled-plan memo, the pipeline's one front-half
+  /// cache. 0 disables it — every query takes the exact uncached path.
   size_t cache_capacity = 256;
 };
 
-/// Hit/miss/eviction/invalidation counters of the pipeline's session
-/// caches, one snapshot per cache layer.
+/// Hit/miss/eviction counters of the pipeline's caches.
 struct PipelineCacheStats {
   /// Unused; kept until the next benchmark change removes perfbench's
   /// reference.
   cache::StatsSnapshot results;
-  cache::StatsSnapshot candidates;  ///< Phonetic-candidate cache.
-  cache::StatsSnapshot plans;       ///< Compiled-plan memo.
-
-  cache::StatsSnapshot Total() const {
-    cache::StatsSnapshot total = candidates;
-    total += plans;
-    return total;
-  }
+  /// Unused; kept until the next benchmark change removes perfbench's
+  /// reference.
+  cache::StatsSnapshot candidates;
+  cache::StatsSnapshot plans;  ///< Compiled-plan memo.
 };
 
 /// One serving request: the input (recognized text, or a clean utterance
@@ -89,10 +83,10 @@ struct Request {
   Deadline deadline;
   /// Per-request planner override; unset inherits MuveOptions::use_ilp.
   /// An overriding request never reads or fills the compiled-plan memo
-  /// (its plans would not replay for the session default).
+  /// (its plans would not replay for the engine default).
   std::optional<bool> use_ilp;
-  /// Skip both session caches (candidates, plan memo) for this request,
-  /// reads and writes alike.
+  /// Skip the compiled-plan memo for this request, reads and writes
+  /// alike.
   bool bypass_cache = false;
   /// Test hook, invoked at entry of each stage that runs (before any of
   /// its work). Deadline tests advance a FakeClock here to force expiry
@@ -177,7 +171,9 @@ struct Degradation {
 /// (visualization planner) -> merged query execution -> multiplot with
 /// results.
 ///
-/// Ask() serves one Request end to end under its deadline.
+/// Ask() serves one Request end to end under its deadline, and may be
+/// called concurrently: one engine serves every session of a server, and
+/// its plan memo is shared by all of them.
 class MuveEngine {
  public:
   /// The full answer to one voice query.
@@ -203,7 +199,7 @@ class MuveEngine {
 
   /// Serves one request end to end. With an infinite deadline and default
   /// controls the answer is byte-identical at every thread count and with
-  /// or without the session caches; under a finite deadline the
+  /// or without the plan memo; under a finite deadline the
   /// answer returns within the deadline plus at most one executor
   /// partition grain, degraded down the ladder
   /// exact -> degraded plan -> base-query-only plot as needed
@@ -215,17 +211,16 @@ class MuveEngine {
   const nlq::SchemaIndex& schema_index() const { return *schema_index_; }
   const MuveOptions& options() const { return options_; }
 
-  /// Counters of both session caches (all zero when disabled via
+  /// Counters of the plan memo (all zero when disabled via
   /// cache_capacity = 0).
   PipelineCacheStats cache_stats() const;
 
-  /// Whitespace-normalized lowercase token stream of a transcript,
-  /// mirroring the translator's own input normalization: transcripts with
-  /// equal keys translate (and therefore plan) identically. Public
-  /// because the serving layer keys shared-work coalescing on it — two
-  /// concurrent requests with equal keys compute identical answers over
-  /// the same table and engine options, so one pipeline execution can
-  /// serve both.
+  /// The translator's token stream of a transcript (nlq::TokenizeUtterance)
+  /// joined by single spaces: transcripts with equal keys translate (and
+  /// therefore plan) identically. Public because the serving layer keys
+  /// shared-work coalescing on it — two concurrent requests with equal
+  /// keys compute identical answers over the same table and engine
+  /// options, so one pipeline execution can serve both.
   static std::string NormalizedTranscriptKey(std::string_view text);
 
  private:
@@ -236,6 +231,11 @@ class MuveEngine {
   /// Degraded front halves are never memoized — a later unconstrained
   /// request must not replay a capped distribution or truncated plan.
   struct PlanMemoEntry {
+    /// SchemaIndex::values_absorbed() read before this front half was
+    /// computed. The entry replays only while no value has been absorbed
+    /// since: a new value can change the translation and the candidates,
+    /// while a plain append cannot.
+    uint64_t vocabulary_generation = 0;
     db::AggregateQuery base_query;
     double base_confidence = 0.0;
     core::CandidateSet candidates;
@@ -258,7 +258,6 @@ class MuveEngine {
   nlq::Translator translator_;
   nlq::CandidateGenerator generator_;
   std::unique_ptr<speech::SpeechSimulator> speech_;
-  nlq::CandidateGenerator::Cache candidate_cache_;
   cache::LruCache<std::string, PlanMemoEntry> plan_memo_;
 };
 

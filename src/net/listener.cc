@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "common/strings.h"
 #include "net/wire.h"
 
 namespace muve::net {
@@ -130,7 +131,7 @@ void Listener::AcceptLoop() {
 }
 
 void Listener::ServeConnection(uint64_t conn_id, int fd) {
-  const std::string session_id = "conn-" + std::to_string(conn_id);
+  const std::string session_id = StrCat({"conn-", std::to_string(conn_id)});
   Frame frame;
   for (;;) {
     Result<bool> more = ReadFrame(fd, &frame);

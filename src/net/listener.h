@@ -53,9 +53,10 @@ struct ListenerStats {
 /// (protocol.h) serially — one request, one response, in order.
 ///
 /// Each connection is its own serving session ("conn-<n>"), so a
-/// connection gets session-cache affinity and its requests inherit the
-/// server's admission control, per-tenant quotas, and single-flight
-/// coalescing exactly as in-process callers do.
+/// connection's voice requests draw from their own noise stream. Its
+/// requests share the server's one engine, plan memo included, and
+/// inherit the server's admission control, per-tenant quotas, and
+/// single-flight coalescing exactly as in-process callers do.
 ///
 /// A malformed payload inside an intact frame answers with an Error
 /// frame and keeps the connection; a broken frame stream closes it.

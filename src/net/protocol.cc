@@ -6,6 +6,7 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include "common/strings.h"
 #include "net/wire.h"
 
 namespace muve::net {
@@ -69,7 +70,8 @@ Result<uint32_t> ParseFrameLength(std::string_view header) {
   WireReader r(header);
   MUVE_ASSIGN_OR_RETURN(const uint32_t length, r.ReadU32());
   if (length == 0 || length > kMaxFrameBytes) {
-    return Status::ParseError("bad frame length " + std::to_string(length));
+    return Status::ParseError(
+        StrCat({"bad frame length ", std::to_string(length)}));
   }
   return length;
 }

@@ -15,12 +15,14 @@
 #include <limits>
 #include <string>
 
+#include "common/strings.h"
+
 namespace muve::net {
 
 namespace {
 
 Status Errno(const std::string& what) {
-  return Status::Internal(what + ": " + std::strerror(errno));
+  return Status::Internal(StrCat({what, ": ", std::strerror(errno)}));
 }
 
 /// Finishes a non-blocking connect: polls for writability, then reads
@@ -50,8 +52,8 @@ Status FinishConnect(int fd, const std::string& peer, double timeout_ms) {
     return Errno("getsockopt(SO_ERROR) for " + peer);
   }
   if (so_error != 0) {
-    return Status::Internal("connect to " + peer +
-                            " failed: " + std::strerror(so_error));
+    return Status::Internal(
+        StrCat({"connect to ", peer, " failed: ", std::strerror(so_error)}));
   }
   return Status::OK();
 }
@@ -77,7 +79,7 @@ Result<int> ConnectFd(const std::string& host, uint16_t port,
   if (::inet_pton(AF_INET, target.c_str(), &addr.sin_addr) != 1) {
     return Status::InvalidArgument("cannot parse IPv4 address: " + host);
   }
-  const std::string peer = target + ":" + std::to_string(port);
+  const std::string peer = StrCat({target, ":", std::to_string(port)});
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return Errno("socket for " + peer);
 
@@ -99,8 +101,8 @@ Result<int> ConnectFd(const std::string& host, uint16_t port,
       }
     } else {
       const Status status =
-          Status::Internal("connect to " + peer +
-                           " failed: " + std::strerror(errno));
+          Status::Internal(StrCat(
+              {"connect to ", peer, " failed: ", std::strerror(errno)}));
       ::close(fd);
       return status;
     }

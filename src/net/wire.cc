@@ -8,6 +8,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/strings.h"
+
 namespace muve::net {
 
 namespace {
@@ -216,8 +218,8 @@ class Decoder {
     U8(raw);
     if (!ok()) return;
     if (raw > static_cast<uint8_t>(max)) {
-      return Fail(Status::ParseError(std::string("wire: unknown ") + what +
-                                     " " + std::to_string(raw)));
+      return Fail(Status::ParseError(
+          StrCat({"wire: unknown ", what, " ", std::to_string(raw)})));
     }
     v = static_cast<E>(raw);
   }
@@ -252,8 +254,8 @@ class Decoder {
     // sizes an allocation.
     if (count > r_->remaining() / MinBytes<T>()) {
       return Fail(Status::ParseError(
-          "wire: count " + std::to_string(count) + " exceeds the " +
-          std::to_string(r_->remaining()) + " bytes left"));
+          StrCat({"wire: count ", std::to_string(count), " exceeds the ",
+                  std::to_string(r_->remaining()), " bytes left"})));
     }
     items.clear();
     items.resize(count);
@@ -288,8 +290,9 @@ class Decoder {
     // about message boundaries (a framing bug): reject rather than
     // quietly dropping them.
     if (ok() && !r_->exhausted()) {
-      Fail(Status::ParseError("wire: " + std::to_string(r_->remaining()) +
-                              " trailing bytes after message end"));
+      Fail(Status::ParseError(StrCat({"wire: ",
+                                      std::to_string(r_->remaining()),
+                                      " trailing bytes after message end"})));
     }
   }
   template <typename Body>

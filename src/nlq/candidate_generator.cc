@@ -1,7 +1,6 @@
 #include "nlq/candidate_generator.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -13,14 +12,6 @@
 namespace muve::nlq {
 
 namespace {
-
-/// Full-precision double for cache keys: %.17g round-trips every finite
-/// value, so distinct option settings never share a key.
-std::string ExactDouble(double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
 
 /// One enumerated candidate before it is materialized: the base query
 /// with up to two replacements applied (-1 = none), and its weight.
@@ -218,77 +209,7 @@ class CanonicalKeyWriter {
   std::vector<std::string_view> parts_;
 };
 
-/// Length-prefixed string: immune to delimiter injection.
-void AppendString(const std::string& s, std::string* key) {
-  key->append(std::to_string(s.size()));
-  key->push_back(':');
-  key->append(s);
-}
-
-void AppendQueryExact(const db::AggregateQuery& query, std::string* key) {
-  // Exact, in-order serialization (unlike CanonicalKey, which lowers and
-  // sorts predicates): generation copies the base's exact strings into
-  // candidates and enumerates predicates in order, so two bases that are
-  // canonically equal but differently spelled or ordered may yield
-  // differently ordered candidate sets and must not share a key.
-  AppendString(query.table, key);
-  key->push_back('|');
-  key->append(db::AggregateFunctionName(query.function));
-  key->push_back('(');
-  AppendString(query.aggregate_column, key);
-  key->push_back(')');
-  for (const db::Predicate& predicate : query.predicates) {
-    AppendString(predicate.column, key);
-    key->append(predicate.op == db::PredicateOp::kEq ? "=" : "@in");
-    for (const db::Value& value : predicate.values) {
-      switch (value.type()) {
-        case db::ValueType::kInt64:
-          key->push_back('i');
-          key->append(std::to_string(value.AsInt64()));
-          break;
-        case db::ValueType::kDouble:
-          key->push_back('d');
-          key->append(ExactDouble(value.AsDouble()));
-          break;
-        case db::ValueType::kString:
-          key->push_back('s');
-          AppendString(value.AsString(), key);
-          break;
-      }
-      key->push_back(',');
-    }
-    key->push_back(';');
-  }
-}
-
 }  // namespace
-
-std::string CandidateCacheKey(const db::AggregateQuery& base,
-                              double base_confidence,
-                              const CandidateGeneratorOptions& options) {
-  std::string key;
-  key.reserve(128);
-  AppendQueryExact(base, &key);
-  key.push_back('#');
-  key.append(ExactDouble(base_confidence));
-  key.push_back('#');
-  key.append(std::to_string(options.k_similar));
-  key.push_back(',');
-  key.append(std::to_string(options.max_candidates));
-  key.push_back(',');
-  key.append(ExactDouble(options.sharpen));
-  key.push_back(',');
-  key.push_back(options.include_pairs ? '1' : '0');
-  key.push_back(',');
-  key.append(std::to_string(options.pair_fanout));
-  key.push_back(',');
-  key.append(ExactDouble(options.count_star_alternative_weight));
-  key.push_back(',');
-  key.append(ExactDouble(options.aggregate_alternative_floor));
-  key.push_back(',');
-  key.append(ExactDouble(options.drop_predicate_weight));
-  return key;
-}
 
 core::CandidateSet CandidateGenerator::Generate(
     const db::AggregateQuery& base, double base_confidence,
@@ -300,19 +221,6 @@ core::CandidateSet CandidateGenerator::Generate(
     const db::AggregateQuery& base, double base_confidence,
     const CandidateGeneratorOptions& options,
     const GenerationConstraints& constraints, bool* capped) const {
-  std::string cache_key;
-  const bool use_cache =
-      cache_ != nullptr && cache_->enabled() && !constraints.bypass_cache;
-  if (capped != nullptr) *capped = false;
-  if (use_cache) {
-    cache_key = CandidateCacheKey(base, base_confidence, options);
-    core::CandidateSet cached;
-    // A hit replays a full (never capped) expansion — byte-identical to
-    // recomputation and effectively free, so it is served even when the
-    // deadline already expired.
-    if (cache_->Get(cache_key, &cached)) return cached;
-  }
-
   // Deadline polling between enumeration sites: once out of budget, the
   // remaining sites (and pair enumeration) are skipped and the set is
   // flagged capped. With the default infinite deadline `out_of_time`
@@ -396,11 +304,6 @@ core::CandidateSet CandidateGenerator::Generate(
   }
   core::CandidateSet candidates(std::move(survivors));
   candidates.Normalize();
-  // Capped sets are never cached: a later unconstrained call must not
-  // replay a degraded distribution from the session cache.
-  if (use_cache && !expansion_capped) {
-    cache_->Put(cache_key, candidates);
-  }
   if (capped != nullptr) *capped = expansion_capped;
   return candidates;
 }

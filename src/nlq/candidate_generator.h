@@ -2,9 +2,7 @@
 #define MUVE_NLQ_CANDIDATE_GENERATOR_H_
 
 #include <memory>
-#include <string>
 
-#include "cache/lru_cache.h"
 #include "common/clock.h"
 #include "core/candidate.h"
 #include "db/query.h"
@@ -50,21 +48,14 @@ struct CandidateGeneratorOptions {
 /// looked up in the phonetic index; alternatives produce replacement
 /// queries whose probability derives from Jaro-Winkler similarity of
 /// Double Metaphone codes; multi-replacement probabilities multiply.
+///
+/// Generation is uncached: a repeated transcript replays its whole front
+/// half, candidates included, from MuveEngine's plan memo, and a fresh
+/// transcript almost never repeats a base query another one produced.
 class CandidateGenerator {
  public:
-  /// Session cache of generated candidate sets. Keyed on the exact
-  /// (base query, confidence, options) triple — see CandidateCacheKey —
-  /// so a hit returns the byte-identical distribution the phonetic
-  /// expansion would recompute. Owned by the caller (MuveEngine) and
-  /// shared across queries of a session.
-  using Cache = cache::LruCache<std::string, core::CandidateSet>;
-
   explicit CandidateGenerator(std::shared_ptr<const SchemaIndex> index)
       : index_(std::move(index)) {}
-
-  /// Attaches a session cache (nullptr detaches). Non-owning; the cache
-  /// must outlive the generator's Generate calls.
-  void set_cache(Cache* cache) { cache_ = cache; }
 
   /// Request-scoped constraints on one Generate call.
   struct GenerationConstraints {
@@ -76,9 +67,6 @@ class CandidateGenerator {
     /// degradation ladder. The default infinite deadline is the exact
     /// unconstrained expansion.
     Deadline deadline;
-    /// Skip the session candidate cache for this call (reads and
-    /// writes).
-    bool bypass_cache = false;
   };
 
   /// Generates the candidate set (normalized to total probability 1,
@@ -90,9 +78,7 @@ class CandidateGenerator {
       const CandidateGeneratorOptions& options = {}) const;
 
   /// As above with request-scoped constraints. `*capped` (optional) is
-  /// set to true when the deadline cut the expansion short; capped sets
-  /// are never stored in the session cache — a later unconstrained call
-  /// must not replay a degraded distribution.
+  /// set to true when the deadline cut the expansion short.
   core::CandidateSet Generate(const db::AggregateQuery& base,
                               double base_confidence,
                               const CandidateGeneratorOptions& options,
@@ -101,14 +87,7 @@ class CandidateGenerator {
 
  private:
   std::shared_ptr<const SchemaIndex> index_;
-  Cache* cache_ = nullptr;
 };
-
-/// Cache key for one Generate call: canonical base query plus every
-/// option that shapes the expansion, numeric fields at full precision.
-std::string CandidateCacheKey(const db::AggregateQuery& base,
-                              double base_confidence,
-                              const CandidateGeneratorOptions& options);
 
 }  // namespace muve::nlq
 

@@ -50,23 +50,22 @@ void SchemaIndex::AbsorbValue(const std::string& column_name,
   }
 }
 
-bool SchemaIndex::SyncWithTable() {
+void SchemaIndex::SyncWithTable() {
   // Fast path: nothing appended since the last sync.
   if (table_->version() == synced_version_.load(std::memory_order_acquire)) {
-    return false;
+    return;
   }
   std::unique_lock<std::shared_mutex> lock(values_mutex_);
   // Re-read under the lock: a concurrent sync may have caught up already.
   const uint64_t target = table_->version();
   if (target == synced_version_.load(std::memory_order_acquire)) {
-    return false;
+    return;
   }
   // Table vocabularies are append-only in first-appearance order, so the
   // new values of each column are exactly the suffix past what this index
   // absorbed before. DistinctCount is the cheap per-column probe that
   // skips the vocabulary copy when only numeric (or repeated string)
   // values arrived.
-  bool absorbed_any = false;
   for (size_t c = 0; c < table_->num_columns(); ++c) {
     const db::ColumnSpec& spec = table_->spec(c);
     if (spec.type != db::ValueType::kString) continue;
@@ -81,12 +80,10 @@ bool SchemaIndex::SyncWithTable() {
       AbsorbValue(spec.name, per_column, values[i]);
     }
     values_absorbed_.fetch_add(values.size() - seen,
-                               std::memory_order_relaxed);
+                               std::memory_order_release);
     values_seen_[c] = values.size();
-    absorbed_any = true;
   }
   synced_version_.store(target, std::memory_order_release);
-  return absorbed_any;
 }
 
 size_t SchemaIndex::distinct_values() const {

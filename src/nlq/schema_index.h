@@ -34,8 +34,8 @@ struct ColumnMatch {
 ///
 /// The column indexes are immutable (the schema is fixed); the value
 /// indexes grow with the table: SyncWithTable() absorbs string values
-/// appended since the last sync, so a long-lived per-session index stays
-/// current under live ingest without a rebuild. Lookups may run
+/// appended since the last sync, so a long-lived index stays current
+/// under live ingest without a rebuild. Lookups may run
 /// concurrently with a sync (readers take a shared lock).
 class SchemaIndex {
  public:
@@ -52,22 +52,22 @@ class SchemaIndex {
 
   /// Absorbs string values appended to the table since construction or
   /// the last sync into the value indexes (the distinct-value suffix of
-  /// each string column, in first-appearance order). Returns true when
-  /// new values were absorbed — callers should then invalidate anything
-  /// derived from the old vocabulary (candidate caches, plan memos).
-  /// Cheap when nothing changed: one atomic version compare.
-  bool SyncWithTable();
+  /// each string column, in first-appearance order). Cheap when nothing
+  /// changed: one atomic version compare.
+  void SyncWithTable();
 
   /// Table content version the value indexes reflect.
   uint64_t synced_version() const {
     return synced_version_.load(std::memory_order_acquire);
   }
 
-  /// Total values absorbed by SyncWithTable() since construction —
-  /// observability for tests and benchmarks (a growing count proves the
-  /// index is updated in place, not rebuilt).
+  /// Total values absorbed by SyncWithTable() since construction: the
+  /// vocabulary generation. It moves only when a new value arrives, never
+  /// on a plain append, so anything derived from the vocabulary (the
+  /// plan memo's entries) is current exactly while this count is
+  /// unchanged. Values counted here are already visible to lookups.
   uint64_t values_absorbed() const {
-    return values_absorbed_.load(std::memory_order_relaxed);
+    return values_absorbed_.load(std::memory_order_acquire);
   }
 
   /// Distinct values currently indexed across all string columns.

@@ -58,23 +58,6 @@ bool IsStopword(const std::string& token) {
          kStopwords.end();
 }
 
-std::vector<std::string> TokenizeUtterance(std::string_view text) {
-  std::string cleaned;
-  cleaned.reserve(text.size());
-  for (char c : text) {
-    if (std::isalnum(static_cast<unsigned char>(c)) || c == ' ' ||
-        c == '_') {
-      cleaned += static_cast<char>(
-          std::tolower(static_cast<unsigned char>(c)));
-    } else if (c == '\'') {
-      // "what's" -> "whats".
-    } else {
-      cleaned += ' ';
-    }
-  }
-  return SplitWhitespace(cleaned);
-}
-
 std::string WindowText(const std::vector<std::string>& tokens, size_t start,
                        size_t length) {
   std::string out;
@@ -202,6 +185,23 @@ class TranslationScratch {
 };
 
 }  // namespace
+
+std::vector<std::string> TokenizeUtterance(std::string_view text) {
+  std::string cleaned;
+  cleaned.reserve(text.size());
+  for (char c : text) {
+    if (std::isalnum(static_cast<unsigned char>(c)) || c == ' ' ||
+        c == '_') {
+      cleaned += static_cast<char>(
+          std::tolower(static_cast<unsigned char>(c)));
+    } else if (c == '\'') {
+      // "what's" -> "whats".
+    } else {
+      cleaned += ' ';
+    }
+  }
+  return SplitWhitespace(cleaned);
+}
 
 Result<Translation> Translator::Translate(std::string_view text,
                                           const Deadline& deadline,

@@ -4,6 +4,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/clock.h"
 #include "common/status.h"
@@ -54,6 +55,12 @@ class Translator {
  private:
   std::shared_ptr<const SchemaIndex> index_;
 };
+
+/// The translator's view of an utterance: lowercase tokens of
+/// alphanumerics and underscores, apostrophes dropped ("what's" ->
+/// "whats"), every other character a separator. Utterances with equal
+/// token streams translate identically.
+std::vector<std::string> TokenizeUtterance(std::string_view text);
 
 /// Renders a query as a natural-language utterance ("average open hours
 /// where complaint type is noise and borough is brooklyn") — the inverse

@@ -24,7 +24,8 @@ std::string FloorDetail(double remaining_millis, double floor_millis) {
 Server::Server(std::shared_ptr<const db::Relation> relation,
                ServerOptions options)
     : options_(options),
-      sessions_(std::move(relation), options.sessions),
+      engine_(std::move(relation), options_.engine),
+      sessions_(options_.sessions),
       queue_(options.max_queue_depth),
       tenants_(options.default_tenant_quota, options.tenant_quotas) {
   const size_t workers = std::max<size_t>(1, options_.num_workers);
@@ -336,26 +337,23 @@ void Server::ProcessTask(TaskPtr task) {
 bool Server::Coalescible(const Request& request) {
   // Only requests whose answer is a pure function of the transcript may
   // share work: voice noise is per-session-random, bypass/override
-  // requests intentionally diverge from the session default, and stage
+  // requests intentionally diverge from the engine default, and stage
   // observers must see their own pipeline run.
   return !request.voice && !request.bypass_cache &&
          !request.use_ilp.has_value() && !request.stage_observer;
 }
 
 Result<MuveEngine::Answer> Server::Execute(Task& task) {
-  SessionManager::Handle session = sessions_.Acquire(task.session_id);
   Request& request = task.request;
   Rng request_rng(0);
   if (request.voice && request.rng == nullptr) {
     // Derive a per-request seed from the session's voice-noise stream:
     // concurrent requests of one session never race on one Rng, and a
     // sequentially processed workload replays bit-identically.
-    request_rng.Seed(session->DrawRngSeed());
+    request_rng.Seed(sessions_.DrawRngSeed(task.session_id));
     request.rng = &request_rng;
   }
-  Result<MuveEngine::Answer> result = session->engine.Ask(request);
-  session->queries_served.fetch_add(1, std::memory_order_relaxed);
-  return result;
+  return engine_.Ask(request);
 }
 
 void Server::Drain() {

@@ -23,10 +23,21 @@
 
 namespace muve::serve {
 
+/// Engine options tuned for serving: the engine runs the exact serial
+/// pipeline (num_threads = 1) so parallelism comes from concurrent
+/// requests across server workers, not from a nested engine pool —
+/// every worker calling into an M-thread pool would oversubscribe the
+/// machine long before the admission queue pushes back.
+inline MuveOptions ServingEngineDefaults() {
+  MuveOptions options;
+  options.execution.num_threads = 1;
+  return options;
+}
+
 /// Serving front-end configuration.
 struct ServerOptions {
   /// Worker threads dispatching admitted requests (at least 1). Each
-  /// worker drives one request at a time through the serial per-session
+  /// worker drives one request at a time through the engine's serial
   /// pipeline, so this is the service-level parallelism knob.
   size_t num_workers = 4;
   /// Bound on admitted-but-undispatched requests; a full queue rejects
@@ -48,7 +59,9 @@ struct ServerOptions {
   /// deterministic-by-transcript requests participate: text input, no
   /// cache bypass, no per-request planner override, no stage observer.
   bool enable_single_flight = true;
-  /// Session capacity / per-session engine template / RNG seeding.
+  /// The server's one engine, shared by every session and worker.
+  MuveOptions engine = ServingEngineDefaults();
+  /// Voice-noise stream capacity and seeding.
   SessionManagerOptions sessions;
   /// Quota and fair-share weight for tenants without an entry in
   /// `tenant_quotas` (including the default "" tenant). The default is
@@ -117,24 +130,30 @@ struct ServerStats {
   }
 };
 
-/// The concurrent serving front end over MuveEngine: sessions with LRU
-/// eviction (SessionManager), a bounded EDF admission queue with
-/// priority classes and load shedding (AdmissionQueue), single-flight
-/// coalescing of identical concurrent work (SingleFlight), and a
-/// dispatch loop of `num_workers` workers on one common::ThreadPool.
+/// The concurrent serving front end over one MuveEngine: a bounded EDF
+/// admission queue with priority classes and load shedding
+/// (AdmissionQueue), single-flight coalescing of identical concurrent
+/// work (SingleFlight), per-session voice-noise streams
+/// (SessionManager), and a dispatch loop of `num_workers` workers on one
+/// common::ThreadPool, every one of them calling the engine's Ask
+/// concurrently. The engine's plan memo is thereby shared by every
+/// session: a transcript one session asked replays for the next.
 ///
 /// Submit() is the asynchronous entry (admission decision now, answer
 /// via future); Ask() is the blocking convenience. With one worker,
 /// queue depth 1, and infinite deadlines, serving a workload
 /// sequentially is byte-identical to calling MuveEngine::Ask directly
-/// on one engine per session — the differential suite locks this in.
+/// on one engine built from `options().engine` — the differential suite
+/// locks this in.
 ///
 /// Shutdown: Drain() (also run by the destructor) stops admissions,
 /// lets queued requests finish, then joins the workers. Stop() sheds
 /// queued requests instead (their futures resolve with Overloaded).
 class Server {
  public:
-  /// Serves `relation`, single or sharded, from every session engine.
+  /// Serves `relation`, single or sharded, from one engine built from
+  /// `options.engine` (schema index, calibration and speech lexicon are
+  /// built here, once).
   Server(std::shared_ptr<const db::Relation> relation,
          ServerOptions options = {});
   ~Server();
@@ -168,13 +187,11 @@ class Server {
     return tenants_.counters(tenant_id);
   }
   size_t queue_depth() const { return queue_.depth(); }
+  /// Sessions whose voice-noise stream is live (see SessionManager).
   size_t live_sessions() const { return sessions_.live_sessions(); }
-  SessionManager& session_manager() { return sessions_; }
-  /// Pipeline cache counters summed over live sessions (see
-  /// SessionManager::AggregateCacheStats).
-  PipelineCacheStats cache_stats() const {
-    return sessions_.AggregateCacheStats();
-  }
+  /// The one engine every session and worker shares.
+  const MuveEngine& engine() const { return engine_; }
+  PipelineCacheStats cache_stats() const { return engine_.cache_stats(); }
   const ServerOptions& options() const { return options_; }
 
  private:
@@ -194,8 +211,8 @@ class Server {
 
   void WorkerLoop();
   void ProcessTask(TaskPtr task);
-  /// Runs the pipeline for `task`: session acquisition, voice RNG
-  /// derivation, engine Ask.
+  /// Runs the pipeline for `task`: voice RNG derivation from the
+  /// session's stream, engine Ask.
   Result<MuveEngine::Answer> Execute(Task& task);
   /// Resolves `task` (and counts it) with the shed status `status`.
   void ShedTask(Task& task, const Status& status, uint64_t ServerStats::*counter);
@@ -204,6 +221,7 @@ class Server {
   double NowMillis() const;
 
   const ServerOptions options_;
+  MuveEngine engine_;
   SessionManager sessions_;
   AdmissionQueue<TaskPtr> queue_;
   TenantAccountant tenants_;

@@ -19,81 +19,35 @@ uint64_t SessionSeed(uint64_t base, const std::string& id) {
 
 }  // namespace
 
-SessionManager::SessionManager(std::shared_ptr<const db::Relation> relation,
-                               SessionManagerOptions options)
-    : relation_(std::move(relation)), options_(std::move(options)) {}
+SessionManager::SessionManager(SessionManagerOptions options)
+    : options_(std::move(options)) {}
 
-SessionManager::Handle SessionManager::Acquire(
-    const std::string& session_id) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = sessions_.find(session_id);
-    if (it != sessions_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-      return Handle(it->second.session);
-    }
-  }
-  // Construct outside the lock: engine construction probes the table
-  // (calibration scan) and builds the speech lexicon — holding the
-  // manager mutex for that would stall every concurrent Acquire.
-  const uint64_t seed = SessionSeed(options_.seed, session_id);
-  auto session = std::make_shared<Session>(session_id, relation_,
-                                           options_.engine, seed);
+uint64_t SessionManager::DrawRngSeed(const std::string& session_id) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = sessions_.find(session_id);
-  if (it != sessions_.end()) {
-    // Another request created the session while we built ours; theirs
-    // won (it may already hold cached state), ours is discarded.
+  auto it = streams_.find(session_id);
+  if (it != streams_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-    return Handle(it->second.session);
+  } else {
+    lru_.push_front(session_id);
+    it = streams_
+             .emplace(session_id,
+                      Stream{Rng(SessionSeed(options_.seed, session_id)),
+                             lru_.begin()})
+             .first;
+    created_.fetch_add(1, std::memory_order_relaxed);
   }
-  lru_.push_front(session_id);
-  sessions_.emplace(session_id, Slot{session, lru_.begin()});
-  created_.fetch_add(1, std::memory_order_relaxed);
-  // Pin before evicting: when every other session is pinned, the
-  // backward walk would otherwise reach — and evict — the session this
-  // very call is about to hand out.
-  Handle handle(std::move(session));
-  EvictIdleLocked();
-  return handle;
-}
-
-void SessionManager::EvictIdleLocked() {
-  if (sessions_.size() <= options_.max_sessions) return;
-  // Walk backward from the LRU end, evicting idle sessions and skipping
-  // pinned ones (erase returns the successor, so `--it` resumes the
-  // backward walk at the predecessor of the erased entry).
-  auto it = lru_.end();
-  while (sessions_.size() > options_.max_sessions && it != lru_.begin()) {
-    --it;
-    auto found = sessions_.find(*it);
-    if (found == sessions_.end()) {  // Defensive; should not happen.
-      it = lru_.erase(it);
-      continue;
-    }
-    if (found->second.session->pins.load(std::memory_order_relaxed) > 0) {
-      continue;  // In use by an in-flight request: spare it.
-    }
-    sessions_.erase(found);
-    it = lru_.erase(it);
+  const uint64_t seed = it->second.rng.Next();
+  while (streams_.size() > options_.max_sessions) {
+    streams_.erase(lru_.back());
+    lru_.pop_back();
     evicted_.fetch_add(1, std::memory_order_relaxed);
   }
+  return seed;
 }
 
 size_t SessionManager::live_sessions() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return sessions_.size();
-}
-
-PipelineCacheStats SessionManager::AggregateCacheStats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  PipelineCacheStats total;
-  for (const auto& [id, slot] : sessions_) {
-    const PipelineCacheStats stats = slot.session->engine.cache_stats();
-    total.candidates += stats.candidates;
-    total.plans += stats.plans;
-  }
-  return total;
+  return streams_.size();
 }
 
 }  // namespace muve::serve

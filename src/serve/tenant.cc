@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <utility>
 
+#include "common/strings.h"
+
 namespace muve::serve {
 namespace {
 
@@ -35,7 +37,7 @@ TenantAccountant::Bucket& TenantAccountant::BucketLocked(
     std::snprintf(detail, sizeof(detail),
                   " over quota (rate %.3g qps, burst %.3g)",
                   bucket.quota.rate_qps, bucket.quota.burst);
-    bucket.reject_detail = "tenant " + TenantName(tenant_id) + detail;
+    bucket.reject_detail = StrCat({"tenant ", TenantName(tenant_id), detail});
   }
   bucket.quota.weight = std::max(1e-6, bucket.quota.weight);
   bucket.last_refill_millis = clock_->NowMillis();

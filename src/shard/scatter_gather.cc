@@ -4,6 +4,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/strings.h"
+#include "common/thread_pool.h"
+
 namespace muve::shard {
 
 namespace {
@@ -14,9 +17,9 @@ Status CheckBackendShards(const db::ShardedSnapshot& snapshot,
                           const PartialBackend& backend) {
   if (backend.num_shards() != snapshot.shards.size()) {
     return Status::InvalidArgument(
-        "backend serves " + std::to_string(backend.num_shards()) +
-        " shards but the snapshot has " +
-        std::to_string(snapshot.shards.size()));
+        StrCat({"backend serves ", std::to_string(backend.num_shards()),
+                " shards but the snapshot has ",
+                std::to_string(snapshot.shards.size())}));
   }
   return Status::OK();
 }
@@ -82,9 +85,9 @@ struct GroupedShape {
     if (partial.cells.size() != total.cells.size() ||
         (!partial.cells.empty() && !total.cells.empty() &&
          partial.cells[0].size() != total.cells[0].size())) {
-      return Status::Internal("shard " + std::to_string(s) +
-                              " returned a grouped partial with the "
-                              "wrong grid dimensions");
+      return Status::Internal(StrCat({"shard ", std::to_string(s),
+                                      " returned a grouped partial with the "
+                                      "wrong grid dimensions"}));
     }
     return Status::OK();
   }
@@ -115,10 +118,10 @@ Result<typename Shape::Output> Gather(const db::ShardedSnapshot& snapshot,
         Shape::ExecuteRemote(options.backend, query,
                              options.executor.deadline);
     if (outcomes.size() != num_shards) {
-      return Status::Internal("backend returned " +
-                              std::to_string(outcomes.size()) +
-                              " outcomes for " + std::to_string(num_shards) +
-                              " shards");
+      return Status::Internal(StrCat({"backend returned ",
+                                      std::to_string(outcomes.size()),
+                                      " outcomes for ",
+                                      std::to_string(num_shards), " shards"}));
     }
     if (options.stats != nullptr) {
       options.stats->shards_total = outcomes.size();
@@ -140,15 +143,12 @@ Result<typename Shape::Output> Gather(const db::ShardedSnapshot& snapshot,
     return Shape::Execute(snapshot.shards[0], query, options.executor);
   }
 
-  // With shard-level parallelism the shard task itself is the unit of
-  // parallelism, so row partitioning inside it is disabled; serially,
-  // each shard scan is free to row-partition on `executor.pool`.
-  const bool shard_parallel = options.shard_pool != nullptr &&
-                              options.shard_pool->num_threads() >= 2;
+  // The shard task is the unit of parallelism, so row partitioning
+  // inside it is disabled.
   db::ExecutorOptions shard_options = options.executor;
-  if (shard_parallel) shard_options.pool = nullptr;
+  shard_options.pool = nullptr;
   std::vector<Result<Partial>> partials(num_shards, Partial{});
-  ParallelFor(shard_parallel ? options.shard_pool : nullptr, num_shards, 1,
+  ParallelFor(options.executor.pool, num_shards, 1,
               [&](size_t, size_t begin, size_t end) {
                 for (size_t s = begin; s < end; ++s) {
                   partials[s] = Shape::ExecutePartial(snapshot.shards[s],

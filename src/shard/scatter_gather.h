@@ -6,7 +6,6 @@
 
 #include "common/clock.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "db/executor.h"
 #include "db/snapshot.h"
 
@@ -68,14 +67,12 @@ struct ScatterStats {
 
 /// Controls one scatter-gather execution.
 struct ScatterOptions {
-  /// Per-shard executor configuration (deadline, slice pool).
+  /// Per-shard executor configuration (deadline, pool). With one
+  /// partition `executor.pool` runs the scan's row slices; with two or
+  /// more it runs the shard scans as parallel tasks, each scanning
+  /// without a pool (one level of parallelism at a time — shard tasks
+  /// never nest row partitioning).
   db::ExecutorOptions executor;
-  /// Pool for shard-level parallelism: with >= 2 shards, per-shard scans
-  /// run as parallel tasks on this pool and `executor.pool` is ignored
-  /// for them (one level of parallelism at a time — shard tasks never
-  /// nest row partitioning). Null scans the shards serially, each shard
-  /// free to row-partition on `executor.pool`.
-  ThreadPool* shard_pool = nullptr;
   /// When set, shard partials come from this backend (remote shard
   /// servers) instead of scanning `snapshot` locally; the snapshot then
   /// only supplies the expected shard count. `executor.deadline` bounds

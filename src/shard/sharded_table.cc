@@ -95,7 +95,7 @@ Result<std::shared_ptr<ShardedTable>> ShardedTable::Create(
   for (size_t i = 0; i < options.num_shards; ++i) {
     MUVE_ASSIGN_OR_RETURN(
         std::shared_ptr<db::Table> shard,
-        db::Table::Create(name + "#" + std::to_string(i), schema,
+        db::Table::Create(StrCat({name, "#", std::to_string(i)}), schema,
                           options.shard_options));
     shards.push_back(std::move(shard));
   }

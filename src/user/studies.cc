@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/strings.h"
 #include "core/greedy_planner.h"
 #include "db/executor.h"
 #include "nlq/candidate_generator.h"
@@ -29,8 +30,8 @@ core::Multiplot AbstractMultiplot(const std::vector<size_t>& bars_per_plot,
   size_t red_left = num_red;
   for (size_t p = 0; p < bars_per_plot.size(); ++p) {
     core::Plot plot;
-    plot.query_template.key = "task_plot_" + std::to_string(p);
-    plot.query_template.title = "plot " + std::to_string(p);
+    plot.query_template.key = StrCat({"task_plot_", std::to_string(p)});
+    plot.query_template.title = StrCat({"plot ", std::to_string(p)});
     for (size_t b = 0; b < bars_per_plot[p]; ++b) {
       core::PlotBar bar;
       bar.candidate_index = candidate++;

@@ -30,7 +30,7 @@ std::string RenderMultiplot(const core::Multiplot& multiplot,
   for (const auto& row : multiplot.rows) {
     ++row_number;
     if (row.empty()) continue;
-    std::string header = "-- Row " + std::to_string(row_number) + " ";
+    std::string header = StrCat({"-- Row ", std::to_string(row_number), " "});
     while (header.size() < options.width_chars) header += '-';
     out += header + "\n";
     for (const core::Plot& plot : row) {

@@ -43,9 +43,9 @@ std::string RenderSvg(const core::Multiplot& multiplot,
       static_cast<double>(num_rows) * options.row_height_px;
 
   std::string svg;
-  svg += "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"" +
-         Num(geometry.width_px) + "\" height=\"" + Num(height) +
-         "\" font-family=\"sans-serif\">\n";
+  svg += StrCat({"<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"",
+                 Num(geometry.width_px), "\" height=\"", Num(height),
+                 "\" font-family=\"sans-serif\">\n"});
   svg += "<rect width=\"100%\" height=\"100%\" fill=\"white\"/>\n";
 
   const double title_band = options.title_font_px + 8.0;
@@ -65,14 +65,14 @@ std::string RenderSvg(const core::Multiplot& multiplot,
           options.row_height_px - title_band - label_band;
 
       svg += "<g>\n";
-      svg += "<rect x=\"" + Num(x + 2) + "\" y=\"" + Num(row_top + 2) +
-             "\" width=\"" + Num(plot_width_px - 4) + "\" height=\"" +
-             Num(options.row_height_px - 4) +
-             "\" fill=\"none\" stroke=\"#cccccc\"/>\n";
-      svg += "<text x=\"" + Num(x + 8) + "\" y=\"" +
-             Num(row_top + options.title_font_px + 4) + "\" font-size=\"" +
-             Num(options.title_font_px) + "\">" +
-             Escape(plot.query_template.title) + "</text>\n";
+      svg += StrCat({"<rect x=\"", Num(x + 2), "\" y=\"", Num(row_top + 2),
+                     "\" width=\"", Num(plot_width_px - 4), "\" height=\"",
+                     Num(options.row_height_px - 4),
+                     "\" fill=\"none\" stroke=\"#cccccc\"/>\n"});
+      svg += StrCat({"<text x=\"", Num(x + 8), "\" y=\"",
+                     Num(row_top + options.title_font_px + 4),
+                     "\" font-size=\"", Num(options.title_font_px), "\">",
+                     Escape(plot.query_template.title), "</text>\n"});
 
       double max_value = 0.0;
       for (const core::PlotBar& bar : plot.bars) {
@@ -96,15 +96,15 @@ std::string RenderSvg(const core::Multiplot& multiplot,
                 ? options.highlight_color
                 : (bar.approximate ? options.approx_color
                                    : options.bar_color);
-        svg += "<rect x=\"" + Num(bx) + "\" y=\"" + Num(by) +
-               "\" width=\"" + Num(bar_slot * 0.8) + "\" height=\"" +
-               Num(bar_height) + "\" fill=\"" + fill + "\"/>\n";
-        svg += "<text x=\"" + Num(bx) + "\" y=\"" +
-               Num(chart_top + chart_height + options.label_font_px + 4) +
-               "\" font-size=\"" + Num(options.label_font_px) +
-               "\" transform=\"rotate(30 " + Num(bx) + " " +
-               Num(chart_top + chart_height + options.label_font_px + 4) +
-               ")\">" + Escape(bar.label) + "</text>\n";
+        svg += StrCat({"<rect x=\"", Num(bx), "\" y=\"", Num(by),
+                       "\" width=\"", Num(bar_slot * 0.8), "\" height=\"",
+                       Num(bar_height), "\" fill=\"", fill, "\"/>\n"});
+        const std::string label_y =
+            Num(chart_top + chart_height + options.label_font_px + 4);
+        svg += StrCat({"<text x=\"", Num(bx), "\" y=\"", label_y,
+                       "\" font-size=\"", Num(options.label_font_px),
+                       "\" transform=\"rotate(30 ", Num(bx), " ", label_y,
+                       ")\">", Escape(bar.label), "</text>\n"});
       }
       svg += "</g>\n";
       x += plot_width_px;

@@ -213,7 +213,7 @@ Result<std::shared_ptr<Table>> MakeDataset(std::string_view name,
   if (EqualsIgnoreCase(name, "flights")) {
     return MakeFlightsTable(num_rows, &rng);
   }
-  return Status::NotFound("unknown dataset '" + std::string(name) + "'");
+  return Status::NotFound(StrCat({"unknown dataset '", name, "'"}));
 }
 
 std::vector<std::string> BuildVocabulary(const db::Relation& table) {

@@ -40,7 +40,7 @@ struct LoadOptions {
   /// Fraction of requests submitted as RequestClass::kReplay.
   double replay_fraction = 0.0;
   /// Probability a request reuses an earlier utterance instead of a
-  /// fresh random query — repeats exercise the session caches and give
+  /// fresh random query — repeats exercise the plan memo and give
   /// concurrent single-flight collisions something to coalesce.
   double repeat_probability = 0.3;
   /// Tenant id stamped on every request of this campaign (empty = the

@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "common/thread_pool.h"
 #include "db/cost_estimator.h"
 #include "db/executor.h"
@@ -1290,11 +1291,11 @@ TEST_F(SnapshotOracleTest, WritesRaceReadsDifferentialOracle) {
             ASSERT_TRUE(oracle.ok());
             const TableSnapshot frozen = (*oracle)->Snapshot();
             const std::string context =
-                "seed " + std::to_string(seed) + " rows " +
-                std::to_string(initial_rows) + " threads " +
-                std::to_string(threads) +
-                (reference ? " reference" : " executor") + " round " +
-                std::to_string(round);
+                StrCat({"seed ", std::to_string(seed), " rows ",
+                        std::to_string(initial_rows), " threads ",
+                        std::to_string(threads),
+                        reference ? " reference" : " executor", " round ",
+                        std::to_string(round)});
 
             // Raw reads: layout and bytes must match the frozen copy.
             ASSERT_EQ(snapshot.num_rows(), frozen.num_rows()) << context;
@@ -1340,8 +1341,8 @@ TEST_F(SnapshotOracleTest, WritesRaceReadsDifferentialOracle) {
               for (size_t a = 0; a < want->cells[g].size(); ++a) {
                 ExpectResultsBitwiseEqual(
                     got->cells[g][a], want->cells[g][a],
-                    context + " cell " + std::to_string(g) + "/" +
-                        std::to_string(a));
+                    StrCat({context, " cell ", std::to_string(g), "/",
+                            std::to_string(a)}));
               }
             }
           }

@@ -16,9 +16,8 @@
 ///     byte-identical multiplot, cost, bound, and node count; and
 ///     presolve on vs off: equal optimal cost;
 ///   - repeated execution on one exec::Engine vs a fresh engine, and the
-///     full MuveEngine pipeline with its session caches (candidate
-///     cache, plan memo) vs without: cold and warm replays must be
-///     byte-identical to the cache-disabled path.
+///     full MuveEngine pipeline with its plan memo vs without: cold and
+///     warm replays must be byte-identical to the memo-disabled path.
 ///
 /// Agreement rules: executor results, including SUM/AVG, are bitwise
 /// equal at every thread count, because every scan folds the same
@@ -38,9 +37,11 @@
 #include <iterator>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "common/thread_pool.h"
 #include "core/greedy_planner.h"
 #include "core/ilp_planner.h"
@@ -54,6 +55,7 @@
 #include "testing/reference_executor.h"
 #include "testing/sanitizer.h"
 #include "viz/render_ascii.h"
+#include "workload/datasets.h"
 
 namespace muve {
 namespace {
@@ -89,8 +91,8 @@ void ExpectGroupedBitwiseEqual(const db::GroupByResult& expected,
     ASSERT_EQ(expected.cells[g].size(), actual.cells[g].size()) << context;
     for (size_t a = 0; a < expected.cells[g].size(); ++a) {
       ExpectBitwiseEqual(expected.cells[g][a], actual.cells[g][a],
-                         context + " cell " + std::to_string(g) + "/" +
-                             std::to_string(a));
+                         StrCat({context, " cell ", std::to_string(g), "/",
+                                 std::to_string(a)}));
     }
   }
 }
@@ -167,9 +169,9 @@ TEST_F(DifferentialTest, ExecutorSerialVsParallelScans) {
             db::Executor::Execute(*table, query, parallel_options);
         ASSERT_TRUE(parallel.ok()) << query.ToSql();
         ExpectBitwiseEqual(*serial, *parallel,
-                           "seed " + std::to_string(seed) + " threads " +
-                               std::to_string(threads) + " " +
-                               query.ToSql());
+                           StrCat({"seed ", std::to_string(seed), " threads ",
+                                   std::to_string(threads), " ",
+                                   query.ToSql()}));
       }
     }
   }
@@ -198,9 +200,9 @@ TEST_F(DifferentialTest, ExecutorSerialVsParallelGroupedScans) {
           db::Executor::ExecuteGrouped(*table, query, parallel_options);
       ASSERT_TRUE(parallel.ok()) << query.ToSql();
       ExpectGroupedBitwiseEqual(*serial, *parallel,
-                                "seed " + std::to_string(seed) +
-                                    " threads " + std::to_string(threads) +
-                                    " " + query.ToSql());
+                                StrCat({"seed ", std::to_string(seed),
+                                        " threads ", std::to_string(threads),
+                                        " ", query.ToSql()}));
     }
   }
 }
@@ -262,10 +264,10 @@ TEST_F(DifferentialTest, ExecutorVsReferenceScans) {
           options.parallel_grain = 193;
           options.pool = PoolFor(threads);
           const std::string context =
-              "seed " + std::to_string(seed) + " threads " +
-              std::to_string(threads) +
-              (target == sample.get() ? " sampled " : " full ") +
-              query.ToSql();
+              StrCat({"seed ", std::to_string(seed), " threads ",
+                      std::to_string(threads),
+                      target == sample.get() ? " sampled " : " full ",
+                      query.ToSql()});
           const auto vec = db::Executor::Execute(*target, query, options);
           ASSERT_TRUE(vec.ok()) << context;
           ExpectBitwiseEqual(reference, *vec, context);
@@ -297,10 +299,10 @@ TEST_F(DifferentialTest, ExecutorVsReferenceGroupedScans) {
         options.parallel_grain = 311;
         options.pool = PoolFor(threads);
         const std::string context =
-            "seed " + std::to_string(seed) + " threads " +
-            std::to_string(threads) +
-            (target == sample.get() ? " sampled " : " full ") +
-            query.ToSql();
+            StrCat({"seed ", std::to_string(seed), " threads ",
+                    std::to_string(threads),
+                    target == sample.get() ? " sampled " : " full ",
+                    query.ToSql()});
         const auto vec =
             db::Executor::ExecuteGrouped(*target, query, options);
         ASSERT_TRUE(vec.ok()) << context;
@@ -341,9 +343,9 @@ TEST_F(DifferentialTest, EngineMergedUnmergedSerialParallel) {
         ASSERT_EQ(expected->values.size(), actual->values.size());
         for (size_t i = 0; i < set.size(); ++i) {
           const std::string context =
-              "seed " + std::to_string(seed) + " merging " +
-              std::to_string(merging) + " threads " +
-              std::to_string(threads) + " " + set[i].query.ToSql();
+              StrCat({"seed ", std::to_string(seed), " merging ",
+                      std::to_string(merging), " threads ",
+                      std::to_string(threads), " ", set[i].query.ToSql()});
           if (std::isnan(expected->values[i])) {
             EXPECT_TRUE(std::isnan(actual->values[i])) << context;
             continue;
@@ -479,9 +481,10 @@ TEST_F(DifferentialTest, IlpPlannerThreadAndPresolveInvariant) {
           timed_out = true;
           break;
         }
-        const std::string context = "seed " + std::to_string(seed) +
-                                    " presolve " + std::to_string(presolve) +
-                                    " threads " + std::to_string(threads);
+        const std::string context =
+            StrCat({"seed ", std::to_string(seed), " presolve ",
+                    std::to_string(presolve), " threads ",
+                    std::to_string(threads)});
         EXPECT_TRUE(plan->multiplot.Validate(config.geometry).ok())
             << context;
         if (threads == 1) {
@@ -520,9 +523,9 @@ TEST_F(DifferentialTest, IlpPlannerThreadAndPresolveInvariant) {
 }
 
 // ---------------------------------------------------------------------
-// Layer 4: replays and session caches — a repeated batch, and the full
-// pipeline with and without its session caches, must be byte-identical
-// for cold and warm replays.
+// Layer 4: replays and the plan memo — a repeated batch, and the full
+// pipeline with and without its plan memo, must be byte-identical for
+// cold and warm replays.
 // ---------------------------------------------------------------------
 
 TEST_F(DifferentialTest, EngineReplayMatchesFreshEngine) {
@@ -548,9 +551,9 @@ TEST_F(DifferentialTest, EngineReplayMatchesFreshEngine) {
         ASSERT_EQ(reference->values.size(), replay->values.size());
         for (size_t i = 0; i < reference->values.size(); ++i) {
           const std::string context =
-              "seed " + std::to_string(seed) + " threads " +
-              std::to_string(threads) + " " + phase + " candidate " +
-              std::to_string(i);
+              StrCat({"seed ", std::to_string(seed), " threads ",
+                      std::to_string(threads), " ", phase, " candidate ",
+                      std::to_string(i)});
           if (std::isnan(reference->values[i])) {
             EXPECT_TRUE(std::isnan(replay->values[i])) << context;
           } else {
@@ -596,10 +599,9 @@ TEST_F(DifferentialTest, MuvePipelineCachedVsUncachedReplay) {
       ASSERT_EQ(expected.ok(), actual.ok())
           << "seed " << seed << " " << phase << " \"" << utterance << "\"";
       if (!expected.ok()) break;
-      const std::string context = "seed " + std::to_string(seed) + " " +
-                                  phase + " threads " +
-                                  std::to_string(threads) + " \"" +
-                                  utterance + "\"";
+      const std::string context =
+          StrCat({"seed ", std::to_string(seed), " ", phase, " threads ",
+                  std::to_string(threads), " \"", utterance, "\""});
       EXPECT_EQ(expected->base_query.CanonicalKey(),
                 actual->base_query.CanonicalKey())
           << context;
@@ -627,9 +629,9 @@ TEST_F(DifferentialTest, MuvePipelineCachedVsUncachedReplay) {
 
     const PipelineCacheStats stats = cached.cache_stats();
     if (stats.plans.lookups() > 0) {
-      // The uncached engine keeps both caches silent.
+      // The uncached engine keeps its memo silent.
       const PipelineCacheStats off = uncached.cache_stats();
-      EXPECT_EQ(off.Total().lookups(), 0u) << "seed " << seed;
+      EXPECT_EQ(off.plans.lookups(), 0u) << "seed " << seed;
       plan_hits += stats.plans.hits;
     }
   }
@@ -649,7 +651,7 @@ TEST_F(DifferentialTest, DeadlineRequestVsClassicPipeline) {
   //     without any of them firing;
   //   - Ask with bypass_cache on the cached engine vs a cache-disabled
   //     engine (a bypass request must equal the uncached pipeline and
-  //     leave the session caches untouched).
+  //     leave the plan memo untouched).
   for (int seed = 0; seed < kNumSeeds; ++seed) {
     Rng rng(kSeedBase + 800000 + static_cast<uint64_t>(seed));
     testing::RandomTableOptions table_options;
@@ -673,10 +675,9 @@ TEST_F(DifferentialTest, DeadlineRequestVsClassicPipeline) {
     MuveEngine uncached(table, uncached_options);
 
     for (const char* phase : {"cold", "warm"}) {
-      const std::string context = "seed " + std::to_string(seed) + " " +
-                                  phase + " threads " +
-                                  std::to_string(threads) + " \"" +
-                                  utterance + "\"";
+      const std::string context =
+          StrCat({"seed ", std::to_string(seed), " ", phase, " threads ",
+                  std::to_string(threads), " \"", utterance, "\""});
       const auto expected = classic.Ask(Request::Text(utterance));
 
       Request request = Request::Text(utterance);
@@ -727,9 +728,9 @@ TEST_F(DifferentialTest, DeadlineRequestVsClassicPipeline) {
       EXPECT_FALSE(finite->degradation.degraded()) << context;
       EXPECT_EQ(finite->degradation.Describe(), "exact") << context;
     }
-    // Bypass requests left the cache-disabled engine's caches silent and
+    // Bypass requests left the cache-disabled engine's memo silent and
     // never wrote through the classic engine's memo on their own.
-    EXPECT_EQ(uncached.cache_stats().Total().lookups(), 0u)
+    EXPECT_EQ(uncached.cache_stats().plans.lookups(), 0u)
         << "seed " << seed;
   }
 }
@@ -768,14 +769,69 @@ void ExpectAnswersIdentical(const MuveEngine::Answer& lhs,
       << context;
 }
 
+/// Canonical keys of an answer's candidates, in order.
+std::vector<std::string> CandidateKeys(const MuveEngine::Answer& answer) {
+  std::vector<std::string> keys;
+  for (size_t i = 0; i < answer.candidates.size(); ++i) {
+    keys.push_back(answer.candidates[i].query.CanonicalKey());
+  }
+  return keys;
+}
+
+TEST(PlanMemoTest, FrontHalfComputedBeforeAConcurrentSyncNeverReplays) {
+  // Request B computes its front half against the old vocabulary. While
+  // B plans, rows carrying a new value close to B's constant arrive and
+  // request A, on the same engine, absorbs them. B then memoizes its
+  // front half; a later ask of B's transcript must not replay it.
+  Rng rng(4242);
+  std::shared_ptr<db::Table> table = workload::Make311Table(2000, &rng);
+  MuveOptions options;
+  options.execution.num_threads = 1;
+  MuveEngine engine(table, options);
+  const std::string transcript = "how many complaints in brooklyn";
+
+  bool interleaved = false;
+  Request b = Request::Text(transcript);
+  b.stage_observer = [&](Request::Stage stage) {
+    if (stage != Request::Stage::kPlan || interleaved) return;
+    interleaved = true;
+    ASSERT_TRUE(table
+                    ->AppendRow({db::Value(std::string("brooklen")),
+                                 db::Value(std::string("noise")),
+                                 db::Value(std::string("nypd")),
+                                 db::Value(std::string("open")),
+                                 db::Value(std::string("phone")),
+                                 db::Value(2.5),
+                                 db::Value(static_cast<int64_t>(61))})
+                    .ok());
+    ASSERT_TRUE(engine.Ask(Request::Text("how many complaints in queens"))
+                    .ok());
+  };
+  const auto stale = engine.Ask(b);
+  ASSERT_TRUE(stale.ok());
+  ASSERT_TRUE(interleaved);
+
+  const auto later = engine.Ask(Request::Text(transcript));
+  MuveOptions fresh_options = options;
+  fresh_options.cache_capacity = 0;
+  const auto fresh =
+      MuveEngine(table, fresh_options).Ask(Request::Text(transcript));
+  ASSERT_TRUE(later.ok());
+  ASSERT_TRUE(fresh.ok());
+  // The new value changes B's candidates, so replaying B's front half
+  // would be visible.
+  EXPECT_NE(CandidateKeys(*stale), CandidateKeys(*fresh));
+  ExpectAnswersIdentical(*fresh, *later, "later ask of B's transcript");
+}
+
 TEST_F(DifferentialTest, ServerDepthOneReplaysSequentialAsk) {
   // The serving front end must be a pure wrapper when stripped of all
   // concurrency: one worker, queue depth 1, infinite deadlines, requests
   // submitted one at a time. Replaying a workload through that server
   // must be byte-identical to calling MuveEngine::Ask directly on one
-  // engine per session built with the server's own engine options —
-  // admission, EDF queueing, single-flight, and session management may
-  // add bookkeeping but never change an answer.
+  // engine built with the server's own engine options — admission, EDF
+  // queueing, single-flight, and session streams may add bookkeeping but
+  // never change an answer.
   for (int seed = 0; seed < kNumSeeds; ++seed) {
     Rng rng(kSeedBase + 900000 + static_cast<uint64_t>(seed));
     testing::RandomTableOptions table_options;
@@ -784,7 +840,7 @@ TEST_F(DifferentialTest, ServerDepthOneReplaysSequentialAsk) {
     auto table = testing::RandomTable(&rng, table_options);
 
     // A short session-tagged workload with repeats (repeats replay the
-    // session caches, which must also behave identically both ways).
+    // plan memo, which must also behave identically both ways).
     std::vector<std::pair<std::string, std::string>> workload;
     for (int q = 0; q < 4; ++q) {
       db::AggregateQuery target =
@@ -804,19 +860,14 @@ TEST_F(DifferentialTest, ServerDepthOneReplaysSequentialAsk) {
     server_options.max_queue_depth = 1;
     serve::Server server(table, server_options);
 
-    std::unordered_map<std::string, std::unique_ptr<MuveEngine>> reference;
+    MuveEngine reference(table, server.options().engine);
     for (const auto& [session, utterance] : workload) {
-      auto& engine = reference[session];
-      if (engine == nullptr) {
-        engine = std::make_unique<MuveEngine>(
-            table, server.options().sessions.engine);
-      }
-      const auto expected = engine->Ask(Request::Text(utterance));
+      const auto expected = reference.Ask(Request::Text(utterance));
       const auto served =
           server.Ask(session, Request::Text(utterance));
-      const std::string context = "seed " + std::to_string(seed) +
-                                  " session " + session + " \"" +
-                                  utterance + "\"";
+      const std::string context =
+          StrCat({"seed ", std::to_string(seed), " session ", session, " \"",
+                  utterance, "\""});
       ASSERT_EQ(expected.ok(), served.ok()) << context;
       if (!expected.ok()) continue;
       ExpectAnswersIdentical(*expected, served->answer, context);
@@ -865,9 +916,9 @@ TEST_F(DifferentialTest, IdenticallySeededServersReplayVoiceIdentically) {
           first.Ask(session, Request::Voice(utterance, nullptr, noise));
       const auto rhs =
           second.Ask(session, Request::Voice(utterance, nullptr, noise));
-      const std::string context = "seed " + std::to_string(seed) +
-                                  " session " + session + " \"" +
-                                  utterance + "\"";
+      const std::string context =
+          StrCat({"seed ", std::to_string(seed), " session ", session, " \"",
+                  utterance, "\""});
       ASSERT_EQ(lhs.ok(), rhs.ok()) << context;
       if (!lhs.ok()) continue;
       EXPECT_EQ(lhs->answer.transcript, rhs->answer.transcript) << context;

@@ -34,6 +34,7 @@
 
 #include "common/clock.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "db/executor.h"
 #include "db/table.h"
 #include "dist/coordinator.h"
@@ -77,8 +78,8 @@ void ExpectGroupedBitwiseEqual(const db::GroupByResult& oracle,
     ASSERT_EQ(oracle.cells[g].size(), routed.cells[g].size()) << context;
     for (size_t a = 0; a < oracle.cells[g].size(); ++a) {
       ExpectBitwiseEqual(oracle.cells[g][a], routed.cells[g][a],
-                         context + " cell " + std::to_string(g) + "/" +
-                             std::to_string(a));
+                         StrCat({context, " cell ", std::to_string(g), "/",
+                                 std::to_string(a)}));
     }
   }
 }
@@ -168,8 +169,9 @@ TEST(DistDifferentialTest, RoutedGatherMatchesLocalScatterByteForByte) {
 
       ShardCluster cluster(**sharded);
       Coordinator coordinator(cluster.endpoints());
-      const std::string context = "seed " + std::to_string(seed) +
-                                  " shards " + std::to_string(num_shards);
+      const std::string context =
+          StrCat({"seed ", std::to_string(seed), " shards ",
+                  std::to_string(num_shards)});
 
       const db::AggregateQuery aggregate =
           testing::RandomAggregateQuery(*table, &rng);
@@ -472,7 +474,7 @@ TEST(DistEngineTest, RemoteBackendAnswersByteIdenticalToLocalSharded) {
   serve::Server local_server(view, local_options);
 
   serve::ServerOptions routed_options = local_options;
-  routed_options.sessions.engine.execution.remote_backend = &coordinator;
+  routed_options.engine.execution.remote_backend = &coordinator;
   serve::Server routed_server(view, routed_options);
 
   const char* transcripts[] = {
@@ -510,7 +512,7 @@ TEST(DistEngineTest, KilledShardYieldsDegradedAnswerNotAnError) {
 
   serve::ServerOptions options;
   options.num_workers = 2;
-  options.sessions.engine.execution.remote_backend = &coordinator;
+  options.engine.execution.remote_backend = &coordinator;
   serve::Server server(view, options);
 
   cluster.Kill(1);

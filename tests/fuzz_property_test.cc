@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "db/query.h"
 #include "db/sql_parser.h"
 #include "net/protocol.h"
@@ -221,7 +222,7 @@ TEST(WireFuzzTest, MutatedMessagesNeverCrashAndAcceptedOnesReachAFixedPoint) {
   for (size_t it = 0; it < iters; ++it) {
     const std::string& seed = seeds[rng.UniformInt(seeds.size())];
     const std::string input = MutateBytes(&rng, seed, rng.UniformInt(8));
-    SCOPED_TRACE("iteration " + std::to_string(it));
+    SCOPED_TRACE(StrCat({"iteration ", std::to_string(it)}));
 
     // Every parser sees every input: most are the wrong message type,
     // which must fail as cleanly as a corrupted right one.

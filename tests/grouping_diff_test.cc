@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "common/thread_pool.h"
 #include "core/greedy_planner.h"
 #include "core/ilp_planner.h"
@@ -60,7 +61,7 @@ constexpr uint64_t kSeedBase = 31000;
 const size_t kThreadCounts[] = {1, 2, 8};
 
 std::string Context(const char* what, int seed) {
-  return std::string(what) + " seed " + std::to_string(seed);
+  return StrCat({what, " seed ", std::to_string(seed)});
 }
 
 void ExpectSameGroups(const core::CandidateSet& set,
@@ -116,7 +117,7 @@ void ExpectSameCandidates(const core::CandidateSet& expected,
                           const std::string& context) {
   ASSERT_EQ(expected.size(), actual.size()) << context;
   for (size_t i = 0; i < expected.size(); ++i) {
-    const std::string at = context + " candidate " + std::to_string(i);
+    const std::string at = StrCat({context, " candidate ", std::to_string(i)});
     ExpectSameQuery(expected[i].query, actual[i].query, at);
     EXPECT_EQ(std::bit_cast<uint64_t>(expected[i].probability),
               std::bit_cast<uint64_t>(actual[i].probability))

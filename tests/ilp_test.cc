@@ -6,6 +6,7 @@
 
 #include "common/clock.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "ilp/model.h"
 #include "ilp/presolve.h"
 #include "ilp/simplex.h"
@@ -228,7 +229,7 @@ TEST(MipSolverTest, SolvesKnapsack) {
   const double weights[] = {10, 20, 30};
   LinearExpr capacity;
   for (int i = 0; i < 3; ++i) {
-    const int x = model.AddBinary("item" + std::to_string(i));
+    const int x = model.AddBinary(StrCat({"item", std::to_string(i)}));
     model.AddObjectiveTerm(x, values[i]);
     capacity.Add(x, weights[i]);
   }

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "muve/muve_engine.h"
 #include "nlq/translator.h"
 #include "testing/sanitizer.h"
@@ -225,7 +226,7 @@ TEST(MuveEngineTest, UseIlpOverrideNeverTouchesPlanMemo) {
   MuveOptions options;
   options.planner.timeout_ms = 1500.0;
   options.generation.max_candidates = 12;
-  MuveEngine engine(Table311(), options);  // Session default: greedy.
+  MuveEngine engine(Table311(), options);  // Engine default: greedy.
 
   Request request = Request::Text("how many complaints in brooklyn");
   request.use_ilp = true;
@@ -234,10 +235,10 @@ TEST(MuveEngineTest, UseIlpOverrideNeverTouchesPlanMemo) {
   auto second = engine.Ask(request);
   ASSERT_TRUE(second.ok());
   // Overriding requests neither probe nor fill the memo: its plans
-  // would not replay correctly for the session's default planner.
+  // would not replay correctly for the engine's default planner.
   EXPECT_EQ(engine.cache_stats().plans.lookups(), 0u);
 
-  // The session default still memoizes as before.
+  // The engine default still memoizes as before.
   auto classic = engine.Ask(Request::Text("how many complaints in brooklyn"));
   ASSERT_TRUE(classic.ok());
   auto replay = engine.Ask(Request::Text("how many complaints in brooklyn"));
@@ -245,7 +246,7 @@ TEST(MuveEngineTest, UseIlpOverrideNeverTouchesPlanMemo) {
   EXPECT_EQ(engine.cache_stats().plans.hits, 1u);
 }
 
-TEST(MuveEngineTest, BypassCacheLeavesSessionCachesCold) {
+TEST(MuveEngineTest, BypassCacheLeavesPlanMemoCold) {
   MuveEngine engine(Table311());
   Request request = Request::Text("how many complaints in brooklyn");
   request.bypass_cache = true;
@@ -253,7 +254,7 @@ TEST(MuveEngineTest, BypassCacheLeavesSessionCachesCold) {
   auto second = engine.Ask(request);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
-  EXPECT_EQ(engine.cache_stats().Total().lookups(), 0u);
+  EXPECT_EQ(engine.cache_stats().plans.lookups(), 0u);
   // Both runs took the exact uncached path: identical answers.
   EXPECT_EQ(first->base_query.CanonicalKey(),
             second->base_query.CanonicalKey());
@@ -319,11 +320,11 @@ void StressAsk(const std::vector<std::string>& utterances,
         auto answer = engine->Ask(Request::Text(utterances[pick]));
         std::string failure;
         if (!answer.ok()) {
-          failure = "thread " + std::to_string(t) + ": " +
-                    answer.status().ToString();
+          failure = StrCat({"thread ", std::to_string(t), ": ",
+                            answer.status().ToString()});
         } else if (AnswerDigest(*answer) != expected[pick]) {
-          failure = "thread " + std::to_string(t) + ": digest mismatch on \"" +
-                    utterances[pick] + "\"";
+          failure = StrCat({"thread ", std::to_string(t),
+                            ": digest mismatch on \"", utterances[pick], "\""});
         }
         if (!failure.empty()) {
           std::lock_guard<std::mutex> lock(failures_mutex);

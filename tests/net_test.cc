@@ -34,6 +34,7 @@
 #include "common/clock.h"
 #include "common/rng.h"
 #include "common/status.h"
+#include "common/strings.h"
 #include "muve/muve_engine.h"
 #include "net/async_client.h"
 #include "net/listener.h"
@@ -175,7 +176,8 @@ TEST(StatusWireTest, EncodeDecodeCarriesCodeAndMessage) {
     const Status original =
         c.code == StatusCode::kOk
             ? Status::OK()
-            : Status(c.code, "detail for code " + std::to_string(c.wire));
+            : Status(c.code,
+                     StrCat({"detail for code ", std::to_string(c.wire)}));
     WireWriter w;
     EncodeStatus(original, &w);
     WireReader r(w.bytes());

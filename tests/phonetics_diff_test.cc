@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "common/thread_pool.h"
 #include "phonetics/bounds.h"
 #include "phonetics/phonetic_index.h"
@@ -144,9 +145,9 @@ TEST(PhoneticDifferentialTest, IndexedMatchesBruteForceAtEveryThreadCount) {
       for (size_t k : ks) {
         for (bool include_exact : {true, false}) {
           const std::string context =
-              "seed " + std::to_string(seed) + " query '" + query +
-              "' k " + std::to_string(k) +
-              (include_exact ? " incl" : " excl");
+              StrCat({"seed ", std::to_string(seed), " query '", query,
+                      "' k ", std::to_string(k),
+                      include_exact ? " incl" : " excl"});
           const std::vector<PhoneticMatch> expected =
               serial.TopKExhaustive(query, k, include_exact);
           PhoneticLookupStats stats;
@@ -162,7 +163,7 @@ TEST(PhoneticDifferentialTest, IndexedMatchesBruteForceAtEveryThreadCount) {
           for (size_t p = 0; p < parallel.size(); ++p) {
             ExpectBitIdentical(
                 expected, parallel[p].TopK(query, k, include_exact),
-                context + " pool " + std::to_string(p));
+                StrCat({context, " pool ", std::to_string(p)}));
           }
         }
       }
@@ -321,7 +322,7 @@ TEST(PhoneticDifferentialTest, LargeVocabularyActuallyPrunes) {
   PhoneticIndex index{PhoneticIndexOptions{}};
   const size_t vocab = muve::testing::kSanitizerBuild ? 1000 : 4000;
   for (size_t i = 0; i < vocab; ++i) {
-    index.Add(RandomEntry(rng) + "_" + std::to_string(i));
+    index.Add(StrCat({RandomEntry(rng), "_", std::to_string(i)}));
   }
   PhoneticLookupStats stats;
   index.TopK("brooklyn", 20, /*include_exact=*/true, &stats);

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "core/greedy_planner.h"
 #include "core/ilp_planner.h"
 #include "core/query_template.h"
@@ -418,7 +419,7 @@ Plot MakeAbstractPlot(const std::string& key,
   for (size_t i = 0; i < members.size(); ++i) {
     PlotBar bar;
     bar.candidate_index = members[i];
-    bar.label = "m" + std::to_string(members[i]);
+    bar.label = StrCat({"m", std::to_string(members[i])});
     bar.highlighted = highlighted[i];
     plot.bars.push_back(bar);
   }

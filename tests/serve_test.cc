@@ -1,6 +1,6 @@
 /// Unit and concurrency tests for the serving front end (src/serve/):
-/// the bounded EDF admission queue with priority classes, LRU session
-/// management with pinning, single-flight coalescing, and the Server
+/// the bounded EDF admission queue with priority classes, the LRU-bounded
+/// per-session voice-noise streams, single-flight coalescing, and the Server
 /// dispatch loop (admission control, load shedding, backpressure,
 /// drain/stop semantics). scripts/check.sh reruns this suite under
 /// ThreadSanitizer.
@@ -20,6 +20,7 @@
 
 #include "common/clock.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "common/thread_pool.h"
 #include "db/query.h"
 #include "db/table.h"
@@ -172,100 +173,87 @@ TEST(AdmissionQueueTest, CloseWakesBlockedPoppers) {
 SessionManagerOptions SmallSessions(size_t max_sessions) {
   SessionManagerOptions options;
   options.max_sessions = max_sessions;
-  // Cheap engines: tiny caches, serial execution.
-  options.engine.cache_capacity = 4;
   return options;
 }
 
-TEST(SessionManagerTest, AcquireCreatesOncePerIdAndPins) {
-  SessionManager manager(Table311(), SmallSessions(4));
-  SessionManager::Handle alice = manager.Acquire("alice");
-  ASSERT_TRUE(static_cast<bool>(alice));
-  EXPECT_EQ(alice->id, "alice");
-  EXPECT_EQ(alice->pins.load(), 1u);
-  {
-    SessionManager::Handle again = manager.Acquire("alice");
-    EXPECT_EQ(again.get(), alice.get());  // Same session object.
-    EXPECT_EQ(alice->pins.load(), 2u);
-  }
-  EXPECT_EQ(alice->pins.load(), 1u);  // RAII unpin.
+TEST(SessionManagerTest, DrawCreatesOneStreamPerId) {
+  SessionManager manager(SmallSessions(4));
+  manager.DrawRngSeed("alice");
+  manager.DrawRngSeed("alice");
   EXPECT_EQ(manager.sessions_created(), 1u);
   EXPECT_EQ(manager.live_sessions(), 1u);
+  manager.DrawRngSeed("bob");
+  EXPECT_EQ(manager.sessions_created(), 2u);
+  EXPECT_EQ(manager.live_sessions(), 2u);
 }
 
-TEST(SessionManagerTest, EvictsLeastRecentlyUsedIdleSession) {
-  SessionManager manager(Table311(), SmallSessions(2));
-  manager.Acquire("a");
-  manager.Acquire("b");
-  manager.Acquire("a");  // "a" is now most recently used.
-  manager.Acquire("c");  // Evicts "b", the LRU idle session.
+TEST(SessionManagerTest, EvictsLeastRecentlyUsedStream) {
+  SessionManager manager(SmallSessions(2));
+  manager.DrawRngSeed("a");
+  manager.DrawRngSeed("b");
+  manager.DrawRngSeed("a");  // "a" is now most recently used.
+  manager.DrawRngSeed("c");  // Evicts "b", the LRU stream.
   EXPECT_EQ(manager.live_sessions(), 2u);
   EXPECT_EQ(manager.sessions_evicted(), 1u);
-  // "a" survived: re-acquiring it creates nothing new.
-  manager.Acquire("a");
+  // "a" survived: drawing from it again creates nothing new.
+  manager.DrawRngSeed("a");
   EXPECT_EQ(manager.sessions_created(), 3u);
-  // "b" is gone: re-acquiring recreates it.
-  manager.Acquire("b");
+  // "b" is gone: drawing from it recreates it.
+  manager.DrawRngSeed("b");
   EXPECT_EQ(manager.sessions_created(), 4u);
 }
 
-TEST(SessionManagerTest, PinnedSessionsAreNeverEvicted) {
-  SessionManager manager(Table311(), SmallSessions(2));
-  SessionManager::Handle a = manager.Acquire("a");
-  SessionManager::Handle b = manager.Acquire("b");
-  // Both candidates are pinned: the manager overflows past capacity
-  // instead of evicting in-use state out from under a request.
-  SessionManager::Handle c = manager.Acquire("c");
-  EXPECT_EQ(manager.live_sessions(), 3u);
-  EXPECT_EQ(manager.sessions_evicted(), 0u);
-  // Releasing a pin makes that session evictable again.
-  { SessionManager::Handle drop = std::move(a); }
-  manager.Acquire("d");
-  EXPECT_EQ(manager.sessions_evicted(), 1u);
-  EXPECT_LE(manager.live_sessions(), 3u);
-}
-
 TEST(SessionManagerTest, RngStreamsDifferPerSessionAndReplay) {
-  auto table = Table311();
-  SessionManager first(table, SmallSessions(8));
-  SessionManager::Handle alice = first.Acquire("alice");
-  SessionManager::Handle bob = first.Acquire("bob");
+  SessionManager first(SmallSessions(8));
   // Distinct sessions draw from distinct streams.
-  EXPECT_NE(alice->DrawRngSeed(), bob->DrawRngSeed());
+  EXPECT_NE(first.DrawRngSeed("alice"), first.DrawRngSeed("bob"));
   // The same session id under the same base seed replays the same
   // stream in a fresh manager — the replayability guarantee.
-  SessionManager second(table, SmallSessions(8));
-  SessionManager::Handle replayed = second.Acquire("alice");
-  SessionManager third(table, SmallSessions(8));
-  SessionManager::Handle replayed_again = third.Acquire("alice");
-  EXPECT_EQ(replayed->DrawRngSeed(), replayed_again->DrawRngSeed());
-  EXPECT_EQ(replayed->DrawRngSeed(), replayed_again->DrawRngSeed());
+  SessionManager second(SmallSessions(8));
+  SessionManager third(SmallSessions(8));
+  EXPECT_EQ(second.DrawRngSeed("alice"), third.DrawRngSeed("alice"));
+  EXPECT_EQ(second.DrawRngSeed("alice"), third.DrawRngSeed("alice"));
   // A different base seed shifts the stream.
   SessionManagerOptions reseeded = SmallSessions(8);
   reseeded.seed = 123;
-  SessionManager fourth(table, reseeded);
-  SessionManager fifth(table, SmallSessions(8));
-  EXPECT_NE(fourth.Acquire("alice")->DrawRngSeed(),
-            fifth.Acquire("alice")->DrawRngSeed());
+  SessionManager fourth(reseeded);
+  SessionManager fifth(SmallSessions(8));
+  EXPECT_NE(fourth.DrawRngSeed("alice"), fifth.DrawRngSeed("alice"));
 }
 
-TEST(SessionManagerTest, ConcurrentAcquireSameIdYieldsOneSession) {
-  auto table = Table311();
-  SessionManager manager(table, SmallSessions(8));
+TEST(SessionManagerTest, EvictedStreamRestartsFromItsOrigin) {
+  SessionManager manager(SmallSessions(1));
+  SessionManager fresh(SmallSessions(1));
+  const uint64_t first = manager.DrawRngSeed("alice");
+  EXPECT_EQ(first, fresh.DrawRngSeed("alice"));
+  EXPECT_NE(manager.DrawRngSeed("alice"), first);  // The stream advances.
+  manager.DrawRngSeed("bob");  // Evicts "alice".
+  EXPECT_EQ(manager.sessions_evicted(), 1u);
+  // The recreated stream starts over from (seed, id).
+  EXPECT_EQ(manager.DrawRngSeed("alice"), first);
+}
+
+TEST(SessionManagerTest, ConcurrentDrawsOnOneIdShareOneStream) {
+  SessionManager manager(SmallSessions(8));
   constexpr size_t kThreads = 8;
-  std::vector<SessionManager::Session*> seen(kThreads, nullptr);
+  std::vector<uint64_t> seen(kThreads, 0);
   std::vector<std::thread> threads;
   for (size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&manager, &seen, t] {
-      SessionManager::Handle handle = manager.Acquire("shared");
-      seen[t] = handle.get();
+      seen[t] = manager.DrawRngSeed("shared");
     });
   }
   for (std::thread& thread : threads) thread.join();
-  for (size_t t = 1; t < kThreads; ++t) {
-    EXPECT_EQ(seen[t], seen[0]);
-  }
   EXPECT_EQ(manager.live_sessions(), 1u);
+  EXPECT_EQ(manager.sessions_created(), 1u);
+  // One stream, drawn kThreads times: the draws are the stream's first
+  // kThreads values, in some order.
+  SessionManager reference(SmallSessions(8));
+  std::multiset<uint64_t> expected;
+  for (size_t t = 0; t < kThreads; ++t) {
+    expected.insert(reference.DrawRngSeed("shared"));
+  }
+  EXPECT_EQ(std::multiset<uint64_t>(seen.begin(), seen.end()), expected);
 }
 
 // ---------------------------------------------------------------------
@@ -378,7 +366,7 @@ ServerOptions SmallServer(size_t workers, size_t depth) {
   ServerOptions options;
   options.num_workers = workers;
   options.max_queue_depth = depth;
-  options.sessions.engine.cache_capacity = 8;
+  options.engine.cache_capacity = 8;
   return options;
 }
 
@@ -392,7 +380,8 @@ TEST(ServerTest, ServesTextRequestsAcrossSessions) {
   ASSERT_TRUE(second.ok());
   EXPECT_FALSE(first->answer.plan.multiplot.empty());
   EXPECT_TRUE(first->deadline_met);
-  EXPECT_EQ(server.live_sessions(), 2u);
+  // Text requests draw no voice noise, so no session stream was made.
+  EXPECT_EQ(server.live_sessions(), 0u);
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.submitted, 2u);
   EXPECT_EQ(stats.admitted, 2u);
@@ -685,7 +674,7 @@ TEST(ServerTest, IngestRacingSessionsAnswerOneConsistentVersion) {
   for (size_t t = 0; t < clients; ++t) {
     threads.emplace_back([&, t] {
       for (size_t i = 0; i < per_client; ++i) {
-        const std::string session = "ingest-" + std::to_string(t);
+        const std::string session = StrCat({"ingest-", std::to_string(t)});
         const uint64_t before = table->version();
         Result<ServedAnswer> result = server.Ask(
             session, Request::Text(kTranscripts[(t + i) % 3]));
@@ -749,39 +738,29 @@ TEST(ServerTest, SessionSchemaIndexIsReusedAndAbsorbsIngestedValues) {
   std::shared_ptr<db::Table> table = Table311(400);
   Server server(table, SmallServer(1, 8));
 
-  // The first request creates the session and builds its schema index,
+  // The server's one engine built its schema index at construction,
   // synced to the table version of that moment.
+  const nlq::SchemaIndex* built_index = &server.engine().schema_index();
+  const size_t distinct_at_build = built_index->distinct_values();
+  EXPECT_EQ(built_index->synced_version(), table->version());
+  EXPECT_EQ(built_index->values_absorbed(), 0u);
+
+  // Requests of every session reuse that index object: no per-request
+  // or per-session rebuild, and no absorptions while the table is
+  // quiescent.
   ASSERT_TRUE(
       server.Ask("alice", Request::Text("how many complaints in brooklyn"))
           .ok());
-  const nlq::SchemaIndex* built_index = nullptr;
-  size_t distinct_at_build = 0;
-  {
-    SessionManager::Handle alice = server.session_manager().Acquire("alice");
-    built_index = &alice->engine.schema_index();
-    distinct_at_build = built_index->distinct_values();
-    EXPECT_EQ(built_index->synced_version(), table->version());
-    EXPECT_EQ(built_index->values_absorbed(), 0u);
-  }
-
-  // Later requests on the session reuse that index object: no
-  // per-request rebuild, and no absorptions while the table is
-  // quiescent.
   ASSERT_TRUE(
-      server.Ask("alice", Request::Text("how many complaints in queens"))
+      server.Ask("bob", Request::Text("how many complaints in queens"))
           .ok());
-  {
-    SessionManager::Handle alice = server.session_manager().Acquire("alice");
-    EXPECT_EQ(&alice->engine.schema_index(), built_index);
-    EXPECT_EQ(alice->engine.schema_index().values_absorbed(), 0u);
-    EXPECT_EQ(alice->engine.schema_index().distinct_values(),
-              distinct_at_build);
-  }
-  EXPECT_EQ(server.session_manager().sessions_created(), 1u);
+  EXPECT_EQ(&server.engine().schema_index(), built_index);
+  EXPECT_EQ(built_index->values_absorbed(), 0u);
+  EXPECT_EQ(built_index->distinct_values(), distinct_at_build);
 
   // Ingest rows carrying a complaint type the vocabulary has never
-  // seen, sealed into a run. The next request on the same session must
-  // absorb it incrementally into the same index object.
+  // seen, sealed into a run. The next request must absorb it
+  // incrementally into the same index object.
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(table
                     ->AppendRow({db::Value(std::string("brooklyn")),
@@ -797,17 +776,26 @@ TEST(ServerTest, SessionSchemaIndexIsReusedAndAbsorbsIngestedValues) {
   ASSERT_TRUE(
       server.Ask("alice", Request::Text("how many complaints in brooklyn"))
           .ok());
-  {
-    SessionManager::Handle alice = server.session_manager().Acquire("alice");
-    const nlq::SchemaIndex& index = alice->engine.schema_index();
-    EXPECT_EQ(&index, built_index);
-    EXPECT_EQ(index.synced_version(), table->version());
-    EXPECT_GT(index.values_absorbed(), 0u);
-    EXPECT_EQ(index.distinct_values(), distinct_at_build + 1);
-    EXPECT_EQ(index.ColumnsOfValue("gerbil stampede"),
-              std::vector<std::string>{"complaint_type"});
-  }
-  EXPECT_EQ(server.session_manager().sessions_created(), 1u);
+  const nlq::SchemaIndex& index = server.engine().schema_index();
+  EXPECT_EQ(&index, built_index);
+  EXPECT_EQ(index.synced_version(), table->version());
+  EXPECT_GT(index.values_absorbed(), 0u);
+  EXPECT_EQ(index.distinct_values(), distinct_at_build + 1);
+  EXPECT_EQ(index.ColumnsOfValue("gerbil stampede"),
+            std::vector<std::string>{"complaint_type"});
+}
+
+TEST(ServerTest, PlanMemoIsSharedAcrossSessions) {
+  Server server(Table311(), SmallServer(1, 8));
+  const std::string transcript = "how many complaints in brooklyn";
+  ASSERT_TRUE(server.Ask("alice", Request::Text(transcript)).ok());
+  EXPECT_EQ(server.cache_stats().plans.hits, 0u);
+  // Bob's first ask of a transcript Alice already asked replays the
+  // front half Alice's request memoized.
+  auto bob = server.Ask("bob", Request::Text(transcript));
+  ASSERT_TRUE(bob.ok());
+  EXPECT_EQ(server.cache_stats().plans.hits, 1u);
+  EXPECT_EQ(bob->answer.timings.translate_millis, 0.0);
 }
 
 // ---------------------------------------------------------------------

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "common/thread_pool.h"
 #include "core/candidate.h"
 #include "db/executor.h"
@@ -71,8 +72,8 @@ void ExpectGroupedBitwiseEqual(const db::GroupByResult& oracle,
     ASSERT_EQ(oracle.cells[g].size(), sharded.cells[g].size()) << context;
     for (size_t a = 0; a < oracle.cells[g].size(); ++a) {
       ExpectBitwiseEqual(oracle.cells[g][a], sharded.cells[g][a],
-                         context + " cell " + std::to_string(g) + "/" +
-                             std::to_string(a));
+                         StrCat({context, " cell ", std::to_string(g), "/",
+                                 std::to_string(a)}));
     }
   }
 }
@@ -348,13 +349,12 @@ TEST_F(ShardDifferentialTest, ShardedScansMatchSingleTableByteForByte) {
 
       for (const size_t threads : kThreadCounts) {
         ScatterOptions options;
-        options.shard_pool = PoolFor(threads);
         options.executor.pool = PoolFor(threads);
         options.executor.parallel_grain = 193;
-        const std::string context = "seed " + std::to_string(seed) +
-                                    " shards " + std::to_string(num_shards) +
-                                    " threads " + std::to_string(threads) +
-                                    " ";
+        const std::string context =
+            StrCat({"seed ", std::to_string(seed), " shards ",
+                    std::to_string(num_shards), " threads ",
+                    std::to_string(threads), " "});
         const auto merged = ScatterGather::Execute(snapshot, query, options);
         ASSERT_TRUE(merged.ok()) << context << query.ToSql();
         ExpectBitwiseEqual(oracle, *merged, context + query.ToSql());
@@ -412,8 +412,8 @@ TEST(ShardedEngineTest, EngineMatchesSingleTableAcrossShardCounts) {
         exec::Engine engine(relations[r], {.num_threads = threads});
         const auto actual = engine.Execute(set, all);
         const std::string context =
-            "seed " + std::to_string(seed) + " relation " +
-            std::to_string(r) + " threads " + std::to_string(threads);
+            StrCat({"seed ", std::to_string(seed), " relation ",
+                    std::to_string(r), " threads ", std::to_string(threads)});
         ASSERT_TRUE(actual.ok()) << context;
         EXPECT_EQ(expected->queries_issued, actual->queries_issued)
             << context;

@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "db/query.h"
 #include "db/value.h"
 
@@ -53,7 +54,7 @@ inline db::Value RandomLiteral(Rng* rng) {
           static_cast<double>(rng->UniformInRange(-99999, 99999)) / 100.0);
     default: {
       std::string text = RandomIdentifier(rng);
-      if (rng->Bernoulli(0.2)) text += " " + RandomIdentifier(rng);
+      if (rng->Bernoulli(0.2)) text += StrCat({" ", RandomIdentifier(rng)});
       if (rng->Bernoulli(0.15)) {
         text.insert(rng->UniformInt(text.size() + 1), 1, '\'');
       }

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "core/candidate.h"
 #include "db/executor.h"
 #include "db/query.h"
@@ -170,7 +171,7 @@ inline db::Predicate RandomVecPredicate(const db::Table& table, Rng* rng,
     switch (spec.type) {
       case db::ValueType::kString:
         values.emplace_back(miss || domain.empty()
-                                ? "absent_value_" + std::to_string(k)
+                                ? StrCat({"absent_value_", std::to_string(k)})
                                 : rng->Choice(domain));
         break;
       case db::ValueType::kInt64:

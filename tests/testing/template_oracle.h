@@ -64,7 +64,7 @@ inline core::QueryTemplate MakeTemplate(
             Join(sorted, " & ");
   out.title = aggregate_text;
   if (!predicate_texts.empty()) {
-    out.title += " WHERE " + Join(predicate_texts, " AND ");
+    out.title += StrCat({" WHERE ", Join(predicate_texts, " AND ")});
   }
   return out;
 }

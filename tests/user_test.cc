@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "exec/engine.h"
 #include "nlq/candidate_generator.h"
 #include "nlq/schema_index.h"
@@ -95,7 +96,7 @@ TEST(UserSimulatorTest, MorePlotsSlower) {
   six_plots.rows.resize(1);
   for (size_t p = 0; p < 6; ++p) {
     core::Plot plot;
-    plot.query_template.title = "p" + std::to_string(p);
+    plot.query_template.title = StrCat({"p", std::to_string(p)});
     for (size_t b = 0; b < 2; ++b) {
       core::PlotBar bar;
       bar.candidate_index = p * 2 + b;

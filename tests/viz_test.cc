@@ -4,6 +4,7 @@
 #include <fstream>
 
 #include "viz/render_ascii.h"
+#include "common/strings.h"
 #include "viz/render_svg.h"
 
 namespace muve::viz {
@@ -58,7 +59,7 @@ TEST(AsciiRenderTest, BarLengthProportionalToValue) {
   const std::string text = RenderMultiplot(SampleMultiplot(), options);
   // brooklyn (120, the max) gets 30 '#', bronx (60) gets 15.
   EXPECT_NE(text.find(std::string(30, '#')), std::string::npos);
-  EXPECT_NE(text.find("|" + std::string(15, '#') + " "),
+  EXPECT_NE(text.find(StrCat({"|", std::string(15, '#'), " "})),
             std::string::npos);
 }
 

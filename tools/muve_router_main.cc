@@ -1,5 +1,5 @@
 // MUVE shard router: a full serving front end (planner, degradation
-// ladder, session caches) whose primary-table scans are scattered to
+// ladder, plan memo) whose primary-table scans are scattered to
 // remote shard servers instead of local threads.
 //
 // The router regenerates the deterministic 311 dataset from --rows and
@@ -160,7 +160,7 @@ int Run(int argc, char** argv) {
     }
   }
 
-  server_options.sessions.engine.execution.remote_backend = &coordinator;
+  server_options.engine.execution.remote_backend = &coordinator;
   std::shared_ptr<const shard::ShardedTable> view = sharded.value();
   serve::Server server(view, server_options);
   std::fprintf(stderr, "muve_router: %zu rows over %zu remote shards\n",
