@@ -1,10 +1,11 @@
 // Phonetic top-k benchmark: builds the candidate index over synthetic
 // pronounceable vocabularies of 1k / 10k / 100k distinct values, checks
 // the indexed path returns bit-identical top-k to the brute-force scan
-// (PhoneticIndex::TopKExhaustive) on the bench workload, and emits
-// BENCH_phonetics.json with the index build time, brute vs indexed
-// lookups/sec (k = 20), the resulting speedup, and the fraction of the
-// vocabulary the pruning bounds discarded without scoring.
+// (testing::ExhaustiveTopK, tests/testing/phonetic_oracle.h) on the bench
+// workload, and emits BENCH_phonetics.json with the index build time,
+// brute vs indexed lookups/sec (k = 20), the resulting speedup, and the
+// fraction of the vocabulary the pruning bounds discarded without
+// scoring.
 //
 // Sanitizer builds shrink the vocabulary ladder (instrumentation slows
 // string scoring ~10x); the Release run carries the acceptance numbers:
@@ -28,6 +29,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "phonetics/phonetic_index.h"
+#include "tests/testing/phonetic_oracle.h"
 #include "tests/testing/sanitizer.h"
 
 namespace muve {
@@ -137,8 +139,9 @@ int RunBench(const std::string& json_path) {
     indexed_options.pool = &pool;
     const Clock::time_point build_start = Clock::now();
     phonetics::PhoneticIndex indexed(indexed_options);
-    indexed.AddAll(vocab);
+    for (const std::string& entry : vocab) indexed.Add(entry);
     const double build_ms = MillisSince(build_start);
+    const testing::ExhaustiveTopK brute(vocab);
 
     // Correctness gate before timing: the indexed path must return
     // bit-identical top-k to the scan on this workload (the exhaustive
@@ -147,7 +150,7 @@ int RunBench(const std::string& json_path) {
     const size_t verify_count = std::min(num_brute_queries, queries.size());
     for (size_t qi = 0; qi < verify_count; ++qi) {
       const std::string& query = queries[qi];
-      const auto expected = indexed.TopKExhaustive(query, kTopK);
+      const auto expected = brute.TopK(query, kTopK);
       const auto actual = indexed.TopK(query, kTopK);
       if (actual.size() != expected.size()) {
         return Fail("verify", "top-k size mismatch for '" + query + "'");
@@ -170,7 +173,7 @@ int RunBench(const std::string& json_path) {
     for (size_t r = 0; r < repeats; ++r) {
       Clock::time_point start = Clock::now();
       for (size_t qi = 0; qi < brute_count; ++qi) {
-        indexed.TopKExhaustive(queries[qi], kTopK);
+        brute.TopK(queries[qi], kTopK);
       }
       brute_ms = std::min(brute_ms, MillisSince(start));
 
@@ -180,11 +183,13 @@ int RunBench(const std::string& json_path) {
       for (const std::string& query : queries) {
         phonetics::PhoneticLookupStats stats;
         indexed.TopK(query, kTopK, /*include_exact=*/true, &stats);
-        run_pruned += stats.PrunedFraction();
-        run_scored += stats.vocabulary == 0
-                          ? 0.0
-                          : static_cast<double>(stats.scored) /
-                                static_cast<double>(stats.vocabulary);
+        // Pruned: the share of the vocabulary never fully scored.
+        if (stats.vocabulary > 0) {
+          const double vocabulary = static_cast<double>(stats.vocabulary);
+          run_pruned +=
+              static_cast<double>(stats.vocabulary - stats.scored) / vocabulary;
+          run_scored += static_cast<double>(stats.scored) / vocabulary;
+        }
       }
       indexed_ms = std::min(indexed_ms, MillisSince(start));
       pruned = run_pruned / static_cast<double>(queries.size());

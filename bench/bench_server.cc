@@ -19,6 +19,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/rng.h"
 #include "serve/server.h"
@@ -40,6 +41,25 @@ int Fail(const std::string& phase, const std::string& message) {
   std::fprintf(stderr, "bench_server: %s: %s\n", phase.c_str(),
                message.c_str());
   return 1;
+}
+
+/// Alternating isolated/contended gold campaigns in the isolation phase.
+constexpr int kIsolationRounds = 5;
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const size_t n = values.size();
+  return n == 0 ? 0.0 : (values[(n - 1) / 2] + values[n / 2]) / 2.0;
+}
+
+std::string JsonList(const std::vector<double>& values) {
+  std::ostringstream out;
+  out << "[";
+  for (size_t i = 0; i < values.size(); ++i) {
+    out << (i == 0 ? "" : ", ") << values[i];
+  }
+  out << "]";
+  return out.str();
 }
 
 size_t ScaleRequests(double target_seconds, double qps, size_t lo,
@@ -151,7 +171,8 @@ int RunBench(const std::string& json_path, bool soak) {
   // "flood" tenant offers 10x the single-thread sustainable rate at the
   // same server. The flood tenant is clipped by its token bucket and
   // deprioritized by weighted fair dequeue; the acceptance signal is
-  // gold's contended p99 staying within 2x of its isolated p99.
+  // gold's median contended p99 staying within 2x of its median isolated
+  // p99 over kIsolationRounds alternating rounds.
   serve::ServerOptions tenant_server;
   tenant_server.num_workers = 4;
   // Deep enough that admitted work queues instead of bouncing: the
@@ -177,8 +198,8 @@ int RunBench(const std::string& json_path, bool soak) {
   gold_load.mode = LoadOptions::Mode::kOpenLoop;
   gold_load.offered_qps = std::max(1.0, 0.25 * qps1);
   gold_load.num_requests =
-      ScaleRequests(soak ? 8.0 : 4.0, gold_load.offered_qps, soak ? 100 : 60,
-                    soak ? 2000 : 600);
+      ScaleRequests(soak ? 4.0 : 2.0, gold_load.offered_qps, soak ? 100 : 60,
+                    soak ? 1000 : 300);
   gold_load.num_sessions = 2;
   gold_load.deadline_millis = std::max(250.0, 30.0 * mean_ms);
   gold_load.repeat_probability = 0.35;
@@ -202,58 +223,68 @@ int RunBench(const std::string& json_path, bool soak) {
   // the quota are rejected at the token bucket for the cost of a
   // counter bump, so the high cap is cheap.
   flood_load.num_requests =
-      ScaleRequests(soak ? 9.0 : 4.5, flood_load.offered_qps, soak ? 500 : 100,
-                    soak ? 40000 : 10000);
+      ScaleRequests(soak ? 4.5 : 2.25, flood_load.offered_qps,
+                    soak ? 500 : 100, soak ? 20000 : 5000);
   flood_load.num_sessions = 6;
   flood_load.deadline_millis = std::max(250.0, 30.0 * mean_ms);
   flood_load.repeat_probability = 0.35;
   flood_load.tenant_id = "flood";
   flood_load.seed = 15;
 
+  // One gold p99 over a few hundred requests is too few samples for a 2x
+  // bound, so the two campaigns alternate kIsolationRounds times (drift
+  // in the machine's load then hits both alike) and the check compares
+  // their median p99s. The reports kept are the last round's.
   LoadReport gold_isolated;
-  {
-    serve::Server server(table, tenant_server);
-    Result<LoadReport> result = workload::RunLoad(&server, *table, gold_load);
-    if (!result.ok()) {
-      return Fail("tenant_isolated", result.status().ToString());
-    }
-    gold_isolated = result.value();
-  }
-  if (gold_isolated.errors > 0) {
-    return Fail("tenant_isolated", "unexpected pipeline errors");
-  }
-
   LoadReport gold_contended;
   LoadReport flood_contended;
   serve::TenantCounters gold_counters;
   serve::TenantCounters flood_counters;
-  {
-    serve::Server server(table, tenant_server);
-    Result<LoadReport> gold_result = LoadReport{};
-    Result<LoadReport> flood_result = LoadReport{};
-    std::thread flood_thread([&] {
-      flood_result = workload::RunLoad(&server, *table, flood_load);
-    });
-    gold_result = workload::RunLoad(&server, *table, gold_load);
-    flood_thread.join();
-    if (!gold_result.ok()) {
-      return Fail("tenant_contended", gold_result.status().ToString());
+  std::vector<double> isolated_p99s;
+  std::vector<double> contended_p99s;
+  for (int round = 0; round < kIsolationRounds; ++round) {
+    {
+      serve::Server server(table, tenant_server);
+      Result<LoadReport> result =
+          workload::RunLoad(&server, *table, gold_load);
+      if (!result.ok()) {
+        return Fail("tenant_isolated", result.status().ToString());
+      }
+      gold_isolated = result.value();
     }
-    if (!flood_result.ok()) {
-      return Fail("tenant_contended", flood_result.status().ToString());
+    if (gold_isolated.errors > 0) {
+      return Fail("tenant_isolated", "unexpected pipeline errors");
     }
-    gold_contended = gold_result.value();
-    flood_contended = flood_result.value();
-    gold_counters = server.tenant_counters("gold");
-    flood_counters = server.tenant_counters("flood");
+    {
+      serve::Server server(table, tenant_server);
+      Result<LoadReport> gold_result = LoadReport{};
+      Result<LoadReport> flood_result = LoadReport{};
+      std::thread flood_thread([&] {
+        flood_result = workload::RunLoad(&server, *table, flood_load);
+      });
+      gold_result = workload::RunLoad(&server, *table, gold_load);
+      flood_thread.join();
+      if (!gold_result.ok()) {
+        return Fail("tenant_contended", gold_result.status().ToString());
+      }
+      if (!flood_result.ok()) {
+        return Fail("tenant_contended", flood_result.status().ToString());
+      }
+      gold_contended = gold_result.value();
+      flood_contended = flood_result.value();
+      gold_counters = server.tenant_counters("gold");
+      flood_counters = server.tenant_counters("flood");
+    }
+    if (gold_contended.errors > 0 || flood_contended.errors > 0) {
+      return Fail("tenant_contended", "unexpected pipeline errors");
+    }
+    isolated_p99s.push_back(gold_isolated.p99_latency_ms);
+    contended_p99s.push_back(gold_contended.p99_latency_ms);
   }
-  if (gold_contended.errors > 0 || flood_contended.errors > 0) {
-    return Fail("tenant_contended", "unexpected pipeline errors");
-  }
+  const double isolated_p99 = Median(isolated_p99s);
+  const double contended_p99 = Median(contended_p99s);
   const double isolation_ratio =
-      gold_isolated.p99_latency_ms > 0.0
-          ? gold_contended.p99_latency_ms / gold_isolated.p99_latency_ms
-          : 0.0;
+      isolated_p99 > 0.0 ? contended_p99 / isolated_p99 : 0.0;
 
   std::ostringstream out;
   out << "{\n";
@@ -277,10 +308,14 @@ int RunBench(const std::string& json_path, bool soak) {
   out << "  \"tenant_isolation\": {\n";
   out << "    \"gold_offered_qps\": " << gold_load.offered_qps << ",\n";
   out << "    \"flood_offered_qps\": " << flood_load.offered_qps << ",\n";
-  out << "    \"gold_isolated_p99_ms\": " << gold_isolated.p99_latency_ms
+  out << "    \"isolation_rounds\": " << kIsolationRounds << ",\n";
+  out << "    \"gold_isolated_p99s_ms\": " << JsonList(isolated_p99s)
       << ",\n";
-  out << "    \"gold_contended_p99_ms\": " << gold_contended.p99_latency_ms
+  out << "    \"gold_contended_p99s_ms\": " << JsonList(contended_p99s)
       << ",\n";
+  // Medians over the rounds.
+  out << "    \"gold_isolated_p99_ms\": " << isolated_p99 << ",\n";
+  out << "    \"gold_contended_p99_ms\": " << contended_p99 << ",\n";
   out << "    \"isolation_ratio\": " << isolation_ratio << ",\n";
   out << "    \"gold_contended_completed\": " << gold_contended.completed
       << ",\n";
@@ -319,11 +354,11 @@ int RunBench(const std::string& json_path, bool soak) {
   }
   if (isolation_ratio > 2.0) {
     std::fprintf(stderr,
-                 "bench_server: WARNING: gold tenant p99 degraded %.2fx "
-                 "under 10x flood (isolated %.3f ms, contended %.3f ms; "
-                 "acceptance asks <= 2x)\n",
-                 isolation_ratio, gold_isolated.p99_latency_ms,
-                 gold_contended.p99_latency_ms);
+                 "bench_server: WARNING: gold tenant median p99 degraded "
+                 "%.2fx under 10x flood over %d rounds (isolated %.3f ms, "
+                 "contended %.3f ms; acceptance asks <= 2x)\n",
+                 isolation_ratio, kIsolationRounds, isolated_p99,
+                 contended_p99);
   }
   return 0;
 }

@@ -11,7 +11,7 @@
 #include "common/clock.h"
 #include "common/status.h"
 #include "common/strings.h"
-#include "net/async_client.h"
+#include "net/connection.h"
 
 namespace muve::dist {
 
@@ -45,11 +45,11 @@ class ConnectionPool {
 
   /// An idle connection, or a fresh one. The dial is bounded by
   /// min(connect timeout, remaining deadline).
-  Result<net::AsyncClient> Acquire(const Deadline& deadline) {
+  Result<net::Connection> Acquire(const Deadline& deadline) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       if (!idle_.empty()) {
-        net::AsyncClient conn = std::move(idle_.back());
+        net::Connection conn = std::move(idle_.back());
         idle_.pop_back();
         return conn;
       }
@@ -62,12 +62,12 @@ class ConnectionPool {
                                endpoint_.ToString());
       }
     }
-    return net::AsyncClient::Connect(endpoint_.host, endpoint_.port, budget);
+    return net::Connection::Connect(endpoint_.host, endpoint_.port, budget);
   }
 
   /// Returns a clean connection for reuse; drops it when the idle list
   /// is full or the connection died in flight.
-  void Release(net::AsyncClient conn) {
+  void Release(net::Connection conn) {
     if (!conn.connected()) return;
     std::lock_guard<std::mutex> lock(mutex_);
     if (idle_.size() < max_idle_) idle_.push_back(std::move(conn));
@@ -88,7 +88,7 @@ class ConnectionPool {
   const size_t max_idle_;
   const double connect_timeout_ms_;
   mutable std::mutex mutex_;
-  std::vector<net::AsyncClient> idle_;
+  std::vector<net::Connection> idle_;
 };
 
 }  // namespace muve::dist

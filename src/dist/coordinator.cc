@@ -8,7 +8,7 @@
 #include <utility>
 
 #include "common/strings.h"
-#include "net/async_client.h"
+#include "net/connection.h"
 #include "net/protocol.h"
 
 namespace muve::dist {
@@ -89,7 +89,7 @@ std::vector<Coordinator::Reply> Coordinator::Gather(const std::string& payload,
       deadline.IsFinite() ? NowMs() + deadline.RemainingMillis() : kInfinity;
 
   struct Flight {
-    net::AsyncClient conn;
+    net::Connection conn;
     bool is_hedge = false;
   };
   struct Leg {
@@ -158,7 +158,7 @@ std::vector<Coordinator::Reply> Coordinator::Gather(const std::string& payload,
 
     const Deadline attempt_deadline =
         Deadline::AfterMillis(leg.attempt_expiry_ms - now_ms, clock_);
-    Result<net::AsyncClient> conn = leg.shard->pool.Acquire(attempt_deadline);
+    Result<net::Connection> conn = leg.shard->pool.Acquire(attempt_deadline);
     if (!conn.ok()) {
       fail_attempt(leg, NowMs(), /*timed_out=*/false, /*penalize=*/true);
       return;
@@ -180,7 +180,7 @@ std::vector<Coordinator::Reply> Coordinator::Gather(const std::string& payload,
     leg.hedge_at_ms = kInfinity;
     const Deadline attempt_deadline =
         Deadline::AfterMillis(leg.attempt_expiry_ms - now_ms, clock_);
-    Result<net::AsyncClient> conn = leg.shard->pool.Acquire(attempt_deadline);
+    Result<net::Connection> conn = leg.shard->pool.Acquire(attempt_deadline);
     if (!conn.ok()) return;
     Status sent = conn->Send(net::FrameType::kPartialQuery, payload,
                              attempt_deadline);
@@ -222,10 +222,8 @@ std::vector<Coordinator::Reply> Coordinator::Gather(const std::string& payload,
         return;
       }
       case net::FrameType::kError: {
-        net::WireReader reader(frame.payload);
         Status status;
-        const Status decoded = net::DecodeStatus(&reader, &status);
-        if (!decoded.ok() || status.ok()) {
+        if (!net::ParseErrorPayload(frame.payload, &status).ok()) {
           fail_attempt(leg, now_ms, /*timed_out=*/false, /*penalize=*/true);
           return;
         }
@@ -452,7 +450,7 @@ Status Coordinator::Ping(size_t shard, double timeout_ms) {
   }
   Shard& target = *shards_[shard];
   const Deadline deadline = Deadline::AfterMillis(timeout_ms, clock_);
-  Result<net::AsyncClient> conn = target.pool.Acquire(deadline);
+  Result<net::Connection> conn = target.pool.Acquire(deadline);
   if (!conn.ok()) return conn.status();
   Result<net::Frame> frame = conn->Call(net::FrameType::kPing, "", deadline);
   if (!frame.ok()) return frame.status();

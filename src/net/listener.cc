@@ -2,40 +2,50 @@
 
 #include <arpa/inet.h>
 #include <cerrno>
-#include <cstdio>
+#include <chrono>
 #include <cstring>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <system_error>
 #include <unistd.h>
+#include <utility>
 
 #include "common/strings.h"
-#include "net/wire.h"
 
 namespace muve::net {
 namespace {
 
-/// Answers `status` with an Error frame; false when the write fails.
-bool WriteError(int fd, const Status& status) {
-  WireWriter w;
-  EncodeStatus(status, &w);
-  return WriteFrame(fd, FrameType::kError, w.bytes()).ok();
+/// listen(2) backlog.
+constexpr int kBacklog = 64;
+
+/// Pause after a failed accept(2) or thread start before trying again:
+/// a full fd table or an exhausted kernel clears only as connections
+/// close, so retrying at once would spin.
+constexpr std::chrono::milliseconds kAcceptBackoff{10};
+
+/// Writes one reply frame; false when the write fails. Connections are
+/// served until they close, so a reply has no deadline.
+bool Reply(Connection& conn, FrameType type, std::string_view payload) {
+  return conn.Send(type, payload, Deadline::Infinite()).ok();
 }
 
 }  // namespace
 
-Listener::Listener(serve::Server* server, ListenerOptions options)
-    : server_(server), options_(options) {}
+Listener::Listener(serve::Server* server, uint16_t port)
+    : server_(server), requested_port_(port) {}
 
 Listener::~Listener() { Shutdown(); }
 
 Status Listener::Start() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (started_) return Status::FailedPrecondition("listener already started");
+    if (started_ || shutdown_) {
+      return Status::FailedPrecondition("listener already started");
+    }
     started_ = true;
   }
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0) {
     return Status::Internal(std::string("socket failed: ") +
                             std::strerror(errno));
@@ -46,7 +56,7 @@ Status Listener::Start() {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_ANY);
-  addr.sin_port = htons(options_.port);
+  addr.sin_port = htons(requested_port_);
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
       0) {
     const Status status = Status::Internal(std::string("bind failed: ") +
@@ -55,7 +65,7 @@ Status Listener::Start() {
     listen_fd_ = -1;
     return status;
   }
-  if (::listen(listen_fd_, options_.backlog) < 0) {
+  if (::listen(listen_fd_, kBacklog) < 0) {
     const Status status = Status::Internal(std::string("listen failed: ") +
                                            std::strerror(errno));
     ::close(listen_fd_);
@@ -68,10 +78,6 @@ Status Listener::Start() {
                     &bound_len) == 0) {
     port_ = ntohs(bound.sin_port);
   }
-  if (options_.announce) {
-    std::printf("LISTENING port=%u\n", static_cast<unsigned>(port_));
-    std::fflush(stdout);
-  }
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   return Status::OK();
 }
@@ -82,22 +88,24 @@ void Listener::Shutdown() {
     if (shutdown_) return;
     shutdown_ = true;
   }
-  const int listen_fd = listen_fd_.exchange(-1);
-  if (listen_fd >= 0) {
-    // shutdown() unblocks accept(2); some platforms need the close too.
-    ::shutdown(listen_fd, SHUT_RDWR);
-    ::close(listen_fd);
-  }
+  // shutdown(2) on the listening socket fails the blocked accept(2); the
+  // fd is closed only once the accept thread is gone.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> threads;
+  if (listen_fd_ >= 0) {
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+  }
+  std::thread last;
   {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (auto& [id, fd] : conn_fds_) ::shutdown(fd, SHUT_RDWR);
-    threads.swap(conn_threads_);
+    std::unique_lock<std::mutex> lock(mutex_);
+    for (auto& [id, live] : live_) ::shutdown(live.fd, SHUT_RDWR);
+    retired_.wait(lock, [this] { return live_.empty(); });
+    last = std::move(finished_);
   }
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
-  }
+  // Each retired thread joined the one that ended before it, so joining
+  // the last one joins them all.
+  if (last.joinable()) last.join();
 }
 
 ListenerStats Listener::stats() const {
@@ -107,129 +115,153 @@ ListenerStats Listener::stats() const {
 
 void Listener::AcceptLoop() {
   for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept4(listen_fd_, nullptr, nullptr,
+                             SOCK_NONBLOCK | SOCK_CLOEXEC);
+    const int accept_errno = errno;
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (shutdown_) {
+      if (fd >= 0) ::close(fd);
+      return;
+    }
     if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // Shutdown closed the listening socket (or fatal error).
+      lock.unlock();
+      // EMFILE, ENFILE, ENOBUFS, ENOMEM, ECONNABORTED, ...: none of them
+      // ends the server.
+      if (accept_errno != EINTR) std::this_thread::sleep_for(kAcceptBackoff);
+      continue;
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    uint64_t conn_id = 0;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (shutdown_) {
-        ::close(fd);
-        return;
-      }
-      conn_id = next_conn_id_++;
-      conn_fds_.emplace(conn_id, fd);
-      ++stats_.connections_accepted;
-      conn_threads_.emplace_back(
-          [this, conn_id, fd] { ServeConnection(conn_id, fd); });
+    const uint64_t conn_id = next_conn_id_++;
+    Live& live = live_[conn_id];
+    live.fd = fd;
+    try {
+      // The thread retires itself under mutex_, so it cannot look up
+      // its entry before this assignment lands.
+      live.thread = std::thread(
+          [this, conn_id, fd] { ServeConnection(conn_id, Connection(fd)); });
+    } catch (const std::system_error&) {
+      // Out of threads: drop this connection, keep serving the others.
+      live_.erase(conn_id);
+      lock.unlock();
+      ::close(fd);
+      std::this_thread::sleep_for(kAcceptBackoff);
+      continue;
     }
+    ++stats_.connections_accepted;
   }
 }
 
-void Listener::ServeConnection(uint64_t conn_id, int fd) {
+void Listener::ServeConnection(uint64_t conn_id, Connection conn) {
   const std::string session_id = StrCat({"conn-", std::to_string(conn_id)});
-  Frame frame;
   for (;;) {
-    Result<bool> more = ReadFrame(fd, &frame);
-    if (!more.ok()) {
-      // Broken framing: nothing sensible to answer on this byte stream.
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.protocol_errors;
+    Result<Frame> frame = conn.Receive(Deadline::Infinite());
+    if (!frame.ok()) {
+      // A close between frames ends the stream; anything else broke it,
+      // and there is nothing sensible to answer on a broken byte stream.
+      if (!conn.peer_closed()) CountProtocolError();
       break;
     }
-    if (!more.value()) break;  // Peer closed cleanly.
-    bool keep = true;
-    switch (frame.type) {
-      case FrameType::kPing:
-        keep = WriteFrame(fd, FrameType::kPong, "").ok();
-        break;
-      case FrameType::kRequest:
-        keep = HandleRequest(session_id, fd, frame);
-        break;
-      case FrameType::kPartialQuery:
-        keep = HandlePartialQuery(fd, frame);
-        break;
-      case FrameType::kStats:
-        keep = WriteFrame(fd, FrameType::kStats,
-                          stats_provider_ ? stats_provider_() : "{}")
-                   .ok();
-        break;
-      default:
-        // A frame type the server never expects from a client.
-        (void)RejectFrame(
-            fd, Status::InvalidArgument(
-                    "unexpected frame type " +
-                    std::to_string(static_cast<int>(frame.type))));
-        keep = false;
-        break;
-    }
-    if (!keep) break;
+    if (!ServeFrame(session_id, conn, *frame)) break;
   }
-  ::close(fd);
-  std::lock_guard<std::mutex> lock(mutex_);
-  conn_fds_.erase(conn_id);
+  Retire(conn_id, conn);
 }
 
-bool Listener::RejectFrame(int fd, const Status& status) {
+void Listener::Retire(uint64_t conn_id, Connection& conn) {
+  std::thread previous;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.protocol_errors;
+    const auto it = live_.find(conn_id);
+    previous = std::exchange(finished_, std::move(it->second.thread));
+    live_.erase(it);
   }
-  return WriteError(fd, status);
+  retired_.notify_all();
+  conn.Close();
+  if (previous.joinable()) previous.join();
 }
 
-bool Listener::HandlePartialQuery(int fd, const Frame& frame) {
+bool Listener::ServeFrame(const std::string& session_id, Connection& conn,
+                          const Frame& frame) {
+  switch (frame.type) {
+    case FrameType::kPing:
+      return Reply(conn, FrameType::kPong, "");
+    case FrameType::kRequest:
+      return HandleRequest(session_id, conn, frame);
+    case FrameType::kPartialQuery:
+      return HandlePartialQuery(conn, frame);
+    case FrameType::kStats:
+      return Reply(conn, FrameType::kStats,
+                   stats_provider_ ? stats_provider_() : "{}");
+    default:
+      // A frame type the server never expects from a client.
+      (void)RejectFrame(
+          conn, Status::InvalidArgument(
+                    StrCat({"unexpected frame type ",
+                            std::to_string(static_cast<int>(frame.type))})));
+      return false;
+  }
+}
+
+void Listener::CountProtocolError() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  ++stats_.protocol_errors;
+}
+
+bool Listener::RejectFrame(Connection& conn, const Status& status) {
+  CountProtocolError();
+  return Reply(conn, FrameType::kError, ErrorPayload(status));
+}
+
+bool Listener::HandlePartialQuery(Connection& conn, const Frame& frame) {
   if (partial_handler_ == nullptr) {
-    return RejectFrame(fd, Status::FailedPrecondition(
-                               "not a shard server (no partial handler)"));
+    return RejectFrame(conn, Status::FailedPrecondition(
+                                 "not a shard server (no partial handler)"));
   }
   Result<PartialQuery> query = ParsePartialQuery(frame.payload);
-  if (!query.ok()) return RejectFrame(fd, query.status());
+  if (!query.ok()) return RejectFrame(conn, query.status());
   Result<PartialResult> result =
       partial_handler_->HandlePartial(std::move(query).value());
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.requests_served;
   }
-  if (!result.ok()) return WriteError(fd, result.status());
-  return WriteFrame(fd, FrameType::kPartialResult,
-                    SerializePartialResult(result.value()))
-      .ok();
+  if (!result.ok()) {
+    return Reply(conn, FrameType::kError, ErrorPayload(result.status()));
+  }
+  return Reply(conn, FrameType::kPartialResult,
+               SerializePartialResult(result.value()));
 }
 
-bool Listener::HandleRequest(const std::string& session_id, int fd,
+bool Listener::HandleRequest(const std::string& session_id, Connection& conn,
                              const Frame& frame) {
   if (server_ == nullptr) {
-    return RejectFrame(fd, Status::FailedPrecondition(
-                               "this endpoint serves shard partials only"));
+    return RejectFrame(conn, Status::FailedPrecondition(
+                                 "this endpoint serves shard partials only"));
   }
   // Payload: SerializeRequestPayload bytes.
   if (frame.payload.empty()) {
-    return RejectFrame(fd, Status::ParseError("empty request frame"));
+    return RejectFrame(conn, Status::ParseError("empty request frame"));
   }
   const uint8_t cls_byte = static_cast<uint8_t>(frame.payload[0]);
   if (cls_byte >= serve::kNumRequestClasses) {
-    return RejectFrame(fd, Status::ParseError("bad request class " +
-                                              std::to_string(cls_byte)));
+    return RejectFrame(conn, Status::ParseError("bad request class " +
+                                                std::to_string(cls_byte)));
   }
   const serve::RequestClass cls = static_cast<serve::RequestClass>(cls_byte);
   Result<Request> request =
       ParseRequest(std::string_view(frame.payload).substr(1));
-  if (!request.ok()) return RejectFrame(fd, request.status());
+  if (!request.ok()) return RejectFrame(conn, request.status());
   Result<serve::ServedAnswer> served =
       server_->Submit(session_id, std::move(request).value(), cls).get();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.requests_served;
   }
-  if (!served.ok()) return WriteError(fd, served.status());
-  return WriteFrame(fd, FrameType::kAnswer,
-                    SerializeServedAnswer(served.value()))
-      .ok();
+  if (!served.ok()) {
+    return Reply(conn, FrameType::kError, ErrorPayload(served.status()));
+  }
+  return Reply(conn, FrameType::kAnswer,
+               SerializeServedAnswer(served.value()));
 }
 
 }  // namespace muve::net

@@ -1,16 +1,16 @@
 #ifndef MUVE_NET_LISTENER_H_
 #define MUVE_NET_LISTENER_H_
 
-#include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <vector>
 
 #include "common/status.h"
+#include "net/connection.h"
 #include "net/protocol.h"
 #include "net/wire.h"
 #include "serve/server.h"
@@ -29,17 +29,6 @@ class PartialHandler {
   virtual Result<PartialResult> HandlePartial(const PartialQuery& query) = 0;
 };
 
-struct ListenerOptions {
-  /// TCP port to bind on 0.0.0.0; 0 picks an ephemeral port (read it
-  /// back via port()).
-  uint16_t port = 0;
-  /// listen(2) backlog.
-  int backlog = 64;
-  /// Print "LISTENING port=N" to stdout once the socket is ready — the
-  /// handshake scripts (e2e smoke, README quickstart) wait for it.
-  bool announce = false;
-};
-
 struct ListenerStats {
   uint64_t connections_accepted = 0;
   uint64_t requests_served = 0;
@@ -49,8 +38,12 @@ struct ListenerStats {
 };
 
 /// TCP front door for a serve::Server: an accept thread plus one thread
-/// per connection, each speaking the length-prefixed frame protocol
-/// (protocol.h) serially — one request, one response, in order.
+/// per live connection, each serving a net::Connection serially — one
+/// request, one response, in order. A connection's thread is joined once
+/// it ends (by the next connection to end, or by Shutdown), so threads
+/// and their stacks are bounded by the live connections. An accept(2)
+/// failure (fd table full, no buffers, an aborted handshake) backs off
+/// and retries: only Shutdown ends the accept loop.
 ///
 /// Each connection is its own serving session ("conn-<n>"), so a
 /// connection's voice requests draw from their own noise stream. Its
@@ -64,18 +57,19 @@ class Listener {
  public:
   /// `server` must outlive the listener. It may be null for a
   /// partial-only shard endpoint (kRequest frames then answer with an
-  /// Error frame).
-  explicit Listener(serve::Server* server, ListenerOptions options = {});
+  /// Error frame). `port` is the TCP port to bind on 0.0.0.0; 0 picks an
+  /// ephemeral port (read it back via port()).
+  explicit Listener(serve::Server* server, uint16_t port = 0);
   ~Listener();
 
   Listener(const Listener&) = delete;
   Listener& operator=(const Listener&) = delete;
 
   /// Binds, listens, and starts the accept thread. Fails if the port is
-  /// taken or Start was already called.
+  /// taken, or Start or Shutdown was already called.
   Status Start();
 
-  /// The bound port (the chosen one when options.port was 0). 0 before
+  /// The bound port (the chosen one when constructed with 0). 0 before
   /// Start.
   uint16_t port() const { return port_; }
 
@@ -99,35 +93,52 @@ class Listener {
   }
 
  private:
+  /// A live connection: its fd (so Shutdown can unblock it) and the
+  /// thread serving it.
+  struct Live {
+    int fd = -1;
+    std::thread thread;
+  };
+
   void AcceptLoop();
-  void ServeConnection(uint64_t conn_id, int fd);
-  /// Handles one kRequest frame; returns false when the connection
-  /// should close (frame-level protocol violation).
-  bool HandleRequest(const std::string& session_id, int fd,
+  void ServeConnection(uint64_t conn_id, Connection conn);
+  /// Answers one frame; returns false when the connection should close.
+  bool ServeFrame(const std::string& session_id, Connection& conn,
+                  const Frame& frame);
+  /// Handles one kRequest frame.
+  bool HandleRequest(const std::string& session_id, Connection& conn,
                      const Frame& frame);
   /// Handles one kPartialQuery frame (shard-server mode).
-  bool HandlePartialQuery(int fd, const Frame& frame);
+  bool HandlePartialQuery(Connection& conn, const Frame& frame);
   /// Counts a protocol error, then answers it with an Error frame;
   /// returns false when that write fails.
-  bool RejectFrame(int fd, const Status& status);
+  bool RejectFrame(Connection& conn, const Status& status);
+  void CountProtocolError();
+  /// Ends a connection: takes it out of the live set under the mutex,
+  /// only then closes its fd (so Shutdown never shuts down a reused fd
+  /// number), and joins the connection thread that ended before it.
+  void Retire(uint64_t conn_id, Connection& conn);
 
   serve::Server* const server_;
   PartialHandler* partial_handler_ = nullptr;
   std::function<std::string()> stats_provider_;
-  const ListenerOptions options_;
+  const uint16_t requested_port_;
 
-  /// Atomic: the accept loop passes it to accept(2) while Shutdown
-  /// closes it and writes -1 to unblock that call.
-  std::atomic<int> listen_fd_{-1};
+  /// Written by Start before the accept thread exists and by Shutdown
+  /// after joining it; in between both threads only read it.
+  int listen_fd_ = -1;
   uint16_t port_ = 0;
   std::thread accept_thread_;
 
   mutable std::mutex mutex_;
+  /// Signalled whenever a connection leaves live_.
+  std::condition_variable retired_;
   bool started_ = false;
   bool shutdown_ = false;
-  /// Live connection fds by id, so Shutdown can unblock their reads.
-  std::unordered_map<uint64_t, int> conn_fds_;
-  std::vector<std::thread> conn_threads_;
+  std::unordered_map<uint64_t, Live> live_;
+  /// The thread of the connection that ended last. It is joined by the
+  /// next connection to end, or by Shutdown.
+  std::thread finished_;
   uint64_t next_conn_id_ = 0;
   ListenerStats stats_;
 };

@@ -49,13 +49,12 @@ Result<std::string> EncodeFrame(FrameType type, std::string_view payload);
 /// allocation.
 Result<uint32_t> ParseFrameLength(std::string_view header);
 
-/// Writes one frame to `fd`, looping over partial writes and EINTR.
-Status WriteFrame(int fd, FrameType type, std::string_view payload);
-
-/// Reads one frame from `fd` into `*frame`. Returns false on a clean
-/// EOF at a frame boundary (the peer closed the connection); a
-/// mid-frame EOF, oversized length, or socket error is a Status.
-Result<bool> ReadFrame(int fd, Frame* frame);
+/// The one error-frame pair. ErrorPayload encodes `status` as the
+/// payload of a kError frame. ParseErrorPayload decodes one into `*peer`,
+/// the peer's status: a payload that does not decode, or that carries
+/// OK, returns a ParseError and leaves `*peer` untouched.
+std::string ErrorPayload(const Status& status);
+Status ParseErrorPayload(std::string_view payload, Status* peer);
 
 }  // namespace muve::net
 

@@ -675,9 +675,4 @@ MetaphoneCode DoubleMetaphone::Encode(std::string_view word) const {
   return encoder.Run();
 }
 
-std::string MetaphonePrimary(std::string_view word) {
-  static const DoubleMetaphone kEncoder;
-  return kEncoder.Encode(word).primary;
-}
-
 }  // namespace muve::phonetics

@@ -38,9 +38,6 @@ class DoubleMetaphone {
   size_t max_code_length_;
 };
 
-/// Convenience wrapper: primary Double Metaphone code with default length.
-std::string MetaphonePrimary(std::string_view word);
-
 }  // namespace muve::phonetics
 
 #endif  // MUVE_PHONETICS_DOUBLE_METAPHONE_H_

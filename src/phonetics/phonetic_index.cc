@@ -39,20 +39,6 @@ uint16_t BandKey(std::string_view primary) {
   return BandKeyParts(first, primary.size());
 }
 
-/// The one scoring kernel both lookup paths share. A single out-of-line
-/// definition guarantees both paths round identically, which is what makes
-/// "indexed == exhaustive, bitwise" testable.
-double BlendedScore(std::string_view query_lower,
-                    const MetaphoneCode& query_code,
-                    const MetaphoneCode& entry_code,
-                    std::string_view entry_lower) {
-  double similarity = CodeSimilarity(query_code, entry_code);
-  // Break phonetic ties with the spelling similarity so that, e.g.,
-  // lookups of "brooklyn" prefer "brooklyn" over "brookline".
-  return 0.9 * similarity +
-         0.1 * JaroWinklerSimilarity(query_lower, entry_lower);
-}
-
 }  // namespace
 
 void PhoneticIndex::Add(std::string_view entry) {
@@ -77,10 +63,6 @@ void PhoneticIndex::Add(std::string_view entry) {
   entries_.push_back(std::move(indexed));
 }
 
-void PhoneticIndex::AddAll(const std::vector<std::string>& entries) {
-  for (const std::string& entry : entries) Add(entry);
-}
-
 std::vector<PhoneticMatch> PhoneticIndex::TopK(
     std::string_view query, size_t k, bool include_exact,
     PhoneticLookupStats* stats) const {
@@ -96,30 +78,6 @@ std::vector<PhoneticMatch> PhoneticIndex::TopK(
   return TopKIndexed(query_lower, query_code, k, include_exact, stats);
 }
 
-std::vector<PhoneticMatch> PhoneticIndex::TopKExhaustive(
-    std::string_view query, size_t k, bool include_exact) const {
-  if (k == 0 || entries_.empty()) return {};
-  const std::string query_lower = ToLower(query);
-  const MetaphoneCode query_code = Encoder().Encode(query);
-  std::vector<PhoneticMatch> matches;
-  matches.reserve(entries_.size());
-  for (const IndexedEntry& entry : entries_) {
-    if (!include_exact && entry.lower == query_lower) continue;
-    matches.push_back(
-        {entry.text,
-         BlendedScore(query_lower, query_code, entry.code, entry.lower)});
-  }
-  std::sort(matches.begin(), matches.end(),
-            [](const PhoneticMatch& a, const PhoneticMatch& b) {
-              if (a.similarity != b.similarity) {
-                return a.similarity > b.similarity;
-              }
-              return a.entry < b.entry;
-            });
-  if (matches.size() > k) matches.resize(k);
-  return matches;
-}
-
 std::vector<PhoneticMatch> PhoneticIndex::TopKIndexed(
     const std::string& query_lower, const MetaphoneCode& query_code, size_t k,
     bool include_exact, PhoneticLookupStats* stats) const {
@@ -129,9 +87,9 @@ std::vector<PhoneticMatch> PhoneticIndex::TopKIndexed(
   const uint64_t q_lower_mask = ByteMask(query_lower);
   const bool q_has_secondary = query_code.secondary != query_code.primary;
 
-  // "a ranks strictly before b" — the same total order TopKExhaustive
-  // sorts with (texts are unique, so it is total). Used both as the heap
-  // comparator (heap top = worst kept) and for the final merge sort.
+  // "a ranks strictly before b" — the same total order the exhaustive
+  // oracle sorts with (texts are unique, so it is total). Used both as the
+  // heap comparator (heap top = worst kept) and for the final merge sort.
   const auto ranks_before = [this](const Candidate& a, const Candidate& b) {
     if (a.score != b.score) return a.score > b.score;
     return entries_[a.id].text < entries_[b.id].text;

@@ -9,6 +9,7 @@
 
 #include "common/thread_pool.h"
 #include "phonetics/double_metaphone.h"
+#include "phonetics/similarity.h"
 
 namespace muve::phonetics {
 
@@ -37,14 +38,22 @@ struct PhoneticLookupStats {
   size_t pruned_length = 0;  ///< Swept entries cut by the length-band bound.
   size_t pruned_mask = 0;    ///< Swept entries cut by the symbol-mask bound.
   size_t scored = 0;         ///< Full blended scores computed (incl. seeds).
-
-  /// Fraction of the vocabulary that was never fully scored.
-  double PrunedFraction() const {
-    if (vocabulary == 0) return 0.0;
-    return static_cast<double>(vocabulary - scored) /
-           static_cast<double>(vocabulary);
-  }
 };
+
+/// The one scoring function of a phonetic lookup: 0.9 x the similarity of
+/// the Double Metaphone codes plus 0.1 x the Jaro-Winkler similarity of
+/// the lowered spellings, which breaks phonetic ties (a lookup of
+/// "brooklyn" prefers "brooklyn" over "brookline"). Every lookup path and
+/// the exhaustive oracle in tests/ score through this one definition, so
+/// they round identically. Inline so the lookup's hot loops keep it
+/// inlined.
+inline double BlendedScore(std::string_view query_lower,
+                           const MetaphoneCode& query_code,
+                           const MetaphoneCode& entry_code,
+                           std::string_view entry_lower) {
+  return 0.9 * CodeSimilarity(query_code, entry_code) +
+         0.1 * JaroWinklerSimilarity(query_lower, entry_lower);
+}
 
 /// Vocabulary index answering "k most phonetically similar entries"
 /// queries, standing in for the Apache Lucene phonetic functionality the
@@ -59,7 +68,8 @@ struct PhoneticLookupStats {
 /// computing the full comparison. The sweep runs chunk-parallel on the
 /// shared ThreadPool for large vocabularies. Serial and parallel at any
 /// thread count return results bit-identical (entries, scores, and
-/// tie-break order) to TopKExhaustive, the linear scan the index replaces.
+/// tie-break order) to a linear scan that scores every entry and sorts
+/// (the exhaustive oracle in tests/testing/phonetic_oracle.h).
 class PhoneticIndex {
  public:
   PhoneticIndex() = default;
@@ -70,13 +80,8 @@ class PhoneticIndex {
   /// ignored; the check is a hash lookup, so building is O(n) overall.
   void Add(std::string_view entry);
 
-  /// Adds each entry of `entries`.
-  void AddAll(const std::vector<std::string>& entries);
-
   /// Number of distinct entries in the index.
   size_t size() const { return entries_.size(); }
-
-  const PhoneticIndexOptions& options() const { return options_; }
 
   /// Returns up to `k` entries most phonetically similar to `query`,
   /// sorted by descending similarity (ties broken lexicographically).
@@ -86,11 +91,6 @@ class PhoneticIndex {
   std::vector<PhoneticMatch> TopK(std::string_view query, size_t k,
                                   bool include_exact = true,
                                   PhoneticLookupStats* stats = nullptr) const;
-
-  /// TopK by scoring every entry and fully sorting: the linear scan the
-  /// pruned lookup must reproduce bit for bit, kept as its reference.
-  std::vector<PhoneticMatch> TopKExhaustive(std::string_view query, size_t k,
-                                            bool include_exact = true) const;
 
  private:
   struct IndexedEntry {

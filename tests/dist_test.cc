@@ -10,7 +10,9 @@
 ///  - Fault injection: a dead endpoint (connection refused) and a
 ///    stalled endpoint (accepts, never answers in time) must each
 ///    degrade to a dropped stripe within the deadline — never a hang —
-///    while surviving shards still merge.
+///    while surviving shards still merge. A shard's error frame drops
+///    its stripe (Timeout), errors it (any other status), or is retried
+///    as a transport failure (an undecodable or OK-carrying frame).
 ///  - Hedging: a straggling first attempt is overtaken by the hedged
 ///    duplicate, capping latency well below the stall.
 ///  - Breaker: consecutive transport failures eject a downstream
@@ -24,12 +26,18 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
@@ -39,7 +47,9 @@
 #include "db/table.h"
 #include "dist/coordinator.h"
 #include "dist/shard_service.h"
+#include "net/connection.h"
 #include "net/listener.h"
+#include "net/protocol.h"
 #include "net/wire.h"
 #include "serve/server.h"
 #include "shard/scatter_gather.h"
@@ -119,10 +129,8 @@ class ShardCluster {
   /// Restarts a killed endpoint on its original port with its original
   /// stripe (the breaker-recovery scenario).
   void Restart(size_t index) {
-    net::ListenerOptions options;
-    options.port = endpoints_[index].port;
     listeners_[index] =
-        std::make_unique<net::Listener>(nullptr, options);
+        std::make_unique<net::Listener>(nullptr, endpoints_[index].port);
     listeners_[index]->set_partial_handler(services_[index].get());
     const Status started = listeners_[index]->Start();
     ASSERT_TRUE(started.ok()) << started.message();
@@ -261,6 +269,121 @@ TEST(DistFaultTest, DeadEndpointDegradesToADroppedStripeFast) {
   EXPECT_GT(dist_stats.shards[1].transport_errors, 0u);
   EXPECT_GT(dist_stats.shards[1].dropped, 0u);
   EXPECT_GT(dist_stats.shards[1].retries, 0u);
+}
+
+/// Answers every partial query with one fixed error status.
+class FailingHandler : public net::PartialHandler {
+ public:
+  explicit FailingHandler(Status status) : status_(std::move(status)) {}
+
+  Result<net::PartialResult> HandlePartial(const net::PartialQuery&) override {
+    return status_;
+  }
+
+ private:
+  const Status status_;
+};
+
+/// A shard endpoint that answers every frame with an error frame carrying
+/// OK: a contradiction, so a broken reply rather than the peer's status.
+class OkErrorPeer {
+ public:
+  OkErrorPeer() {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    EXPECT_EQ(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+                     sizeof(addr)), 0);
+    EXPECT_EQ(::listen(listen_fd_, 8), 0);
+    EXPECT_EQ(::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+                            &len), 0);
+    port_ = ntohs(addr.sin_port);
+    thread_ = std::thread([this] {
+      // One connection at a time: each retry dials afresh.
+      for (int fd; (fd = ::accept4(listen_fd_, nullptr, nullptr,
+                                   SOCK_NONBLOCK)) >= 0;) {
+        net::Connection conn(fd);
+        const Deadline deadline = Deadline::AfterMillis(5000.0);
+        while (conn.Receive(deadline).ok() &&
+               conn.Send(net::FrameType::kError,
+                         net::ErrorPayload(Status::OK()), deadline)
+                   .ok()) {
+        }
+      }
+    });
+  }
+
+  ~OkErrorPeer() {
+    ::shutdown(listen_fd_, SHUT_RDWR);  // Fails the blocked accept(2).
+    thread_.join();
+    ::close(listen_fd_);
+  }
+
+  Endpoint endpoint() const { return {"127.0.0.1", port_}; }
+
+ private:
+  int listen_fd_ = -1;
+  uint16_t port_ = 0;
+  std::thread thread_;
+};
+
+TEST(DistFaultTest, ErrorFramesDropErrorOrRetryByWhatTheyCarry) {
+  auto table = SmallDyadicTable(9004);
+  shard::ShardedTableOptions shard_options;
+  shard_options.num_shards = 3;
+  auto sharded = shard::ShardedTable::FromTable(*table, shard_options);
+  ASSERT_TRUE(sharded.ok());
+  Rng rng(9004);
+  const db::AggregateQuery query =
+      testing::RandomAggregateQuery(*table, &rng);
+
+  {
+    // The shard's scan ran out of budget: a dropped stripe, not retried.
+    FailingHandler timeout(Status::Timeout("scan budget spent"));
+    ShardCluster cluster(**sharded, &timeout, /*override_index=*/1);
+    Coordinator coordinator(cluster.endpoints(), FastFailOptions());
+    auto outcomes =
+        coordinator.ExecutePartialAll(query, Deadline::AfterMillis(5000.0));
+    ASSERT_EQ(outcomes.size(), 3u);
+    ASSERT_TRUE(outcomes[1].ok()) << outcomes[1].status().message();
+    EXPECT_TRUE(outcomes[1]->dropped);
+    const ShardCounters counters = coordinator.stats().shards[1];
+    EXPECT_EQ(counters.retries, 0u);
+    EXPECT_EQ(counters.transport_errors, 0u);
+    EXPECT_EQ(counters.timeouts, 1u);
+  }
+  {
+    // Any other status is deterministic: the stripe errors, not retried.
+    FailingHandler invalid(Status::InvalidArgument("no such column"));
+    ShardCluster cluster(**sharded, &invalid, /*override_index=*/1);
+    Coordinator coordinator(cluster.endpoints(), FastFailOptions());
+    auto outcomes =
+        coordinator.ExecutePartialAll(query, Deadline::AfterMillis(5000.0));
+    ASSERT_EQ(outcomes.size(), 3u);
+    ASSERT_FALSE(outcomes[1].ok());
+    EXPECT_EQ(outcomes[1].status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(coordinator.stats().shards[1].retries, 0u);
+    EXPECT_TRUE(outcomes[0].ok());
+  }
+  {
+    // An error frame carrying OK is a transport failure: retried, then
+    // dropped.
+    OkErrorPeer peer;
+    ShardCluster cluster(**sharded);
+    std::vector<Endpoint> endpoints = cluster.endpoints();
+    endpoints[1] = peer.endpoint();
+    Coordinator coordinator(endpoints, FastFailOptions());
+    auto outcomes =
+        coordinator.ExecutePartialAll(query, Deadline::AfterMillis(5000.0));
+    ASSERT_EQ(outcomes.size(), 3u);
+    ASSERT_TRUE(outcomes[1].ok()) << outcomes[1].status().message();
+    EXPECT_TRUE(outcomes[1]->dropped);
+    const ShardCounters counters = coordinator.stats().shards[1];
+    EXPECT_EQ(counters.retries, 1u);
+    EXPECT_EQ(counters.transport_errors, 2u);
+  }
 }
 
 /// Accepts the query, then sleeps (interruptibly) far past every

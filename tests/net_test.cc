@@ -4,9 +4,11 @@
 /// status code, Request/Answer/ServedAnswer codec round-trips (via
 /// serialize -> parse -> reserialize byte equality on real pipeline
 /// answers), checked-in golden files pinning the v1 encodings, hostile
-/// list counts, and in-process Listener + AsyncClient exchanges over a
+/// list counts, and in-process Listener + Connection exchanges over a
 /// real loopback socket — including a quota rejection whose kOverloaded
-/// status crosses the wire intact.
+/// status crosses the wire intact — and the Listener's lifecycle:
+/// connection churn, clean and broken stream ends, Shutdown with idle
+/// connections, and an accept loop that outlives a full fd table.
 ///
 /// Regenerate the golden files after an intentional format change with
 ///   MUVE_WRITE_GOLDEN=1 ./net_test --gtest_filter='*Golden*'
@@ -16,9 +18,12 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -36,9 +41,8 @@
 #include "common/status.h"
 #include "common/strings.h"
 #include "muve/muve_engine.h"
-#include "net/async_client.h"
+#include "net/connection.h"
 #include "net/listener.h"
-#include "net/socket.h"
 #include "net/wire.h"
 #include "serve/server.h"
 #include "workload/datasets.h"
@@ -363,10 +367,10 @@ TEST(AnswerCodecTest, GoldenFilePinsTheV1Encoding) {
 }
 
 // ---------------------------------------------------------------------
-// Listener + AsyncClient end-to-end over loopback.
+// Listener + Connection end-to-end over loopback.
 // ---------------------------------------------------------------------
 
-Result<serve::ServedAnswer> Ask(AsyncClient& client, const Request& request) {
+Result<serve::ServedAnswer> Ask(Connection& client, const Request& request) {
   MUVE_ASSIGN_OR_RETURN(
       Frame reply,
       client.Call(FrameType::kRequest,
@@ -401,7 +405,7 @@ class LoopbackTest : public ::testing::Test {
 
 TEST_F(LoopbackTest, PingAndAskOverARealSocket) {
   StartServer();
-  auto client = AsyncClient::Connect("127.0.0.1", listener_->port(), 0.0);
+  auto client = Connection::Connect("127.0.0.1", listener_->port(), 0.0);
   ASSERT_TRUE(client.ok()) << client.status().message();
   const auto pong = client->Call(FrameType::kPing, "", Deadline::Infinite());
   ASSERT_TRUE(pong.ok()) << pong.status().message();
@@ -444,7 +448,7 @@ TEST_F(LoopbackTest, QuotaRejectionCrossesTheWireAsOverloaded) {
   options.tenant_quotas["metered"] = {/*rate_qps=*/0.001, /*burst=*/1.0,
                                       /*weight=*/1.0};
   StartServer(options);
-  auto client = AsyncClient::Connect("127.0.0.1", listener_->port(), 0.0);
+  auto client = Connection::Connect("127.0.0.1", listener_->port(), 0.0);
   ASSERT_TRUE(client.ok());
 
   Request request = Request::Text("how many complaints in brooklyn");
@@ -476,7 +480,7 @@ TEST_F(LoopbackTest, ConcurrentClientsGetConsistentAnswers) {
   std::vector<std::thread> threads;
   for (int i = 0; i < kClients; ++i) {
     threads.emplace_back([&, i] {
-      auto client = AsyncClient::Connect("127.0.0.1", port, 0.0);
+      auto client = Connection::Connect("127.0.0.1", port, 0.0);
       if (!client.ok()) return;
       auto served =
           Ask(*client, Request::Text("average open hours for noise in queens"));
@@ -933,7 +937,7 @@ TEST(FrameTest, OneEncoderAndOneLengthCheck) {
 }
 
 // ---------------------------------------------------------------------
-// Connect timeout and the non-blocking client.
+// Connect timeout and the non-blocking connection.
 // ---------------------------------------------------------------------
 
 /// A listening socket whose backlog we saturate so further connection
@@ -968,9 +972,12 @@ class SaturatedListener {
   /// handshakes (then the test skips rather than flakes).
   bool Saturate() {
     for (int i = 0; i < 32; ++i) {
-      Result<int> fd = ConnectFd("127.0.0.1", port_, 200.0);
-      if (!fd.ok()) return fd.status().code() == StatusCode::kTimeout;
-      fillers_.push_back(*fd);
+      Result<Connection> filler =
+          Connection::Connect("127.0.0.1", port_, 200.0);
+      if (!filler.ok()) {
+        return filler.status().code() == StatusCode::kTimeout;
+      }
+      fillers_.push_back(std::move(*filler));
     }
     return false;
   }
@@ -978,14 +985,14 @@ class SaturatedListener {
   uint16_t port() const { return port_; }
 
   ~SaturatedListener() {
-    for (int fd : fillers_) ::close(fd);
+    fillers_.clear();
     if (listen_fd_ >= 0) ::close(listen_fd_);
   }
 
  private:
   int listen_fd_ = -1;
   uint16_t port_ = 0;
-  std::vector<int> fillers_;
+  std::vector<Connection> fillers_;
 };
 
 TEST(ConnectTimeoutTest, UnresponsivePeerYieldsTimeoutNotAHang) {
@@ -995,7 +1002,7 @@ TEST(ConnectTimeoutTest, UnresponsivePeerYieldsTimeoutNotAHang) {
     GTEST_SKIP() << "could not saturate the accept backlog on this kernel";
   }
   StopWatch timer;
-  auto client = AsyncClient::Connect("127.0.0.1", peer.port(),
+  auto client = Connection::Connect("127.0.0.1", peer.port(),
                                      /*connect_timeout_ms=*/100.0);
   ASSERT_FALSE(client.ok());
   EXPECT_EQ(client.status().code(), StatusCode::kTimeout)
@@ -1004,14 +1011,14 @@ TEST(ConnectTimeoutTest, UnresponsivePeerYieldsTimeoutNotAHang) {
   EXPECT_LT(timer.ElapsedMillis(), 5000.0);
 }
 
-TEST(AsyncClientTest, PingPongOverARealSocket) {
+TEST(ConnectionTest, PingPongOverARealSocket) {
   Rng rng(777);
   serve::Server server(
       std::shared_ptr<const db::Table>(workload::Make311Table(500, &rng)));
   Listener listener(&server);
   ASSERT_TRUE(listener.Start().ok());
 
-  auto client = AsyncClient::Connect("127.0.0.1", listener.port(), 250.0);
+  auto client = Connection::Connect("127.0.0.1", listener.port(), 250.0);
   ASSERT_TRUE(client.ok()) << client.status().message();
   const Deadline deadline = Deadline::AfterMillis(2000.0);
   ASSERT_TRUE(client->Send(FrameType::kPing, "", deadline).ok());
@@ -1029,12 +1036,12 @@ TEST(AsyncClientTest, PingPongOverARealSocket) {
   server.Drain();
 }
 
-TEST(AsyncClientTest, ReceiveDeadlineBoundsASilentPeer) {
+TEST(ConnectionTest, ReceiveDeadlineBoundsASilentPeer) {
   // The peer completes the handshake (its backlog holds it) but never
   // reads or answers — Receive must return Timeout, not hang.
   SaturatedListener peer;
   ASSERT_TRUE(peer.Init());
-  auto client = AsyncClient::Connect("127.0.0.1", peer.port(), 500.0);
+  auto client = Connection::Connect("127.0.0.1", peer.port(), 500.0);
   ASSERT_TRUE(client.ok()) << client.status().message();
   ASSERT_TRUE(
       client->Send(FrameType::kPing, "", Deadline::AfterMillis(500.0)).ok());
@@ -1053,7 +1060,7 @@ class EmptyPartialHandler : public PartialHandler {
   }
 };
 
-TEST(AsyncClientTest, ShardListenerSurvivesAHostileCount) {
+TEST(ConnectionTest, ShardListenerSurvivesAHostileCount) {
   // A hostile count inside an intact frame answers an Error frame and
   // keeps the connection: the shard still serves Ping and well-formed
   // queries.
@@ -1061,7 +1068,7 @@ TEST(AsyncClientTest, ShardListenerSurvivesAHostileCount) {
   Listener listener(/*server=*/nullptr);
   listener.set_partial_handler(&handler);
   ASSERT_TRUE(listener.Start().ok());
-  auto client = AsyncClient::Connect("127.0.0.1", listener.port(), 1000.0);
+  auto client = Connection::Connect("127.0.0.1", listener.port(), 1000.0);
   ASSERT_TRUE(client.ok()) << client.status().message();
   const Deadline deadline = Deadline::AfterMillis(30000.0);
 
@@ -1084,7 +1091,7 @@ TEST(AsyncClientTest, ShardListenerSurvivesAHostileCount) {
   listener.Shutdown();
 }
 
-TEST(AsyncClientTest, ErrorFrameCarryingOkIsAParseError) {
+TEST(ConnectionTest, ErrorFrameCarryingOkIsAParseError) {
   // A peer that answers its first frame with an Error frame whose status
   // is OK — a contradiction Call must not pass off as success.
   const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -1099,22 +1106,20 @@ TEST(AsyncClientTest, ErrorFrameCarryingOkIsAParseError) {
   ASSERT_EQ(::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr),
                           &len), 0);
   std::thread peer([listen_fd] {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
+    const int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK);
     if (fd < 0) return;
-    Frame frame;
-    WireWriter ok_status;
-    EncodeStatus(Status::OK(), &ok_status);
-    if (ReadFrame(fd, &frame).ok()) {
-      (void)WriteFrame(fd, FrameType::kError, ok_status.bytes());
-      (void)ReadFrame(fd, &frame);  // Until the client hangs up.
+    Connection conn(fd);
+    const Deadline deadline = Deadline::AfterMillis(30000.0);
+    if (conn.Receive(deadline).ok()) {
+      (void)conn.Send(FrameType::kError, ErrorPayload(Status::OK()), deadline);
+      (void)conn.Receive(deadline);  // Until the client hangs up.
     }
-    ::close(fd);
   });
 
   // No ASSERT until the peer is joined: shutting the listening socket
   // down unblocks its accept(2) if the connect failed.
   auto client =
-      AsyncClient::Connect("127.0.0.1", ntohs(addr.sin_port), 1000.0);
+      Connection::Connect("127.0.0.1", ntohs(addr.sin_port), 1000.0);
   const Status outcome =
       client.ok()
           ? client->Call(FrameType::kPing, "", Deadline::AfterMillis(30000.0))
@@ -1125,6 +1130,149 @@ TEST(AsyncClientTest, ErrorFrameCarryingOkIsAParseError) {
   peer.join();
   ::close(listen_fd);
   EXPECT_EQ(outcome.code(), StatusCode::kParseError) << outcome.message();
+}
+
+// ---------------------------------------------------------------------
+// Listener lifecycle: connection churn, stream ends, Shutdown, and a
+// full fd table.
+// ---------------------------------------------------------------------
+
+/// This process's virtual size in KiB (VmSize in /proc/self/status).
+long VmSizeKiB() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stol(line.substr(7));
+  }
+  return -1;
+}
+
+/// One connect/Ping/close cycle.
+Status PingOnce(uint16_t port) {
+  MUVE_ASSIGN_OR_RETURN(Connection client,
+                        Connection::Connect("127.0.0.1", port, 5000.0));
+  MUVE_ASSIGN_OR_RETURN(
+      Frame pong,
+      client.Call(FrameType::kPing, "", Deadline::AfterMillis(5000.0)));
+  if (pong.type != FrameType::kPong) return Status::ParseError("not a Pong");
+  return Status::OK();
+}
+
+TEST(ListenerLifecycleTest, ConnectionChurnKeepsVirtualSizeFlat) {
+  // Every finished connection thread is joined, so its stack (8 MiB of
+  // address space by default) is released instead of kept until
+  // Shutdown: 256 sequential connections must not grow the process.
+  Listener listener(/*server=*/nullptr);
+  ASSERT_TRUE(listener.Start().ok());
+  for (int i = 0; i < 8; ++i) ASSERT_TRUE(PingOnce(listener.port()).ok());
+  const long before_kib = VmSizeKiB();
+  ASSERT_GT(before_kib, 0);
+  for (int i = 0; i < 256; ++i) {
+    const Status status = PingOnce(listener.port());
+    ASSERT_TRUE(status.ok()) << "cycle " << i << ": " << status.message();
+  }
+  const long growth_kib = VmSizeKiB() - before_kib;
+  RecordProperty("vmsize_growth_kib", static_cast<int>(growth_kib));
+  EXPECT_LT(growth_kib, 64 * 1024) << "VmSize grew " << growth_kib << " KiB";
+  listener.Shutdown();
+  EXPECT_EQ(listener.stats().connections_accepted, 264u);
+  EXPECT_EQ(listener.stats().protocol_errors, 0u);
+}
+
+TEST(ListenerLifecycleTest, OnlyACloseMidFrameIsAProtocolError) {
+  Listener listener(/*server=*/nullptr);
+  ASSERT_TRUE(listener.Start().ok());
+  // A closes between frames: the orderly end of a stream.
+  auto clean = Connection::Connect("127.0.0.1", listener.port(), 5000.0);
+  ASSERT_TRUE(clean.ok()) << clean.status().message();
+  ASSERT_TRUE(
+      clean->Call(FrameType::kPing, "", Deadline::AfterMillis(5000.0)).ok());
+  clean->Close();
+  // B closes after three bytes of a frame header: a broken stream.
+  auto broken = Connection::Connect("127.0.0.1", listener.port(), 5000.0);
+  ASSERT_TRUE(broken.ok()) << broken.status().message();
+  ASSERT_EQ(::send(broken->fd(), "\x05\x00\x00", 3, MSG_NOSIGNAL), 3);
+  broken->Close();
+
+  const Deadline deadline = Deadline::AfterMillis(5000.0);
+  while (listener.stats().protocol_errors == 0 && !deadline.Expired()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // Shutdown joins both connection threads, so the counts are final.
+  listener.Shutdown();
+  const ListenerStats stats = listener.stats();
+  EXPECT_EQ(stats.connections_accepted, 2u);
+  EXPECT_EQ(stats.protocol_errors, 1u);
+}
+
+TEST(ListenerLifecycleTest, ShutdownClosesAndJoinsIdleLiveConnections) {
+  Listener listener(/*server=*/nullptr);
+  ASSERT_TRUE(listener.Start().ok());
+  constexpr int kClients = 4;
+  std::vector<Connection> clients;
+  for (int i = 0; i < kClients; ++i) {
+    auto client = Connection::Connect("127.0.0.1", listener.port(), 5000.0);
+    ASSERT_TRUE(client.ok()) << client.status().message();
+    // Answered, so the connection's thread is live and idle in Receive.
+    ASSERT_TRUE(
+        client->Call(FrameType::kPing, "", Deadline::AfterMillis(5000.0))
+            .ok());
+    clients.push_back(std::move(*client));
+  }
+  listener.Shutdown();
+  // Every server-side end was closed: each client reads an orderly EOF.
+  for (Connection& client : clients) {
+    const auto frame = client.Receive(Deadline::AfterMillis(5000.0));
+    ASSERT_FALSE(frame.ok());
+    EXPECT_TRUE(client.peer_closed()) << frame.status().message();
+  }
+  const ListenerStats stats = listener.stats();
+  EXPECT_EQ(stats.connections_accepted, static_cast<uint64_t>(kClients));
+  EXPECT_EQ(stats.protocol_errors, 0u);
+}
+
+TEST(ListenerLifecycleTest, AcceptLoopSurvivesAFullFdTable) {
+  Listener listener(/*server=*/nullptr);
+  ASSERT_TRUE(listener.Start().ok());
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(listener.port());
+
+  // The client sockets exist before the limit drops: connect(2) needs no
+  // new fd, so they can still dial into a full table.
+  std::vector<int> clients;
+  for (int i = 0; i < 4; ++i) {
+    clients.push_back(::socket(AF_INET, SOCK_STREAM, 0));
+    ASSERT_GE(clients.back(), 0);
+  }
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit low = saved;
+  low.rlim_cur = std::min<rlim_t>(saved.rlim_cur, 64);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+  // Take every free fd below the limit, so accept(2) fails with EMFILE.
+  std::vector<int> fillers;
+  for (int fd = ::dup(clients[0]); fd >= 0; fd = ::dup(clients[0])) {
+    fillers.push_back(fd);
+  }
+  int connected = 0;
+  for (int fd : clients) {
+    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) ==
+        0) {
+      ++connected;
+    }
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  for (int fd : fillers) ::close(fd);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  for (int fd : clients) ::close(fd);
+  ASSERT_GT(connected, 1);
+
+  // The table has room again: the listener must still be accepting.
+  const Status pinged = PingOnce(listener.port());
+  EXPECT_TRUE(pinged.ok()) << pinged.message();
+  listener.Shutdown();
 }
 
 }  // namespace

@@ -68,8 +68,8 @@ TEST(DoubleMetaphoneTest, MaxLengthRespected) {
   EXPECT_LE(encoder.Encode("mississippi").primary.size(), 2u);
 }
 
-TEST(DoubleMetaphoneTest, MetaphonePrimaryHelper) {
-  EXPECT_EQ(MetaphonePrimary("smith"), "SM0");
+TEST(DoubleMetaphoneTest, DefaultLengthPrimaryCode) {
+  EXPECT_EQ(DoubleMetaphone().Encode("smith").primary, "SM0");
 }
 
 // ---------------------------------------------------------------------
@@ -140,7 +140,10 @@ TEST(PhoneticSimilarityTest, IdentityIsOne) {
 
 TEST(PhoneticIndexTest, TopKOrdersBySimilarity) {
   PhoneticIndex index;
-  index.AddAll({"queens", "quincy", "brooklyn", "bronx", "manhattan"});
+  for (const char* entry :
+       {"queens", "quincy", "brooklyn", "bronx", "manhattan"}) {
+    index.Add(entry);
+  }
   const std::vector<PhoneticMatch> matches = index.TopK("queens", 3);
   ASSERT_EQ(matches.size(), 3u);
   EXPECT_EQ(matches[0].entry, "queens");
@@ -152,7 +155,7 @@ TEST(PhoneticIndexTest, TopKOrdersBySimilarity) {
 
 TEST(PhoneticIndexTest, ExcludeExactMatch) {
   PhoneticIndex index;
-  index.AddAll({"queens", "quincy", "brooklyn"});
+  for (const char* entry : {"queens", "quincy", "brooklyn"}) index.Add(entry);
   const std::vector<PhoneticMatch> matches =
       index.TopK("queens", 3, /*include_exact=*/false);
   for (const PhoneticMatch& match : matches) {
@@ -171,7 +174,8 @@ TEST(PhoneticIndexTest, DuplicatesIgnored) {
 
 TEST(PhoneticIndexTest, KLargerThanIndex) {
   PhoneticIndex index;
-  index.AddAll({"a", "b"});
+  index.Add("a");
+  index.Add("b");
   EXPECT_EQ(index.TopK("a", 10).size(), 2u);
 }
 

@@ -1,5 +1,5 @@
 // Remote load generator: drives a separate-process muve_serve over the
-// frame protocol, one net::AsyncClient connection per client thread
+// frame protocol, one net::Connection connection per client thread
 // (closed loop, optionally paced).
 //
 // The query mix is generated against a local reconstruction of the
@@ -46,7 +46,7 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "net/async_client.h"
+#include "net/connection.h"
 #include "net/wire.h"
 #include "nlq/translator.h"
 #include "workload/datasets.h"
@@ -75,7 +75,7 @@ constexpr double kBlockingConnect = 0.0;
 
 /// One kRequest round trip. Server-side rejections (Overloaded, pipeline
 /// errors) come back as their decoded Status.
-Result<serve::ServedAnswer> Ask(net::AsyncClient& client,
+Result<serve::ServedAnswer> Ask(net::Connection& client,
                                 const Request& request,
                                 serve::RequestClass request_class) {
   MUVE_ASSIGN_OR_RETURN(
@@ -202,8 +202,8 @@ int Run(int argc, char** argv) {
   threads.reserve(clients);
   for (size_t c = 0; c < clients; ++c) {
     threads.emplace_back([&] {
-      Result<net::AsyncClient> client =
-          net::AsyncClient::Connect(host, port, kBlockingConnect);
+      Result<net::Connection> client =
+          net::Connection::Connect(host, port, kBlockingConnect);
       for (;;) {
         const size_t i = next.fetch_add(1, std::memory_order_relaxed);
         if (i >= planned.size()) return;
@@ -281,8 +281,8 @@ int Run(int argc, char** argv) {
   // retry/hedge/ejection counters). Best-effort: "{}" when unavailable.
   std::string server_stats = "{}";
   {
-    Result<net::AsyncClient> stats_client =
-        net::AsyncClient::Connect(host, port, kBlockingConnect);
+    Result<net::Connection> stats_client =
+        net::Connection::Connect(host, port, kBlockingConnect);
     if (stats_client.ok()) {
       Result<net::Frame> stats = stats_client->Call(
           net::FrameType::kStats, "", Deadline::Infinite());

@@ -166,10 +166,7 @@ int Run(int argc, char** argv) {
   std::fprintf(stderr, "muve_router: %zu rows over %zu remote shards\n",
                view->num_rows(), endpoints.size());
 
-  net::ListenerOptions listener_options;
-  listener_options.port = port;
-  listener_options.announce = true;
-  net::Listener listener(&server, listener_options);
+  net::Listener listener(&server, port);
   listener.set_stats_provider(
       [&coordinator] { return coordinator.StatsJson(); });
   const Status started = listener.Start();
@@ -177,6 +174,9 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "listen failed: %s\n", started.ToString().c_str());
     return 1;
   }
+  // The handshake scripts (e2e smoke, README quickstart) wait for this.
+  std::printf("LISTENING port=%u\n", static_cast<unsigned>(listener.port()));
+  std::fflush(stdout);
 
   std::signal(SIGINT, HandleSignal);
   std::signal(SIGTERM, HandleSignal);

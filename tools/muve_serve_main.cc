@@ -142,16 +142,16 @@ int Run(int argc, char** argv) {
     }
     dist::ShardService service(
         sharded.value()->shard(static_cast<size_t>(shard_index)));
-    net::ListenerOptions listener_options;
-    listener_options.port = port;
-    listener_options.announce = true;
-    net::Listener listener(/*server=*/nullptr, listener_options);
+    net::Listener listener(/*server=*/nullptr, port);
     listener.set_partial_handler(&service);
     const Status started = listener.Start();
     if (!started.ok()) {
       std::fprintf(stderr, "listen failed: %s\n", started.ToString().c_str());
       return 1;
     }
+    // The handshake scripts (e2e smoke, README quickstart) wait for this.
+    std::printf("LISTENING port=%u\n", static_cast<unsigned>(listener.port()));
+    std::fflush(stdout);
     std::fprintf(stderr, "muve_serve: shard %ld/%zu, %zu of %zu rows\n",
                  shard_index, num_shards,
                  sharded.value()->shard(static_cast<size_t>(shard_index))
@@ -189,16 +189,16 @@ int Run(int argc, char** argv) {
   }
   serve::Server server(relation, server_options);
 
-  net::ListenerOptions listener_options;
-  listener_options.port = port;
-  listener_options.announce = true;
-  net::Listener listener(&server, listener_options);
+  net::Listener listener(&server, port);
   const Status started = listener.Start();
   if (!started.ok()) {
     std::fprintf(stderr, "listen failed: %s\n",
                  started.ToString().c_str());
     return 1;
   }
+  // The handshake scripts (e2e smoke, README quickstart) wait for this.
+  std::printf("LISTENING port=%u\n", static_cast<unsigned>(listener.port()));
+  std::fflush(stdout);
 
   std::signal(SIGINT, HandleSignal);
   std::signal(SIGTERM, HandleSignal);
