@@ -19,7 +19,6 @@
 //   --queries=N            queries per shard-count config (default 40)
 //   --stall_ms=F           straggler stall (default 60)
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -39,6 +38,7 @@
 #include "net/listener.h"
 #include "shard/scatter_gather.h"
 #include "shard/sharded_table.h"
+#include "tools/load_driver.h"
 #include "workload/datasets.h"
 #include "workload/query_generator.h"
 
@@ -49,16 +49,6 @@ int Fail(const std::string& phase, const std::string& message) {
   std::fprintf(stderr, "bench_dist: %s: %s\n", phase.c_str(),
                message.c_str());
   return 1;
-}
-
-double Percentile(std::vector<double> samples, double p) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  const double rank = p * static_cast<double>(samples.size() - 1);
-  const size_t lo = static_cast<size_t>(rank);
-  const size_t hi = std::min(lo + 1, samples.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return samples[lo] * (1.0 - frac) + samples[hi] * frac;
 }
 
 /// K loopback shard endpoints over the stripes of `sharded`, with an
@@ -151,8 +141,8 @@ Result<RunStats> RunQueries(const db::ShardedSnapshot& snapshot,
   stats.qps = wall_seconds > 0.0
                   ? static_cast<double>(queries.size()) / wall_seconds
                   : 0.0;
-  stats.p50_ms = Percentile(latencies, 0.50);
-  stats.p99_ms = Percentile(latencies, 0.99);
+  stats.p50_ms = workload::Percentile(latencies, 0.50);
+  stats.p99_ms = workload::Percentile(latencies, 0.99);
   return stats;
 }
 

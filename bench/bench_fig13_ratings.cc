@@ -5,8 +5,8 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "bench/studies.h"
 #include "exec/engine.h"
-#include "user/studies.h"
 #include "workload/datasets.h"
 
 namespace muve {

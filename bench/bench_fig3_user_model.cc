@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "user/studies.h"
+#include "bench/studies.h"
 
 namespace muve {
 namespace {

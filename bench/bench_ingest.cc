@@ -23,8 +23,8 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "serve/server.h"
+#include "tools/load_driver.h"
 #include "workload/datasets.h"
-#include "workload/load_generator.h"
 
 namespace muve {
 namespace {
@@ -67,7 +67,8 @@ int RunBench(const std::string& json_path, double ingest_qps, bool soak) {
   LoadReport baseline;
   {
     serve::Server server(table, server_options);
-    Result<LoadReport> result = workload::RunLoad(&server, *table, read_load);
+    workload::InProcessTarget target(&server);
+    Result<LoadReport> result = workload::RunLoad(&target, *table, read_load);
     if (!result.ok()) return Fail("baseline", result.status().ToString());
     baseline = result.value();
   }
@@ -83,8 +84,9 @@ int RunBench(const std::string& json_path, double ingest_qps, bool soak) {
   const size_t rows_before_ingest = table->num_rows();
   {
     serve::Server server(table, server_options);
+    workload::InProcessTarget target(&server);
     Result<LoadReport> result =
-        workload::RunLoad(&server, table.get(), read_load);
+        workload::RunLoad(&target, table.get(), read_load);
     if (!result.ok()) return Fail("ingest", result.status().ToString());
     ingest = result.value();
   }

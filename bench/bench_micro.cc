@@ -37,6 +37,7 @@
 #include "phonetics/similarity.h"
 #include "speech/speech_simulator.h"
 #include "tests/testing/reference_executor.h"
+#include "tools/load_driver.h"
 #include "workload/datasets.h"
 #include "workload/query_generator.h"
 
@@ -586,12 +587,8 @@ int RunServeJsonReport(const std::string& path) {
       }
     }
   }
-  std::sort(latencies.begin(), latencies.end());
-  const auto percentile = [&latencies](double p) {
-    const size_t index = static_cast<size_t>(
-        p * static_cast<double>(latencies.size() - 1) + 0.5);
-    return latencies[index];
-  };
+  const double p50 = workload::Percentile(latencies, 0.50);
+  const double p99 = workload::Percentile(latencies, 0.99);
   const double hit_ratio =
       deadline_requests > 0
           ? static_cast<double>(deadline_met) /
@@ -606,8 +603,8 @@ int RunServeJsonReport(const std::string& path) {
   out << "{\n"
       << "  \"benchmark\": \"muve_serve_smoke\",\n"
       << "  \"requests\": " << requests << ",\n"
-      << "  \"p50_latency_ms\": " << percentile(0.50) << ",\n"
-      << "  \"p99_latency_ms\": " << percentile(0.99) << ",\n"
+      << "  \"p50_latency_ms\": " << p50 << ",\n"
+      << "  \"p99_latency_ms\": " << p99 << ",\n"
       << "  \"deadline_requests\": " << deadline_requests << ",\n"
       << "  \"deadline_hit_ratio\": " << hit_ratio << ",\n"
       << "  \"degradation_histogram\": {\n"
@@ -619,7 +616,7 @@ int RunServeJsonReport(const std::string& path) {
   std::printf(
       "BENCH_serve: %zu requests, p50 %.2f ms, p99 %.2f ms, deadline hit "
       "ratio %.2f, rungs exact/degraded/base-only %zu/%zu/%zu -> %s\n",
-      requests, percentile(0.50), percentile(0.99), hit_ratio,
+      requests, p50, p99, hit_ratio,
       rung_histogram[0], rung_histogram[1], rung_histogram[2],
       path.c_str());
   return 0;

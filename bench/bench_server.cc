@@ -23,8 +23,8 @@
 
 #include "common/rng.h"
 #include "serve/server.h"
+#include "tools/load_driver.h"
 #include "workload/datasets.h"
-#include "workload/load_generator.h"
 
 namespace muve {
 namespace {
@@ -90,7 +90,8 @@ int RunBench(const std::string& json_path, bool soak) {
   LoadReport calibration;
   {
     serve::Server server(table, calibration_server);
-    Result<LoadReport> result = workload::RunLoad(&server, *table,
+    workload::InProcessTarget target(&server);
+    Result<LoadReport> result = workload::RunLoad(&target, *table,
                                                   calibration_load);
     if (!result.ok()) {
       return Fail("calibration", result.status().ToString());
@@ -126,8 +127,9 @@ int RunBench(const std::string& json_path, bool soak) {
   LoadReport overload;
   {
     serve::Server server(table, overload_server);
+    workload::InProcessTarget target(&server);
     Result<LoadReport> result =
-        workload::RunLoad(&server, *table, overload_load);
+        workload::RunLoad(&target, *table, overload_load);
     if (!result.ok()) return Fail("overload_2x", result.status().ToString());
     overload = result.value();
   }
@@ -157,8 +159,9 @@ int RunBench(const std::string& json_path, bool soak) {
   LoadReport saturation;
   {
     serve::Server server(table, saturation_server);
+    workload::InProcessTarget target(&server);
     Result<LoadReport> result =
-        workload::RunLoad(&server, *table, saturation_load);
+        workload::RunLoad(&target, *table, saturation_load);
     if (!result.ok()) return Fail("saturation", result.status().ToString());
     saturation = result.value();
   }
@@ -245,8 +248,9 @@ int RunBench(const std::string& json_path, bool soak) {
   for (int round = 0; round < kIsolationRounds; ++round) {
     {
       serve::Server server(table, tenant_server);
+      workload::InProcessTarget target(&server);
       Result<LoadReport> result =
-          workload::RunLoad(&server, *table, gold_load);
+          workload::RunLoad(&target, *table, gold_load);
       if (!result.ok()) {
         return Fail("tenant_isolated", result.status().ToString());
       }
@@ -257,12 +261,13 @@ int RunBench(const std::string& json_path, bool soak) {
     }
     {
       serve::Server server(table, tenant_server);
+      workload::InProcessTarget target(&server);
       Result<LoadReport> gold_result = LoadReport{};
       Result<LoadReport> flood_result = LoadReport{};
       std::thread flood_thread([&] {
-        flood_result = workload::RunLoad(&server, *table, flood_load);
+        flood_result = workload::RunLoad(&target, *table, flood_load);
       });
-      gold_result = workload::RunLoad(&server, *table, gold_load);
+      gold_result = workload::RunLoad(&target, *table, gold_load);
       flood_thread.join();
       if (!gold_result.ok()) {
         return Fail("tenant_contended", gold_result.status().ToString());

@@ -1,4 +1,4 @@
-#include "stats/stats.h"
+#include "bench/stats.h"
 
 #include <algorithm>
 #include <cmath>

@@ -1,5 +1,5 @@
-#ifndef MUVE_STATS_STATS_H_
-#define MUVE_STATS_STATS_H_
+#ifndef MUVE_BENCH_STATS_H_
+#define MUVE_BENCH_STATS_H_
 
 #include <cstddef>
 #include <vector>
@@ -70,4 +70,4 @@ Result<LinearFit> FitLine(const std::vector<double>& xs,
 
 }  // namespace muve::stats
 
-#endif  // MUVE_STATS_STATS_H_
+#endif  // MUVE_BENCH_STATS_H_

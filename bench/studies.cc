@@ -1,4 +1,4 @@
-#include "user/studies.h"
+#include "bench/studies.h"
 
 #include "common/clock.h"
 

@@ -1,16 +1,16 @@
-#ifndef MUVE_USER_STUDIES_H_
-#define MUVE_USER_STUDIES_H_
+#ifndef MUVE_BENCH_STUDIES_H_
+#define MUVE_BENCH_STUDIES_H_
 
 #include <string>
 #include <vector>
 
+#include "bench/stats.h"
 #include "common/status.h"
 #include "core/candidate.h"
 #include "core/cost_model.h"
 #include "core/planner.h"
 #include "exec/presentation.h"
 #include "speech/speech_simulator.h"
-#include "stats/stats.h"
 #include "user/user_simulator.h"
 
 namespace muve::user {
@@ -134,4 +134,4 @@ Result<std::vector<MethodRating>> RunRatingStudy(
 
 }  // namespace muve::user
 
-#endif  // MUVE_USER_STUDIES_H_
+#endif  // MUVE_BENCH_STUDIES_H_

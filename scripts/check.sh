@@ -6,7 +6,8 @@
 #          differential seeds, 15x the fuzz iterations) selected via
 #          MUVE_DIFF_SEEDS / MUVE_FUZZ_ITERS.
 #
-# The default run builds Release with -Werror, runs tier1, builds the
+# The default run first checks that every src/ header is reachable from
+# the serving code, then builds Release with -Werror, runs tier1, builds the
 # perfbench harness with -Werror, then rebuilds with
 # ThreadSanitizer and runs tier1 again to catch data races in the
 # parallel executor / engine / planner / cache paths, then rebuilds with
@@ -28,6 +29,24 @@ for arg in "$@"; do
     *) echo "unknown argument: $arg" >&2; exit 2 ;;
   esac
 done
+
+# src/ holds only what the serving path reaches: every src/ header must be
+# included from src/, tools/ or examples/ (its own .cc does not count),
+# or from perfbench/, which builds from src/ alone. Test oracles and
+# bench code live under tests/ and bench/.
+echo "==> Unreached src/ headers"
+unreached=()
+while IFS= read -r header; do
+  users="$(grep -rlF --include='*.h' --include='*.cc' --include='*.cpp' \
+    "#include \"${header#src/}\"" src tools examples perfbench || true)"
+  users="$(grep -vxF -e "${header%.h}.cc" -e '' <<<"$users" || true)"
+  [[ -n "$users" ]] || unreached+=("$header")
+done < <(find src -name '*.h' | sort)
+if (( ${#unreached[@]} > 0 )); then
+  printf '%s\n' "${unreached[@]}"
+  echo "unreached src/ headers: move them to tests/ or bench/" >&2
+  exit 1
+fi
 
 # The Release (-O3) build is warning-free and must stay so: -Werror.
 echo "==> Release build (-Werror) + tests"

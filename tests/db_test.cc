@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <memory>
@@ -18,12 +17,12 @@
 #include "db/snapshot.h"
 #include "testing/random_workload.h"
 #include "testing/reference_executor.h"
+#include "testing/sql_parser.h"
 #include "db/vec/aggregate_kernels.h"
 #include "db/vec/batch.h"
 #include "db/vec/filter_kernels.h"
 #include "db/vec/group_kernels.h"
 #include "db/query.h"
-#include "db/sql_parser.h"
 #include "db/table.h"
 #include "workload/datasets.h"
 #include "workload/query_generator.h"
@@ -933,78 +932,6 @@ TEST(ExecutorTest, VectorizedSignedZeroPredicateMatchesBothZeros) {
   ASSERT_TRUE(vec_result.ok());
   EXPECT_EQ(2u, vec_result->rows_matched);
   EXPECT_EQ(reference.rows_matched, vec_result->rows_matched);
-}
-
-}  // namespace
-}  // namespace muve::db
-
-#include "db/csv.h"
-
-namespace muve::db {
-namespace {
-
-TEST(CsvTest, RoundTripPreservesData) {
-  auto table = MakeCityTable();
-  const std::string path = ::testing::TempDir() + "/muve_trips.csv";
-  ASSERT_TRUE(WriteCsv(*table, path).ok());
-  auto loaded = ReadCsv("trips", path);
-  ASSERT_TRUE(loaded.ok());
-  ASSERT_EQ((*loaded)->num_rows(), table->num_rows());
-  ASSERT_EQ((*loaded)->num_columns(), table->num_columns());
-  for (size_t c = 0; c < table->num_columns(); ++c) {
-    EXPECT_EQ((*loaded)->spec(c).name, table->spec(c).name);
-    EXPECT_EQ((*loaded)->spec(c).type, table->spec(c).type);
-    for (size_t r = 0; r < table->num_rows(); ++r) {
-      EXPECT_TRUE((*loaded)->ValueAt(r, c) == table->ValueAt(r, c))
-          << "col " << c << " row " << r;
-    }
-  }
-}
-
-TEST(CsvTest, QuotedFieldsSurvive) {
-  auto table = *Table::Create("q", {{"text", ValueType::kString}});
-  ASSERT_TRUE(table->AppendRow({Value("plain")}).ok());
-  ASSERT_TRUE(table->AppendRow({Value("has,comma")}).ok());
-  ASSERT_TRUE(table->AppendRow({Value("has \"quote\"")}).ok());
-  const std::string path = ::testing::TempDir() + "/muve_quoted.csv";
-  ASSERT_TRUE(WriteCsv(*table, path).ok());
-  auto loaded = ReadCsv("q", path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ((*loaded)->ValueAt(1, 0).AsString(), "has,comma");
-  EXPECT_EQ((*loaded)->ValueAt(2, 0).AsString(), "has \"quote\"");
-}
-
-TEST(CsvTest, TypeInference) {
-  const std::string path = ::testing::TempDir() + "/muve_types.csv";
-  {
-    std::ofstream out(path);
-    out << "name,count,ratio\nalpha,3,1.5\nbeta,-7,2\n";
-  }
-  auto loaded = ReadCsv("t", path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ((*loaded)->spec(0).type, ValueType::kString);
-  EXPECT_EQ((*loaded)->spec(1).type, ValueType::kInt64);
-  EXPECT_EQ((*loaded)->spec(2).type, ValueType::kDouble);
-  EXPECT_EQ((*loaded)->ValueAt(1, 1).AsInt64(), -7);
-}
-
-TEST(CsvTest, Errors) {
-  EXPECT_FALSE(ReadCsv("t", "/nonexistent/file.csv").ok());
-  const std::string path = ::testing::TempDir() + "/muve_bad.csv";
-  {
-    std::ofstream out(path);
-    out << "a,b\n1,2\n3\n";  // Ragged row.
-  }
-  EXPECT_FALSE(ReadCsv("t", path).ok());
-  {
-    // Mixed numeric/text values: all-rows inference degrades the column
-    // to STRING rather than failing.
-    std::ofstream out(path);
-    out << "a\n1\nnot_a_number\n";
-  }
-  auto mixed = ReadCsv("t", path);
-  ASSERT_TRUE(mixed.ok());
-  EXPECT_EQ((*mixed)->spec(0).type, ValueType::kString);
 }
 
 // ---------------------------------------------------------------------

@@ -20,11 +20,11 @@
 #include "common/rng.h"
 #include "common/strings.h"
 #include "db/query.h"
-#include "db/sql_parser.h"
 #include "net/protocol.h"
 #include "net/wire.h"
 #include "phonetics/double_metaphone.h"
 #include "testing/fuzz_mutator.h"
+#include "testing/sql_parser.h"
 
 #ifndef MUVE_GOLDEN_DIR
 #define MUVE_GOLDEN_DIR "tests/golden"

@@ -24,6 +24,7 @@
 #include "common/thread_pool.h"
 #include "db/query.h"
 #include "db/table.h"
+#include "net/listener.h"
 #include "net/wire.h"
 #include "nlq/schema_index.h"
 #include "serve/admission_queue.h"
@@ -32,8 +33,8 @@
 #include "serve/session_manager.h"
 #include "serve/single_flight.h"
 #include "testing/sanitizer.h"
+#include "tools/load_driver.h"
 #include "workload/datasets.h"
-#include "workload/load_generator.h"
 
 namespace muve::serve {
 namespace {
@@ -811,8 +812,9 @@ TEST(LoadGeneratorTest, ClosedLoopCompletesAllRequests) {
   load.num_clients = 3;
   load.num_sessions = 2;
   load.seed = 5;
+  workload::InProcessTarget target(&server);
   Result<workload::LoadReport> report =
-      workload::RunLoad(&server, *table, load);
+      workload::RunLoad(&target, *table, load);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->requests, 12u);
   EXPECT_EQ(report->completed, 12u);  // Closed loop never overruns.
@@ -832,13 +834,15 @@ TEST(LoadGeneratorTest, OpenLoopOverdriveShedsButNeverErrors) {
   Server server(table, options);
   workload::LoadOptions load;
   load.mode = workload::LoadOptions::Mode::kOpenLoop;
-  load.offered_qps = 500.0;  // Far beyond one serial worker.
+  // Far beyond one serial worker: 40 arrivals inside 2 ms.
+  load.offered_qps = 20000.0;
   load.num_requests = 40;
   load.num_sessions = 2;
   load.deadline_millis = 2000.0;
   load.seed = 6;
+  workload::InProcessTarget target(&server);
   Result<workload::LoadReport> report =
-      workload::RunLoad(&server, *table, load);
+      workload::RunLoad(&target, *table, load);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->requests, 40u);
   EXPECT_EQ(report->errors, 0u);
@@ -846,7 +850,81 @@ TEST(LoadGeneratorTest, OpenLoopOverdriveShedsButNeverErrors) {
   EXPECT_GT(report->completed, 0u);
   // The overdriven server shed load instead of queueing it all.
   EXPECT_GT(report->shed, 0u);
-  EXPECT_EQ(report->server.submitted, 40u);
+  ASSERT_TRUE(report->server.has_value());
+  EXPECT_EQ(report->server->submitted, 40u);
+}
+
+/// Deterministic answer bytes by request index.
+workload::AnswerSink CollectAnswerBytes(std::vector<std::string>* bytes) {
+  return [bytes](size_t i, const ServedAnswer& served) {
+    (*bytes)[i] = net::SerializeAnswerDeterministic(served.answer);
+  };
+}
+
+TEST(LoadGeneratorTest, RemoteTargetAnswersMatchInProcess) {
+  auto table = Table311();
+  workload::LoadOptions load;
+  load.mode = workload::LoadOptions::Mode::kClosedLoop;
+  load.num_requests = 12;
+  load.num_clients = 1;
+  load.seed = 8;
+
+  std::vector<std::string> local_bytes(load.num_requests);
+  Server local_server(table, SmallServer(2, 16));
+  workload::InProcessTarget local(&local_server);
+  Result<workload::LoadReport> local_report = workload::RunLoad(
+      &local, *table, load, CollectAnswerBytes(&local_bytes));
+  ASSERT_TRUE(local_report.ok()) << local_report.status().ToString();
+
+  std::vector<std::string> remote_bytes(load.num_requests);
+  Server remote_server(table, SmallServer(2, 16));
+  net::Listener listener(&remote_server);
+  ASSERT_TRUE(listener.Start().ok());
+  Result<std::unique_ptr<workload::RemoteTarget>> remote =
+      workload::RemoteTarget::Connect("127.0.0.1", listener.port(),
+                                      load.num_clients);
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  Result<workload::LoadReport> remote_report = workload::RunLoad(
+      remote->get(), *table, load, CollectAnswerBytes(&remote_bytes));
+  ASSERT_TRUE(remote_report.ok()) << remote_report.status().ToString();
+
+  EXPECT_EQ(local_report->completed, load.num_requests);
+  EXPECT_EQ(remote_report->completed, local_report->completed);
+  EXPECT_EQ(remote_report->errors, 0u);
+  for (size_t i = 0; i < load.num_requests; ++i) {
+    EXPECT_FALSE(remote_bytes[i].empty()) << "request " << i;
+    EXPECT_EQ(remote_bytes[i], local_bytes[i]) << "request " << i;
+  }
+  // Only the in-process target can read the server's funnel.
+  EXPECT_TRUE(local_report->server.has_value());
+  EXPECT_FALSE(remote_report->server.has_value());
+  EXPECT_EQ(remote_report->ToJson().find("\"server\""), std::string::npos);
+}
+
+TEST(LoadGeneratorTest, RemoteOpenLoopAnswersOrShedsEveryRequest) {
+  auto table = Table311();
+  Server server(table, SmallServer(1, 2));
+  net::Listener listener(&server);
+  ASSERT_TRUE(listener.Start().ok());
+  workload::LoadOptions load;
+  load.mode = workload::LoadOptions::Mode::kOpenLoop;
+  load.offered_qps = 200.0;
+  load.poisson_arrivals = false;
+  load.num_requests = 20;
+  load.num_clients = 2;
+  load.deadline_millis = 2000.0;
+  load.seed = 9;
+  Result<std::unique_ptr<workload::RemoteTarget>> remote =
+      workload::RemoteTarget::Connect("127.0.0.1", listener.port(),
+                                      load.num_clients);
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  Result<workload::LoadReport> report =
+      workload::RunLoad(remote->get(), *table, load);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->requests, 20u);
+  EXPECT_EQ(report->errors, 0u);
+  EXPECT_EQ(report->completed + report->shed, 20u);
+  EXPECT_EQ(report->offered_qps, 200.0);
 }
 
 // ---------------------------------------------------------------------

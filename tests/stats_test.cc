@@ -2,8 +2,8 @@
 
 #include <cmath>
 
+#include "bench/stats.h"
 #include "common/rng.h"
-#include "stats/stats.h"
 
 namespace muve::stats {
 namespace {

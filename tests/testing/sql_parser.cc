@@ -1,4 +1,4 @@
-#include "db/sql_parser.h"
+#include "testing/sql_parser.h"
 
 #include <cctype>
 #include <exception>

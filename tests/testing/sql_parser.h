@@ -1,5 +1,5 @@
-#ifndef MUVE_DB_SQL_PARSER_H_
-#define MUVE_DB_SQL_PARSER_H_
+#ifndef MUVE_TESTS_TESTING_SQL_PARSER_H_
+#define MUVE_TESTS_TESTING_SQL_PARSER_H_
 
 #include <string_view>
 
@@ -16,8 +16,9 @@ namespace muve::db {
 ///
 /// where AGG is COUNT, SUM, AVG, MIN or MAX and literals are integers,
 /// doubles, or single-quoted strings. Keywords are case insensitive.
+/// Test-only: the round-trip oracle for AggregateQuery::ToSql's quoting.
 Result<AggregateQuery> ParseSql(std::string_view sql);
 
 }  // namespace muve::db
 
-#endif  // MUVE_DB_SQL_PARSER_H_
+#endif  // MUVE_TESTS_TESTING_SQL_PARSER_H_

@@ -2,13 +2,13 @@
 
 #include <cmath>
 
+#include "bench/stats.h"
+#include "bench/studies.h"
 #include "common/rng.h"
 #include "common/strings.h"
 #include "exec/engine.h"
 #include "nlq/candidate_generator.h"
 #include "nlq/schema_index.h"
-#include "stats/stats.h"
-#include "user/studies.h"
 #include "user/user_simulator.h"
 #include "workload/datasets.h"
 

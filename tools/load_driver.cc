@@ -1,16 +1,15 @@
-#include "workload/load_generator.h"
+#include "tools/load_driver.h"
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <future>
-#include <mutex>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "common/clock.h"
+#include "common/rng.h"
+#include "net/wire.h"
 #include "nlq/translator.h"
 
 namespace muve::workload {
@@ -60,42 +59,28 @@ struct Outcome {
   bool shed = false;
   bool error = false;
   bool shared = false;
-  bool finite_deadline = false;
   bool deadline_met = false;
   int rung = -1;
   double latency_ms = 0.0;
   double translate_ms = 0.0;
 };
 
-Outcome RecordOutcome(const Result<serve::ServedAnswer>& result,
-                      bool finite_deadline) {
+Outcome RecordOutcome(const TargetResult& result) {
   Outcome outcome;
-  outcome.finite_deadline = finite_deadline;
-  if (result.ok()) {
-    const serve::ServedAnswer& served = result.value();
+  if (result.answer.ok()) {
+    const serve::ServedAnswer& served = *result.answer;
     outcome.completed = true;
     outcome.shared = served.shared;
     outcome.deadline_met = served.deadline_met;
-    outcome.latency_ms = served.total_millis;
+    outcome.latency_ms = result.latency_ms;
     outcome.translate_ms = served.answer.timings.translate_millis;
     outcome.rung = static_cast<int>(served.answer.degradation.rung);
-  } else if (result.status().code() == StatusCode::kOverloaded) {
+  } else if (result.answer.status().code() == StatusCode::kOverloaded) {
     outcome.shed = true;
   } else {
     outcome.error = true;
   }
   return outcome;
-}
-
-double Percentile(std::vector<double>* sorted_in_place, double p) {
-  if (sorted_in_place->empty()) return 0.0;
-  std::sort(sorted_in_place->begin(), sorted_in_place->end());
-  const double rank = p * static_cast<double>(sorted_in_place->size() - 1);
-  const size_t lo = static_cast<size_t>(rank);
-  const size_t hi = std::min(lo + 1, sorted_in_place->size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return (*sorted_in_place)[lo] * (1.0 - frac) +
-         (*sorted_in_place)[hi] * frac;
 }
 
 Request MakeRequest(const PlannedRequest& planned,
@@ -106,6 +91,34 @@ Request MakeRequest(const PlannedRequest& planned,
     request.deadline = Deadline::AfterMillis(options.deadline_millis);
   }
   return request;
+}
+
+/// `after - before`, counter by counter.
+serve::ServerStats StatsDelta(const serve::ServerStats& after,
+                              const serve::ServerStats& before) {
+  serve::ServerStats delta;
+  delta.submitted = after.submitted - before.submitted;
+  delta.admitted = after.admitted - before.admitted;
+  delta.rejected_queue_full =
+      after.rejected_queue_full - before.rejected_queue_full;
+  delta.rejected_quota = after.rejected_quota - before.rejected_quota;
+  delta.rejected_infeasible =
+      after.rejected_infeasible - before.rejected_infeasible;
+  delta.rejected_stopped = after.rejected_stopped - before.rejected_stopped;
+  delta.shed_at_dispatch = after.shed_at_dispatch - before.shed_at_dispatch;
+  delta.completed = after.completed - before.completed;
+  delta.failed = after.failed - before.failed;
+  delta.single_flight_leaders =
+      after.single_flight_leaders - before.single_flight_leaders;
+  delta.single_flight_followers =
+      after.single_flight_followers - before.single_flight_followers;
+  delta.deadline_met = after.deadline_met - before.deadline_met;
+  delta.deadline_missed = after.deadline_missed - before.deadline_missed;
+  for (size_t i = 0; i < serve::kNumRequestClasses; ++i) {
+    delta.class_submitted[i] =
+        after.class_submitted[i] - before.class_submitted[i];
+  }
+  return delta;
 }
 
 /// Per-column value pools the ingest writer draws rows from, captured
@@ -141,9 +154,10 @@ Result<std::vector<std::vector<db::Value>>> CaptureIngestPools(
 /// The campaign core, shared by both RunLoad overloads. `writable` is
 /// null for read-only campaigns; with options.ingest_qps > 0 it is the
 /// single-writer side of the snapshot contract.
-Result<LoadReport> RunLoadImpl(serve::Server* server, const db::Table& table,
+Result<LoadReport> RunLoadImpl(LoadTarget* target, const db::Table& table,
                                db::Table* writable,
-                               const LoadOptions& options) {
+                               const LoadOptions& options,
+                               const AnswerSink& on_answer) {
   Rng rng(options.seed);
   Result<std::vector<PlannedRequest>> planned =
       PlanRequests(table, options, &rng);
@@ -151,15 +165,18 @@ Result<LoadReport> RunLoadImpl(serve::Server* server, const db::Table& table,
   const std::vector<PlannedRequest>& requests = planned.value();
   const bool finite_deadline = std::isfinite(options.deadline_millis);
 
-  const serve::ServerStats stats_before = server->stats();
+  const std::optional<serve::ServerStats> stats_before = target->stats();
 
-  std::mutex outcomes_mutex;
-  std::vector<Outcome> outcomes;
-  outcomes.reserve(requests.size());
-  auto record = [&](const Result<serve::ServedAnswer>& result) {
-    Outcome outcome = RecordOutcome(result, finite_deadline);
-    std::lock_guard<std::mutex> lock(outcomes_mutex);
-    outcomes.push_back(outcome);
+  // One slot per request index: each is written by exactly one thread.
+  std::vector<Outcome> outcomes(requests.size());
+  auto record = [&](size_t i, const TargetResult& result) {
+    outcomes[i] = RecordOutcome(result);
+    if (on_answer && result.answer.ok()) on_answer(i, *result.answer);
+  };
+  auto submit = [&](size_t i) {
+    return target->Submit(requests[i].session_id,
+                          MakeRequest(requests[i], options),
+                          requests[i].request_class);
   };
 
   const bool ingest = writable != nullptr && options.ingest_qps > 0.0;
@@ -230,10 +247,7 @@ Result<LoadReport> RunLoadImpl(serve::Server* server, const db::Table& table,
         for (;;) {
           const size_t i = next.fetch_add(1, std::memory_order_relaxed);
           if (i >= requests.size()) return;
-          const PlannedRequest& planned_request = requests[i];
-          record(server->Ask(planned_request.session_id,
-                             MakeRequest(planned_request, options),
-                             planned_request.request_class));
+          record(i, submit(i).get());
         }
       });
     }
@@ -255,7 +269,7 @@ Result<LoadReport> RunLoadImpl(serve::Server* server, const db::Table& table,
         t += 1000.0 / rate;
       }
     }
-    std::vector<std::future<Result<serve::ServedAnswer>>> futures;
+    std::vector<std::future<TargetResult>> futures;
     futures.reserve(requests.size());
     for (size_t i = 0; i < requests.size(); ++i) {
       std::this_thread::sleep_until(
@@ -263,14 +277,9 @@ Result<LoadReport> RunLoadImpl(serve::Server* server, const db::Table& table,
                            std::chrono::steady_clock::duration>(
                            std::chrono::duration<double, std::milli>(
                                arrivals_ms[i])));
-      const PlannedRequest& planned_request = requests[i];
-      futures.push_back(server->Submit(planned_request.session_id,
-                                       MakeRequest(planned_request, options),
-                                       planned_request.request_class));
+      futures.push_back(submit(i));
     }
-    for (std::future<Result<serve::ServedAnswer>>& future : futures) {
-      record(future.get());
-    }
+    for (size_t i = 0; i < futures.size(); ++i) record(i, futures[i].get());
   }
 
   const double duration_seconds =
@@ -306,7 +315,7 @@ Result<LoadReport> RunLoadImpl(serve::Server* server, const db::Table& table,
       if (outcome.rung >= 0 && outcome.rung < 3) {
         ++report.rung_histogram[outcome.rung];
       }
-      if (outcome.finite_deadline) {
+      if (finite_deadline) {
         ++finite_completed;
         if (outcome.deadline_met) ++finite_met;
       }
@@ -326,15 +335,15 @@ Result<LoadReport> RunLoadImpl(serve::Server* server, const db::Table& table,
           : (duration_seconds > 0.0
                  ? static_cast<double>(report.requests) / duration_seconds
                  : 0.0);
-  report.p50_latency_ms = Percentile(&latencies, 0.50);
-  report.p95_latency_ms = Percentile(&latencies, 0.95);
-  report.p99_latency_ms = Percentile(&latencies, 0.99);
+  report.p50_latency_ms = Percentile(latencies, 0.50);
+  report.p95_latency_ms = Percentile(latencies, 0.95);
+  report.p99_latency_ms = Percentile(latencies, 0.99);
   report.mean_latency_ms =
       report.completed > 0
           ? latency_sum / static_cast<double>(report.completed)
           : 0.0;
-  report.translate_p50_ms = Percentile(&translate_latencies, 0.50);
-  report.translate_p99_ms = Percentile(&translate_latencies, 0.99);
+  report.translate_p50_ms = Percentile(translate_latencies, 0.50);
+  report.translate_p99_ms = Percentile(translate_latencies, 0.99);
   report.translate_mean_ms =
       report.completed > 0
           ? translate_sum / static_cast<double>(report.completed)
@@ -355,33 +364,10 @@ Result<LoadReport> RunLoadImpl(serve::Server* server, const db::Table& table,
           : 0.0;
 
   // Server funnel deltas over this campaign.
-  const serve::ServerStats after = server->stats();
-  serve::ServerStats delta;
-  delta.submitted = after.submitted - stats_before.submitted;
-  delta.admitted = after.admitted - stats_before.admitted;
-  delta.rejected_queue_full =
-      after.rejected_queue_full - stats_before.rejected_queue_full;
-  delta.rejected_quota = after.rejected_quota - stats_before.rejected_quota;
-  delta.rejected_infeasible =
-      after.rejected_infeasible - stats_before.rejected_infeasible;
-  delta.rejected_stopped =
-      after.rejected_stopped - stats_before.rejected_stopped;
-  delta.shed_at_dispatch =
-      after.shed_at_dispatch - stats_before.shed_at_dispatch;
-  delta.completed = after.completed - stats_before.completed;
-  delta.failed = after.failed - stats_before.failed;
-  delta.single_flight_leaders =
-      after.single_flight_leaders - stats_before.single_flight_leaders;
-  delta.single_flight_followers =
-      after.single_flight_followers - stats_before.single_flight_followers;
-  delta.deadline_met = after.deadline_met - stats_before.deadline_met;
-  delta.deadline_missed =
-      after.deadline_missed - stats_before.deadline_missed;
-  for (size_t i = 0; i < serve::kNumRequestClasses; ++i) {
-    delta.class_submitted[i] =
-        after.class_submitted[i] - stats_before.class_submitted[i];
+  const std::optional<serve::ServerStats> stats_after = target->stats();
+  if (stats_before && stats_after) {
+    report.server = StatsDelta(*stats_after, *stats_before);
   }
-  report.server = delta;
 
   report.ingested_rows = ingested.load(std::memory_order_acquire);
   report.ingest_flushes = ingest_flushes.load(std::memory_order_acquire);
@@ -392,23 +378,123 @@ Result<LoadReport> RunLoadImpl(serve::Server* server, const db::Table& table,
   return report;
 }
 
+/// One kRequest round trip. Server-side rejections (Overloaded, pipeline
+/// errors) come back as their decoded Status.
+Result<serve::ServedAnswer> Ask(net::Connection& connection,
+                                const Request& request,
+                                serve::RequestClass request_class) {
+  MUVE_ASSIGN_OR_RETURN(
+      net::Frame reply,
+      connection.Call(net::FrameType::kRequest,
+                      net::SerializeRequestPayload(request, request_class),
+                      Deadline::Infinite()));
+  if (reply.type != net::FrameType::kAnswer) {
+    return Status::ParseError("unexpected frame type " +
+                              std::to_string(static_cast<int>(reply.type)));
+  }
+  return net::ParseServedAnswer(reply.payload);
+}
+
 }  // namespace
 
-Result<LoadReport> RunLoad(serve::Server* server, const db::Table& table,
-                           const LoadOptions& options) {
+double Percentile(std::vector<double> samples, double p) {
+  if (samples.empty()) return 0.0;
+  const size_t n = samples.size();
+  const size_t rank =
+      std::clamp<size_t>(
+          static_cast<size_t>(std::ceil(p * static_cast<double>(n))), 1, n) -
+      1;
+  std::nth_element(samples.begin(), samples.begin() + rank, samples.end());
+  return samples[rank];
+}
+
+std::future<TargetResult> InProcessTarget::Submit(
+    const std::string& session_id, Request request,
+    serve::RequestClass request_class) {
+  std::future<Result<serve::ServedAnswer>> answer =
+      server_->Submit(session_id, std::move(request), request_class);
+  // Deferred: the waiting thread unwraps the server's future.
+  return std::async(std::launch::deferred,
+                    [answer = std::move(answer)]() mutable {
+                      Result<serve::ServedAnswer> served = answer.get();
+                      const double latency_ms =
+                          served.ok() ? served->total_millis : 0.0;
+                      return TargetResult{std::move(served), latency_ms};
+                    });
+}
+
+Result<std::unique_ptr<RemoteTarget>> RemoteTarget::Connect(
+    const std::string& host, uint16_t port, size_t connections) {
+  std::unique_ptr<RemoteTarget> target(new RemoteTarget());
+  for (size_t i = 0; i < std::max<size_t>(1, connections); ++i) {
+    // No connect timeout: the campaign waits for its server.
+    MUVE_ASSIGN_OR_RETURN(net::Connection connection,
+                          net::Connection::Connect(host, port, 0.0));
+    target->threads_.emplace_back(&RemoteTarget::Serve, target.get(),
+                                  std::move(connection));
+  }
+  return target;
+}
+
+RemoteTarget::~RemoteTarget() {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stopping_ = true;
+  }
+  ready_.notify_all();
+  for (std::thread& thread : threads_) thread.join();
+}
+
+std::future<TargetResult> RemoteTarget::Submit(
+    const std::string& /*session_id*/, Request request,
+    serve::RequestClass request_class) {
+  // The server names the session after the connection.
+  std::promise<TargetResult> promise;
+  std::future<TargetResult> result = promise.get_future();
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    pending_.push_back({std::move(request), request_class, std::move(promise)});
+  }
+  ready_.notify_one();
+  return result;
+}
+
+void RemoteTarget::Serve(net::Connection connection) {
+  for (;;) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    ready_.wait(lock, [this] { return stopping_ || !pending_.empty(); });
+    if (pending_.empty()) return;
+    Pending next = std::move(pending_.front());
+    pending_.pop_front();
+    lock.unlock();
+    const auto sent = std::chrono::steady_clock::now();
+    Result<serve::ServedAnswer> answer =
+        Ask(connection, next.request, next.request_class);
+    const double latency_ms = std::chrono::duration<double, std::milli>(
+                                  std::chrono::steady_clock::now() - sent)
+                                  .count();
+    next.promise.set_value(TargetResult{std::move(answer), latency_ms});
+  }
+}
+
+Result<LoadReport> RunLoad(LoadTarget* target, const db::Table& table,
+                           const LoadOptions& options,
+                           const AnswerSink& on_answer) {
   if (options.ingest_qps > 0.0) {
     return Status(StatusCode::kInvalidArgument,
                   "ingest_qps > 0 requires the mutable RunLoad overload");
   }
-  return RunLoadImpl(server, table, nullptr, options);
+  return RunLoadImpl(target, table, nullptr, options, on_answer);
 }
 
-Result<LoadReport> RunLoad(serve::Server* server, db::Table* table,
+Result<LoadReport> RunLoad(LoadTarget* target, db::Table* table,
                            const LoadOptions& options) {
-  return RunLoadImpl(server, *table, table, options);
+  return RunLoadImpl(target, *table, table, options, nullptr);
 }
 
-std::string LoadReport::ToJson(const std::string& indent) const {
+std::string LoadReport::ToJson(
+    const std::string& indent,
+    const std::vector<std::pair<std::string, std::string>>& extra) const {
   std::ostringstream out;
   const std::string inner = indent + "  ";
   out << "{\n";
@@ -437,34 +523,40 @@ std::string LoadReport::ToJson(const std::string& indent) const {
   out << inner << "\"ingested_rows\": " << ingested_rows << ",\n";
   out << inner << "\"ingest_sustained_qps\": " << ingest_sustained_qps
       << ",\n";
-  out << inner << "\"ingest_flushes\": " << ingest_flushes << ",\n";
-  out << inner << "\"server\": {\n";
-  const std::string deep = inner + "  ";
-  out << deep << "\"submitted\": " << server.submitted << ",\n";
-  out << deep << "\"admitted\": " << server.admitted << ",\n";
-  out << deep << "\"rejected_queue_full\": " << server.rejected_queue_full
-      << ",\n";
-  out << deep << "\"rejected_quota\": " << server.rejected_quota << ",\n";
-  out << deep << "\"rejected_infeasible\": " << server.rejected_infeasible
-      << ",\n";
-  out << deep << "\"rejected_stopped\": " << server.rejected_stopped
-      << ",\n";
-  out << deep << "\"shed_at_dispatch\": " << server.shed_at_dispatch
-      << ",\n";
-  out << deep << "\"completed\": " << server.completed << ",\n";
-  out << deep << "\"failed\": " << server.failed << ",\n";
-  out << deep << "\"single_flight_leaders\": "
-      << server.single_flight_leaders << ",\n";
-  out << deep << "\"single_flight_followers\": "
-      << server.single_flight_followers << ",\n";
-  out << deep << "\"deadline_met\": " << server.deadline_met << ",\n";
-  out << deep << "\"deadline_missed\": " << server.deadline_missed << ",\n";
-  out << deep << "\"interactive_submitted\": " << server.class_submitted[0]
-      << ",\n";
-  out << deep << "\"replay_submitted\": " << server.class_submitted[1]
-      << "\n";
-  out << inner << "}\n";
-  out << indent << "}";
+  out << inner << "\"ingest_flushes\": " << ingest_flushes;
+  if (server) {
+    const std::string deep = inner + "  ";
+    out << ",\n" << inner << "\"server\": {\n";
+    out << deep << "\"submitted\": " << server->submitted << ",\n";
+    out << deep << "\"admitted\": " << server->admitted << ",\n";
+    out << deep << "\"rejected_queue_full\": " << server->rejected_queue_full
+        << ",\n";
+    out << deep << "\"rejected_quota\": " << server->rejected_quota << ",\n";
+    out << deep << "\"rejected_infeasible\": " << server->rejected_infeasible
+        << ",\n";
+    out << deep << "\"rejected_stopped\": " << server->rejected_stopped
+        << ",\n";
+    out << deep << "\"shed_at_dispatch\": " << server->shed_at_dispatch
+        << ",\n";
+    out << deep << "\"completed\": " << server->completed << ",\n";
+    out << deep << "\"failed\": " << server->failed << ",\n";
+    out << deep << "\"single_flight_leaders\": "
+        << server->single_flight_leaders << ",\n";
+    out << deep << "\"single_flight_followers\": "
+        << server->single_flight_followers << ",\n";
+    out << deep << "\"deadline_met\": " << server->deadline_met << ",\n";
+    out << deep << "\"deadline_missed\": " << server->deadline_missed
+        << ",\n";
+    out << deep << "\"interactive_submitted\": "
+        << server->class_submitted[0] << ",\n";
+    out << deep << "\"replay_submitted\": " << server->class_submitted[1]
+        << "\n";
+    out << inner << "}";
+  }
+  for (const auto& [key, json] : extra) {
+    out << ",\n" << inner << "\"" << key << "\": " << json;
+  }
+  out << "\n" << indent << "}";
   return out.str();
 }
 

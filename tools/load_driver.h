@@ -1,21 +1,35 @@
-#ifndef MUVE_WORKLOAD_LOAD_GENERATOR_H_
-#define MUVE_WORKLOAD_LOAD_GENERATOR_H_
+#ifndef MUVE_TOOLS_LOAD_DRIVER_H_
+#define MUVE_TOOLS_LOAD_DRIVER_H_
 
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
+#include <functional>
+#include <future>
 #include <limits>
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/status.h"
 #include "db/table.h"
+#include "net/connection.h"
 #include "serve/server.h"
 #include "workload/query_generator.h"
 
 namespace muve::workload {
 
-/// A load-generation campaign against a serve::Server.
+/// Nearest-rank `p`-quantile (0 < p < 1) of `samples`: the smallest
+/// sample with at least p of the samples at or below it. 0 when empty.
+/// The one percentile rule of the drivers and benches.
+double Percentile(std::vector<double> samples, double p);
+
+/// A load-generation campaign against a LoadTarget.
 struct LoadOptions {
   /// Closed loop: `num_clients` callers each keep exactly one request in
   /// flight (submit, wait, repeat) — throughput self-limits to what the
@@ -69,7 +83,8 @@ struct LoadReport {
   size_t completed = 0;
   /// Overloaded outcomes: admission rejections and dispatch sheds.
   size_t shed = 0;
-  /// Non-Overloaded failures (pipeline errors, server stopped).
+  /// Every other failure: pipeline errors, a stopped server, and over a
+  /// socket transport and protocol errors.
   size_t errors = 0;
   double duration_seconds = 0.0;
   /// Arrival rate actually driven (scheduled rate in open loop,
@@ -77,6 +92,7 @@ struct LoadReport {
   double offered_qps = 0.0;
   /// Completions per second of wall clock.
   double sustained_qps = 0.0;
+  /// Latency as the target observes it (TargetResult::latency_ms).
   double p50_latency_ms = 0.0;
   double p95_latency_ms = 0.0;
   double p99_latency_ms = 0.0;
@@ -102,29 +118,118 @@ struct LoadReport {
   size_t ingested_rows = 0;
   double ingest_sustained_qps = 0.0;
   size_t ingest_flushes = 0;
-  /// Server funnel counters, as deltas over the campaign.
-  serve::ServerStats server;
+  /// Server funnel counters, as deltas over the campaign. Empty when the
+  /// target cannot read them (a remote server).
+  std::optional<serve::ServerStats> server;
 
   /// Renders as a JSON object (no trailing newline), e.g. for embedding
-  /// in BENCH_server.json. `indent` prefixes every line.
-  std::string ToJson(const std::string& indent = "") const;
+  /// in BENCH_server.json. `indent` prefixes every line. The "server"
+  /// key appears only when the funnel was measured. Each `extra` pair
+  /// (key, JSON value) is appended as one more top-level key.
+  std::string ToJson(
+      const std::string& indent = "",
+      const std::vector<std::pair<std::string, std::string>>& extra = {})
+      const;
 };
 
+/// What a target reports for one request.
+struct TargetResult {
+  Result<serve::ServedAnswer> answer;
+  /// The latency this target observed for the request.
+  double latency_ms = 0.0;
+};
+
+/// Where a campaign's requests go. Submit must be safe to call from
+/// several threads at once.
+class LoadTarget {
+ public:
+  virtual ~LoadTarget() = default;
+  virtual std::future<TargetResult> Submit(
+      const std::string& session_id, Request request,
+      serve::RequestClass request_class) = 0;
+  /// The server's funnel counters, when the target can read them.
+  virtual std::optional<serve::ServerStats> stats() const {
+    return std::nullopt;
+  }
+};
+
+/// A serve::Server in this process. Latency is the server's
+/// admission-to-completion time (ServedAnswer::total_millis), and the
+/// report carries the server's funnel deltas.
+class InProcessTarget : public LoadTarget {
+ public:
+  /// `server` must outlive the target.
+  explicit InProcessTarget(serve::Server* server) : server_(server) {}
+
+  std::future<TargetResult> Submit(
+      const std::string& session_id, Request request,
+      serve::RequestClass request_class) override;
+  std::optional<serve::ServerStats> stats() const override {
+    return server_->stats();
+  }
+
+ private:
+  serve::Server* const server_;
+};
+
+/// A muve_serve or muve_router across TCP: `connections` net::Connections,
+/// each served by one thread that takes submitted requests in order and
+/// runs one kRequest round trip at a time. Latency is that round trip as
+/// the client measures it. A request whose round trip fails at the
+/// transport or protocol level reports that status.
+class RemoteTarget : public LoadTarget {
+ public:
+  /// Dials every connection up front; fails if any dial fails.
+  static Result<std::unique_ptr<RemoteTarget>> Connect(
+      const std::string& host, uint16_t port, size_t connections);
+  /// Answers every submitted request, then joins the threads.
+  ~RemoteTarget() override;
+  RemoteTarget(const RemoteTarget&) = delete;
+  RemoteTarget& operator=(const RemoteTarget&) = delete;
+
+  std::future<TargetResult> Submit(
+      const std::string& session_id, Request request,
+      serve::RequestClass request_class) override;
+
+ private:
+  struct Pending {
+    Request request;
+    serve::RequestClass request_class;
+    std::promise<TargetResult> promise;
+  };
+
+  RemoteTarget() = default;
+  void Serve(net::Connection connection);
+
+  std::mutex mutex_;
+  std::condition_variable ready_;
+  std::deque<Pending> pending_;
+  bool stopping_ = false;
+  std::vector<std::thread> threads_;
+};
+
+/// Called once per completed request with its index in the campaign's
+/// plan, possibly from several threads at once (never twice for one
+/// index).
+using AnswerSink =
+    std::function<void(size_t index, const serve::ServedAnswer& answer)>;
+
 /// Runs one campaign: generates `num_requests` natural-language requests
-/// from random ground-truth queries against `table` (the server's own
-/// table), drives `server` in the configured mode, and aggregates the
-/// outcomes. The schedule and query mix are deterministic in
-/// `options.seed`; actual interleaving under concurrency is not.
-Result<LoadReport> RunLoad(serve::Server* server, const db::Table& table,
-                           const LoadOptions& options);
+/// from random ground-truth queries against `table` (the served table,
+/// or an identical copy), drives `target` in the configured mode, and
+/// aggregates the outcomes. The schedule and query mix are deterministic
+/// in `options.seed`; actual interleaving under concurrency is not.
+Result<LoadReport> RunLoad(LoadTarget* target, const db::Table& table,
+                           const LoadOptions& options,
+                           const AnswerSink& on_answer = nullptr);
 
 /// As above against the mutable serving table: when options.ingest_qps
 /// is nonzero, one writer thread streams appends into `table` — the
 /// single-writer side of the snapshot contract — for the duration of the
 /// campaign, so reads race live ingest, run seals, and compaction.
-Result<LoadReport> RunLoad(serve::Server* server, db::Table* table,
+Result<LoadReport> RunLoad(LoadTarget* target, db::Table* table,
                            const LoadOptions& options);
 
 }  // namespace muve::workload
 
-#endif  // MUVE_WORKLOAD_LOAD_GENERATOR_H_
+#endif  // MUVE_TOOLS_LOAD_DRIVER_H_
