@@ -927,6 +927,44 @@ TEST(LoadGeneratorTest, RemoteOpenLoopAnswersOrShedsEveryRequest) {
   EXPECT_EQ(report->offered_qps, 200.0);
 }
 
+TEST(LoadGeneratorTest, RemoteOpenLoopLatencyCountsClientQueueing) {
+  auto table = Table311();
+  Server server(table, SmallServer(1, 16));
+  net::Listener listener(&server);
+  ASSERT_TRUE(listener.Start().ok());
+  workload::LoadOptions load;
+  load.num_requests = 60;
+  load.num_clients = 1;
+  load.seed = 10;
+  Result<std::unique_ptr<workload::RemoteTarget>> remote =
+      workload::RemoteTarget::Connect("127.0.0.1", listener.port(), 1);
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  // A closed-loop pass first warms the server, so no cold request
+  // dominates the open loop's service times.
+  ASSERT_TRUE(workload::RunLoad(remote->get(), *table, load).ok());
+
+  // Every arrival lands long before one connection can answer it.
+  load.mode = workload::LoadOptions::Mode::kOpenLoop;
+  load.offered_qps = 1e6;
+  load.poisson_arrivals = false;
+  std::vector<double> service_ms(load.num_requests, 0.0);
+  Result<workload::LoadReport> report = workload::RunLoad(
+      remote->get(), *table, load,
+      [&service_ms](size_t i, const ServedAnswer& served) {
+        service_ms[i] = served.service_millis;
+      });
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->errors, 0u);
+  ASSERT_EQ(report->completed, load.num_requests);
+  // One connection answers the arrivals one after another, so the last
+  // waits on the client for nearly every earlier answer. Its latency
+  // counts that wait: p99 (here the maximum) is far past the time the
+  // server spent on a typical request.
+  const double median_service_ms = workload::Percentile(service_ms, 0.5);
+  EXPECT_GT(report->p99_latency_ms, 10.0 * median_service_ms)
+      << "median service " << median_service_ms << " ms";
+}
+
 // ---------------------------------------------------------------------
 // TenantAccountant.
 // ---------------------------------------------------------------------

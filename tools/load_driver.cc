@@ -449,11 +449,13 @@ std::future<TargetResult> RemoteTarget::Submit(
     const std::string& /*session_id*/, Request request,
     serve::RequestClass request_class) {
   // The server names the session after the connection.
+  const auto submitted = std::chrono::steady_clock::now();
   std::promise<TargetResult> promise;
   std::future<TargetResult> result = promise.get_future();
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    pending_.push_back({std::move(request), request_class, std::move(promise)});
+    pending_.push_back(
+        {std::move(request), request_class, std::move(promise), submitted});
   }
   ready_.notify_one();
   return result;
@@ -467,12 +469,12 @@ void RemoteTarget::Serve(net::Connection connection) {
     Pending next = std::move(pending_.front());
     pending_.pop_front();
     lock.unlock();
-    const auto sent = std::chrono::steady_clock::now();
     Result<serve::ServedAnswer> answer =
         Ask(connection, next.request, next.request_class);
-    const double latency_ms = std::chrono::duration<double, std::milli>(
-                                  std::chrono::steady_clock::now() - sent)
-                                  .count();
+    const double latency_ms =
+        std::chrono::duration<double, std::milli>(
+            std::chrono::steady_clock::now() - next.submitted)
+            .count();
     next.promise.set_value(TargetResult{std::move(answer), latency_ms});
   }
 }
@@ -492,9 +494,7 @@ Result<LoadReport> RunLoad(LoadTarget* target, db::Table* table,
   return RunLoadImpl(target, *table, table, options, nullptr);
 }
 
-std::string LoadReport::ToJson(
-    const std::string& indent,
-    const std::vector<std::pair<std::string, std::string>>& extra) const {
+std::string LoadReport::ToJson(const std::string& indent) const {
   std::ostringstream out;
   const std::string inner = indent + "  ";
   out << "{\n";
@@ -552,9 +552,6 @@ std::string LoadReport::ToJson(
     out << deep << "\"replay_submitted\": " << server->class_submitted[1]
         << "\n";
     out << inner << "}";
-  }
-  for (const auto& [key, json] : extra) {
-    out << ",\n" << inner << "\"" << key << "\": " << json;
   }
   out << "\n" << indent << "}";
   return out.str();

@@ -1,6 +1,7 @@
 #ifndef MUVE_TOOLS_LOAD_DRIVER_H_
 #define MUVE_TOOLS_LOAD_DRIVER_H_
 
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -13,7 +14,6 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -124,12 +124,8 @@ struct LoadReport {
 
   /// Renders as a JSON object (no trailing newline), e.g. for embedding
   /// in BENCH_server.json. `indent` prefixes every line. The "server"
-  /// key appears only when the funnel was measured. Each `extra` pair
-  /// (key, JSON value) is appended as one more top-level key.
-  std::string ToJson(
-      const std::string& indent = "",
-      const std::vector<std::pair<std::string, std::string>>& extra = {})
-      const;
+  /// key appears only when the funnel was measured.
+  std::string ToJson(const std::string& indent = "") const;
 };
 
 /// What a target reports for one request.
@@ -174,9 +170,14 @@ class InProcessTarget : public LoadTarget {
 
 /// A muve_serve or muve_router across TCP: `connections` net::Connections,
 /// each served by one thread that takes submitted requests in order and
-/// runs one kRequest round trip at a time. Latency is that round trip as
-/// the client measures it. A request whose round trip fails at the
-/// transport or protocol level reports that status.
+/// runs one kRequest round trip at a time, so at most `connections`
+/// requests reach the server at once. Submit never blocks: a request
+/// waits on the client until a connection is free. Latency runs from
+/// Submit to the reply, so that wait counts (an overloaded open loop
+/// shows a growing client queue as growing latency). The server names
+/// the session after the connection, so the planned session id is not
+/// sent. A request whose round trip fails at the transport or protocol
+/// level reports that status.
 class RemoteTarget : public LoadTarget {
  public:
   /// Dials every connection up front; fails if any dial fails.
@@ -196,6 +197,8 @@ class RemoteTarget : public LoadTarget {
     Request request;
     serve::RequestClass request_class;
     std::promise<TargetResult> promise;
+    /// When Submit was called: the start of the request's latency.
+    std::chrono::steady_clock::time_point submitted;
   };
 
   RemoteTarget() = default;

@@ -2,7 +2,10 @@
 // against a separate-process muve_serve over the frame protocol, through
 // a RemoteTarget of --clients connections. Without --qps the campaign is
 // closed loop, --clients requests in flight; with --qps it is open loop
-// on a fixed 1/qps schedule.
+// on a fixed 1/qps schedule. Either way at most --clients requests reach
+// the server at once: an arrival waits on the client for a free
+// connection, and its latency counts that wait. Each connection is one
+// server session.
 //
 // The query mix is generated against a local reconstruction of the
 // server's synthetic table — pass the same --rows/--seed as the server
@@ -183,9 +186,10 @@ int Run(int argc, char** argv) {
     }
   }
 
-  const std::string json =
-      report->ToJson("", {{"server_stats", FetchServerStats(host, port)}}) +
-      "\n";
+  // The report object with the server's kStats reply as its last key.
+  std::string json = report->ToJson();
+  json.resize(json.size() - 2);  // Drops the closing "\n}".
+  json += ",\n  \"server_stats\": " + FetchServerStats(host, port) + "\n}\n";
   if (!json_path.empty()) {
     std::ofstream file(json_path);
     if (file) file << json;
