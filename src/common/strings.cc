@@ -13,14 +13,6 @@ std::string ToLower(std::string_view text) {
   return out;
 }
 
-std::string ToUpper(std::string_view text) {
-  std::string out(text);
-  for (char& c : out) {
-    c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-  }
-  return out;
-}
-
 std::string Trim(std::string_view text) {
   size_t begin = 0;
   size_t end = text.size();
@@ -33,18 +25,6 @@ std::string Trim(std::string_view text) {
     --end;
   }
   return std::string(text.substr(begin, end - begin));
-}
-
-std::vector<std::string> Split(std::string_view text, char sep) {
-  std::vector<std::string> parts;
-  size_t start = 0;
-  for (size_t i = 0; i <= text.size(); ++i) {
-    if (i == text.size() || text[i] == sep) {
-      parts.emplace_back(text.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return parts;
 }
 
 std::vector<std::string> SplitWhitespace(std::string_view text) {
@@ -87,11 +67,6 @@ std::string Join(const std::vector<std::string>& parts,
 bool StartsWith(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() &&
          text.substr(0, prefix.size()) == prefix;
-}
-
-bool EndsWith(std::string_view text, std::string_view suffix) {
-  return text.size() >= suffix.size() &&
-         text.substr(text.size() - suffix.size()) == suffix;
 }
 
 bool EqualsIgnoreCase(std::string_view a, std::string_view b) {

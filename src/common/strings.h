@@ -11,14 +11,8 @@ namespace muve {
 /// ASCII lower-casing (locale independent).
 std::string ToLower(std::string_view text);
 
-/// ASCII upper-casing (locale independent).
-std::string ToUpper(std::string_view text);
-
 /// Strips leading/trailing ASCII whitespace.
 std::string Trim(std::string_view text);
-
-/// Splits on `sep`, keeping empty fields.
-std::vector<std::string> Split(std::string_view text, char sep);
 
 /// Splits on runs of ASCII whitespace, dropping empty tokens.
 std::vector<std::string> SplitWhitespace(std::string_view text);
@@ -34,9 +28,6 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 
 /// True when `text` starts with `prefix`.
 bool StartsWith(std::string_view text, std::string_view prefix);
-
-/// True when `text` ends with `suffix`.
-bool EndsWith(std::string_view text, std::string_view suffix);
 
 /// Case-insensitive equality for ASCII strings.
 bool EqualsIgnoreCase(std::string_view a, std::string_view b);

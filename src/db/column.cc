@@ -16,21 +16,37 @@ Status Column::Append(const Value& value) {
   MUVE_RETURN_NOT_OK(CheckValueType(name_, type_, value));
   switch (type_) {
     case ValueType::kInt64:
-      int_data_.push_back(value.AsInt64());
+      AppendInt64(value.AsInt64());
       break;
     case ValueType::kDouble:
-      double_data_.push_back(value.AsDouble());
+      AppendDouble(value.AsDouble());
       break;
-    case ValueType::kString: {
-      const std::string& text = value.AsString();
-      auto [it, added] = dictionary_lookup_.try_emplace(
-          text, static_cast<uint32_t>(dictionary_.size()));
-      if (added) dictionary_.push_back(text);
-      codes_.push_back(it->second);
+    case ValueType::kString:
+      AppendString(value.AsString());
       break;
-    }
   }
   return Status::OK();
+}
+
+void Column::AppendString(const std::string& text) {
+  auto [it, added] = dictionary_lookup_.try_emplace(
+      text, static_cast<uint32_t>(dictionary_.size()));
+  if (added) dictionary_.push_back(text);
+  codes_.push_back(it->second);
+}
+
+void Column::AppendFrom(const Column& source, size_t row) {
+  switch (type_) {
+    case ValueType::kInt64:
+      AppendInt64(source.int_data_[row]);
+      break;
+    case ValueType::kDouble:
+      AppendDouble(source.double_data_[row]);
+      break;
+    case ValueType::kString:
+      AppendString(source.dictionary_[source.codes_[row]]);
+      break;
+  }
 }
 
 Value Column::Get(size_t row) const {

@@ -50,6 +50,15 @@ class Column {
   /// double for kDouble columns).
   Status Append(const Value& value);
 
+  // Typed appends for loaders that know the column's type, which must be
+  // the named one: no Value boxing and no type check.
+  void AppendInt64(int64_t value) { int_data_.push_back(value); }
+  void AppendDouble(double value) { double_data_.push_back(value); }
+  void AppendString(const std::string& text);
+
+  /// Appends row `row` of `source`, a column of the same type.
+  void AppendFrom(const Column& source, size_t row);
+
   /// Value at `row` (decoded for string columns).
   Value Get(size_t row) const;
 

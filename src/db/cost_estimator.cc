@@ -1,7 +1,5 @@
 #include "db/cost_estimator.h"
 
-#include <algorithm>
-
 namespace muve::db {
 
 double CostEstimator::ScanCost(size_t rows, size_t num_predicates,
@@ -17,32 +15,13 @@ double CostEstimator::ScanCost(size_t rows, size_t num_predicates,
          static_cast<double>(rows) * per_row;
 }
 
-Result<double> CostEstimator::PredicateSelectivity(
-    const Relation& table, const Predicate& predicate) const {
-  auto index = table.ColumnIndex(predicate.column);
-  if (!index.ok()) {
-    return Status::NotFound("predicate column '" + predicate.column +
-                            "' not in table");
-  }
-  const size_t distinct = std::max<size_t>(1, table.DistinctCount(*index));
-  // Uniform-distribution assumption, like Postgres without MCV stats:
-  // each accepted constant selects 1/ndv of the rows.
-  const double per_value = 1.0 / static_cast<double>(distinct);
-  const double selectivity =
-      per_value * static_cast<double>(predicate.values.size());
-  return std::min(1.0, selectivity);
-}
-
 Result<CostEstimate> CostEstimator::Estimate(
     const Relation& table, const AggregateQuery& query) const {
-  CostEstimate out;
-  out.selectivity = 1.0;
+  // A query naming a missing column is an error (NotFound), not a cost.
   for (const Predicate& predicate : query.predicates) {
-    MUVE_ASSIGN_OR_RETURN(double sel,
-                          PredicateSelectivity(table, predicate));
-    out.selectivity *= sel;
+    MUVE_RETURN_NOT_OK(table.ColumnIndex(predicate.column).status());
   }
-  out.output_rows = 1.0;  // Single aggregate row.
+  CostEstimate out;
   out.total_cost = ScanCost(table.num_rows(), query.predicates.size(),
                             /*num_aggregates=*/1);
   return out;
@@ -50,25 +29,14 @@ Result<CostEstimate> CostEstimator::Estimate(
 
 Result<CostEstimate> CostEstimator::EstimateGrouped(
     const Relation& table, const GroupByQuery& query) const {
-  CostEstimate out;
-  out.selectivity = 1.0;
   for (const Predicate& predicate : query.shared_predicates) {
-    MUVE_ASSIGN_OR_RETURN(double sel,
-                          PredicateSelectivity(table, predicate));
-    out.selectivity *= sel;
+    MUVE_RETURN_NOT_OK(table.ColumnIndex(predicate.column).status());
   }
-  // The IN list on the group column restricts rows as well.
-  Predicate in_list;
-  in_list.column = query.group_column;
-  in_list.op = PredicateOp::kIn;
-  for (const std::string& v : query.group_values) {
-    in_list.values.emplace_back(v);
+  // The IN list on the group column names a column as well.
+  if (!query.group_values.empty()) {
+    MUVE_RETURN_NOT_OK(table.ColumnIndex(query.group_column).status());
   }
-  if (!in_list.values.empty()) {
-    MUVE_ASSIGN_OR_RETURN(double sel, PredicateSelectivity(table, in_list));
-    out.selectivity *= sel;
-  }
-  out.output_rows = static_cast<double>(query.group_values.size());
+  CostEstimate out;
   // One pass over the data; per-row work includes the group lookup
   // (counted as one extra predicate) and all aggregates.
   out.total_cost =

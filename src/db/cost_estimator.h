@@ -8,14 +8,14 @@
 
 namespace muve::db {
 
-/// Output of a cost estimate, in the spirit of Postgres EXPLAIN: an
-/// abstract cost plus a cardinality estimate. MUVE uses these estimates to
-/// decide whether to merge queries and to bound processing overheads
-/// during visualization planning (paper §8.1).
+/// Output of a cost estimate, in the spirit of Postgres EXPLAIN's total
+/// cost. MUVE uses these estimates to decide whether to merge queries and
+/// to bound processing overheads during visualization planning (paper
+/// §8.1). A scan's cost depends on the rows it reads and the predicates
+/// and aggregates it evaluates per row, not on how many rows survive, so
+/// there is no cardinality estimate.
 struct CostEstimate {
-  double total_cost = 0.0;   ///< Abstract cost units.
-  double output_rows = 0.0;  ///< Estimated result cardinality.
-  double selectivity = 1.0;  ///< Estimated fraction of rows surviving.
+  double total_cost = 0.0;  ///< Abstract cost units.
 };
 
 /// Plan-cost parameters, mirroring the Postgres seq-scan cost knobs.
@@ -47,8 +47,6 @@ class CostEstimator {
  private:
   double ScanCost(size_t rows, size_t num_predicates,
                   size_t num_aggregates) const;
-  Result<double> PredicateSelectivity(const Relation& table,
-                                      const Predicate& predicate) const;
 
   CostParams params_;
 };

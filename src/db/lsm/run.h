@@ -10,11 +10,14 @@
 namespace muve::db::lsm {
 
 /// An immutable, columnar storage segment of a versioned table: the unit
-/// of flushing, compaction and snapshot pinning. Rows keep their append
-/// order (a run is "sorted" by implicit row id), so concatenating runs in
-/// run order reproduces the exact logical row sequence of the table —
-/// scans and their floating-point accumulation order are independent of
-/// how rows are packed into runs.
+/// of flushing, bulk loading, compaction and snapshot pinning. Rows keep
+/// their append order (a run is "sorted" by implicit row id), so
+/// concatenating runs in run order reproduces the exact logical row
+/// sequence of the table. The floating-point accumulation order of a
+/// scan is not independent of the packing, though: the executor cuts its
+/// slices from each run's start and folds slice partials into run
+/// partials, then run partials into the total, so run boundaries set the
+/// fold order of doubles.
 ///
 /// A run is built one way: values are appended in row order into a fresh
 /// column set (`EmptyColumns`), which is then frozen (`Freeze`). String
@@ -33,6 +36,7 @@ class Run {
   size_t num_rows() const { return columns_.front().size(); }
   size_t num_columns() const { return columns_.size(); }
   const Column& column(size_t index) const { return columns_[index]; }
+  const std::vector<Column>& columns() const { return columns_; }
 
  private:
   explicit Run(std::vector<Column> columns) : columns_(std::move(columns)) {}

@@ -4,40 +4,12 @@
 
 namespace muve::db {
 
-std::vector<ColumnStats> ColumnStats::ForSchema(
-    const std::vector<ColumnSpec>& schema) {
-  std::vector<ColumnStats> stats;
-  stats.reserve(schema.size());
-  for (const ColumnSpec& spec : schema) stats.emplace_back(spec.type);
-  return stats;
+void ColumnStats::Add(const std::string& value) {
+  if (string_seen_.insert(value).second) string_values_.push_back(value);
 }
 
-void ColumnStats::Add(const Value& value) {
-  switch (type_) {
-    case ValueType::kInt64:
-      int_seen_.insert(value.AsInt64());
-      break;
-    case ValueType::kDouble:
-      double_seen_.insert(value.AsDouble());
-      break;
-    case ValueType::kString:
-      if (string_seen_.insert(value.AsString()).second) {
-        string_values_.push_back(value.AsString());
-      }
-      break;
-  }
-}
-
-size_t ColumnStats::DistinctCount() const {
-  switch (type_) {
-    case ValueType::kInt64:
-      return int_seen_.size();
-    case ValueType::kDouble:
-      return double_seen_.size();
-    case ValueType::kString:
-      return string_values_.size();
-  }
-  return 0;
+void ColumnStats::AddAll(const std::vector<std::string>& values) {
+  for (const std::string& value : values) Add(value);
 }
 
 Result<size_t> Relation::ColumnIndex(const std::string& name) const {

@@ -15,37 +15,30 @@ namespace muve::db {
 
 struct ShardedSnapshot;
 
-/// Incremental statistics of one column, fed one appended value at a
-/// time: its distinct-value count and, for a string column, its distinct
-/// values in first-appearance order.
+/// Incremental statistics of one column: the vocabulary of a string
+/// column, its distinct values in first-appearance order. Numeric columns
+/// keep none — no planner or NLQ reader uses them — so theirs stays
+/// empty.
 class ColumnStats {
  public:
-  explicit ColumnStats(ValueType type) : type_(type) {}
+  /// Adds `value` to the vocabulary unless it is already there.
+  void Add(const std::string& value);
+  /// Adds each of `values` in order.
+  void AddAll(const std::vector<std::string>& values);
 
-  /// One fresh ColumnStats per column of `schema`.
-  static std::vector<ColumnStats> ForSchema(
-      const std::vector<ColumnSpec>& schema);
-
-  /// Counts one value that passed the column's type check (an int64 on
-  /// a DOUBLE column counts as its promoted double).
-  void Add(const Value& value);
-
-  size_t DistinctCount() const;
+  size_t DistinctCount() const { return string_values_.size(); }
   const std::vector<std::string>& string_values() const {
     return string_values_;
   }
 
  private:
-  ValueType type_;
   std::vector<std::string> string_values_;
   std::unordered_set<std::string> string_seen_;
-  std::unordered_set<int64_t> int_seen_;
-  std::unordered_set<double> double_seen_;
 };
 
 /// A queryable relation split into partitions: schema, version, row
-/// count, the incremental statistics the planner and NLQ layers consume
-/// (distinct counts, string vocabularies), and the partition seam scans
+/// count, the incremental statistics the NLQ layer consumes (string
+/// vocabularies and their sizes), and the partition seam scans
 /// go through. `db::Table` is a one-partition relation;
 /// `shard::ShardedTable` presents the same surface over a set of
 /// hash/range partitions, one `db::Table` per shard.
@@ -64,7 +57,7 @@ class Relation {
   /// Relation name as referenced by queries.
   virtual const std::string& name() const = 0;
 
-  /// Content version: bumped by every successful row append.
+  /// Content version: bumped once per appended row.
   virtual uint64_t version() const = 0;
 
   // --- Schema ---------------------------------------------------------
@@ -84,7 +77,8 @@ class Relation {
   /// Total rows appended so far (a moving target under live ingest).
   virtual size_t num_rows() const = 0;
 
-  /// Number of distinct values appended to column `index`.
+  /// Number of distinct values of string column `index` (its vocabulary
+  /// size); 0 for numeric columns, which keep no statistics.
   virtual size_t DistinctCount(size_t index) const = 0;
 
   /// Distinct values of a string column in first-appearance order (the

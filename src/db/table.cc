@@ -14,7 +14,7 @@ Table::Table(std::string name, std::vector<ColumnSpec> schema,
       schema_(std::move(schema)),
       options_(options),
       open_(lsm::Run::EmptyColumns(schema_)),
-      stats_(ColumnStats::ForSchema(schema_)) {}
+      stats_(schema_.size()) {}
 
 Result<std::shared_ptr<Table>> Table::Create(
     std::string name, const std::vector<ColumnSpec>& schema,
@@ -48,13 +48,49 @@ Status Table::AppendRow(const std::vector<Value>& values) {
   }
   std::lock_guard<std::mutex> lock(mutex_);
   for (size_t i = 0; i < values.size(); ++i) {
+    const size_t known = open_[i].dictionary_size();
     Status st = open_[i].Append(values[i]);
     (void)st;  // Checked above.
-    stats_[i].Add(values[i]);
+    // The open column's dictionary is already in the vocabulary, so only
+    // a value new to it can be new to the table.
+    if (open_[i].dictionary_size() > known) {
+      stats_[i].Add(values[i].AsString());
+    }
   }
   num_rows_.fetch_add(1, std::memory_order_release);
   version_.fetch_add(1, std::memory_order_release);
   if (open_.front().size() >= options_.flush_threshold) FlushLocked();
+  return Status::OK();
+}
+
+Status Table::AppendRun(std::vector<Column> columns) {
+  if (columns.size() != schema_.size()) {
+    return Status::InvalidArgument("run column count mismatch");
+  }
+  for (size_t i = 0; i < columns.size(); ++i) {
+    if (columns[i].name() != schema_[i].name ||
+        columns[i].type() != schema_[i].type) {
+      return Status::InvalidArgument("run column '" + columns[i].name() +
+                                     "' does not match column '" +
+                                     schema_[i].name + "'");
+    }
+    if (columns[i].size() != columns.front().size()) {
+      return Status::InvalidArgument("run columns differ in length");
+    }
+  }
+  const size_t rows = columns.front().size();
+  if (rows == 0) return Status::OK();
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (open_.front().size() > 0) FlushLocked();
+  // A run dictionary lists the run's distinct values in first-appearance
+  // order, so folding it keeps the vocabulary in table append order.
+  for (size_t i = 0; i < columns.size(); ++i) {
+    stats_[i].AddAll(columns[i].dictionary());
+  }
+  runs_.push_back(lsm::Run::Freeze(std::move(columns)));
+  num_rows_.fetch_add(rows, std::memory_order_release);
+  version_.fetch_add(rows, std::memory_order_release);
+  MaybeScheduleCompactionLocked();
   return Status::OK();
 }
 
@@ -113,19 +149,21 @@ std::shared_ptr<Table> Table::Sample(double fraction) const {
   // Systematic sampling: take every k-th row. Deterministic, cheap, and
   // unbiased for the synthetic workloads (row order is random).
   const double stride = 1.0 / fraction;
-  std::vector<Value> row(schema_.size());
-  for (double position = 0.0;
-       position < static_cast<double>(snapshot.num_rows());
-       position += stride) {
-    const size_t r = static_cast<size_t>(position);
-    for (size_t c = 0; c < schema_.size(); ++c) {
-      row[c] = snapshot.ValueAt(r, c);
+  std::vector<Column> columns = lsm::Run::EmptyColumns(schema_);
+  double position = 0.0;
+  size_t run_begin = 0;
+  for (const auto& run : snapshot.runs()) {
+    const size_t run_end = run_begin + run->num_rows();
+    for (; position < static_cast<double>(run_end); position += stride) {
+      const size_t r = static_cast<size_t>(position) - run_begin;
+      for (size_t c = 0; c < columns.size(); ++c) {
+        columns[c].AppendFrom(run->column(c), r);
+      }
     }
-    Status st = out->AppendRow(row);
-    (void)st;  // Types match the source schema by construction.
+    run_begin = run_end;
   }
-  // The sample is complete: seal it, so its snapshots copy no open rows.
-  out->Flush();
+  Status st = out->AppendRun(std::move(columns));
+  (void)st;  // The columns come from the sample's own schema.
   return out;
 }
 
@@ -214,8 +252,7 @@ void Table::CompactionRound() {
       for (size_t i = window.begin; i < window.end; ++i) {
         const Column& source = runs[i]->column(c);
         for (size_t r = 0; r < source.size(); ++r) {
-          Status st = columns[c].Append(source.Get(r));
-          (void)st;  // Same schema, so the types match.
+          columns[c].AppendFrom(source, r);
         }
       }
     }

@@ -44,14 +44,17 @@ struct TableOptions {
 /// validated row straight into the open column set, which only the
 /// writer appends to; at `TableOptions::flush_threshold` rows (or on
 /// Flush()) the open columns are frozen into an immutable `lsm::Run` and
-/// a fresh set starts. Background compaction (when enabled) concatenates
-/// adjacent runs into bigger ones. Run order preserves append order, so
-/// the logical row sequence — and every scan's accumulation order — is
-/// independent of the physical run layout.
+/// a fresh set starts. AppendRun loads a whole column set as one run.
+/// Background compaction (when enabled) concatenates adjacent runs into
+/// bigger ones. Run order preserves append order, so the logical row
+/// sequence is independent of the physical run layout. A scan's
+/// floating-point fold order is not: the executor folds per-run partials
+/// (see lsm::Run), so run boundaries are part of what an answer's bytes
+/// depend on.
 ///
 /// Concurrency contract (single writer, concurrent readers): one thread
-/// at a time may call AppendRow, while any number of threads read
-/// through snapshots. `Snapshot()` returns an immutable list of
+/// at a time may call AppendRow or AppendRun, while any number of threads
+/// read through snapshots. `Snapshot()` returns an immutable list of
 /// runs — the sealed runs plus, when rows are open, a frozen copy of the
 /// open columns taken under the table mutex — so an in-flight scan,
 /// request, or serving session executes against one consistent version
@@ -73,9 +76,10 @@ class Table : public Relation, public std::enable_shared_from_this<Table> {
     return num_rows_.load(std::memory_order_acquire);
   }
 
-  /// Content version: bumped by every successful AppendRow. Flushes and
-  /// compactions reorganize storage without changing contents, so they
-  /// do not bump it.
+  /// Content version: bumped once per appended row (by AppendRow, and
+  /// by AppendRun's row count), so it always equals num_rows(). Flushes
+  /// and compactions reorganize storage without changing contents, so
+  /// they do not bump it.
   uint64_t version() const override {
     return version_.load(std::memory_order_acquire);
   }
@@ -85,6 +89,15 @@ class Table : public Relation, public std::enable_shared_from_this<Table> {
   /// Single writer: concurrent AppendRow calls must be serialized by the
   /// caller; readers never need to coordinate with the writer.
   Status AppendRow(const std::vector<Value>& values);
+
+  /// Bulk load: appends `columns` — one per schema entry, in schema
+  /// order, with the schema's names and types and equal lengths — as one
+  /// sealed run, after sealing any open rows, so rows keep append order.
+  /// Bumps `version()` by the row count and folds each string column's
+  /// run dictionary into the vocabulary. On any mismatch returns
+  /// InvalidArgument and leaves the table untouched; a zero-row set is a
+  /// no-op. Same single-writer contract as AppendRow.
+  Status AppendRun(std::vector<Column> columns);
 
   /// An immutable, consistent view of the current contents: the sealed
   /// runs and a frozen copy of the open rows at this instant (O(open
@@ -96,8 +109,7 @@ class Table : public Relation, public std::enable_shared_from_this<Table> {
 
   const std::vector<ColumnSpec>& schema() const override { return schema_; }
 
-  /// Number of distinct values appended to column `index`, maintained
-  /// incrementally on append.
+  /// Vocabulary size of string column `index`; 0 for a numeric column.
   size_t DistinctCount(size_t index) const override;
 
   /// Distinct values of a string column in first-appearance order (the
@@ -115,7 +127,7 @@ class Table : public Relation, public std::enable_shared_from_this<Table> {
   /// Builds a new table containing a deterministic row sample of
   /// approximately `fraction` of this table (every k-th row of a
   /// snapshot), used for approximate query processing and data-size
-  /// scaling experiments.
+  /// scaling experiments. The sample is bulk-loaded as one sealed run.
   std::shared_ptr<Table> Sample(double fraction) const;
 
   // --- db::Relation partitions ---------------------------------------
@@ -173,7 +185,7 @@ class Table : public Relation, public std::enable_shared_from_this<Table> {
   std::atomic<size_t> num_rows_{0};
   std::atomic<uint64_t> version_{0};
 
-  /// Guards the storage state below (runs, open columns, stats,
+  /// Guards the storage state below (runs, open columns, vocabularies,
   /// compaction scheduling flag).
   mutable std::mutex mutex_;
   std::vector<std::shared_ptr<const lsm::Run>> runs_;

@@ -57,7 +57,7 @@ ShardedTable::ShardedTable(std::string name,
       schema_(std::move(schema)),
       options_(std::move(options)),
       shards_(std::move(shards)),
-      stats_(db::ColumnStats::ForSchema(schema_)) {
+      stats_(schema_.size()) {
   if (!options_.hash_column.empty()) {
     for (size_t i = 0; i < schema_.size(); ++i) {
       if (EqualsIgnoreCase(schema_[i].name, options_.hash_column)) {
@@ -164,7 +164,9 @@ Status ShardedTable::AppendRow(const std::vector<db::Value>& values) {
   {
     // The shard validated the row.
     std::lock_guard<std::mutex> lock(stats_mutex_);
-    for (size_t i = 0; i < values.size(); ++i) stats_[i].Add(values[i]);
+    for (size_t i = 0; i < values.size(); ++i) {
+      if (values[i].is_string()) stats_[i].Add(values[i].AsString());
+    }
   }
   num_rows_.fetch_add(1, std::memory_order_release);
   version_.fetch_add(1, std::memory_order_release);
@@ -192,14 +194,16 @@ db::Value ShardedTable::ValueAt(size_t row, size_t col) const {
 
 void ShardedTable::RebuildStats() {
   std::lock_guard<std::mutex> lock(stats_mutex_);
-  stats_ = db::ColumnStats::ForSchema(schema_);
+  stats_.assign(schema_.size(), db::ColumnStats());
   size_t rows = 0;
   for (const auto& shard : shards_) {
     const db::TableSnapshot snapshot = shard->Snapshot();
     rows += snapshot.num_rows();
-    for (size_t r = 0; r < snapshot.num_rows(); ++r) {
+    // Run dictionaries are in first-appearance order, so folding them in
+    // run order keeps each vocabulary in shard-concatenation order.
+    for (const auto& run : snapshot.runs()) {
       for (size_t c = 0; c < schema_.size(); ++c) {
-        stats_[c].Add(snapshot.ValueAt(r, c));
+        stats_[c].AddAll(run->column(c).dictionary());
       }
     }
   }

@@ -50,9 +50,9 @@ struct ShardedTableOptions {
 /// Appends route through the partitioning scheme; scans scatter over the
 /// per-shard snapshots (`SnapshotPartitions()`) and gather partial
 /// aggregates in shard order (see shard/scatter_gather.h). Global
-/// statistics (distinct counts, string vocabularies in first-appearance
-/// order) are maintained at route time, because per-shard statistics do
-/// not sum — the same value may appear on several shards.
+/// statistics (string vocabularies in first-appearance order) are
+/// maintained at route time, because per-shard vocabularies do not sum —
+/// the same value may appear on several shards.
 ///
 /// Concurrency contract: like `db::Table`, a single writer at a time may
 /// call AppendRow while any number of readers take snapshots.

@@ -27,9 +27,10 @@ const std::vector<std::string>& DatasetNames();
 /// yields plausible alternative queries), several numeric aggregation
 /// columns, and a row count that scales processing cost.
 ///
-/// Every generator appends its rows one at a time and seals the table
-/// before it returns, so the last rows form a sealed run like the rest
-/// and snapshots of a static table copy no open rows.
+/// Every generator bulk-loads its rows (`db::Table::AppendRun`) as sealed
+/// runs of up to `TableOptions::max_compacted_rows` rows — one run for a
+/// table of up to 2^20 rows — so snapshots of a static table copy no open
+/// rows. The values depend only on the seed and `num_rows`.
 Result<std::shared_ptr<db::Table>> MakeDataset(std::string_view name,
                                                size_t num_rows,
                                                uint64_t seed);

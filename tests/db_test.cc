@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -109,11 +110,6 @@ TEST(ColumnTest, DictionaryEncoding) {
   }
   EXPECT_NE(city.CodeFor("boston"), kInvalidCode);
   EXPECT_EQ(city.CodeFor("chicago"), kInvalidCode);
-}
-
-TEST(ColumnTest, NumericDistinctCount) {
-  auto table = MakeCityTable();
-  EXPECT_EQ(table->DistinctCount(*table->ColumnIndex("distance")), 8u);
 }
 
 TEST(TableTest, SampleFraction) {
@@ -540,19 +536,6 @@ TEST(CostEstimatorTest, CostGrowsWithDataSize) {
             estimator.Estimate(*large, query)->total_cost);
 }
 
-TEST(CostEstimatorTest, SelectivityMultiplies) {
-  Rng rng(1);
-  auto table = workload::Make311Table(5000, &rng);
-  CostEstimator estimator;
-  AggregateQuery one;
-  one.table = "nyc311";
-  one.predicates = {Predicate::Equals("borough", Value("brooklyn"))};
-  AggregateQuery two = one;
-  two.predicates.push_back(Predicate::Equals("status", Value("open")));
-  EXPECT_LT(estimator.Estimate(*table, two)->selectivity,
-            estimator.Estimate(*table, one)->selectivity);
-}
-
 TEST(CostEstimatorTest, MergedCheaperThanManySeparate) {
   Rng rng(1);
   auto table = workload::Make311Table(20000, &rng);
@@ -582,6 +565,15 @@ TEST(CostEstimatorTest, ErrorsOnUnknownColumn) {
   query.table = "trips";
   query.predicates = {Predicate::Equals("nope", Value("x"))};
   EXPECT_FALSE(estimator.Estimate(*table, query).ok());
+  // A merge over a missing group column is an error too, so the merge
+  // gate never prices it.
+  GroupByQuery grouped;
+  grouped.table = "trips";
+  grouped.group_column = "nope";
+  grouped.group_values = {"x"};
+  EXPECT_FALSE(estimator.EstimateGrouped(*table, grouped).ok());
+  grouped.group_column = "city";
+  EXPECT_TRUE(estimator.EstimateGrouped(*table, grouped).ok());
 }
 
 // ---------------------------------------------------------------------
@@ -604,6 +596,85 @@ TEST(WorkloadTest, DatasetsAreSeedDeterministic) {
   for (size_t c = 0; c < a->num_columns(); ++c) {
     for (size_t r = 0; r < a->num_rows(); r += 17) {
       EXPECT_TRUE(a->ValueAt(r, c) == b->ValueAt(r, c));
+    }
+  }
+}
+
+/// FNV-1a 64-bit over `len` bytes, continuing from `hash`.
+uint64_t Fnv1a(const void* data, size_t len, uint64_t hash) {
+  const unsigned char* bytes = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < len; ++i) {
+    hash ^= bytes[i];
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+/// Fingerprint of every cell in row order: each cell folds its type tag,
+/// then its value's bytes (a string also folds its length first).
+uint64_t CellFingerprint(const TableSnapshot& snapshot) {
+  uint64_t hash = 1469598103934665603ull;
+  for (size_t r = 0; r < snapshot.num_rows(); ++r) {
+    for (size_t c = 0; c < snapshot.num_columns(); ++c) {
+      const Value value = snapshot.ValueAt(r, c);
+      const auto tag = static_cast<uint8_t>(value.type());
+      hash = Fnv1a(&tag, 1, hash);
+      if (value.is_int64()) {
+        const int64_t v = value.AsInt64();
+        hash = Fnv1a(&v, sizeof(v), hash);
+      } else if (value.is_double()) {
+        const double v = value.AsDouble();
+        hash = Fnv1a(&v, sizeof(v), hash);
+      } else {
+        const std::string& s = value.AsString();
+        const uint64_t size = s.size();
+        hash = Fnv1a(&size, sizeof(size), hash);
+        hash = Fnv1a(s.data(), s.size(), hash);
+      }
+    }
+  }
+  return hash;
+}
+
+// Pins every generated cell at seed 7, below and above the 4096-row
+// flush threshold, so a change to how the generators load their tables
+// cannot change what they generate.
+TEST(WorkloadTest, DatasetCellFingerprintsArePinned) {
+  struct Pin {
+    const char* dataset;
+    size_t rows;
+    uint64_t fingerprint;
+  };
+  const Pin pins[] = {
+      {"ads", 1500, 0xe97d8ea50542f12cull},
+      {"ads", 10000, 0x56e542d50e420b8dull},
+      {"dob", 1500, 0xc3c5cbe25849f63full},
+      {"dob", 10000, 0x1d00f167281c21c8ull},
+      {"nyc311", 1500, 0x8720dd16f9f71ce0ull},
+      {"nyc311", 10000, 0x2549fc8a074a1b17ull},
+      {"flights", 1500, 0xf66948cf32863a07ull},
+      {"flights", 10000, 0x3d8d0bfefb555145ull},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(StrCat({pin.dataset, " ", std::to_string(pin.rows)}));
+    auto table = *workload::MakeDataset(pin.dataset, pin.rows, 7);
+    EXPECT_EQ(table->num_rows(), pin.rows);
+    EXPECT_EQ(table->version(), table->num_rows());
+    const TableSnapshot snapshot = table->Snapshot();
+    EXPECT_EQ(CellFingerprint(snapshot), pin.fingerprint);
+    // The vocabulary of each string column is its cells' distinct values
+    // in first-appearance order.
+    for (size_t c = 0; c < table->num_columns(); ++c) {
+      if (table->spec(c).type != ValueType::kString) continue;
+      std::vector<std::string> expected;
+      for (size_t r = 0; r < snapshot.num_rows(); ++r) {
+        std::string value = snapshot.ValueAt(r, c).AsString();
+        if (std::find(expected.begin(), expected.end(), value) ==
+            expected.end()) {
+          expected.push_back(std::move(value));
+        }
+      }
+      EXPECT_EQ(table->StringValues(c), expected) << table->spec(c).name;
     }
   }
 }
@@ -1106,6 +1177,193 @@ TEST(SnapshotTest, EmptySnapshotCloneFails) {
   TableSnapshot empty;
   EXPECT_FALSE(empty.valid());
   EXPECT_FALSE(empty.Clone("nope").ok());
+}
+
+/// One run-sized column set for MakeLsmTable's schema: rows [first,
+/// first + rows) of the values MakeLsmTable appends.
+std::vector<Column> LsmColumns(size_t first, size_t rows) {
+  std::vector<Column> columns = lsm::Run::EmptyColumns(
+      {{"city", ValueType::kString},
+       {"delay", ValueType::kInt64},
+       {"dist", ValueType::kDouble}});
+  static const char* kCities[] = {"boston", "austin", "newark", "quincy"};
+  for (size_t r = first; r < first + rows; ++r) {
+    columns[0].AppendString(kCities[r % 4]);
+    columns[1].AppendInt64(static_cast<int64_t>(r) - 20);
+    columns[2].AppendDouble(static_cast<double>(r) * 0.5 - 10.0);
+  }
+  return columns;
+}
+
+TEST(BulkLoadTest, AppendRunRejectsMismatchedColumnsAndLeavesTableAlone) {
+  TableOptions options;
+  options.flush_threshold = 4;
+  auto table = MakeLsmTable(6, options);  // One run, two open rows.
+  const auto expect_untouched = [&](const std::string& what) {
+    EXPECT_EQ(table->num_rows(), 6u) << what;
+    EXPECT_EQ(table->version(), 6u) << what;
+    EXPECT_EQ(table->num_runs(), 1u) << what;
+    EXPECT_EQ(table->memtable_rows(), 2u) << what;
+    EXPECT_EQ(table->StringValues(0),
+              (std::vector<std::string>{"boston", "austin", "newark",
+                                        "quincy"}))
+        << what;
+  };
+
+  std::vector<Column> too_few = LsmColumns(6, 3);
+  too_few.pop_back();
+  EXPECT_EQ(table->AppendRun(std::move(too_few)).code(),
+            StatusCode::kInvalidArgument);
+  expect_untouched("count");
+
+  std::vector<Column> renamed = LsmColumns(6, 3);
+  renamed[1] = Column("delay_minutes", ValueType::kInt64);
+  for (int i = 0; i < 3; ++i) renamed[1].AppendInt64(i);
+  EXPECT_EQ(table->AppendRun(std::move(renamed)).code(),
+            StatusCode::kInvalidArgument);
+  expect_untouched("name");
+
+  std::vector<Column> retyped = LsmColumns(6, 3);
+  retyped[2] = Column("dist", ValueType::kInt64);
+  for (int i = 0; i < 3; ++i) retyped[2].AppendInt64(i);
+  EXPECT_EQ(table->AppendRun(std::move(retyped)).code(),
+            StatusCode::kInvalidArgument);
+  expect_untouched("type");
+
+  std::vector<Column> ragged = LsmColumns(6, 3);
+  ragged[0].AppendString("salem");  // A fourth city, three numbers.
+  EXPECT_EQ(table->AppendRun(std::move(ragged)).code(),
+            StatusCode::kInvalidArgument);
+  expect_untouched("length");
+
+  // A zero-row set is accepted and changes nothing.
+  EXPECT_TRUE(table->AppendRun(LsmColumns(6, 0)).ok());
+  expect_untouched("empty");
+}
+
+TEST(BulkLoadTest, AppendRunAfterOpenRowsKeepsAppendOrder) {
+  TableOptions options;
+  options.flush_threshold = 8;
+  // Row by row: 21 rows, sealed at 8 and 16, five left open.
+  auto rowwise = MakeLsmTable(21, options);
+  // Mixed: 3 open rows, a 13-row run, then 5 more rows one at a time.
+  auto mixed = MakeLsmTable(3, options);
+  ASSERT_TRUE(mixed->AppendRun(LsmColumns(3, 13)).ok());
+  EXPECT_EQ(mixed->num_runs(), 2u);  // The open rows sealed first.
+  EXPECT_EQ(mixed->memtable_rows(), 0u);
+  EXPECT_EQ(mixed->num_rows(), 16u);
+  EXPECT_EQ(mixed->version(), 16u);
+  const std::vector<Column> tail = LsmColumns(16, 5);
+  for (size_t r = 0; r < 5; ++r) {
+    ASSERT_TRUE(mixed
+                    ->AppendRow({tail[0].Get(r), tail[1].Get(r),
+                                 tail[2].Get(r)})
+                    .ok());
+  }
+  ASSERT_EQ(mixed->num_rows(), rowwise->num_rows());
+  EXPECT_EQ(mixed->version(), mixed->num_rows());
+  for (size_t r = 0; r < rowwise->num_rows(); ++r) {
+    for (size_t c = 0; c < 3; ++c) {
+      EXPECT_TRUE(mixed->ValueAt(r, c) == rowwise->ValueAt(r, c))
+          << "row " << r << " col " << c;
+    }
+  }
+  EXPECT_EQ(mixed->StringValues(0), rowwise->StringValues(0));
+  EXPECT_EQ(mixed->DistinctCount(0), 4u);
+  // Numeric columns keep no statistics.
+  EXPECT_EQ(mixed->DistinctCount(1), 0u);
+  EXPECT_EQ(mixed->DistinctCount(2), 0u);
+
+  // Clone reproduces the bulk-loaded layout run for run.
+  const TableSnapshot snapshot = mixed->Snapshot();
+  auto clone = snapshot.Clone("mixed_clone");
+  ASSERT_TRUE(clone.ok());
+  const TableSnapshot cloned = (*clone)->Snapshot();
+  ASSERT_EQ(cloned.runs().size(), snapshot.runs().size());
+  for (size_t i = 0; i < snapshot.runs().size(); ++i) {
+    EXPECT_EQ(cloned.runs()[i]->num_rows(), snapshot.runs()[i]->num_rows());
+    EXPECT_EQ(cloned.runs()[i]->column(0).dictionary(),
+              snapshot.runs()[i]->column(0).dictionary());
+  }
+  EXPECT_EQ((*clone)->memtable_rows(), 5u);
+  EXPECT_EQ((*clone)->version(), mixed->version());
+  EXPECT_EQ((*clone)->StringValues(0), mixed->StringValues(0));
+}
+
+TEST(BulkLoadTest, SampleTakesEveryKthRowAcrossRuns) {
+  TableOptions options;
+  options.flush_threshold = 4;
+  auto table = MakeLsmTable(30, options);  // 7 runs and two open rows.
+  const double fraction = 0.3;
+  auto sample = table->Sample(fraction);
+  EXPECT_EQ(sample->num_runs(), 1u);
+  EXPECT_EQ(sample->memtable_rows(), 0u);
+  EXPECT_EQ(sample->version(), sample->num_rows());
+  size_t i = 0;
+  for (double position = 0.0; position < 30.0; position += 1.0 / fraction) {
+    const size_t r = static_cast<size_t>(position);
+    ASSERT_LT(i, sample->num_rows());
+    for (size_t c = 0; c < 3; ++c) {
+      EXPECT_TRUE(sample->ValueAt(i, c) == table->ValueAt(r, c))
+          << "sample row " << i << " col " << c;
+    }
+    ++i;
+  }
+  EXPECT_EQ(sample->num_rows(), i);
+}
+
+// Readers snapshot, scan and read vocabularies while the writer
+// bulk-loads runs (interleaved with row appends); every snapshot is one
+// consistent prefix. Run under TSan this also checks the bulk path for
+// data races.
+TEST(BulkLoadTest, ReadersScanWhileWriterBulkLoads) {
+  TableOptions options;
+  options.flush_threshold = 16;
+  auto table = MakeLsmTable(0, options);
+  constexpr size_t kRuns = 200;
+  constexpr size_t kRunRows = 50;
+  std::atomic<bool> done{false};
+  std::atomic<size_t> reads{0};
+  std::thread writer([&] {
+    while (reads.load() == 0) std::this_thread::yield();
+    size_t next = 0;
+    for (size_t i = 0; i < kRuns; ++i) {
+      EXPECT_TRUE(table->AppendRun(LsmColumns(next, kRunRows)).ok());
+      next += kRunRows;
+      const std::vector<Column> row = LsmColumns(next, 1);
+      EXPECT_TRUE(
+          table->AppendRow({row[0].Get(0), row[1].Get(0), row[2].Get(0)})
+              .ok());
+      ++next;
+    }
+    done.store(true);
+  });
+  AggregateQuery sum;
+  sum.table = "lsmt";
+  sum.function = AggregateFunction::kSum;
+  sum.aggregate_column = "delay";
+  const auto read = [&] {
+    const TableSnapshot snapshot = table->Snapshot();
+    const size_t n = snapshot.num_rows();
+    EXPECT_EQ(snapshot.version(), n);
+    auto result = Executor::Execute(snapshot, sum);
+    ASSERT_TRUE(result.ok());
+    // delay of row r is r - 20, so a prefix of n rows sums to this.
+    const int64_t want =
+        static_cast<int64_t>(n * (n - 1) / 2) - 20 * static_cast<int64_t>(n);
+    EXPECT_EQ(result->value, static_cast<double>(want)) << n;
+    EXPECT_EQ(result->rows_matched, n);
+    EXPECT_LE(table->StringValues(0).size(), 4u);
+    reads.fetch_add(1);
+  };
+  std::thread reader([&] {
+    while (!done.load()) read();
+  });
+  while (!done.load()) read();
+  writer.join();
+  reader.join();
+  read();
+  EXPECT_EQ(table->num_rows(), kRuns * (kRunRows + 1));
 }
 
 // ---------------------------------------------------------------------
